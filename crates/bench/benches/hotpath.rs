@@ -21,6 +21,15 @@
 //! * `core_step_reference_4core` — the identical system under the per-cycle
 //!   reference stepper, so the wake-list speedup stays *measured*.
 //!
+//! Two more cover the per-instruction layers in front of the LLC:
+//!
+//! * `synthetic_gen_soplex` — a 1000-instruction block from the `soplex`
+//!   model's `SyntheticSource` (kind draw, weighted component draw, address
+//!   and PC generation);
+//! * `l1_access_4way_mixed` — 1000 demand accesses to a 32 KB 4-way L1
+//!   `Cache`: mostly hits in a hot window, plus cold misses and writes
+//!   (dirty victims).
+//!
 //! Run with `cargo bench -p bench --bench hotpath`. The numbers are
 //! ns per 1000 operations (each `iter` performs 1000 accesses).
 
@@ -29,8 +38,9 @@ use cpusim::{
     Core, CoreConfig, EpochControl, Instr, InstrSource, LlcPort, StepperKind, SystemStepper,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
-use memsim::{CacheGeometry, CacheSet, Dram, DramConfig, SetArena, WayMask};
+use memsim::{Cache, CacheGeometry, CacheSet, Dram, DramConfig, SetArena, WayMask};
 use simkit::types::{CoreId, Cycle, LineAddr};
+use workloads::{Benchmark, SyntheticSource};
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -172,6 +182,49 @@ fn bench_hotpath(c: &mut Criterion) {
             })
         });
     }
+
+    // Kernel 6: synthetic instruction generation, one 1000-instruction
+    // block per iteration from a persistent generator.
+    c.bench_function("synthetic_gen_soplex", |b| {
+        let mut src = SyntheticSource::new(Benchmark::Soplex.model(), 0x5EED);
+        b.iter(|| {
+            let mut acc = 0u64;
+            for _ in 0..1000 {
+                let i = src.next_instr();
+                acc = acc.wrapping_add(i.pc ^ i.addr ^ i.taken as u64);
+            }
+            acc
+        })
+    });
+
+    // Kernel 7: the private L1 path. ~7/8 of the accesses walk a 24 KB hot
+    // window (hits once warm), the rest stream cold lines over 16 MB
+    // (misses evicting LRU lines); a quarter are writes, so victims are
+    // often dirty.
+    c.bench_function("l1_access_4way_mixed", |b| {
+        let mut l1 = Cache::new(CacheGeometry::new(32 << 10, 4, 64), CoreId(0));
+        let mut state = 0x11_u64;
+        let mut burst = |l1: &mut Cache| {
+            let mut hits = 0u64;
+            for _ in 0..1000 {
+                let r = lcg(&mut state);
+                let byte = if r & 0b111 != 0 {
+                    (r >> 5) % (24 << 10)
+                } else {
+                    (r >> 5) % (16 << 20)
+                };
+                let write = (r >> 3) & 0b11 == 0;
+                hits += l1
+                    .access(LineAddr::from_byte_addr(CoreId(0), byte, 64), write)
+                    .hit as u64;
+            }
+            hits
+        };
+        for _ in 0..50 {
+            burst(&mut l1);
+        }
+        b.iter(|| burst(&mut l1))
+    });
 
     // Kernel 3: the identical op stream through the reference CacheSet.
     c.bench_function("cacheset_reference_16way", |b| {

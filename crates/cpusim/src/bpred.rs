@@ -17,8 +17,8 @@ pub struct BranchStats {
 }
 
 impl BranchStats {
-    /// Misprediction rate over all observed branches.
-    pub fn mpki_rate(&self) -> f64 {
+    /// Mispredictions per observed branch (not per kilo-instruction).
+    pub fn mispredict_ratio(&self) -> f64 {
         let b = self.branches.get();
         if b == 0 {
             0.0
@@ -27,6 +27,11 @@ impl BranchStats {
         }
     }
 }
+
+/// The 2-bit saturating counter's next state, indexed by
+/// `(counter << 1) | taken`: a table load instead of a branch on the
+/// (random) outcome.
+const NEXT_COUNTER: [u8; 8] = [0, 1, 0, 2, 1, 3, 2, 3];
 
 /// Gshare predictor: global history XOR PC indexing a table of 2-bit
 /// saturating counters, plus a 4-way set-associative BTB.
@@ -94,11 +99,7 @@ impl Gshare {
         let ctr = (*byte >> shift) & 0b11;
         let predicted_taken = ctr >= 2;
         // 2-bit saturating update within the packed lane.
-        let updated = if taken {
-            (ctr + 1).min(3)
-        } else {
-            ctr.saturating_sub(1)
-        };
+        let updated = NEXT_COUNTER[((ctr << 1) | taken as u8) as usize];
         *byte = (*byte & !(0b11 << shift)) | (updated << shift);
         // Global history update.
         self.history = ((self.history << 1) | taken as u64) & ((1 << self.history_bits) - 1);
@@ -106,9 +107,7 @@ impl Gshare {
         let dir_wrong = predicted_taken != taken;
         let target_unknown = taken && !self.btb_lookup_insert(pc);
         let mispredict = dir_wrong || target_unknown;
-        if mispredict {
-            self.stats.mispredictions.inc();
-        }
+        self.stats.mispredictions.add(mispredict as u64);
         mispredict
     }
 
@@ -117,10 +116,12 @@ impl Gshare {
         let set = ((pc >> 2) as usize) & (self.btb_sets - 1);
         let base = set * self.btb_assoc;
         let tag = pc >> 2;
-        for w in 0..self.btb_assoc {
-            if self.btb_tags[base + w] == tag {
-                return true;
-            }
+        // OR every way's compare, then branch once on the set-wide result.
+        let hit = self.btb_tags[base..base + self.btb_assoc]
+            .iter()
+            .fold(false, |hit, &t| hit | (t == tag));
+        if hit {
+            return true;
         }
         let way = self.btb_next[set] as usize % self.btb_assoc;
         self.btb_tags[base + way] = tag;
@@ -132,6 +133,24 @@ impl Gshare {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counter_table_is_the_saturating_update() {
+        for ctr in 0u8..4 {
+            for taken in [false, true] {
+                let arithmetic = if taken {
+                    (ctr + 1).min(3)
+                } else {
+                    ctr.saturating_sub(1)
+                };
+                assert_eq!(
+                    NEXT_COUNTER[((ctr << 1) | taken as u8) as usize],
+                    arithmetic,
+                    "counter {ctr}, taken {taken}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn learns_always_taken_branch() {
@@ -175,7 +194,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             g.observe(0x900 + ((x >> 60) << 2), (x >> 33) & 1 == 1);
         }
-        let rate = g.stats().mpki_rate();
+        let rate = g.stats().mispredict_ratio();
         assert!(rate > 0.25, "random outcomes should hurt: rate={rate}");
     }
 

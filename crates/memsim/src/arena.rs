@@ -21,6 +21,12 @@
 //! remains the readable specification; `SetArena` is what the hot paths
 //! run on.
 //!
+//! Hot-path rule: `find`, `touch` and the hit bookkeeping do not branch on
+//! simulated random outcomes (which way hits, the MRU position, read or
+//! write). Profiles showed host branch mispredictions on those outcomes,
+//! not the work itself, dominating the per-access cost, so such outcomes
+//! are folded in with masks and arithmetic instead.
+//!
 //! [`CacheSet`]: crate::set::CacheSet
 
 use simkit::types::CoreId;
@@ -163,19 +169,22 @@ impl SetArena {
 
     /// Looks for `tag` among the valid ways of `set` selected by `mask`,
     /// in ascending way order. No recency side effects.
+    ///
+    /// Compares every way's tag (stale tags in invalid or masked-out ways
+    /// included) into an equality bitmask and takes the lowest bit left
+    /// after masking: the same way an early-exit scan would stop at, with
+    /// no branch on which way matched.
     #[inline]
     pub fn find(&self, set: usize, tag: u64, mask: WayMask) -> Option<usize> {
         let base = set * self.ways;
-        let tags = &self.tags[base..base + self.ways];
-        let mut m = mask.0 & self.heads[set].valid;
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if tags[w] == tag {
-                return Some(w);
-            }
-            m &= m - 1;
-        }
-        None
+        // Shift-accumulate from the highest way down: bit `w` ends up
+        // holding way `w`'s compare, with no variable shifts.
+        let eq = self.tags[base..base + self.ways]
+            .iter()
+            .rev()
+            .fold(0u64, |eq, &t| (eq << 1) | (t == tag) as u64);
+        let m = eq & mask.0 & self.heads[set].valid;
+        (m != 0).then(|| m.trailing_zeros() as usize)
     }
 
     /// Recency position of `way` in an order word (0 = MRU), located with a
@@ -198,12 +207,13 @@ impl SetArena {
         match &mut self.recency {
             Recency::Packed => {
                 let word = self.heads[set].order;
+                // Lift the way's nibble out of position `p` and reinsert it
+                // at the MRU end. At `p == 0` this is the identity, so no
+                // branch on the (random) position.
                 let p = Self::packed_pos(word, way, self.low_bits);
-                if p > 0 {
-                    let below = (1u64 << (4 * p)) - 1;
-                    let rest = (word & below) | ((word >> 4) & !below);
-                    self.heads[set].order = (rest << 4) | way as u64;
-                }
+                let below = (1u64 << (4 * p)) - 1;
+                let rest = (word & below) | ((word >> 4) & !below);
+                self.heads[set].order = (rest << 4) | way as u64;
             }
             Recency::Stamped { stamps, clock } => {
                 clock[set] += 1;
@@ -331,12 +341,26 @@ impl SetArena {
     /// Marks a resident line dirty (a write hit).
     #[inline]
     pub fn mark_dirty(&mut self, set: usize, way: usize) {
+        self.or_dirty(set, way, true);
+    }
+
+    /// The bookkeeping of a demand hit on a resident line: `way` becomes
+    /// MRU and, for a write, dirty. The dirty bit is ORed in arithmetically,
+    /// so a read/write mix costs no branch.
+    #[inline]
+    pub fn record_hit(&mut self, set: usize, way: usize, write: bool) {
+        self.touch(set, way);
+        self.or_dirty(set, way, write);
+    }
+
+    #[inline]
+    fn or_dirty(&mut self, set: usize, way: usize, dirty: bool) {
         debug_assert!(
             (self.heads[set].valid >> way) & 1 == 1,
             "dirtying an invalid line"
         );
         let i = self.idx(set, way);
-        self.meta[i] |= META_DIRTY;
+        self.meta[i] |= META_DIRTY * dirty as u8;
     }
 
     /// Whether line `(set, way)` holds valid data.

@@ -97,18 +97,12 @@ impl Cache {
     /// Performs a demand access; on a miss the line is allocated (evicting
     /// the LRU line) and any dirty victim is returned for write-back.
     pub fn access(&mut self, line: LineAddr, is_write: bool) -> AccessResult {
-        if is_write {
-            self.stats.write_accesses.inc();
-        } else {
-            self.stats.read_accesses.inc();
-        }
+        self.stats.write_accesses.add(is_write as u64);
+        self.stats.read_accesses.add(!is_write as u64);
         let set_idx = self.geom.set_index(line);
         let tag = self.geom.tag(line);
         if let Some(way) = self.sets.find(set_idx, tag, self.all_ways) {
-            self.sets.touch(set_idx, way);
-            if is_write {
-                self.sets.mark_dirty(set_idx, way);
-            }
+            self.sets.record_hit(set_idx, way, is_write);
             return AccessResult {
                 hit: true,
                 writeback: None,
@@ -120,13 +114,11 @@ impl Cache {
             .victim(set_idx, self.all_ways)
             .expect("non-empty mask always yields a victim");
         let prev = self.sets.fill(set_idx, way, tag, self.owner, is_write);
-        let writeback = (prev.valid && prev.dirty).then(|| {
-            self.stats.writebacks.inc();
-            self.geom.line_from(prev.tag, set_idx)
-        });
+        let dirty_victim = prev.valid && prev.dirty;
+        self.stats.writebacks.add(dirty_victim as u64);
         AccessResult {
             hit: false,
-            writeback,
+            writeback: dirty_victim.then_some(self.geom.line_from(prev.tag, set_idx)),
         }
     }
 

@@ -232,3 +232,69 @@ proptest! {
         run_stream(64, ops)?;
     }
 }
+
+/// Touching the way already at MRU must leave the whole order unchanged,
+/// in both recency representations (the packed rotation has no `p > 0`
+/// guard any more: at position 0 it must be the identity).
+#[test]
+fn touching_the_mru_way_is_a_no_op() {
+    for ways in [1, 2, 4, 16, 17, 32] {
+        let mut reference = CacheSet::new(ways);
+        let mut arena = SetArena::new(3, ways);
+        for w in (0..ways).rev() {
+            reference.fill(w, w as u64, CoreId(0), false);
+            arena.fill(SET, w, w as u64, CoreId(0), false);
+        }
+        let mru = (0..ways)
+            .find(|&w| reference.recency_of(w) == 0)
+            .expect("some way is MRU");
+        let before: Vec<usize> = (0..ways).map(|w| arena.recency_of(SET, w)).collect();
+        for _ in 0..3 {
+            reference.touch(mru);
+            arena.touch(SET, mru);
+        }
+        let after: Vec<usize> = (0..ways).map(|w| arena.recency_of(SET, w)).collect();
+        assert_eq!(before, after, "{ways} ways");
+        assert_equivalent(ways, &reference, &arena).expect("matches the reference");
+    }
+}
+
+/// `find` compares every way's tag, so a stale copy of the tag left in an
+/// invalidated way, or sitting in a way outside the mask, must never be
+/// reported — not even when it is the lowest-numbered match.
+#[test]
+fn stale_tags_in_invalid_or_masked_ways_never_match() {
+    for ways in [4, 16, 32] {
+        let mut reference = CacheSet::new(ways);
+        let mut arena = SetArena::new(3, ways);
+        let all = WayMask::all(ways);
+        for w in 0..ways {
+            reference.fill(w, 0xA0 + w as u64, CoreId(1), w % 2 == 0);
+            arena.fill(SET, w, 0xA0 + w as u64, CoreId(1), w % 2 == 0);
+        }
+        // Way 0 keeps tag 0xA0 but is invalid; way 2 holds 0xA0 validly.
+        reference.invalidate(0);
+        arena.invalidate(SET, 0);
+        reference.fill(2, 0xA0, CoreId(1), false);
+        arena.fill(SET, 2, 0xA0, CoreId(1), false);
+        for mask in [
+            all,
+            WayMask(0b0011),
+            WayMask(0b0100),
+            WayMask(all.0 & !0b0100),
+        ] {
+            assert_eq!(reference.find(0xA0, mask), arena.find(SET, 0xA0, mask));
+        }
+        assert_eq!(arena.find(SET, 0xA0, all), Some(2), "{ways} ways");
+        assert_eq!(arena.find(SET, 0xA0, WayMask(0b0011)), None, "{ways} ways");
+        // Way 1's tag is valid but masked out.
+        assert_eq!(arena.find(SET, 0xA1, WayMask(all.0 & !0b0010)), None);
+        assert_eq!(arena.find(SET, 0xA1, all), Some(1));
+        // A neighbouring set holding the tag is never consulted.
+        arena.fill(2, 3, 0xA3, CoreId(0), false);
+        reference.invalidate(3);
+        arena.invalidate(SET, 3);
+        assert_eq!(arena.find(SET, 0xA3, all), None);
+        assert_equivalent(ways, &reference, &arena).expect("matches the reference");
+    }
+}

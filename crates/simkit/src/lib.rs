@@ -23,6 +23,6 @@ pub mod stats;
 pub mod table;
 pub mod types;
 
-pub use rng::DetRng;
+pub use rng::{DetRng, UniformBelow, WeightedIndex};
 pub use stats::{geometric_mean, quantile, Counter, Histogram, TimeSeries};
 pub use types::{CoreId, Cycle};

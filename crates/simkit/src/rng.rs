@@ -50,13 +50,15 @@ impl DetRng {
 
     /// Uniform integer in `[0, bound)`.
     ///
+    /// Callers drawing repeatedly from one bound should keep a
+    /// [`UniformBelow`] instead, which hoists the set-up divisions.
+    ///
     /// # Panics
     ///
     /// Panics if `bound == 0`.
     #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "below(0) is meaningless");
-        self.inner.gen_range(0..bound)
+        UniformBelow::new(bound).sample(self)
     }
 
     /// Uniform `usize` index in `[0, len)`.
@@ -86,26 +88,118 @@ impl DetRng {
     pub fn unit(&mut self) -> f64 {
         self.inner.gen::<f64>()
     }
+}
 
-    /// Picks an index according to non-negative `weights`.
+/// A precomputed uniform draw over `[0, span)`.
+///
+/// Draws a raw 64-bit value, rejects it above `zone` (the largest multiple
+/// of `span`, minus one) so every residue is equally likely, and reduces
+/// the rest modulo `span`: with a mask for powers of two, otherwise with a
+/// multiply by the precomputed reciprocal `u64::MAX / span` and one
+/// branch-free correction. Bit-identical to `rand`'s `gen_range(0..span)`
+/// on the same stream, minus the per-draw divisions.
+///
+/// ```
+/// use simkit::rng::{DetRng, UniformBelow};
+/// let die = UniformBelow::new(6);
+/// let mut r = DetRng::from_seed(1);
+/// assert!(die.sample(&mut r) < 6);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UniformBelow {
+    span: u64,
+    zone: u64,
+    /// `u64::MAX / span`; unused (0) when `span` is a power of two.
+    reciprocal: u64,
+}
+
+impl UniformBelow {
+    /// Precomputes the draw for `[0, span)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span == 0`.
+    #[inline]
+    pub fn new(span: u64) -> UniformBelow {
+        assert!(span > 0, "below(0) is meaningless");
+        UniformBelow {
+            span,
+            zone: u64::MAX - (u64::MAX - span + 1) % span,
+            reciprocal: if span.is_power_of_two() {
+                0
+            } else {
+                u64::MAX / span
+            },
+        }
+    }
+
+    /// One uniform draw from `rng`.
+    #[inline]
+    pub fn sample(&self, rng: &mut DetRng) -> u64 {
+        loop {
+            let v = rng.next_u64();
+            if v <= self.zone {
+                return self.reduce(v);
+            }
+        }
+    }
+
+    /// `v % span`. With `r = ⌊(2^64 - 1) / span⌋`, `2^64 - span·r` is at
+    /// most `span`, so `v·r / 2^64` is within `v / 2^64 < 1` of
+    /// `v / span`: the quotient estimate `⌊v·r / 2^64⌋` falls short by at
+    /// most one, and one branch-free subtraction of `span` corrects it.
+    #[inline]
+    fn reduce(&self, v: u64) -> u64 {
+        if self.reciprocal == 0 {
+            return v & (self.span - 1);
+        }
+        let q = ((v as u128 * self.reciprocal as u128) >> 64) as u64;
+        let rem = v - q * self.span;
+        rem - self.span * (rem >= self.span) as u64
+    }
+}
+
+/// A precomputed weighted index draw over non-negative weights.
+///
+/// The total is summed once, in index order. A draw scales a unit draw by
+/// it and walks the weights subtracting each in order, exactly like the
+/// classic subtract loop (so the floats round identically), but without an
+/// early exit: it returns the lowest index whose weight exceeds the running
+/// remainder, or the last index if rounding leaves none.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WeightedIndex {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl WeightedIndex {
+    /// Precomputes the draw for `weights`.
     ///
     /// # Panics
     ///
     /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
+    pub fn new(weights: Vec<f64>) -> WeightedIndex {
         let total: f64 = weights.iter().sum();
         assert!(
             !weights.is_empty() && total > 0.0,
-            "weighted_index requires positive total weight"
+            "WeightedIndex requires positive total weight"
         );
-        let mut x = self.unit() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if x < w {
-                return i;
-            }
+        WeightedIndex { weights, total }
+    }
+
+    /// One weighted draw from `rng`.
+    #[inline]
+    pub fn sample(&self, rng: &mut DetRng) -> usize {
+        let mut x = rng.unit() * self.total;
+        let mut pick = self.weights.len() - 1;
+        let mut found = false;
+        for (i, &w) in self.weights.iter().enumerate() {
+            let hit = !found & (x < w);
+            pick = if hit { i } else { pick };
+            found |= hit;
             x -= w;
         }
-        weights.len() - 1
+        pick
     }
 }
 
@@ -122,6 +216,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     #[test]
     fn derive_is_deterministic_and_label_sensitive() {
@@ -160,10 +256,10 @@ mod tests {
     #[test]
     fn weighted_index_distribution() {
         let mut r = DetRng::from_seed(4);
-        let w = [1.0, 0.0, 3.0];
+        let w = WeightedIndex::new(vec![1.0, 0.0, 3.0]);
         let mut counts = [0usize; 3];
         for _ in 0..10_000 {
-            counts[r.weighted_index(&w)] += 1;
+            counts[w.sample(&mut r)] += 1;
         }
         assert_eq!(counts[1], 0);
         assert!(counts[2] > counts[0] * 2);
@@ -172,8 +268,100 @@ mod tests {
     #[test]
     #[should_panic]
     fn weighted_index_rejects_zero_total() {
-        let mut r = DetRng::from_seed(5);
-        r.weighted_index(&[0.0, 0.0]);
+        WeightedIndex::new(vec![0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn uniform_below_rejects_zero_span() {
+        UniformBelow::new(0);
+    }
+
+    /// The subtract-loop weighted draw the branch-free one replaced.
+    fn weighted_reference(rng: &mut DetRng, weights: &[f64]) -> usize {
+        let total: f64 = weights.iter().sum();
+        let mut x = rng.unit() * total;
+        for (i, &w) in weights.iter().enumerate() {
+            if x < w {
+                return i;
+            }
+            x -= w;
+        }
+        weights.len() - 1
+    }
+
+    /// Draws `n` values through `UniformBelow` and through `rand`'s
+    /// `gen_range` on the same seed; the values and the stream positions
+    /// afterwards must agree.
+    fn check_uniform(seed: u64, span: u64, n: usize) -> Result<(), TestCaseError> {
+        let draw = UniformBelow::new(span);
+        let mut ours = DetRng::from_seed(seed);
+        let mut reference = SmallRng::seed_from_u64(seed);
+        for _ in 0..n {
+            let v = draw.sample(&mut ours);
+            prop_assert_eq!(v, reference.gen_range(0..span), "span {}", span);
+            prop_assert!(v < span);
+        }
+        prop_assert_eq!(ours.next_u64(), reference.next_u64(), "stream position");
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn uniform_below_matches_gen_range(
+            seed in any::<u64>(),
+            raw in any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            // Spans of every magnitude, from 1 to 2^64 - 1.
+            check_uniform(seed, (raw >> shift).max(1), 64)?;
+        }
+
+        #[test]
+        fn uniform_below_matches_gen_range_powers_of_two(
+            seed in any::<u64>(),
+            k in 0u32..64,
+        ) {
+            check_uniform(seed, 1 << k, 64)?;
+        }
+
+        #[test]
+        fn uniform_below_matches_gen_range_extremes(seed in any::<u64>()) {
+            check_uniform(seed, 1, 64)?;
+            check_uniform(seed, u64::MAX, 64)?;
+            check_uniform(seed, (1 << 63) + 1, 64)?;
+        }
+
+        #[test]
+        fn weighted_index_matches_subtract_loop(
+            seed in any::<u64>(),
+            raw in proptest::collection::vec((0u8..4, 0.0f64..10.0), 1..9),
+        ) {
+            // A quarter of the weights are exactly zero.
+            let mut weights: Vec<f64> = raw
+                .iter()
+                .map(|&(k, w)| if k == 0 { 0.0 } else { w })
+                .collect();
+            if weights.iter().sum::<f64>() <= 0.0 {
+                *weights.last_mut().expect("non-empty") = 1.0;
+            }
+            // The same draws over the largest weight alone: one component.
+            let single = vec![weights.iter().cloned().fold(0.0, f64::max)];
+            for weights in [weights, single] {
+                let draw = WeightedIndex::new(weights.clone());
+                let mut ours = DetRng::from_seed(seed);
+                let mut reference = DetRng::from_seed(seed);
+                for _ in 0..64 {
+                    prop_assert_eq!(
+                        draw.sample(&mut ours),
+                        weighted_reference(&mut reference, &weights),
+                        "weights {:?}",
+                        weights
+                    );
+                }
+                prop_assert_eq!(ours.next_u64(), reference.next_u64(), "stream position");
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,93 @@
 //! Turns a [`BenchmarkModel`] into an infinite deterministic instruction
 //! stream.
+//!
+//! Everything a draw needs that does not change per instruction is
+//! precomputed: the kind thresholds, each phase's component weights and
+//! their total, and each component's address draw (a cursor for streams
+//! and loops, a [`UniformBelow`] for uniform regions). The per-instruction
+//! path then consumes exactly the random numbers it always did, in the same
+//! order and with the same float rounding, so streams stay bit-identical
+//! (`tests/stream_digest.rs` pins them).
 
 use cpusim::{Instr, InstrSource};
-use simkit::DetRng;
+use simkit::{DetRng, UniformBelow, WeightedIndex};
 
 use crate::model::{BenchmarkModel, Pattern};
+
+/// Power-law skew of basic-block jump targets within the code footprint.
+const CODE_SKEW: f64 = 6.0;
+
+/// One component's address draw, as a byte offset within its region.
+#[derive(Debug, Clone, Copy)]
+enum Draw {
+    /// `cursor` walks by `step` (less than `span`) and wraps at `span`: the
+    /// offset `(n * step) % span` of the `n`-th reference, one add and one
+    /// compare at a time. A stream steps by its stride over the region; a
+    /// loop steps by a line over the region's whole lines.
+    Walk { cursor: u64, step: u64, span: u64 },
+    /// A uniform line of the region; `dep` marks pointer chasing.
+    Uniform { lines: UniformBelow, dep: bool },
+    /// Line `⌊lines · u^theta⌋`, clamped to `last`.
+    Skewed { lines: f64, theta: f64, last: u64 },
+}
+
+impl Draw {
+    fn new(pattern: Pattern, region: u64) -> Draw {
+        let lines = region / 64;
+        match pattern {
+            Pattern::Stream { stride } => Draw::Walk {
+                cursor: 0,
+                step: stride % region,
+                span: region,
+            },
+            Pattern::Loop => Draw::Walk {
+                cursor: 0,
+                step: 64 % (lines * 64),
+                span: lines * 64,
+            },
+            Pattern::RandomWs => Draw::Uniform {
+                lines: UniformBelow::new(lines),
+                dep: false,
+            },
+            Pattern::PointerChase => Draw::Uniform {
+                lines: UniformBelow::new(lines),
+                dep: true,
+            },
+            Pattern::SkewedWs { theta } => Draw::Skewed {
+                lines: lines as f64,
+                theta,
+                last: lines - 1,
+            },
+        }
+    }
+
+    /// The next offset and whether it depends on the previous load.
+    #[inline]
+    fn next(&mut self, rng: &mut DetRng) -> (u64, bool) {
+        match self {
+            Draw::Walk { cursor, step, span } => {
+                let off = *cursor;
+                *cursor += *step;
+                if *cursor >= *span {
+                    *cursor -= *span;
+                }
+                (off, false)
+            }
+            Draw::Uniform { lines, dep } => (lines.sample(rng) * 64, *dep),
+            Draw::Skewed { lines, theta, last } => {
+                let line = (*lines * rng.unit().powf(*theta)) as u64;
+                (line.min(*last) * 64, false)
+            }
+        }
+    }
+}
+
+/// A component's base address and its draw.
+#[derive(Debug, Clone, Copy)]
+struct ComponentDraw {
+    base: u64,
+    draw: Draw,
+}
 
 /// Deterministic instruction generator for one benchmark instance.
 ///
@@ -14,12 +97,14 @@ use crate::model::{BenchmarkModel, Pattern};
 pub struct SyntheticSource {
     model: BenchmarkModel,
     rng: DetRng,
-    /// Per-component progress counters (streams and loops).
-    counters: Vec<u64>,
-    /// Per-component base offsets so distinct components never alias.
-    bases: Vec<u64>,
-    /// Current effective weights (phase-adjusted).
-    weights: Vec<f64>,
+    components: Vec<ComponentDraw>,
+    /// Component weights of each phase (one entry for a stationary model).
+    phase_weights: Vec<WeightedIndex>,
+    /// Kind thresholds on a unit draw: load below the first, store below
+    /// the second, branch below the third, ALU otherwise.
+    kind_cuts: [f64; 3],
+    /// `code_bytes / 4` as a float, the jump-target scale.
+    code_slots: f64,
     phase_idx: usize,
     phase_left: u64,
     instrs_emitted: u64,
@@ -48,16 +133,46 @@ impl SyntheticSource {
             .unwrap_or_else(|e| panic!("invalid model: {e}"));
         let rng = DetRng::derive(seed, model.name);
         // Separate components by 1 GiB so regions never overlap.
-        let bases = (0..model.components.len())
-            .map(|i| (i as u64) << 30)
+        let components = model
+            .components
+            .iter()
+            .enumerate()
+            .map(|(i, c)| ComponentDraw {
+                base: (i as u64) << 30,
+                draw: Draw::new(c.pattern, c.region_bytes),
+            })
             .collect();
-        let weights = model.components.iter().map(|c| c.weight).collect();
+        let base: Vec<f64> = model.components.iter().map(|c| c.weight).collect();
+        let phase_weights = if model.phases.is_empty() {
+            vec![WeightedIndex::new(base)]
+        } else {
+            model
+                .phases
+                .iter()
+                .map(|p| {
+                    let scaled: Vec<f64> = base
+                        .iter()
+                        .zip(&p.weight_scale)
+                        .map(|(w, s)| w * s)
+                        .collect();
+                    // Guard against a phase that zeroes every component.
+                    if scaled.iter().sum::<f64>() <= 0.0 {
+                        WeightedIndex::new(base.clone())
+                    } else {
+                        WeightedIndex::new(scaled)
+                    }
+                })
+                .collect()
+        };
+        let load = model.load_frac;
+        let store = load + model.store_frac;
         let mut src = SyntheticSource {
-            counters: vec![0; model.components.len()],
-            bases,
-            weights,
+            components,
+            phase_weights,
+            kind_cuts: [load, store, store + model.branch_frac],
+            code_slots: (model.code_bytes / 4) as f64,
             phase_idx: 0,
-            phase_left: 0,
+            phase_left: u64::MAX,
             instrs_emitted: 0,
             pc_offset: 0,
             block_left: model.block_len,
@@ -80,19 +195,10 @@ impl SyntheticSource {
 
     fn enter_phase(&mut self, idx: usize) {
         if self.model.phases.is_empty() {
-            self.phase_left = u64::MAX;
             return;
         }
-        let idx = idx % self.model.phases.len();
-        self.phase_idx = idx;
-        self.phase_left = self.model.phases[idx].instrs;
-        for (i, c) in self.model.components.iter().enumerate() {
-            self.weights[i] = c.weight * self.model.phases[idx].weight_scale[i];
-        }
-        // Guard against a phase that zeroes every component.
-        if self.weights.iter().sum::<f64>() <= 0.0 {
-            self.weights = self.model.components.iter().map(|c| c.weight).collect();
-        }
+        self.phase_idx = idx % self.model.phases.len();
+        self.phase_left = self.model.phases[self.phase_idx].instrs;
     }
 
     fn advance_phase(&mut self) {
@@ -114,46 +220,24 @@ impl SyntheticSource {
             // same power-law shape as skewed data (hot head, long tail).
             // Uniform targets would make every large-code benchmark flood
             // the L1-I pathologically.
-            const CODE_SKEW: f64 = 6.0;
-            let slots = (self.model.code_bytes / 4) as f64;
-            self.pc_offset = (slots * self.rng.unit().powf(CODE_SKEW)) as u64 * 4;
+            self.pc_offset = (self.code_slots * self.rng.unit().powf(CODE_SKEW)) as u64 * 4;
         } else {
             self.block_left -= 1;
-            self.pc_offset = (self.pc_offset + 4) % self.model.code_bytes;
+            let next = self.pc_offset + 4;
+            self.pc_offset = if next >= self.model.code_bytes {
+                next % self.model.code_bytes
+            } else {
+                next
+            };
         }
         self.pc_offset
     }
 
     fn gen_mem(&mut self) -> (u64, bool) {
-        let idx = self.rng.weighted_index(&self.weights);
-        let comp = self.model.components[idx];
-        let base = self.bases[idx];
-        match comp.pattern {
-            Pattern::Stream { stride } => {
-                let off = (self.counters[idx] * stride) % comp.region_bytes;
-                self.counters[idx] += 1;
-                (base + off, false)
-            }
-            Pattern::Loop => {
-                let lines = comp.region_bytes / 64;
-                let off = (self.counters[idx] % lines) * 64;
-                self.counters[idx] += 1;
-                (base + off, false)
-            }
-            Pattern::RandomWs => {
-                let line = self.rng.below(comp.region_bytes / 64);
-                (base + line * 64, false)
-            }
-            Pattern::SkewedWs { theta } => {
-                let lines = (comp.region_bytes / 64) as f64;
-                let line = (lines * self.rng.unit().powf(theta)) as u64;
-                (base + line.min(comp.region_bytes / 64 - 1) * 64, false)
-            }
-            Pattern::PointerChase => {
-                let line = self.rng.below(comp.region_bytes / 64);
-                (base + line * 64, true)
-            }
-        }
+        let idx = self.phase_weights[self.phase_idx].sample(&mut self.rng);
+        let c = &mut self.components[idx];
+        let (off, dep) = c.draw.next(&mut self.rng);
+        (c.base + off, dep)
     }
 }
 
@@ -162,17 +246,17 @@ impl InstrSource for SyntheticSource {
         self.instrs_emitted += 1;
         let pc = self.next_pc();
         let u = self.rng.unit();
-        let m = &self.model;
-        let instr = if u < m.load_frac {
+        let [load, store, branch] = self.kind_cuts;
+        let instr = if u < load {
             let (addr, dep) = self.gen_mem();
             let mut i = Instr::load(pc, addr);
             i.dep_prev_load = dep;
             i
-        } else if u < m.load_frac + m.store_frac {
+        } else if u < store {
             let (addr, _) = self.gen_mem();
             Instr::store(pc, addr)
-        } else if u < m.load_frac + m.store_frac + m.branch_frac {
-            let taken = self.rng.chance(m.branch_bias);
+        } else if u < branch {
+            let taken = self.rng.chance(self.model.branch_bias);
             Instr::branch(pc, taken)
         } else {
             Instr::alu(pc)
