@@ -1,65 +1,79 @@
-//! The per-epoch DVFS + partitioning controller.
+//! The per-epoch coordinated controller.
 //!
-//! [`DvfsController`] is the decision engine behind the
-//! [`DvfsPolicy`](crate::DvfsPolicy): at every epoch boundary it turns the
-//! UMON miss curves plus the last epoch's per-core counters into fitted
-//! [`CorePerfModel`]s, runs the QoS-constrained [`minimize`] and returns a
-//! [`DvfsDecision`] — way targets for the LLC's cooperative-takeover
-//! enforcement and an operating point per core for
-//! `Core::set_clock_ratio`.
+//! [`Controller`] is the decision engine behind every preset of the
+//! [`Coordinator`](crate::Coordinator): at every epoch boundary it
+//! differences the harness's cumulative [`EpochObservations`] counters —
+//! retired instructions, demand misses, DRAM line transfers, regulator
+//! delay, prefetches issued and prefetches proven useful — fits one
+//! [`CorePerfModel`] per core against the UMON miss curves, and runs the
+//! QoS-constrained [`minimize`] over its configuration's axis set.
+//! Counter vectors a configuration does not report (no regulator,
+//! prefetcher off) are empty and read as zeros, which degrades the model to
+//! "no prefetch evidence, one line per miss".
 //!
 //! The controller also keeps the books DVFS energy accounting needs: how
 //! many reference cycles and retired instructions each core spent at each
 //! operating point (*frequency residency*). The harness snapshots these at
 //! the measurement-window start and evaluates core energy over the window.
 
-use coop_core::{Allocation, MissCurve};
+use coop_core::policy::EpochObservations;
 use cpusim::VfTable;
 use energy::CoreEnergyReport;
 use serde::{Deserialize, Serialize};
 use simkit::types::Cycle;
 
 use crate::minimize::{minimize, EnergyCosts, JointAssignment};
-use crate::perf::{CorePerfModel, EpochObservation, PerfModelParams};
+use crate::model::{CorePerfModel, EpochObservation, MemModelParams, PerfModelParams, MAX_DEGREE};
 
-/// Configuration of the coordinated controller.
+/// Configuration of the coordinated controller: its axis set plus the
+/// model and cost parameters. Ways are always an axis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DvfsConfig {
-    /// The V/f operating points (nominal first).
+    /// The V/f operating points the minimizer may pick (nominal first). A
+    /// one-point table keeps every core at the nominal clock.
     pub table: VfTable,
+    /// Highest prefetch degree the minimizer may pick (0: prefetching is
+    /// not an axis).
+    pub max_degree: usize,
+    /// Whether DRAM bandwidth units are an axis.
+    pub bandwidth: bool,
     /// Energy magnitudes for the minimizer's objective.
     pub costs: EnergyCosts,
-    /// Allowed fractional slowdown per core versus the
-    /// max-frequency/fair-share baseline.
+    /// Allowed fractional slowdown per core versus the nominal-frequency,
+    /// fair-share, no-prefetch baseline.
     pub qos_slack: f64,
-    /// Performance-model parameters.
+    /// Core-side model parameters.
     pub perf: PerfModelParams,
+    /// Bandwidth/prefetch model parameters.
+    pub mem: MemModelParams,
 }
 
 impl DvfsConfig {
-    /// The repository's default 45 nm configuration at the given QoS slack.
+    /// The `dvfs` preset at the given QoS slack: ways × the 45 nm V/f
+    /// table; prefetch and bandwidth are not axes.
     pub fn paper_default(qos_slack: f64) -> DvfsConfig {
         DvfsConfig {
             table: VfTable::paper_45nm(),
+            max_degree: 0,
+            bandwidth: false,
             costs: EnergyCosts::paper_default(),
             qos_slack,
             perf: PerfModelParams::paper_default(),
+            mem: MemModelParams::paper_default(),
         }
     }
-}
 
-/// What the controller wants applied this epoch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DvfsDecision {
-    /// Way targets for the cooperative takeover machinery.
-    pub allocation: Allocation,
-    /// Operating-point index per core.
-    pub ops: Vec<usize>,
-    /// Clock-dilation ratio per core (`f_nom / f`), ready for
-    /// `Core::set_clock_ratio`.
-    pub ratios: Vec<f64>,
-    /// The minimizer's full output (predictions, energies).
-    pub joint: JointAssignment,
+    /// The `cbp` preset at the given QoS slack: ways × bandwidth units ×
+    /// prefetch degrees `0..=MAX_DEGREE`, at the nominal V/f point only.
+    pub fn cbp_default(qos_slack: f64) -> DvfsConfig {
+        let dvfs = DvfsConfig::paper_default(qos_slack);
+        DvfsConfig {
+            table: VfTable::new(vec![dvfs.table.nominal()]),
+            max_degree: MAX_DEGREE,
+            bandwidth: true,
+            ..dvfs
+        }
+    }
 }
 
 /// Cumulative per-core, per-operating-point books (reference cycles and
@@ -73,13 +87,6 @@ pub struct Residency {
 }
 
 impl Residency {
-    fn new(cores: usize, ops: usize) -> Residency {
-        Residency {
-            ref_cycles: vec![vec![0; ops]; cores],
-            instrs: vec![vec![0; ops]; cores],
-        }
-    }
-
     /// Element-wise `self - earlier` (a measurement window).
     pub fn since(&self, earlier: &Residency) -> Residency {
         let sub = |a: &[Vec<u64>], b: &[Vec<u64>]| {
@@ -95,32 +102,57 @@ impl Residency {
     }
 }
 
+/// The cumulative counters the controller differences, in the order of
+/// [`EpochObservation`]'s counter fields.
+fn counters(obs: &EpochObservations) -> [&[u64]; 6] {
+    [
+        &obs.retired,
+        &obs.misses,
+        &obs.dram_lines,
+        &obs.bw_delay_cycles,
+        &obs.prefetches,
+        &obs.prefetch_useful,
+    ]
+}
+
+/// `cumulative[c] - last[c]`, treating an absent (empty) vector as zeros.
+fn delta(cumulative: &[u64], last: &[u64], c: usize) -> u64 {
+    let at = |v: &[u64]| v.get(c).copied().unwrap_or(0);
+    at(cumulative).saturating_sub(at(last))
+}
+
 /// The epoch controller.
 #[derive(Debug, Clone)]
-pub struct DvfsController {
+pub struct Controller {
     cfg: DvfsConfig,
     cores: usize,
     total_ways: usize,
     cur_ops: Vec<usize>,
     last_now: Cycle,
-    last_retired: Vec<u64>,
-    last_misses: Vec<u64>,
+    /// The cumulative counters at the last booking, in [`counters`] order.
+    last: [Vec<u64>; 6],
     books: Residency,
     decisions: u64,
 }
 
-impl DvfsController {
+impl Controller {
     /// Creates a controller for `cores` cores sharing `total_ways` ways.
-    /// All cores start at the nominal operating point.
+    /// All cores start at the nominal operating point, prefetching off.
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is zero or exceeds `total_ways`, or if the V/f
-    /// table's nominal frequency disagrees with the performance model's
-    /// reference clock (`perf.f_nom_ghz`) — the two must describe the same
-    /// timeline or every prediction would be off by the mismatch factor.
-    pub fn new(cfg: DvfsConfig, cores: usize, total_ways: usize) -> DvfsController {
+    /// Panics if `cores` is zero or exceeds `total_ways` (or the bandwidth
+    /// units, when that axis is live), or if the V/f table's nominal
+    /// frequency disagrees with the performance model's reference clock
+    /// (`perf.f_nom_ghz`) — the two must describe the same timeline or
+    /// every prediction would be off by the mismatch factor.
+    pub fn new(cfg: DvfsConfig, cores: usize, total_ways: usize) -> Controller {
         assert!(cores >= 1 && cores <= total_ways);
+        assert!(
+            !cfg.bandwidth || cores <= cfg.mem.bw_units,
+            "{cores} cores cannot each hold one of {} bandwidth units",
+            cfg.mem.bw_units
+        );
         assert!(
             (cfg.table.nominal().freq_ghz - cfg.perf.f_nom_ghz).abs() < 1e-9,
             "V/f nominal {} GHz != performance-model reference clock {} GHz",
@@ -128,15 +160,17 @@ impl DvfsController {
             cfg.perf.f_nom_ghz
         );
         let ops = cfg.table.len();
-        DvfsController {
+        Controller {
             cfg,
             cores,
             total_ways,
             cur_ops: vec![0; cores],
             last_now: Cycle::ZERO,
-            last_retired: vec![0; cores],
-            last_misses: vec![0; cores],
-            books: Residency::new(cores, ops),
+            last: std::array::from_fn(|_| vec![0; cores]),
+            books: Residency {
+                ref_cycles: vec![vec![0; ops]; cores],
+                instrs: vec![vec![0; ops]; cores],
+            },
             decisions: 0,
         }
     }
@@ -157,83 +191,64 @@ impl DvfsController {
     }
 
     /// Books the interval since the last call at the *current* operating
-    /// points, without deciding anything (used at run end).
+    /// points and re-bases the retired/miss counters, without deciding
+    /// anything (used at the measurement-window edges).
     pub fn settle(&mut self, now: Cycle, retired: &[u64], misses: &[u64]) {
         let dt = now.since(self.last_now);
-        for (c, (&done, &was)) in retired.iter().zip(self.last_retired.iter()).enumerate() {
+        for c in 0..retired.len().min(self.cores) {
             let op = self.cur_ops[c];
             self.books.ref_cycles[c][op] += dt;
-            self.books.instrs[c][op] += done.saturating_sub(was);
+            self.books.instrs[c][op] += delta(retired, &self.last[0], c);
         }
-        self.last_retired.copy_from_slice(retired);
-        self.last_misses.copy_from_slice(misses);
+        self.rebase(0, retired);
+        self.rebase(1, misses);
         self.last_now = now;
     }
 
-    /// Runs the epoch decision.
-    ///
-    /// * `curves` — one UMON miss curve per core (whole-cache scaled);
-    /// * `retired` / `misses` — *cumulative* per-core counters (the
-    ///   controller differences them internally);
-    /// * `cur_ways` — ways each core currently owns.
-    ///
-    /// Returns `None` when no time elapsed since the last decision (nothing
-    /// to model); otherwise the joint decision to apply.
-    pub fn on_epoch(
-        &mut self,
-        now: Cycle,
-        curves: &[MissCurve],
-        retired: &[u64],
-        misses: &[u64],
-        cur_ways: &[usize],
-    ) -> Option<DvfsDecision> {
-        assert_eq!(curves.len(), self.cores);
-        assert_eq!(retired.len(), self.cores);
-        assert_eq!(misses.len(), self.cores);
-        assert_eq!(cur_ways.len(), self.cores);
-        let dt = now.since(self.last_now);
+    fn rebase(&mut self, k: usize, cumulative: &[u64]) {
+        for (c, last) in self.last[k].iter_mut().enumerate() {
+            *last = cumulative.get(c).copied().unwrap_or(0);
+        }
+    }
+
+    /// Runs the epoch decision over `obs`'s cumulative counters. Returns
+    /// `None` when no time elapsed since the last booking (nothing to
+    /// model); otherwise the joint assignment to apply.
+    pub fn on_epoch(&mut self, obs: &EpochObservations) -> Option<JointAssignment> {
+        assert_eq!(obs.curves.len(), self.cores);
+        let dt = obs.now.since(self.last_now);
         if dt == 0 {
             return None;
         }
-        let observations: Vec<EpochObservation> = (0..self.cores)
-            .map(|c| EpochObservation {
-                instrs: retired[c].saturating_sub(self.last_retired[c]),
-                ref_cycles: dt,
-                misses: misses[c].saturating_sub(self.last_misses[c]),
-                cur_ways: cur_ways[c].max(1),
-                cur_ratio: self.cfg.table.ratio(self.cur_ops[c]),
+        let now = counters(obs);
+        let models: Vec<CorePerfModel> = (0..self.cores)
+            .map(|c| {
+                let [instrs, misses, dram_lines, bw_delay_cycles, prefetches, prefetch_useful] =
+                    std::array::from_fn(|k| delta(now[k], &self.last[k], c));
+                let epoch = EpochObservation {
+                    instrs,
+                    ref_cycles: dt,
+                    misses,
+                    dram_lines,
+                    bw_delay_cycles,
+                    prefetches,
+                    prefetch_useful,
+                    cur_ways: obs.cur_ways[c].max(1),
+                    cur_ratio: self.cfg.table.ratio(self.cur_ops[c]),
+                };
+                let (perf, mem) = (&self.cfg.perf, &self.cfg.mem);
+                CorePerfModel::fit(&obs.curves[c], &epoch, perf, mem, self.total_ways)
             })
             .collect();
-        self.settle(now, retired, misses);
+        self.settle(obs.now, &obs.retired, &obs.misses);
+        for (k, cumulative) in now.into_iter().enumerate().skip(2) {
+            self.rebase(k, cumulative);
+        }
 
-        let models: Vec<CorePerfModel> = curves
-            .iter()
-            .zip(observations.iter())
-            .map(|(curve, obs)| CorePerfModel::fit(curve, obs, &self.cfg.perf, self.total_ways))
-            .collect();
-        let joint = minimize(
-            &models,
-            &self.cfg.table,
-            &self.cfg.costs,
-            self.cfg.qos_slack,
-            self.total_ways,
-        );
+        let joint = minimize(&models, &self.cfg, self.total_ways);
         self.cur_ops = joint.ops();
         self.decisions += 1;
-        let ratios = self
-            .cur_ops
-            .iter()
-            .map(|&op| self.cfg.table.ratio(op))
-            .collect();
-        Some(DvfsDecision {
-            allocation: Allocation {
-                ways: joint.way_targets(),
-                unallocated: joint.unallocated,
-            },
-            ops: joint.ops(),
-            ratios,
-            joint,
-        })
+        Some(joint)
     }
 
     /// The cumulative residency books (snapshot these at window start).
@@ -274,114 +289,5 @@ impl DvfsController {
                     .sum()
             })
             .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn curve_hungry() -> MissCurve {
-        MissCurve::new(
-            vec![
-                90_000.0, 60_000.0, 40_000.0, 25_000.0, 15_000.0, 8_000.0, 4_000.0, 2_000.0,
-                1_000.0,
-            ],
-            200_000.0,
-        )
-    }
-
-    fn curve_stream() -> MissCurve {
-        MissCurve::flat(8, 50_000.0, 60_000.0)
-    }
-
-    #[test]
-    fn first_epoch_decides_and_books_residency() {
-        let mut ctl = DvfsController::new(DvfsConfig::paper_default(0.10), 2, 8);
-        let d = ctl
-            .on_epoch(
-                Cycle(500_000),
-                &[curve_hungry(), curve_stream()],
-                &[400_000, 100_000],
-                &[5_000, 50_000],
-                &[4, 4],
-            )
-            .expect("time elapsed");
-        assert_eq!(d.allocation.ways.len(), 2);
-        assert!(d.allocation.ways.iter().all(|&w| w >= 1));
-        assert!(d.ratios.iter().all(|&r| r >= 1.0));
-        // The whole first interval was booked at nominal (op 0).
-        assert_eq!(ctl.books().ref_cycles[0][0], 500_000);
-        assert_eq!(ctl.books().instrs[0][0], 400_000);
-        assert_eq!(ctl.decisions(), 1);
-    }
-
-    #[test]
-    fn streaming_core_is_down_clocked_and_sheds_ways() {
-        let mut ctl = DvfsController::new(DvfsConfig::paper_default(0.10), 2, 8);
-        let d = ctl
-            .on_epoch(
-                Cycle(500_000),
-                &[curve_hungry(), curve_stream()],
-                &[400_000, 60_000],
-                &[5_000, 50_000],
-                &[4, 4],
-            )
-            .expect("decision");
-        assert!(
-            d.ops[1] > 0,
-            "the streaming core should leave nominal frequency: {d:?}"
-        );
-        assert_eq!(d.allocation.ways[1], 1, "flat curve keeps minimum ways");
-        assert!(d.allocation.ways[0] >= 4, "hungry core grows: {d:?}");
-    }
-
-    #[test]
-    fn zero_elapsed_time_yields_no_decision() {
-        let mut ctl = DvfsController::new(DvfsConfig::paper_default(0.10), 1, 8);
-        assert!(ctl
-            .on_epoch(Cycle(0), &[curve_stream()], &[0], &[0], &[8])
-            .is_none());
-    }
-
-    #[test]
-    fn residency_windows_subtract() {
-        let mut ctl = DvfsController::new(DvfsConfig::paper_default(0.20), 2, 8);
-        let curves = [curve_hungry(), curve_stream()];
-        ctl.on_epoch(
-            Cycle(100_000),
-            &curves,
-            &[80_000, 20_000],
-            &[1_000, 10_000],
-            &[4, 4],
-        );
-        let snap = ctl.books().clone();
-        ctl.on_epoch(
-            Cycle(200_000),
-            &curves,
-            &[160_000, 40_000],
-            &[2_000, 20_000],
-            &[4, 4],
-        );
-        let window = ctl.books().since(&snap);
-        let cycles0: u64 = window.ref_cycles[0].iter().sum();
-        let instrs1: u64 = window.instrs[1].iter().sum();
-        assert_eq!(cycles0, 100_000);
-        assert_eq!(instrs1, 20_000);
-        // Energy over the window is positive and dominated by the booked ops.
-        let e = ctl.core_energy(&window);
-        assert!(e.dynamic_nj > 0.0 && e.static_nj > 0.0);
-        let f = ctl.avg_freq_ghz(&window);
-        assert_eq!(f.len(), 2);
-        assert!(f.iter().all(|&g| (1.2..=2.0).contains(&g)), "{f:?}");
-    }
-
-    #[test]
-    fn settle_books_trailing_interval_without_deciding() {
-        let mut ctl = DvfsController::new(DvfsConfig::paper_default(0.10), 1, 8);
-        ctl.settle(Cycle(50_000), &[10_000], &[100]);
-        assert_eq!(ctl.decisions(), 0);
-        assert_eq!(ctl.books().ref_cycles[0][0], 50_000);
-        assert_eq!(ctl.books().instrs[0][0], 10_000);
     }
 }

@@ -24,8 +24,6 @@
 //!
 //! A targeted form pins a fault to one shard for regression tests:
 //! `FLEET_CHAOS=<seed>:shard:<ordinal|id-prefix>:<panic|panic1|hang>[:once=<marker-path>]`.
-//! The legacy `FLEET_FAIL_SHARD=<target>:<mode>` / `FLEET_FAIL_ONCE=<path>`
-//! hooks are deprecated thin shims over exactly that targeted plan.
 //!
 //! Every firing prints one `# chaos:` line to stderr, so tests can assert
 //! that a schedule actually injected something.
@@ -150,8 +148,7 @@ impl Rates {
     }
 }
 
-/// A targeted single-shard fault (the regression-test form, and what the
-/// deprecated `FLEET_FAIL_SHARD` shim maps onto).
+/// A targeted single-shard fault (the regression-test form).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Targeted {
     /// Shard ordinal (as short digit text) or shard-ID prefix (4+ chars,
@@ -164,7 +161,7 @@ pub struct Targeted {
     pub once_marker: Option<String>,
 }
 
-/// Targeted fault modes (the legacy `FLEET_FAIL_SHARD` vocabulary).
+/// Targeted fault modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TargetedMode {
     /// Die immediately on assignment.
@@ -228,46 +225,23 @@ pub struct ChaosEngine {
 }
 
 impl ChaosEngine {
-    /// Reads `FLEET_CHAOS` (preferred) or the deprecated
-    /// `FLEET_FAIL_SHARD`/`FLEET_FAIL_ONCE` shim from the environment.
-    /// `None` when no chaos is requested. A malformed spec must fail loud
+    /// Reads `FLEET_CHAOS` from the environment. `None` when no chaos is
+    /// requested. A malformed spec must fail loud
     /// — a typo'd injection plan silently running the real workload is
     /// itself a fault-model bug — so this exits the process with a
     /// message rather than guessing.
     pub fn from_env() -> Option<ChaosEngine> {
-        if let Ok(spec) = std::env::var("FLEET_CHAOS") {
-            if spec.trim().is_empty() {
-                return None;
+        let spec = std::env::var("FLEET_CHAOS").ok()?;
+        if spec.trim().is_empty() {
+            return None;
+        }
+        match ChaosEngine::parse(&spec) {
+            Ok(c) => Some(c),
+            Err(e) => {
+                eprintln!("bad FLEET_CHAOS '{spec}': {e}");
+                std::process::exit(2);
             }
-            return match ChaosEngine::parse(&spec) {
-                Ok(c) => Some(c),
-                Err(e) => {
-                    eprintln!("bad FLEET_CHAOS '{spec}': {e}");
-                    std::process::exit(2);
-                }
-            };
         }
-        if let Ok(spec) = std::env::var("FLEET_FAIL_SHARD") {
-            eprintln!(
-                "# fleet: FLEET_FAIL_SHARD is deprecated; use FLEET_CHAOS=0:shard:{spec}\
-                 [:once=<marker>] (same behaviour, chaos-engine schedule)"
-            );
-            let targeted = match parse_targeted(&spec, std::env::var("FLEET_FAIL_ONCE").ok()) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("bad FLEET_FAIL_SHARD '{spec}': {e}");
-                    std::process::exit(2);
-                }
-            };
-            return Some(ChaosEngine {
-                seed: 0,
-                profile: format!("shard:{spec}"),
-                rates: Rates::default(),
-                targeted: Some(targeted),
-                counts: Mutex::new(BTreeMap::new()),
-            });
-        }
-        None
     }
 
     /// Parses `<seed>:<profile>` where profile is a named rate set or the
@@ -418,8 +392,7 @@ impl ChaosEngine {
     }
 }
 
-/// Parses the targeted `<target>:<mode>` form shared by the chaos grammar
-/// and the legacy shim.
+/// Parses the targeted `<target>:<mode>` form of the chaos grammar.
 fn parse_targeted(spec: &str, once_marker: Option<String>) -> Result<Targeted, String> {
     let (target, mode) = spec
         .split_once(':')

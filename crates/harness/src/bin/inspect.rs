@@ -5,12 +5,13 @@
 //! GROUP= is accepted as a legacy alias), SCHEME=policy-name (resolved
 //! through the harness policy registry), EPOCHS=n (default 34),
 //! QOS_SLACK=fraction (dvfs/cbp, default 0.10). Unknown workload or
-//! policy names print the registered lists and exit non-zero. Under
-//! SCHEME=dvfs each epoch line adds the chosen frequencies; under
-//! SCHEME=cbp it adds the chosen bandwidth shares and prefetch degrees.
+//! policy names print the registered lists and exit non-zero. Every
+//! policy prints the same epoch line; an epoch whose decision hints clock
+//! ratios, bandwidth shares or prefetch degrees appends `ghz=`, `bw=` or
+//! `pf=` with them, and the first such decision announces the coordinated
+//! resources and the QoS slack.
 use coop_core::{LlcConfig, PartitionedLlc, PolicySpec, SchemeKind};
-use coop_dvfs::DvfsPolicy;
-use cpusim::{Core, CoreConfig, EpochControl, LlcPort, StepperKind, SystemStepper};
+use cpusim::{Core, CoreConfig, EpochControl, LlcPort, StepperKind, SystemStepper, VfTable};
 use harness::{drive_epoch, policy_registry, workload_registry};
 use memsim::{Dram, DramConfig};
 use simkit::types::{CoreId, Cycle, LineAddr};
@@ -111,23 +112,14 @@ fn main() {
     }
     let mut llc = PartitionedLlc::for_policy(llc_cfg, n, policy.as_ref());
     let mut dram = Dram::new(DramConfig::default());
-    let dvfs_mode = policy_name == "dvfs";
-    if dvfs_mode {
-        println!("coordinated DVFS enabled, QoS slack {qos_slack:.2}");
-    }
-    let cbp_mode = policy_name == "cbp";
-    if cbp_mode {
-        println!("coordinated cache+bandwidth+prefetch enabled, QoS slack {qos_slack:.2}");
-    }
-    let nominal_ghz = (policy.as_ref() as &dyn std::any::Any)
-        .downcast_ref::<DvfsPolicy>()
-        .map_or(2.0, |p| p.controller().config().table.nominal().freq_ghz);
+    let nominal_ghz = VfTable::paper_45nm().nominal().freq_ghz;
     // Run through the shared stepping API (one `stepper.run` call per
     // watched epoch; the callback prints and returns `Stop`). The retire
     // targets are unreachable — only the epoch count ends the loop.
     let mut stepper = SystemStepper::new(StepperKind::default(), 500_000);
     let targets = vec![u64::MAX; n];
     let mut last_retired = vec![0u64; n];
+    let mut announced = false;
     for epoch in 0..epochs {
         let mut port = Port {
             llc: &mut llc,
@@ -147,13 +139,7 @@ fn main() {
                         println!("e{epoch} {:8} curve: {}", name, m.join(" "));
                     }
                 }
-                let decision = drive_epoch(now, cores, port.llc, port.dram, policy.as_mut());
-                let mut ghz = vec![nominal_ghz; cores.len()];
-                if let Some(ratios) = &decision.hints.clock_ratios {
-                    for (&r, g) in ratios.iter().zip(ghz.iter_mut()) {
-                        *g = nominal_ghz / r;
-                    }
-                }
+                let hints = drive_epoch(now, cores, port.llc, port.dram, policy.as_mut()).hints;
                 let ipcs: Vec<String> = cores
                     .iter()
                     .enumerate()
@@ -163,43 +149,42 @@ fn main() {
                         format!("{:.2}", d as f64 / 500_000.0)
                     })
                     .collect();
-                if dvfs_mode {
-                    let ghz: Vec<String> = ghz.iter().map(|g| format!("{g:.1}")).collect();
-                    println!(
-                        "e{epoch} alloc={:?} on={} ghz={:?} ipc={:?}",
-                        port.llc.current_allocation(),
-                        port.llc.ways_on(),
-                        ghz,
-                        ipcs
-                    );
-                } else if cbp_mode {
-                    // The fallback epochs (no elapsed time) hint nothing;
-                    // print the applied state so the line is never blank.
-                    let bw: Vec<String> = match &decision.hints.bandwidth_shares {
-                        Some(shares) => shares.iter().map(|s| format!("{s:.2}")).collect(),
-                        None => vec!["-".into(); cores.len()],
-                    };
-                    let pf: Vec<u8> = match &decision.hints.prefetch_slots {
-                        Some(slots) => slots.clone(),
-                        None => cores.iter().map(|c| c.prefetch_degree()).collect(),
-                    };
-                    println!(
-                        "e{epoch} alloc={:?} on={} bw={:?} pf={:?} ipc={:?}",
-                        port.llc.current_allocation(),
-                        port.llc.ways_on(),
-                        bw,
-                        pf,
-                        ipcs
-                    );
-                } else {
-                    println!(
-                        "e{epoch} quotas={:?} alloc={:?} on={} ipc={:?}",
-                        port.llc.ucp_quotas(),
-                        port.llc.current_allocation(),
-                        port.llc.ways_on(),
-                        ipcs
-                    );
+                // The first decision that hints other resources names them.
+                let axes: Vec<&str> = [
+                    (hints.clock_ratios.is_some(), "DVFS"),
+                    (hints.bandwidth_shares.is_some(), "bandwidth"),
+                    (hints.prefetch_slots.is_some(), "prefetch"),
+                ]
+                .into_iter()
+                .filter_map(|(on, axis)| on.then_some(axis))
+                .collect();
+                if !announced && !axes.is_empty() {
+                    let axes = axes.join("+");
+                    println!("coordinated {axes} enabled, QoS slack {qos_slack:.2}");
+                    announced = true;
                 }
+                let mut line = format!(
+                    "e{epoch} quotas={:?} alloc={:?} on={} ipc={:?}",
+                    port.llc.ucp_quotas(),
+                    port.llc.current_allocation(),
+                    port.llc.ways_on(),
+                    ipcs
+                );
+                if let Some(ratios) = hints.clock_ratios {
+                    let ghz: Vec<String> = ratios
+                        .iter()
+                        .map(|r| format!("{:.1}", nominal_ghz / r))
+                        .collect();
+                    line += &format!(" ghz={ghz:?}");
+                }
+                if let Some(shares) = hints.bandwidth_shares {
+                    let bw: Vec<String> = shares.iter().map(|s| format!("{s:.2}")).collect();
+                    line += &format!(" bw={bw:?}");
+                }
+                if let Some(slots) = hints.prefetch_slots {
+                    line += &format!(" pf={slots:?}");
+                }
+                println!("{line}");
                 EpochControl::Stop
             },
         );

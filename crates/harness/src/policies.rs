@@ -3,15 +3,14 @@
 
 use coop_core::PolicyRegistry;
 
-/// The full registry: the five paper schemes (`coop-core`) plus the
-/// coordinated DVFS + partitioning controller (`coop-dvfs`) and the
-/// cache + bandwidth + prefetch coordinator (`coop-cbp`). A new policy
+/// The full registry: the five paper schemes (`coop-core`) plus the two
+/// presets of the coordinated controller (`coop-dvfs`): `"dvfs"`
+/// (ways × frequency) and `"cbp"` (ways × bandwidth × prefetch). A new policy
 /// crate plugs in by adding one `register` call here — `repro`, `inspect`,
 /// the sweeps and the property tests pick it up by name.
 pub fn policy_registry() -> PolicyRegistry {
     let mut reg = PolicyRegistry::core();
     coop_dvfs::register(&mut reg);
-    coop_cbp::register(&mut reg);
     reg
 }
 
@@ -29,6 +28,6 @@ mod tests {
         }
         assert!(names.contains(&"dvfs"));
         assert!(names.contains(&"cbp"));
-        assert_eq!(reg.resolve("coop-cbp"), Some("cbp"));
+        assert_eq!(reg.resolve("cbp_coord"), Some("cbp"));
     }
 }

@@ -13,9 +13,9 @@
 //!
 //! Both axes resolve through string-keyed registries: the policy name
 //! through the harness [`crate::policies`] registry (the five paper
-//! schemes plus `"dvfs"`), and the workload spec through
-//! [`crate::workload_registry`] (named groups, ad-hoc mixes, trace
-//! files). The LLC is built as a pure enforcement mechanism matching the
+//! schemes plus the `"dvfs"` and `"cbp"` coordinators), and the workload
+//! spec through [`crate::workload_registry`] (named groups, ad-hoc mixes,
+//! trace files). The LLC is built as a pure enforcement mechanism matching the
 //! policy's descriptor, and the system loop feeds the policy
 //! [`coop_core::EpochObservations`] each epoch and applies its decisions —
 //! way targets through the LLC, clock hints through the cores. The
@@ -28,7 +28,7 @@ use coop_core::policy::{DynamicCpePolicy, PartitionPolicy};
 use coop_core::{
     policy_for_scheme, AllocationDecision, LlcConfig, PartitionedLlc, PolicySpec, SchemeKind,
 };
-use coop_dvfs::{DvfsConfig, DvfsPolicy, Residency};
+use coop_dvfs::{DvfsPolicy, Residency};
 use cpusim::{Core, CoreConfig, EpochControl, LlcPort, StepperKind, SystemStepper};
 use energy::{CoreEnergyParams, CoreEnergyReport, EnergyCounts, EnergyParams, EnergyReport};
 use memsim::{Dram, DramConfig};
@@ -55,13 +55,10 @@ pub struct SystemConfig {
     /// Root seed (varies reference streams deterministically).
     pub seed: u64,
     /// Core energy magnitudes for the non-DVFS accounting path (all cores
-    /// at nominal V/f). [`SystemConfig::with_dvfs`] overwrites this from
-    /// the controller's costs so baseline and coordinated runs always
-    /// evaluate core energy from the same source.
+    /// at nominal V/f); the same 45 nm magnitudes the coordinated
+    /// controller's costs use, so baseline and coordinated runs evaluate
+    /// core energy from the same source.
     pub core_power: CoreEnergyParams,
-    /// Coordinated DVFS + partitioning (legacy knob; the builder's
-    /// `.policy("dvfs")` replaces it).
-    pub dvfs: Option<DvfsConfig>,
 }
 
 impl SystemConfig {
@@ -74,7 +71,6 @@ impl SystemConfig {
             scale,
             seed: 0x5EED,
             core_power: CoreEnergyParams::for_45nm(),
-            dvfs: None,
         }
     }
 
@@ -97,21 +93,6 @@ impl SystemConfig {
         let mut llc = llc;
         llc.scheme = SchemeKind::Ucp;
         SystemConfig::base(vec![benchmark], llc, scale)
-    }
-
-    /// Enables coordinated DVFS + partitioning (legacy shim for the
-    /// builder's `.policy("dvfs")`; requires the Cooperative scheme). The
-    /// controller's core-energy magnitudes become this config's
-    /// `core_power`, keeping baseline and DVFS accounting comparable.
-    pub fn with_dvfs(mut self, dvfs: DvfsConfig) -> Self {
-        assert_eq!(
-            self.llc.scheme,
-            SchemeKind::Cooperative,
-            "the DVFS controller drives the cooperative takeover machinery"
-        );
-        self.core_power = dvfs.costs.core;
-        self.dvfs = Some(dvfs);
-        self
     }
 }
 
@@ -340,16 +321,7 @@ impl SystemBuilder {
         }
         let spec = PolicySpec::for_llc(&llc, n).with_qos_slack(self.qos_slack);
         let policy = registry.build(canonical, &spec).expect("name resolved");
-        // Multi-resource runs (DVFS, CBP) evaluate core energy from the
-        // controller's magnitudes; everything else uses the 45 nm defaults
-        // unless overridden.
-        let core_power = self.core_power.unwrap_or_else(|| {
-            if canonical == "dvfs" || canonical == "cbp" {
-                DvfsConfig::paper_default(self.qos_slack).costs.core
-            } else {
-                CoreEnergyParams::for_45nm()
-            }
-        });
+        let core_power = self.core_power.unwrap_or_else(CoreEnergyParams::for_45nm);
         let cfg = SystemConfig {
             benchmarks: Vec::new(),
             llc,
@@ -358,7 +330,6 @@ impl SystemBuilder {
             scale: self.scale,
             seed: self.seed,
             core_power,
-            dvfs: None,
         };
         let mut sys = System::assemble(cfg, policy, workload, self.stepper);
         if let Some(shares) = &self.bandwidth_shares {
@@ -518,27 +489,11 @@ impl System {
         SystemBuilder::default()
     }
 
-    /// Builds the system from a legacy [`SystemConfig`]: the scheme (or
-    /// `dvfs` option) maps onto the matching [`PartitionPolicy`] object.
-    /// New code uses [`System::builder`].
+    /// Builds the system from a legacy [`SystemConfig`]: the scheme maps
+    /// onto the matching [`PartitionPolicy`] object. New code uses
+    /// [`System::builder`].
     pub fn new(cfg: SystemConfig) -> System {
-        let n = cfg.benchmarks.len();
-        let policy: Box<dyn PartitionPolicy> = match &cfg.dvfs {
-            Some(d) => {
-                assert_eq!(
-                    cfg.llc.scheme,
-                    SchemeKind::Cooperative,
-                    "DVFS coordination requires the Cooperative scheme"
-                );
-                Box::new(DvfsPolicy::new(
-                    d.clone(),
-                    n,
-                    cfg.llc.geom.ways(),
-                    cfg.llc.threshold,
-                ))
-            }
-            None => policy_for_scheme(cfg.llc.scheme, &cfg.llc),
-        };
+        let policy = policy_for_scheme(cfg.llc.scheme, &cfg.llc);
         let workload = ResolvedWorkload::from_benchmarks(&cfg.benchmarks);
         System::assemble(cfg, policy, workload, StepperKind::default())
     }
@@ -1016,20 +971,17 @@ mod tests {
 
     #[test]
     fn dvfs_run_reports_residency_and_cuts_core_dynamic_energy() {
-        let mk = |dvfs: bool| {
-            let cfg = SystemConfig::two_core(
-                vec![Benchmark::Lbm, Benchmark::Namd],
-                SchemeKind::Cooperative,
-                quick_scale(),
-            );
-            if dvfs {
-                cfg.with_dvfs(coop_dvfs::DvfsConfig::paper_default(0.20))
-            } else {
-                cfg
-            }
+        let run = |policy: &str| {
+            System::builder()
+                .workload("lbm,namd")
+                .policy(policy)
+                .qos_slack(0.20)
+                .scale(quick_scale())
+                .build()
+                .run()
         };
-        let base = System::new(mk(false)).run();
-        let r = System::new(mk(true)).run();
+        let base = run("cooperative");
+        let r = run("dvfs");
         // Residency fractions are a distribution per core.
         assert_eq!(r.freq_residency.len(), 2);
         for row in &r.freq_residency {
@@ -1066,16 +1018,16 @@ mod tests {
 
     #[test]
     fn dvfs_replay_is_deterministic() {
-        let mk = || {
-            SystemConfig::two_core(
-                vec![Benchmark::Soplex, Benchmark::Milc],
-                SchemeKind::Cooperative,
-                quick_scale(),
-            )
-            .with_dvfs(coop_dvfs::DvfsConfig::paper_default(0.10))
+        let run = || {
+            System::builder()
+                .workload("soplex,milc")
+                .policy("dvfs")
+                .qos_slack(0.10)
+                .scale(quick_scale())
+                .build()
+                .run()
         };
-        let a = System::new(mk()).run();
-        let b = System::new(mk()).run();
+        let (a, b) = (run(), run());
         assert_eq!(a.ipc, b.ipc);
         assert_eq!(a.freq_residency, b.freq_residency);
         assert_eq!(a.counts, b.counts);

@@ -197,8 +197,10 @@ fn assert_steppers_agree(workload: &str, policy: &str) {
 #[test]
 fn reference_and_event_driven_steppers_are_bit_identical() {
     // Every scheme family over G2-1, including the DVFS policy whose
-    // per-epoch clock dilation is the hardest case for wake-list stepping.
-    for policy in ["unmanaged", "fair", "ucp", "cooperative", "dvfs"] {
+    // per-epoch clock dilation is the hardest case for wake-list stepping
+    // and the CBP policy, which re-publishes bandwidth shares and prefetch
+    // degrees every epoch.
+    for policy in ["unmanaged", "fair", "ucp", "cooperative", "dvfs", "cbp"] {
         assert_steppers_agree("G2-1", policy);
     }
 }
@@ -223,4 +225,68 @@ fn workload_spec_path_reproduces_the_same_goldens_bit_identically() {
             .run();
         check(golden, &r);
     }
+}
+
+/// FNV-1a over the bytes of a run's `Debug` form: every `RunResult` field,
+/// floats in their shortest round-trip form, so equal digests mean equal
+/// bits.
+fn run_digest(r: &harness::RunResult) -> u64 {
+    format!("{r:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+        })
+}
+
+/// `(workload, policy, qos_slack, digest)`, recorded from the two separate
+/// coordinator crates before they were folded into one controller with
+/// two presets. Any drift means the fold changed behaviour.
+const COORDINATOR_DIGESTS: [(&str, &str, f64, u64); 6] = [
+    ("G2-1", "dvfs", 0.05, 0xf4d09d47a74e3aea),
+    ("G2-1", "dvfs", 0.10, 0x10b80a5dcd8bda71),
+    ("G4-5", "dvfs", 0.10, 0x593579be0cddec14),
+    ("G2-1", "cbp", 0.05, 0x02067a47fe79a57c),
+    ("G2-1", "cbp", 0.10, 0x3df7027b8c98e7e3),
+    ("G4-5", "cbp", 0.10, 0xc0a248eb54eb26f0),
+];
+
+#[test]
+fn coordinator_presets_reproduce_recorded_digests() {
+    let mut drift = Vec::new();
+    for &(workload, policy, slack, digest) in &COORDINATOR_DIGESTS {
+        let r = System::builder()
+            .workload(workload)
+            .policy(policy)
+            .qos_slack(slack)
+            .scale(SimScale::quick())
+            .build()
+            .run();
+        assert_eq!(r.policy, policy);
+        let got = run_digest(&r);
+        if got != digest {
+            drift.push(format!("{workload}/{policy}@{slack}: {got:#018x}"));
+        }
+    }
+    assert!(drift.is_empty(), "digests moved: {drift:#?}");
+}
+
+#[test]
+fn only_the_dvfs_preset_is_a_dvfs_policy() {
+    // The harness books frequency residency on whatever downcasts to
+    // `DvfsPolicy`; a CBP run must not, or its counter deltas would shift.
+    let registry = harness::policy_registry();
+    let spec = coop_core::PolicySpec {
+        cores: 2,
+        total_ways: 8,
+        threshold: 0.03,
+        cpe_slack: 0.05,
+        qos_slack: 0.10,
+    };
+    let is_dvfs = |name: &str| {
+        let p = registry.build(name, &spec).expect("registered");
+        let any: &dyn std::any::Any = &*p;
+        any.downcast_ref::<coop_dvfs::DvfsPolicy>().is_some()
+    };
+    assert!(is_dvfs("dvfs"));
+    assert!(!is_dvfs("cbp"));
 }

@@ -34,9 +34,7 @@ fn repro(args: &[&str], envs: &[(&str, &str)]) -> std::process::Output {
     cmd.args(TARGET_ARGS).args(args);
     // Keep the fault hooks' reach limited to the invocations that ask
     // for them, whatever the ambient environment.
-    cmd.env_remove("FLEET_CHAOS")
-        .env_remove("FLEET_FAIL_SHARD")
-        .env_remove("FLEET_FAIL_ONCE");
+    cmd.env_remove("FLEET_CHAOS");
     cmd.env("FLEET_BACKOFF_MS", "10");
     for (k, v) in envs {
         cmd.env(k, v);
@@ -115,7 +113,7 @@ fn killed_fleet_resumes_bit_identical_to_single_process() {
             "--json",
             fleet_dir.to_str().unwrap(),
         ])
-        .env_remove("FLEET_FAIL_SHARD")
+        .env_remove("FLEET_CHAOS")
         .output()
         .expect("repro runs");
     assert!(!incompatible.status.success());
@@ -153,18 +151,13 @@ fn killed_fleet_resumes_bit_identical_to_single_process() {
     );
 
     // A fault that fires exactly once is absorbed by the retry budget:
-    // one invocation, nonzero worker deaths, still bit-identical. This
-    // case rides the deprecated FLEET_FAIL_SHARD shim on purpose — it
-    // must keep working (as a thin alias for the targeted chaos plan)
-    // for one release, and must say it is deprecated.
+    // one invocation, nonzero worker deaths, still bit-identical.
     let marker = once_dir.join("fired.marker");
     std::fs::create_dir_all(&once_dir).unwrap();
+    let plan = format!("0:shard:1:panic1:once={}", marker.to_str().unwrap());
     let once = repro(
         &["--workers", "2", "--json", once_dir.to_str().unwrap()],
-        &[
-            ("FLEET_FAIL_SHARD", "1:panic1"),
-            ("FLEET_FAIL_ONCE", marker.to_str().unwrap()),
-        ],
+        &[("FLEET_CHAOS", &plan)],
     );
     let stderr = String::from_utf8_lossy(&once.stderr);
     assert!(
@@ -172,10 +165,6 @@ fn killed_fleet_resumes_bit_identical_to_single_process() {
         "retry did not absorb a one-shot fault:\n{stderr}"
     );
     assert!(marker.exists(), "the one-shot fault actually fired");
-    assert!(
-        stderr.contains("FLEET_FAIL_SHARD is deprecated"),
-        "the legacy shim announces its replacement:\n{stderr}"
-    );
     assert!(
         stderr.contains("worker deaths") && !stderr.contains("0 worker deaths"),
         "the death was counted:\n{stderr}"

@@ -24,8 +24,7 @@ pub struct CrateRule {
 }
 
 /// The dependency DAG, bottom-up. Mechanism crates (`memsim`, `cpusim`,
-/// `energy`) never list the policy crates (`coop-core`, `coop-dvfs`,
-/// `coop-cbp`);
+/// `energy`) never list the policy crates (`coop-core`, `coop-dvfs`);
 /// `fleet` lists no internal crate at all (harness-independent by
 /// construction); only `harness` and the umbrella crate see everything.
 pub const CRATES: &[CrateRule] = &[
@@ -79,20 +78,6 @@ pub const CRATES: &[CrateRule] = &[
         sim: true,
     },
     CrateRule {
-        package: "coop-cbp",
-        dir: "crates/cbp",
-        lib: "coop_cbp",
-        deps: &[
-            "coop-core",
-            "coop-dvfs",
-            "cpusim",
-            "energy",
-            "memsim",
-            "simkit",
-        ],
-        sim: true,
-    },
-    CrateRule {
         package: "fleet",
         dir: "crates/fleet",
         lib: "fleet",
@@ -104,7 +89,6 @@ pub const CRATES: &[CrateRule] = &[
         dir: "crates/harness",
         lib: "harness",
         deps: &[
-            "coop-cbp",
             "coop-core",
             "coop-dvfs",
             "cpusim",
@@ -121,7 +105,6 @@ pub const CRATES: &[CrateRule] = &[
         dir: "crates/bench",
         lib: "bench",
         deps: &[
-            "coop-cbp",
             "coop-core",
             "coop-dvfs",
             "cpusim",
@@ -144,7 +127,6 @@ pub const CRATES: &[CrateRule] = &[
         dir: ".",
         lib: "coop_partitioning",
         deps: &[
-            "coop-cbp",
             "coop-core",
             "coop-dvfs",
             "cpusim",
@@ -263,7 +245,7 @@ mod tests {
     fn mechanism_crates_never_allow_policy_crates() {
         for pkg in ["memsim", "cpusim", "energy"] {
             let c = crate_for_package(pkg).expect("in table");
-            for policy in ["coop-core", "coop-dvfs", "coop-cbp"] {
+            for policy in ["coop-core", "coop-dvfs"] {
                 assert!(
                     !c.deps.contains(&policy),
                     "{pkg} must not see policy crate {policy}"

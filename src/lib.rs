@@ -11,9 +11,11 @@
 //! * [`workloads`] — SPEC CPU2006-like synthetic benchmark models and the
 //!   paper's workload groups.
 //! * [`energy`] — CACTI-style energy accounting.
-//! * [`coop_dvfs`] — coordinated per-core DVFS + partitioning: the epoch
-//!   performance model, the QoS-constrained energy minimizer and the
-//!   controller driving both knobs.
+//! * [`coop_dvfs`] — coordinated multi-resource control over cooperative
+//!   partitioning: one epoch performance model, one QoS-constrained energy
+//!   minimizer and one controller, registered as two presets — `dvfs`
+//!   (ways × core frequency) and `cbp` (ways × DRAM bandwidth × prefetch
+//!   degree).
 //! * [`harness`] — experiment runners for every table and figure.
 //! * [`simkit`] — kernel types and statistics.
 
