@@ -164,7 +164,7 @@ fn bench_hotpath(c: &mut Criterion) {
                         CoreConfig::default(),
                         Box::new(Mix {
                             state: 0x5EED ^ ((i as u64 + 1) << 32),
-                        }),
+                        }) as Box<dyn InstrSource + Send>,
                     )
                 })
                 .collect();
@@ -202,7 +202,7 @@ fn bench_hotpath(c: &mut Criterion) {
     // (misses evicting LRU lines); a quarter are writes, so victims are
     // often dirty.
     c.bench_function("l1_access_4way_mixed", |b| {
-        let mut l1 = Cache::new(CacheGeometry::new(32 << 10, 4, 64), CoreId(0));
+        let mut l1 = Cache::new(CacheGeometry::new(32 << 10, 4, 64));
         let mut state = 0x11_u64;
         let mut burst = |l1: &mut Cache| {
             let mut hits = 0u64;

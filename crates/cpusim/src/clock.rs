@@ -138,6 +138,14 @@ impl VfTable {
 /// The only history the clock keeps besides the grid is the last *consumed*
 /// tick (`gate`), so stepping a core twice at the same cycle never yields
 /// two core cycles.
+///
+/// The first grid tick at or after the gate is cached (`tick`, grid index
+/// `tick_m`): every query a stepping core makes lands on or before it, so
+/// the per-step questions are compares, and consuming that tick moves the
+/// cache to tick `tick_m + 1` with one multiply. Only a query past the
+/// cached tick (or a DVFS transition) solves for the grid index with a
+/// division. The answers are the same as the uncached formulas'; a
+/// property test keeps a reference copy of those to compare against.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CoreClock {
     ratio: f64,
@@ -146,6 +154,10 @@ pub struct CoreClock {
     anchor: Cycle,
     /// One past the last consumed tick: `ticks_at` is false below this.
     gate: Cycle,
+    /// The first grid tick at or after `gate`.
+    tick: Cycle,
+    /// Grid index of `tick`: `tick == anchor + ⌊tick_m·ratio⌋`.
+    tick_m: u64,
 }
 
 impl CoreClock {
@@ -156,6 +168,8 @@ impl CoreClock {
             ratio: 1.0,
             anchor: Cycle::ZERO,
             gate: Cycle::ZERO,
+            tick: Cycle::ZERO,
+            tick_m: 0,
         }
     }
 
@@ -176,6 +190,7 @@ impl CoreClock {
         if (ratio - self.ratio).abs() > f64::EPSILON {
             self.ratio = ratio;
             self.anchor = now;
+            (self.tick_m, self.tick) = self.grid_at_or_after(self.gate);
         }
     }
 
@@ -187,15 +202,15 @@ impl CoreClock {
     }
 
     /// The first grid cycle at or after `c` (ignoring the consumed-tick
-    /// gate). Pure in `c`.
-    fn grid_at_or_after(&self, c: Cycle) -> Cycle {
-        if self.ratio == 1.0 {
-            return c.max(self.anchor);
-        }
+    /// gate) and its grid index. Pure in `c`.
+    fn grid_at_or_after(&self, c: Cycle) -> (u64, Cycle) {
         if c <= self.anchor {
-            return self.anchor;
+            return (0, self.anchor);
         }
         let rel = c - self.anchor;
+        if self.ratio == 1.0 {
+            return (rel, c);
+        }
         let mut m = (rel as f64 / self.ratio).ceil() as u64;
         // ⌈rel/r⌉ lands within one tick of the answer; fix any float drift
         // exactly (the loops run at most once in practice).
@@ -205,44 +220,67 @@ impl CoreClock {
         while m > 0 && Self::tick_offset(m - 1, self.ratio) >= rel {
             m -= 1;
         }
-        self.anchor + Self::tick_offset(m, self.ratio)
+        (m, self.anchor + Self::tick_offset(m, self.ratio))
+    }
+
+    /// The earliest unconsumed tick at or after `c`: the cached tick when
+    /// `c` lies between the gate and it (no grid point does), else the
+    /// grid formula.
+    #[inline]
+    fn first_tick_from(&self, c: Cycle) -> Cycle {
+        if self.gate <= c && c <= self.tick {
+            self.tick
+        } else {
+            self.grid_at_or_after(c).1.max(self.gate)
+        }
     }
 
     /// Whether a core cycle may execute at reference cycle `now`: `now` is
     /// on the tick grid and has not been consumed yet.
+    #[inline]
     pub fn ticks_at(&self, now: Cycle) -> bool {
-        now >= self.gate && self.grid_at_or_after(now) == now
+        if now <= self.tick {
+            // No grid point lies in [gate, tick), and tick >= gate.
+            now == self.tick
+        } else {
+            self.grid_at_or_after(now).1 == now
+        }
     }
 
     /// The earliest reference cycle after `now` at which a core cycle
     /// fires. Pure in `now` (the same value however often it is asked).
+    #[inline]
     pub fn next_tick_after(&self, now: Cycle) -> Cycle {
-        self.grid_at_or_after(now + 1).max(self.gate)
+        self.first_tick_from(now + 1)
     }
 
     /// The earliest unconsumed tick at or after `c` — used to align wake
     /// hints (an event computed for cycle `c` is actionable at the first
     /// core cycle not before it).
+    #[inline]
     pub fn align_wake(&self, c: Cycle) -> Cycle {
-        self.grid_at_or_after(c).max(self.gate)
+        self.first_tick_from(c)
     }
 
     /// Consumes the tick at `now`; `ticks_at(now)` must hold.
+    #[inline]
     pub fn advance(&mut self, now: Cycle) {
         debug_assert!(self.ticks_at(now));
         self.gate = now + 1;
+        if now == self.tick {
+            // Grid offsets strictly increase with the index, so the tick
+            // after the consumed one is the next grid point.
+            self.tick_m += 1;
+            self.tick = self.anchor + Self::tick_offset(self.tick_m, self.ratio);
+        } else {
+            (self.tick_m, self.tick) = self.grid_at_or_after(self.gate);
+        }
     }
 
     /// A core-cycle latency expressed in reference cycles (rounded, at
     /// least 1). Used for fixed microarchitectural latencies (L1 hit,
     /// mispredict penalty) that are specified in core cycles.
     pub fn scaled(&self, core_cycles: u64) -> u64 {
-        if self.ratio == 1.0 {
-            // ×1.0 then round is the identity for any latency that fits in
-            // f64's integer range; skip the float round-trip on the path
-            // dispatch takes every core cycle.
-            return core_cycles.max(1);
-        }
         ((core_cycles as f64 * self.ratio).round() as u64).max(1)
     }
 }
@@ -368,6 +406,111 @@ mod tests {
         }
         // Ratio 1.6 -> 125 core ticks span exactly ⌊125·1.6⌋ = 200 cycles.
         assert_eq!(now, Cycle(200));
+    }
+
+    /// The uncached clock: the grid formulas the cached tick replaced,
+    /// kept verbatim as the reference for the property test below.
+    struct ReferenceClock {
+        ratio: f64,
+        anchor: Cycle,
+        gate: Cycle,
+    }
+
+    impl ReferenceClock {
+        fn set_ratio(&mut self, now: Cycle, ratio: f64) {
+            if (ratio - self.ratio).abs() > f64::EPSILON {
+                self.ratio = ratio;
+                self.anchor = now;
+            }
+        }
+
+        fn grid_at_or_after(&self, c: Cycle) -> Cycle {
+            if self.ratio == 1.0 {
+                return c.max(self.anchor);
+            }
+            if c <= self.anchor {
+                return self.anchor;
+            }
+            let rel = c - self.anchor;
+            let mut m = (rel as f64 / self.ratio).ceil() as u64;
+            while CoreClock::tick_offset(m, self.ratio) < rel {
+                m += 1;
+            }
+            while m > 0 && CoreClock::tick_offset(m - 1, self.ratio) >= rel {
+                m -= 1;
+            }
+            self.anchor + CoreClock::tick_offset(m, self.ratio)
+        }
+
+        fn ticks_at(&self, now: Cycle) -> bool {
+            now >= self.gate && self.grid_at_or_after(now) == now
+        }
+
+        fn next_tick_after(&self, now: Cycle) -> Cycle {
+            self.grid_at_or_after(now + 1).max(self.gate)
+        }
+
+        fn align_wake(&self, c: Cycle) -> Cycle {
+            self.grid_at_or_after(c).max(self.gate)
+        }
+    }
+
+    /// The V/f table's ratios plus awkward fractional ones.
+    const RATIOS: [f64; 8] = [
+        1.0,
+        2.0 / 1.8,
+        2.0 / 1.6,
+        2.0 / 1.4,
+        2.0 / 1.2,
+        1.6,
+        3.0,
+        1.0 + 1e-9,
+    ];
+
+    proptest::proptest! {
+        /// Over random DVFS transitions, tick consumption and queries at
+        /// and around the current time, the cached clock answers exactly
+        /// as the uncached formulas do.
+        #[test]
+        fn cached_tick_matches_uncached_formulas(
+            ops in proptest::collection::vec((0u8..8, 0u64..40, 0usize..8), 1..400),
+        ) {
+            let mut ours = CoreClock::nominal();
+            let mut reference = ReferenceClock { ratio: 1.0, anchor: Cycle::ZERO, gate: Cycle::ZERO };
+            let mut now = Cycle::ZERO;
+            for (op, delta, sel) in ops {
+                match op {
+                    // A DVFS transition at the current cycle.
+                    0 => {
+                        ours.set_ratio(now, RATIOS[sel]);
+                        reference.set_ratio(now, RATIOS[sel]);
+                    }
+                    // Jump to the next tick (the stepping pattern) and
+                    // consume it.
+                    1..=3 => {
+                        now = reference.next_tick_after(now);
+                        proptest::prop_assert!(ours.ticks_at(now));
+                        ours.advance(now);
+                        reference.gate = now + 1;
+                    }
+                    // Wander forward; consume the cycle if it is a tick.
+                    4 | 5 => {
+                        now += delta;
+                        if reference.ticks_at(now) {
+                            ours.advance(now);
+                            reference.gate = now + 1;
+                        }
+                    }
+                    // Query without moving.
+                    _ => {}
+                }
+                for probe in [now, now + delta, now + 1, Cycle(now.raw().saturating_sub(delta))] {
+                    proptest::prop_assert_eq!(ours.ticks_at(probe), reference.ticks_at(probe), "ticks_at {:?}", probe);
+                    proptest::prop_assert_eq!(ours.next_tick_after(probe), reference.next_tick_after(probe), "next_tick_after {:?}", probe);
+                    proptest::prop_assert_eq!(ours.align_wake(probe), reference.align_wake(probe), "align_wake {:?}", probe);
+                }
+            }
+        }
     }
 
     #[test]

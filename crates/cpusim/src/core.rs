@@ -22,12 +22,22 @@
 //! (every core, every visited cycle) and the event-driven stepper (due cores
 //! only) in [`crate::stepper`] rely on it for bit-identical results.
 //!
-//! Hot-path rule: per-instruction code does not branch on simulated random
-//! outcomes where a mask or a count does the job (how many ROB entries
-//! retire, which of them are memory operations, the branch predictor's
-//! counter update and BTB probe). Profiles showed host branch
-//! mispredictions on those outcomes, not the modelled work, dominating the
-//! cost per simulated instruction.
+//! Hot-path rules:
+//!
+//! * per-instruction code does not branch on simulated random outcomes
+//!   where a mask or a count does the job (how many ROB entries retire,
+//!   which of them are memory operations, the branch predictor's counter
+//!   update and BTB probe). Profiles showed host branch mispredictions on
+//!   those outcomes, not the modelled work, dominating the cost per
+//!   simulated instruction;
+//! * per-instruction code makes no virtual call. The instruction source is
+//!   the core's type parameter `S`, so the product path (`harness::System`
+//!   runs `Core<workloads::StreamSource>`) inlines generation into
+//!   dispatch; only the boxed default `Core<Box<dyn InstrSource + Send>>`,
+//!   kept for plug-in sources and instrumented mirrors, pays a vtable call
+//!   per instruction. Likewise, per-cycle float work is hoisted: the clock
+//!   caches its next tick and the core caches its dilated latencies, both
+//!   refreshed only on a DVFS transition.
 
 use memsim::mshr::MshrOutcome;
 use memsim::{Cache, CacheGeometry, MshrFile};
@@ -41,6 +51,10 @@ use crate::prefetch::Prefetcher;
 use crate::trace::{Instr, InstrKind, InstrSource};
 
 /// Core microarchitecture parameters (paper Table 2).
+///
+/// Both L1 geometries are limited to at most 4 ways (the paper's L1s are
+/// 4-way): [`memsim::Cache`] keeps each set in one 64-byte record and
+/// [`Core::new`] panics on a wider geometry.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CoreConfig {
     /// Instructions dispatched per cycle.
@@ -57,9 +71,9 @@ pub struct CoreConfig {
     pub mispredict_penalty: u64,
     /// Outstanding L1-D misses.
     pub l1_mshrs: usize,
-    /// L1 data cache geometry.
+    /// L1 data cache geometry (at most 4 ways).
     pub l1d: CacheGeometry,
-    /// L1 instruction cache geometry.
+    /// L1 instruction cache geometry (at most 4 ways).
     pub l1i: CacheGeometry,
 }
 
@@ -242,10 +256,14 @@ impl RobRing {
 
 /// The core model. Owns its instruction source, L1 caches, branch predictor
 /// and MSHRs; accesses the shared LLC through an [`LlcPort`].
-pub struct Core {
+///
+/// `S` is the instruction source, statically dispatched (see the module
+/// docs' hot-path rules); the default boxed source accepts any
+/// [`InstrSource`] behind a trait object.
+pub struct Core<S: InstrSource = Box<dyn InstrSource + Send>> {
     id: CoreId,
     cfg: CoreConfig,
-    source: Box<dyn InstrSource + Send>,
+    source: S,
     rob: RobRing,
     lsq_count: usize,
     fetch_stall_until: Cycle,
@@ -264,13 +282,17 @@ pub struct Core {
     dline_shift: u32,
     prefetch: Prefetcher,
     clock: CoreClock,
+    /// `cfg.l1_hit_latency` and `cfg.mispredict_penalty` in reference
+    /// cycles at the current clock ratio, refreshed on every ratio change.
+    l1_hit: u64,
+    bp_penalty: u64,
     /// Whether the last executed core cycle made progress (a fresh core is
     /// runnable); drives [`Core::wake_hint`].
     runnable: bool,
     stats: CoreStats,
 }
 
-impl std::fmt::Debug for Core {
+impl<S: InstrSource> std::fmt::Debug for Core<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Core")
             .field("id", &self.id)
@@ -280,9 +302,14 @@ impl std::fmt::Debug for Core {
     }
 }
 
-impl Core {
+impl<S: InstrSource> Core<S> {
     /// Creates a core with the given configuration and instruction source.
-    pub fn new(id: CoreId, cfg: CoreConfig, source: Box<dyn InstrSource + Send>) -> Core {
+    ///
+    /// # Panics
+    ///
+    /// Panics if either L1 geometry has more than 4 ways.
+    pub fn new(id: CoreId, cfg: CoreConfig, source: S) -> Core<S> {
+        let clock = CoreClock::nominal();
         Core {
             id,
             cfg,
@@ -292,8 +319,8 @@ impl Core {
             fetch_stall_until: Cycle::ZERO,
             mshr_stall_until: Cycle::ZERO,
             pending: None,
-            l1d: Cache::new(cfg.l1d, id),
-            l1i: Cache::new(cfg.l1i, id),
+            l1d: Cache::new(cfg.l1d),
+            l1i: Cache::new(cfg.l1i),
             l1d_mshr: MshrFile::new(cfg.l1_mshrs),
             bpred: Gshare::paper_default(),
             last_load_done: Cycle::ZERO,
@@ -301,7 +328,9 @@ impl Core {
             iline_shift: cfg.l1i.line_bytes().trailing_zeros(),
             dline_shift: cfg.l1d.line_bytes().trailing_zeros(),
             prefetch: Prefetcher::new(),
-            clock: CoreClock::nominal(),
+            l1_hit: clock.scaled(cfg.l1_hit_latency),
+            bp_penalty: clock.scaled(cfg.mispredict_penalty),
+            clock,
             runnable: true,
             stats: CoreStats::default(),
         }
@@ -314,6 +343,8 @@ impl Core {
     /// `next_event` was computed on the old tick grid.
     pub fn set_clock_ratio(&mut self, now: Cycle, ratio: f64) {
         self.clock.set_ratio(now, ratio);
+        self.l1_hit = self.clock.scaled(self.cfg.l1_hit_latency);
+        self.bp_penalty = self.clock.scaled(self.cfg.mispredict_penalty);
     }
 
     /// The current clock-dilation ratio (1.0 = nominal frequency).
@@ -424,8 +455,7 @@ impl Core {
         }
         // Core-cycle latencies expressed in reference cycles at the current
         // clock (identity at nominal frequency).
-        let l1_hit = self.clock.scaled(self.cfg.l1_hit_latency);
-        let bp_penalty = self.clock.scaled(self.cfg.mispredict_penalty);
+        let (l1_hit, bp_penalty) = (self.l1_hit, self.bp_penalty);
         let mut n = 0;
         while n < self.cfg.issue_width {
             if self.rob.len() >= self.cfg.rob_entries {
@@ -694,7 +724,7 @@ mod tests {
         }
     }
 
-    fn run_for(core: &mut Core, llc: &mut FixedLlc, cycles: u64) {
+    fn run_for<S: InstrSource>(core: &mut Core<S>, llc: &mut FixedLlc, cycles: u64) {
         let mut now = Cycle(0);
         while now < Cycle(cycles) {
             let out = core.step(now, llc);

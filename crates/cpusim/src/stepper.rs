@@ -24,6 +24,7 @@
 use simkit::types::Cycle;
 
 use crate::core::{Core, LlcPort};
+use crate::trace::InstrSource;
 
 /// Which stepping algorithm drives the system loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -90,26 +91,36 @@ impl SystemStepper {
     /// instructions (or `now` reaches `max_cycles`), returning for each core
     /// the cycle at which its target was first observed crossed.
     ///
+    /// Generic over the cores' instruction source `S`, so the per-step
+    /// calls into [`Core::step`] are statically dispatched end to end.
+    ///
     /// The epoch callback fires whenever `now` lands on the epoch grid —
     /// *after* the cores due at that cycle have stepped — and may retune the
     /// cores (partitioning, DVFS ratios); the stepper refreshes its wake
     /// list afterwards via [`Core::wake_hint`]. Returning
     /// [`EpochControl::Stop`] exits immediately (cores already stepped at
     /// the boundary cycle; time has not advanced past it).
-    pub fn run<P, F>(
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one target per core and at most 64 cores
+    /// (the due set is one bitmask).
+    pub fn run<S, P, F>(
         &mut self,
-        cores: &mut [Core],
+        cores: &mut [Core<S>],
         port: &mut P,
         targets: &[u64],
         max_cycles: Cycle,
         mut on_epoch: F,
     ) -> Vec<Option<Cycle>>
     where
+        S: InstrSource,
         P: LlcPort,
-        F: FnMut(Cycle, &mut [Core], &mut P) -> EpochControl,
+        F: FnMut(Cycle, &mut [Core<S>], &mut P) -> EpochControl,
     {
         let n = cores.len();
         assert_eq!(targets.len(), n, "one retire target per core");
+        assert!(n <= 64, "at most 64 cores, got {n}");
         if self.wakes.len() != n {
             // First run (or a changed core set): everyone is due now.
             self.wakes = vec![self.now; n];
@@ -126,44 +137,49 @@ impl SystemStepper {
         while remaining > 0 && self.now < max_cycles {
             let now = self.now;
             let epoch_due = now >= self.next_epoch;
+            // Bit `i` = core `i` steps at `now`.
+            let due = match self.kind {
+                StepperKind::Reference => u64::MAX >> (64 - n),
+                StepperKind::EventDriven => self.due_set(now),
+            };
 
             // Fast path: exactly one core due, no epoch imminent — batch its
             // micro-steps up to the next barrier without re-scanning.
-            if !epoch_due && self.kind == StepperKind::EventDriven {
-                if let Some(i) = self.lone_due_core(now) {
-                    let mut barrier = self.next_epoch;
-                    for (j, &w) in self.wakes.iter().enumerate() {
-                        if j != i {
-                            barrier = barrier.min(w);
-                        }
+            if !epoch_due && self.kind == StepperKind::EventDriven && due.count_ones() == 1 {
+                let i = due.trailing_zeros() as usize;
+                let mut barrier = self.next_epoch;
+                for (j, &w) in self.wakes.iter().enumerate() {
+                    if j != i {
+                        barrier = barrier.min(w);
                     }
-                    let mut t = now;
-                    loop {
-                        let out = cores[i].step(t, port);
-                        let w = out.next_event.max(t + 1);
-                        let advanced = w.min(barrier);
-                        if finish[i].is_none() && cores[i].retired() >= targets[i] {
-                            finish[i] = Some(advanced);
-                            remaining -= 1;
-                        }
-                        t = advanced;
-                        if remaining == 0 || t >= max_cycles || w >= barrier {
-                            self.wakes[i] = w;
-                            break;
-                        }
-                    }
-                    self.now = t;
-                    continue;
                 }
+                let mut t = now;
+                loop {
+                    let out = cores[i].step(t, port);
+                    let w = out.next_event.max(t + 1);
+                    let advanced = w.min(barrier);
+                    if finish[i].is_none() && cores[i].retired() >= targets[i] {
+                        finish[i] = Some(advanced);
+                        remaining -= 1;
+                    }
+                    t = advanced;
+                    if remaining == 0 || t >= max_cycles || w >= barrier {
+                        self.wakes[i] = w;
+                        break;
+                    }
+                }
+                self.now = t;
+                continue;
             }
 
             // General path: step every due core (event-driven) or every core
             // (reference) in ascending index order.
-            for (i, core) in cores.iter_mut().enumerate() {
-                if self.kind == StepperKind::Reference || self.wakes[i] <= now {
-                    let out = core.step(now, port);
-                    self.wakes[i] = out.next_event.max(now + 1);
-                }
+            let mut pending = due;
+            while pending != 0 {
+                let i = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let out = cores[i].step(now, port);
+                self.wakes[i] = out.next_event.max(now + 1);
             }
 
             if epoch_due {
@@ -185,7 +201,12 @@ impl SystemStepper {
                 next = next.min(w);
             }
             self.now = next.max(now + 1);
-            for i in 0..n {
+            // Only a step retires instructions, so only the cores stepped
+            // at `now` can have crossed their targets.
+            let mut pending = due;
+            while pending != 0 {
+                let i = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
                 if finish[i].is_none() && cores[i].retired() >= targets[i] {
                     finish[i] = Some(self.now);
                     remaining -= 1;
@@ -195,17 +216,11 @@ impl SystemStepper {
         finish
     }
 
-    /// Index of the only core due at `now`, if exactly one is.
-    fn lone_due_core(&self, now: Cycle) -> Option<usize> {
-        let mut due = None;
-        for (i, &w) in self.wakes.iter().enumerate() {
-            if w <= now {
-                if due.is_some() {
-                    return None;
-                }
-                due = Some(i);
-            }
-        }
-        due
+    /// Bitmask of the cores whose stored wake has arrived at `now`.
+    fn due_set(&self, now: Cycle) -> u64 {
+        self.wakes
+            .iter()
+            .enumerate()
+            .fold(0, |due, (i, &w)| due | ((w <= now) as u64) << i)
     }
 }

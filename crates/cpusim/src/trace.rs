@@ -134,6 +134,16 @@ impl<F: FnMut() -> Instr> InstrSource for F {
     }
 }
 
+/// A boxed source is a source: the default stream type of
+/// [`crate::Core`], which runs plug-in sources behind one virtual call per
+/// instruction.
+impl InstrSource for Box<dyn InstrSource + Send> {
+    #[inline]
+    fn next_instr(&mut self) -> Instr {
+        (**self).next_instr()
+    }
+}
+
 // ------------------------------------------------------------ trace files
 
 /// Magic prefix of a binary `.ctrace` file: `"CTRC"` + format version 1.
@@ -491,6 +501,7 @@ impl TraceSource {
 }
 
 impl InstrSource for TraceSource {
+    #[inline]
     fn next_instr(&mut self) -> Instr {
         let instr = self.instrs[self.pos];
         self.pos += 1;

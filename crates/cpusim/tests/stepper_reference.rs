@@ -379,7 +379,7 @@ proptest! {
         let mut core = Core::new(
             CoreId(0),
             CoreConfig::default(),
-            Box::new(SynthSource::new(seed, 0, flavor)),
+            Box::new(SynthSource::new(seed, 0, flavor)) as Box<dyn InstrSource + Send>,
         );
         core.set_clock_ratio(Cycle::ZERO, RATIOS[ratio_sel]);
         let mut llc = RecordingLlc::default();
@@ -434,7 +434,7 @@ fn epoch_grid_is_exact_for_stall_heavy_runs() {
     let mut cores = vec![Core::new(
         CoreId(0),
         CoreConfig::default(),
-        Box::new(SynthSource::new(0xC0FFEE, 0, 2)),
+        Box::new(SynthSource::new(0xC0FFEE, 0, 2)) as Box<dyn InstrSource + Send>,
     )];
     let mut llc = RecordingLlc::default();
     let mut stepper = SystemStepper::new(StepperKind::EventDriven, 5_000);

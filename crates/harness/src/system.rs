@@ -29,12 +29,12 @@ use coop_core::{
     policy_for_scheme, AllocationDecision, LlcConfig, PartitionedLlc, PolicySpec, SchemeKind,
 };
 use coop_dvfs::{DvfsPolicy, Residency};
-use cpusim::{Core, CoreConfig, EpochControl, LlcPort, StepperKind, SystemStepper};
+use cpusim::{Core, CoreConfig, EpochControl, InstrSource, LlcPort, StepperKind, SystemStepper};
 use energy::{CoreEnergyParams, CoreEnergyReport, EnergyCounts, EnergyParams, EnergyReport};
 use memsim::{Dram, DramConfig};
 use serde::{Deserialize, Serialize};
 use simkit::types::{CoreId, Cycle, LineAddr};
-use workloads::{Benchmark, ResolvedWorkload};
+use workloads::{Benchmark, ResolvedWorkload, StreamSource};
 
 use crate::scale::SimScale;
 
@@ -455,7 +455,7 @@ impl RunResult {
 /// The assembled system.
 pub struct System {
     cfg: SystemConfig,
-    cores: Vec<Core>,
+    cores: Vec<Core<StreamSource>>,
     llc: PartitionedLlc,
     dram: Dram,
     /// The allocation policy driving the epochs.
@@ -512,7 +512,7 @@ impl System {
             .iter()
             .enumerate()
             .map(|(i, m)| {
-                let source = m.source(cfg.seed ^ ((i as u64) << 32));
+                let source = m.stream(cfg.seed ^ ((i as u64) << 32));
                 Core::new(CoreId(i as u8), cfg.core, source)
             })
             .collect();
@@ -828,9 +828,9 @@ impl System {
 /// This is *the* epoch semantics — [`System::run`] and the `inspect` binary
 /// both call it, so a policy's decisions (including DVFS clock hints) take
 /// effect identically everywhere.
-pub fn drive_epoch(
+pub fn drive_epoch<S: InstrSource>(
     now: Cycle,
-    cores: &mut [Core],
+    cores: &mut [Core<S>],
     llc: &mut PartitionedLlc,
     dram: &mut Dram,
     policy: &mut dyn PartitionPolicy,

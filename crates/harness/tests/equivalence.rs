@@ -17,10 +17,12 @@
 //! pins the string-keyed workload path to the same goldens, via both
 //! `run_group` and the `SystemBuilder::workload` spec entry point.
 
+use std::sync::Arc;
+
 use cpusim::StepperKind;
 use harness::experiments::run_group;
 use harness::{workload_registry, SimScale, System};
-use workloads::ResolvedWorkload;
+use workloads::{ResolvedWorkload, WorkloadFactory, WorkloadSource};
 
 struct Golden {
     policy: &'static str,
@@ -268,6 +270,54 @@ fn coordinator_presets_reproduce_recorded_digests() {
         }
     }
     assert!(drift.is_empty(), "digests moved: {drift:#?}");
+}
+
+/// A plug-in factory that implements only `source()`: its cores run on
+/// the boxed default stream, not the built-in factories' static one.
+struct PassThrough(Arc<dyn WorkloadFactory>);
+
+impl WorkloadFactory for PassThrough {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn summary(&self) -> String {
+        self.0.summary()
+    }
+
+    fn source(&self, seed: u64) -> WorkloadSource {
+        self.0.source(seed)
+    }
+}
+
+#[test]
+fn boxed_plug_in_sources_match_the_static_stream_path() {
+    // The DVFS preset on the 4-core group also covers clock dilation.
+    for (workload, policy) in [("G2-1", "cooperative"), ("G4-5", "dvfs")] {
+        let built_in = workload_registry().resolve(workload).expect("registered");
+        let wrapped = ResolvedWorkload {
+            label: built_in.label.clone(),
+            members: built_in
+                .members
+                .iter()
+                .map(|m| Arc::new(PassThrough(Arc::clone(m))) as Arc<dyn WorkloadFactory>)
+                .collect(),
+        };
+        let run = |w: ResolvedWorkload| {
+            let r = System::builder()
+                .workload_resolved(w)
+                .policy(policy)
+                .scale(SimScale::quick())
+                .build()
+                .run();
+            run_digest(&r)
+        };
+        assert_eq!(
+            run(built_in),
+            run(wrapped),
+            "{workload}/{policy}: boxed sources diverge from the static path"
+        );
+    }
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! Flattened structure-of-arrays set storage — the production backing store
-//! for every set-associative structure in the simulator.
+//! for the shared LLC (the private L1s use the narrower
+//! [`crate::cache::Cache`] layout).
 //!
 //! [`SetArena`] holds *all* sets of a cache in contiguous slabs instead of
 //! one heap allocation per set:
@@ -21,9 +22,8 @@
 //! remains the readable specification; `SetArena` is what the hot paths
 //! run on.
 //!
-//! Hot-path rule: `find`, `touch` and the hit bookkeeping do not branch on
-//! simulated random outcomes (which way hits, the MRU position, read or
-//! write). Profiles showed host branch mispredictions on those outcomes,
+//! Hot-path rule: `find` and `touch` do not branch on simulated random
+//! outcomes (which way hits, the MRU position). Profiles showed host branch mispredictions on those outcomes,
 //! not the work itself, dominating the per-access cost, so such outcomes
 //! are folded in with masks and arithmetic instead.
 //!
@@ -341,26 +341,12 @@ impl SetArena {
     /// Marks a resident line dirty (a write hit).
     #[inline]
     pub fn mark_dirty(&mut self, set: usize, way: usize) {
-        self.or_dirty(set, way, true);
-    }
-
-    /// The bookkeeping of a demand hit on a resident line: `way` becomes
-    /// MRU and, for a write, dirty. The dirty bit is ORed in arithmetically,
-    /// so a read/write mix costs no branch.
-    #[inline]
-    pub fn record_hit(&mut self, set: usize, way: usize, write: bool) {
-        self.touch(set, way);
-        self.or_dirty(set, way, write);
-    }
-
-    #[inline]
-    fn or_dirty(&mut self, set: usize, way: usize, dirty: bool) {
         debug_assert!(
             (self.heads[set].valid >> way) & 1 == 1,
             "dirtying an invalid line"
         );
         let i = self.idx(set, way);
-        self.meta[i] |= META_DIRTY * dirty as u8;
+        self.meta[i] |= META_DIRTY;
     }
 
     /// Whether line `(set, way)` holds valid data.

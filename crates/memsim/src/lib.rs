@@ -12,9 +12,10 @@
 //! * [`arena::SetArena`] — the same semantics flattened into contiguous
 //!   structure-of-arrays slabs (tag slab, packed metadata bytes, per-set
 //!   validity bitmasks, nibble-packed LRU order words) — the storage the
-//!   hot simulation paths actually run on;
+//!   LLC's hot paths actually run on;
 //! * [`cache::Cache`] — a plain set-associative write-back cache used for the
-//!   private L1 instruction/data caches;
+//!   private L1 instruction/data caches, with its own one-record-per-set
+//!   layout (at most 4 ways; see the module docs for why);
 //! * [`mshr::MshrFile`] — miss-status holding registers with merging;
 //! * [`dram::Dram`] — banked main memory with per-bank occupancy, a bounded
 //!   outstanding-request window and queueing-delay accounting;

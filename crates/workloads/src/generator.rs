@@ -7,15 +7,42 @@
 //! and loops, a [`UniformBelow`] for uniform regions). The per-instruction
 //! path then consumes exactly the random numbers it always did, in the same
 //! order and with the same float rounding, so streams stay bit-identical
-//! (`tests/stream_digest.rs` pins them).
+//! (`tests/stream_digest.rs` pins them). The one float function on the
+//! per-instruction path, the jump target's `u^6`, takes an exact fast path
+//! (`skewed_slot`) instead of libm's `pow`.
 
 use cpusim::{Instr, InstrSource};
 use simkit::{DetRng, UniformBelow, WeightedIndex};
 
 use crate::model::{BenchmarkModel, Pattern};
 
-/// Power-law skew of basic-block jump targets within the code footprint.
+/// Power-law skew of basic-block jump targets within the code footprint
+/// (the exponent [`skewed_slot`]'s multiplies hard-wire).
 const CODE_SKEW: f64 = 6.0;
+
+/// Relative distance from an integer within which [`skewed_slot`] defers
+/// to `powf`: three orders of magnitude above the multiplies' error.
+const NEAR_INTEGER: f64 = 1e-12;
+
+/// The jump-target slot `⌊slots · u⁶⌋`, always equal to
+/// `(slots * u.powf(6.0)) as u64`.
+///
+/// `u⁶` from three multiplies is within a few ULP (about 1e-15 relative)
+/// of libm's `powf`, so the two products can floor to different integers
+/// only when they straddle one, i.e. lie within about 1e-15 relative of
+/// it. Products that close to an integer take the `powf` path; all others
+/// floor the multiplied product. Underflow for tiny `u` leaves both
+/// products below one.
+#[inline]
+fn skewed_slot(slots: f64, u: f64) -> u64 {
+    let u3 = u * u * u;
+    let x = slots * (u3 * u3);
+    if (x - x.round()).abs() <= NEAR_INTEGER * x {
+        (slots * u.powf(CODE_SKEW)) as u64
+    } else {
+        x as u64
+    }
+}
 
 /// One component's address draw, as a byte offset within its region.
 #[derive(Debug, Clone, Copy)]
@@ -220,7 +247,7 @@ impl SyntheticSource {
             // same power-law shape as skewed data (hot head, long tail).
             // Uniform targets would make every large-code benchmark flood
             // the L1-I pathologically.
-            self.pc_offset = (self.code_slots * self.rng.unit().powf(CODE_SKEW)) as u64 * 4;
+            self.pc_offset = skewed_slot(self.code_slots, self.rng.unit()) * 4;
         } else {
             self.block_left -= 1;
             let next = self.pc_offset + 4;
@@ -242,6 +269,7 @@ impl SyntheticSource {
 }
 
 impl InstrSource for SyntheticSource {
+    #[inline]
     fn next_instr(&mut self) -> Instr {
         self.instrs_emitted += 1;
         let pc = self.next_pc();
@@ -430,6 +458,60 @@ mod tests {
             }
         }
         assert!(saw_stream, "phase 2 uses the stream component");
+    }
+
+    /// What the generator computed before the fast path.
+    fn powf_slot(slots: f64, u: f64) -> u64 {
+        (slots * u.powf(6.0)) as u64
+    }
+
+    /// Every registered model's jump-target scale.
+    fn all_slots() -> Vec<f64> {
+        crate::Benchmark::ALL
+            .iter()
+            .map(|b| (b.model().code_bytes / 4) as f64)
+            .collect()
+    }
+
+    #[test]
+    fn skew_fast_path_matches_powf_at_the_edges() {
+        let edges = [
+            0.0,
+            f64::from_bits(1), // the smallest positive f64
+            f64::MIN_POSITIVE,
+            1.0 - f64::EPSILON,
+            1.0 - f64::EPSILON / 2.0, // the largest f64 below 1
+        ];
+        for slots in all_slots() {
+            for u in edges {
+                assert_eq!(skewed_slot(slots, u), powf_slot(slots, u), "{slots} {u:e}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn skew_fast_path_matches_powf(u in 0.0f64..1.0) {
+            for slots in all_slots() {
+                proptest::prop_assert_eq!(skewed_slot(slots, u), powf_slot(slots, u), "{} {:e}", slots, u);
+            }
+        }
+
+        /// `u` aimed at `slots·u⁶ == k` for an integer `k`, then swept
+        /// ULP by ULP across it, so the product crosses the integer: about
+        /// one sweep in eight has `powf` and the multiplies floor apart
+        /// there, which only the `powf` fallback keeps equal.
+        #[test]
+        fn skew_fast_path_matches_powf_near_integers(k_frac in 0.0f64..1.0) {
+            for slots in all_slots() {
+                let k = (k_frac * slots).floor().max(1.0);
+                let aim = (k / slots).powf(1.0 / 6.0);
+                for ulps in 0..64 {
+                    let u = f64::from_bits(aim.to_bits() + ulps - 32);
+                    proptest::prop_assert_eq!(skewed_slot(slots, u), powf_slot(slots, u), "{} {:e}", slots, u);
+                }
+            }
+        }
     }
 
     #[test]

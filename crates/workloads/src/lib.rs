@@ -41,5 +41,5 @@ pub use generator::SyntheticSource;
 pub use groups::{eight_core_groups, four_core_groups, two_core_groups, WorkloadGroup};
 pub use model::{BenchmarkModel, Component, Pattern, Phase};
 pub use registry::{ResolvedWorkload, WorkloadError, WorkloadRegistry, MAX_CORES, TRACE_PREFIX};
-pub use source::{SyntheticWorkload, TraceWorkload, WorkloadFactory, WorkloadSource};
+pub use source::{StreamSource, SyntheticWorkload, TraceWorkload, WorkloadFactory, WorkloadSource};
 pub use spec::Benchmark;

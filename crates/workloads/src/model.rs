@@ -86,8 +86,24 @@ impl BenchmarkModel {
         self.load_frac + self.store_frac
     }
 
-    /// Validates internal consistency (fractions, weights, phases).
+    /// Validates internal consistency (fractions, code footprint, weights,
+    /// phases).
     pub fn validate(&self) -> Result<(), String> {
+        for (kind, frac) in [
+            ("load", self.load_frac),
+            ("store", self.store_frac),
+            ("branch", self.branch_frac),
+        ] {
+            if frac < 0.0 {
+                return Err(format!("{}: negative {kind} fraction {frac}", self.name));
+            }
+        }
+        if self.code_bytes < 4 {
+            return Err(format!(
+                "{}: code footprint of {} bytes holds no instruction",
+                self.name, self.code_bytes
+            ));
+        }
         let mix = self.load_frac + self.store_frac + self.branch_frac;
         if !(0.0..=1.0).contains(&mix) {
             return Err(format!("{}: instruction mix sums to {mix}", self.name));
@@ -169,6 +185,46 @@ mod tests {
             weight_scale: vec![1.0, 2.0], // wrong arity
         });
         assert!(m.validate().is_err());
+    }
+
+    #[test]
+    fn empty_code_footprint_rejected() {
+        // Zero bytes used to pass and then panic on `% 0` at the second
+        // instruction of the stream.
+        let mut m = base();
+        m.code_bytes = 0;
+        assert!(m.validate().unwrap_err().contains("code footprint"));
+    }
+
+    #[test]
+    fn sub_instruction_code_footprint_rejected() {
+        let mut m = base();
+        m.code_bytes = 3;
+        assert!(m.validate().unwrap_err().contains("code footprint"));
+        m.code_bytes = 4;
+        assert!(m.validate().is_ok());
+    }
+
+    #[test]
+    fn negative_load_fraction_rejected() {
+        // A negative fraction can hide inside a valid sum.
+        let mut m = base();
+        m.load_frac = -0.1;
+        assert!(m.validate().unwrap_err().contains("negative load"));
+    }
+
+    #[test]
+    fn negative_store_fraction_rejected() {
+        let mut m = base();
+        m.store_frac = -0.05;
+        assert!(m.validate().unwrap_err().contains("negative store"));
+    }
+
+    #[test]
+    fn negative_branch_fraction_rejected() {
+        let mut m = base();
+        m.branch_frac = -0.15;
+        assert!(m.validate().unwrap_err().contains("negative branch"));
     }
 
     #[test]

@@ -10,6 +10,14 @@
 //! implementing the trait and registering the factory in a
 //! [`crate::WorkloadRegistry`] — no harness edits required, mirroring how
 //! `PartitionPolicy` objects plug into the policy registry.
+//!
+//! A factory hands out a stream in two forms. [`WorkloadFactory::source`]
+//! boxes it behind a trait object, which is all a plug-in implements.
+//! [`WorkloadFactory::stream`] returns a [`StreamSource`], the closed enum
+//! the simulator's cores run on: the built-in factories override it with
+//! their concrete generators, so the per-instruction call is a match
+//! instead of a virtual call, and any other factory falls back to its
+//! boxed source.
 
 use std::sync::Arc;
 
@@ -21,6 +29,43 @@ use crate::spec::Benchmark;
 
 /// A ready-to-run instruction stream for one core.
 pub type WorkloadSource = Box<dyn InstrSource + Send>;
+
+/// A ready-to-run instruction stream for one core, statically dispatched
+/// for the built-in kinds.
+///
+/// The generator is held inline, not boxed: there is one stream per core
+/// and the core reads it on every dispatch, so its size costs nothing and
+/// a pointer chase would.
+#[allow(clippy::large_enum_variant)]
+pub enum StreamSource {
+    /// A synthetic SPEC model's generator.
+    Synthetic(SyntheticSource),
+    /// A `.ctrace` replay.
+    Trace(TraceSource),
+    /// Any other source, behind a trait object.
+    Boxed(WorkloadSource),
+}
+
+impl std::fmt::Debug for StreamSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StreamSource::Synthetic(s) => f.debug_tuple("Synthetic").field(s).finish(),
+            StreamSource::Trace(t) => f.debug_tuple("Trace").field(t).finish(),
+            StreamSource::Boxed(_) => f.write_str("Boxed(..)"),
+        }
+    }
+}
+
+impl InstrSource for StreamSource {
+    #[inline]
+    fn next_instr(&mut self) -> Instr {
+        match self {
+            StreamSource::Synthetic(s) => s.next_instr(),
+            StreamSource::Trace(t) => t.next_instr(),
+            StreamSource::Boxed(b) => b.next_instr(),
+        }
+    }
+}
 
 /// A named recipe producing per-core instruction streams.
 pub trait WorkloadFactory: Send + Sync {
@@ -34,6 +79,13 @@ pub trait WorkloadFactory: Send + Sync {
     /// across cores while keeping runs reproducible; deterministic sources
     /// (e.g. traces) may ignore it.
     fn source(&self, seed: u64) -> WorkloadSource;
+
+    /// The same stream as [`WorkloadFactory::source`] at `seed`, as a
+    /// [`StreamSource`]. The default boxes [`WorkloadFactory::source`];
+    /// factories with a concrete built-in source override it.
+    fn stream(&self, seed: u64) -> StreamSource {
+        StreamSource::Boxed(self.source(seed))
+    }
 }
 
 /// Factory for one of the 19 synthetic SPEC CPU2006 benchmark models.
@@ -68,6 +120,10 @@ impl WorkloadFactory for SyntheticWorkload {
 
     fn source(&self, seed: u64) -> WorkloadSource {
         Box::new(SyntheticSource::new(self.benchmark.model(), seed))
+    }
+
+    fn stream(&self, seed: u64) -> StreamSource {
+        StreamSource::Synthetic(SyntheticSource::new(self.benchmark.model(), seed))
     }
 }
 
@@ -106,6 +162,11 @@ impl TraceWorkload {
     pub fn is_empty(&self) -> bool {
         false
     }
+
+    /// A fresh replay from the first record.
+    fn replay(&self) -> TraceSource {
+        TraceSource::new(Arc::clone(&self.instrs)).expect("non-empty by construction")
+    }
 }
 
 impl WorkloadFactory for TraceWorkload {
@@ -118,7 +179,11 @@ impl WorkloadFactory for TraceWorkload {
     }
 
     fn source(&self, _seed: u64) -> WorkloadSource {
-        Box::new(TraceSource::new(Arc::clone(&self.instrs)).expect("non-empty by construction"))
+        Box::new(self.replay())
+    }
+
+    fn stream(&self, _seed: u64) -> StreamSource {
+        StreamSource::Trace(self.replay())
     }
 }
 
