@@ -5,9 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use harness::experiments::fig5_10::{figure, Metric};
-use harness::system::{System, SystemConfig};
+use harness::system::System;
 use harness::SimScale;
-use workloads::Benchmark;
+use workloads::{Benchmark, ResolvedWorkload};
 
 fn bench_four_core(c: &mut Criterion) {
     let scale = SimScale::from_env_or(SimScale::tiny());
@@ -28,17 +28,17 @@ fn bench_four_core(c: &mut Criterion) {
     };
     c.bench_function("four_core_cooperative_40k_instrs", |b| {
         b.iter(|| {
-            let cfg = SystemConfig::four_core(
-                vec![
+            System::builder()
+                .workload_resolved(ResolvedWorkload::from_benchmarks(&[
                     Benchmark::Lbm,
                     Benchmark::Libquantum,
                     Benchmark::Gromacs,
                     Benchmark::Mcf,
-                ],
-                coop_core::SchemeKind::Cooperative,
-                bench_scale,
-            );
-            System::new(cfg).run()
+                ]))
+                .policy("cooperative")
+                .scale(bench_scale)
+                .build()
+                .run()
         })
     });
 }

@@ -5,9 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use harness::experiments::fig5_10::{figure, Metric};
-use harness::system::{System, SystemConfig};
+use harness::system::System;
 use harness::SimScale;
-use workloads::Benchmark;
+use workloads::{Benchmark, ResolvedWorkload};
 
 fn bench_two_core(c: &mut Criterion) {
     let scale = SimScale::from_env_or(SimScale::tiny());
@@ -30,12 +30,15 @@ fn bench_two_core(c: &mut Criterion) {
     };
     c.bench_function("two_core_cooperative_50k_instrs", |b| {
         b.iter(|| {
-            let cfg = SystemConfig::two_core(
-                vec![Benchmark::Lbm, Benchmark::Bzip2],
-                coop_core::SchemeKind::Cooperative,
-                bench_scale,
-            );
-            System::new(cfg).run()
+            System::builder()
+                .workload_resolved(ResolvedWorkload::from_benchmarks(&[
+                    Benchmark::Lbm,
+                    Benchmark::Bzip2,
+                ]))
+                .policy("cooperative")
+                .scale(bench_scale)
+                .build()
+                .run()
         })
     });
 }

@@ -33,7 +33,7 @@
 //! Run with `cargo bench -p bench --bench hotpath`. The numbers are
 //! ns per 1000 operations (each `iter` performs 1000 accesses).
 
-use coop_core::{LlcConfig, PartitionedLlc, SchemeKind};
+use coop_core::{LlcConfig, PartitionedLlc, PolicyRegistry, PolicySpec, SchemeKind};
 use cpusim::{
     Core, CoreConfig, EpochControl, Instr, InstrSource, LlcPort, StepperKind, SystemStepper,
 };
@@ -65,7 +65,10 @@ fn bench_hotpath(c: &mut Criterion) {
             seed: 0xC0FFEE,
             transition_timeout_epochs: 1,
         };
-        let mut llc = PartitionedLlc::new(cfg, 2);
+        let policy = PolicyRegistry::core()
+            .build("cooperative", &PolicySpec::for_llc(&cfg, 2))
+            .expect("registered");
+        let mut llc = PartitionedLlc::for_policy(cfg, 2, policy.as_ref());
         let mut dram = Dram::new(DramConfig::default());
         let mut now = 0u64;
         let mut state = 0x5EED_0BAD_u64;

@@ -2,12 +2,11 @@
 //! scheme-selection enum.
 
 use memsim::CacheGeometry;
-use serde::{Deserialize, Serialize};
 
 /// How the LLC *mechanism* enforces a partition. This is the only knob
 /// [`crate::PartitionedLlc`] keys its probe/victim/epoch paths on — scheme
 /// identity stays with the [`crate::policy::PartitionPolicy`] objects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnforcementMode {
     /// No enforcement: every core probes and fills all ways (global LRU).
     None,
@@ -41,7 +40,7 @@ impl EnforcementMode {
 }
 
 /// Which partitioning scheme the shared LLC runs (Section 3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// No partitioning: all cores compete under global LRU.
     Unmanaged,
@@ -110,7 +109,7 @@ impl std::fmt::Display for SchemeKind {
 }
 
 /// Configuration of the partitioned shared LLC.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LlcConfig {
     /// Cache geometry (size/ways/line).
     pub geom: CacheGeometry,

@@ -31,16 +31,24 @@
 //! * [`overhead`] — Table 1 hardware-cost accounting.
 //!
 //! ```
-//! use coop_core::{LlcConfig, PartitionedLlc, SchemeKind};
-//! use memsim::{CacheGeometry, Dram, DramConfig};
+//! use coop_core::{LlcConfig, PartitionedLlc, PolicyRegistry, PolicySpec, SchemeKind};
+//! use memsim::{Dram, DramConfig};
 //! use simkit::types::{CoreId, Cycle, LineAddr};
 //!
 //! let cfg = LlcConfig::two_core(SchemeKind::Cooperative);
-//! let mut llc = PartitionedLlc::new(cfg, 2);
+//! let mut policy = PolicyRegistry::core()
+//!     .build("cooperative", &PolicySpec::for_llc(&cfg, 2))
+//!     .unwrap();
+//! let mut llc = PartitionedLlc::for_policy(cfg, 2, policy.as_ref());
 //! let mut dram = Dram::new(DramConfig::default());
 //! let line = LineAddr::from_byte_addr(CoreId(0), 0x4000, 64);
 //! let done = llc.access(Cycle(0), CoreId(0), line, false, &mut dram);
 //! assert!(done > Cycle(0));
+//!
+//! // Close an epoch: observe, let the policy decide, apply the decision.
+//! let obs = llc.epoch_observations(done, vec![]);
+//! let decision = policy.on_epoch(&obs);
+//! llc.apply_decision(done, &mut dram, &decision);
 //! ```
 
 pub mod config;
@@ -63,9 +71,7 @@ pub use curve::MissCurve;
 pub use llc::PartitionedLlc;
 pub use lookahead::{allocate, Allocation};
 pub use overhead::HardwareOverhead;
-pub use policy::{
-    policy_for_scheme, AllocationDecision, EpochObservations, PartitionPolicy, ResourceHints,
-};
+pub use policy::{AllocationDecision, EpochObservations, PartitionPolicy, ResourceHints};
 pub use rapwap::PermissionFile;
 pub use registry::{PolicyEntry, PolicyRegistry, PolicySpec, UnknownPolicy, PAPER_POLICIES};
 pub use stats::LlcStats;

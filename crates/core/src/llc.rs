@@ -18,8 +18,7 @@
 //! * unowned ways are power-gated (way-aligned modes).
 //!
 //! Allocation *policy* — which core deserves how many ways — lives in
-//! [`crate::policy`]; the legacy [`PartitionedLlc::on_epoch`] entry keeps a
-//! scheme policy embedded for callers that predate the split.
+//! [`crate::policy`].
 //!
 //! Timing is latency-return: an access at cycle `t` answers with its fill
 //! completion cycle, going through the LLC MSHRs and the banked DRAM.
@@ -32,12 +31,9 @@ use simkit::DetRng;
 use energy::EnergyCounts;
 
 use crate::config::{EnforcementMode, LlcConfig};
-use crate::cpe::CpeProfile;
 use crate::curve::MissCurve;
 use crate::lookahead::Allocation;
-use crate::policy::{
-    policy_for_scheme, AllocationDecision, DynamicCpePolicy, EpochObservations, PartitionPolicy,
-};
+use crate::policy::{AllocationDecision, EpochObservations, PartitionPolicy};
 use crate::power::WayPower;
 use crate::rapwap::PermissionFile;
 use crate::stats::LlcStats;
@@ -81,53 +77,26 @@ pub struct PartitionedLlc {
     /// machine; installed lazily by
     /// [`PartitionedLlc::set_bandwidth_shares`].
     bandwidth: Option<BandwidthRegulator>,
-    /// Scheme policy embedded for the legacy [`PartitionedLlc::on_epoch`]
-    /// entry; `None` for mechanisms driven externally via
-    /// [`PartitionedLlc::apply_decision`].
-    compat: Option<Box<dyn PartitionPolicy>>,
 }
 
 impl PartitionedLlc {
-    /// Creates the LLC for `cores` cores running `cfg.scheme`, with a
-    /// matching scheme policy embedded so the legacy
-    /// [`PartitionedLlc::on_epoch`] entry keeps working. New code should
-    /// build the mechanism with [`PartitionedLlc::for_policy`] and drive
-    /// epochs externally.
+    /// Creates the enforcement mechanism matching `policy`'s descriptor
+    /// (enforcement mode + monitor use). The policy itself stays with the
+    /// caller, who drives epochs through [`PartitionedLlc::apply_decision`].
+    ///
+    /// The cache starts evenly partitioned for every mode that partitions
+    /// at all (all schemes start from the Fair Share state, as in the
+    /// paper's simulations after warm-up).
     ///
     /// # Panics
     ///
     /// Panics if `cores` is zero, exceeds the geometry's ways, or exceeds 8.
-    pub fn new(cfg: LlcConfig, cores: usize) -> PartitionedLlc {
-        let policy = policy_for_scheme(cfg.scheme, &cfg);
-        let mut llc = PartitionedLlc::for_policy(cfg, cores, policy.as_ref());
-        llc.compat = Some(policy);
-        llc
-    }
-
-    /// Creates the enforcement mechanism matching `policy`'s descriptor
-    /// (enforcement mode + monitor use). The policy itself stays with the
-    /// caller, who drives epochs through [`PartitionedLlc::apply_decision`].
     pub fn for_policy(
         cfg: LlcConfig,
         cores: usize,
         policy: &dyn PartitionPolicy,
     ) -> PartitionedLlc {
-        PartitionedLlc::mechanism(cfg, cores, policy.enforcement(), policy.uses_umon())
-    }
-
-    /// Creates the bare mechanism, initially partitioned evenly for every
-    /// mode that partitions at all (all schemes start from the Fair Share
-    /// state, as in the paper's simulations after warm-up).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero, exceeds the geometry's ways, or exceeds 8.
-    pub fn mechanism(
-        cfg: LlcConfig,
-        cores: usize,
-        mode: EnforcementMode,
-        umon_enabled: bool,
-    ) -> PartitionedLlc {
+        let (mode, umon_enabled) = (policy.enforcement(), policy.uses_umon());
         let ways = cfg.geom.ways();
         let sets = cfg.geom.sets();
         assert!(cores >= 1 && cores <= ways && cores <= 8);
@@ -181,7 +150,6 @@ impl PartitionedLlc {
             demand_ways_consulted: 0,
             target_owner,
             bandwidth: None,
-            compat: None,
         }
     }
 
@@ -269,20 +237,6 @@ impl PartitionedLlc {
     /// The current UMON miss curve for `core`.
     pub fn umon_curve(&self, core: CoreId) -> MissCurve {
         self.umons[core.index()].miss_curve()
-    }
-
-    /// Installs the solo-run profile into the embedded Dynamic CPE policy.
-    /// No-op when the embedded policy is a different scheme (or when the
-    /// mechanism is driven externally — install the profile into your own
-    /// [`DynamicCpePolicy`] instead).
-    pub fn set_cpe_profile(&mut self, profile: CpeProfile) {
-        if let Some(p) = self
-            .compat
-            .as_mut()
-            .and_then(|p| (p.as_mut() as &mut dyn std::any::Any).downcast_mut::<DynamicCpePolicy>())
-        {
-            p.set_profile(profile);
-        }
     }
 
     /// Average ways consulted per demand access (paper Section 4.1 quotes
@@ -617,26 +571,6 @@ impl PartitionedLlc {
         }
         self.epoch_index += 1;
         self.last_decision = now;
-    }
-
-    /// Legacy entry: runs the embedded scheme policy installed by
-    /// [`PartitionedLlc::new`] and applies its decision (every
-    /// `epoch_cycles`). Externally driven mechanisms call
-    /// [`PartitionedLlc::apply_decision`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a mechanism built without an embedded policy
-    /// ([`PartitionedLlc::for_policy`] / [`PartitionedLlc::mechanism`]).
-    pub fn on_epoch(&mut self, now: Cycle, dram: &mut Dram) {
-        let mut policy = self.compat.take().expect(
-            "no embedded policy: mechanisms built with for_policy/mechanism \
-             are driven externally through apply_decision",
-        );
-        let obs = self.epoch_observations(now, Vec::new());
-        let decision = policy.on_epoch(&obs);
-        self.compat = Some(policy);
-        self.apply_decision(now, dram, &decision);
     }
 
     /// Algorithm 2: sets RAP/WAP registers and starts cooperative takeover
@@ -1079,6 +1013,9 @@ impl PartitionedLlc {
 mod tests {
     use super::*;
     use crate::config::SchemeKind;
+    use crate::cpe::CpeProfile;
+    use crate::policy::DynamicCpePolicy;
+    use crate::registry::{PolicyRegistry, PolicySpec, PAPER_POLICIES};
     use memsim::{CacheGeometry, DramConfig};
 
     /// External-drive helper standing in for the deleted
@@ -1101,6 +1038,36 @@ mod tests {
         }
     }
 
+    /// The two-core LLC for the paper policy `name`, built from the
+    /// registry, plus the policy that drives its epochs.
+    fn llc_for(name: &str) -> (PartitionedLlc, Box<dyn PartitionPolicy>) {
+        let reg = PolicyRegistry::core();
+        let scheme = reg
+            .entry(name)
+            .and_then(|e| e.scheme)
+            .expect("paper policy");
+        let cfg = tiny_cfg(scheme);
+        let policy = reg
+            .build(name, &PolicySpec::for_llc(&cfg, 2))
+            .expect("registered");
+        (PartitionedLlc::for_policy(cfg, 2, policy.as_ref()), policy)
+    }
+
+    /// One epoch as the system loop drives it: observe, decide, apply.
+    fn epoch(llc: &mut PartitionedLlc, policy: &mut dyn PartitionPolicy, now: Cycle, d: &mut Dram) {
+        let obs = llc.epoch_observations(now, vec![]);
+        let decision = policy.on_epoch(&obs);
+        llc.apply_decision(now, d, &decision);
+    }
+
+    /// Installs a solo profile into a Dynamic CPE policy.
+    fn set_cpe_profile(policy: &mut dyn PartitionPolicy, profile: CpeProfile) {
+        (policy as &mut dyn std::any::Any)
+            .downcast_mut::<DynamicCpePolicy>()
+            .expect("a Dynamic CPE policy")
+            .set_profile(profile);
+    }
+
     fn dram() -> Dram {
         Dram::new(DramConfig::default())
     }
@@ -1111,8 +1078,8 @@ mod tests {
 
     #[test]
     fn hit_after_fill_any_scheme() {
-        for scheme in SchemeKind::ALL {
-            let mut llc = PartitionedLlc::new(tiny_cfg(scheme), 2);
+        for scheme in PAPER_POLICIES {
+            let (mut llc, _) = llc_for(scheme);
             let mut d = dram();
             let a = la(0, 0x1000);
             let t0 = llc.access(Cycle(0), CoreId(0), a, false, &mut d);
@@ -1124,19 +1091,19 @@ mod tests {
 
     #[test]
     fn fair_share_probes_half_the_ways() {
-        let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::FairShare), 2);
+        let (mut llc, _) = llc_for("fair");
         let mut d = dram();
         llc.access(Cycle(0), CoreId(0), la(0, 0), false, &mut d);
         llc.access(Cycle(0), CoreId(1), la(1, 0), false, &mut d);
         assert_eq!(llc.avg_ways_consulted(), 2.0, "each probes its 2 ways");
-        let mut un = PartitionedLlc::new(tiny_cfg(SchemeKind::Unmanaged), 2);
+        let (mut un, _) = llc_for("unmanaged");
         un.access(Cycle(0), CoreId(0), la(0, 0), false, &mut d);
         assert_eq!(un.avg_ways_consulted(), 4.0);
     }
 
     #[test]
     fn way_alignment_isolates_cores() {
-        let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::FairShare), 2);
+        let (mut llc, _) = llc_for("fair");
         let mut d = dram();
         // Core 0 fills a line; core 1 thrashes the same set heavily.
         let target = la(0, 0);
@@ -1151,7 +1118,7 @@ mod tests {
 
     #[test]
     fn unmanaged_lets_cores_evict_each_other() {
-        let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::Unmanaged), 2);
+        let (mut llc, _) = llc_for("unmanaged");
         let mut d = dram();
         let target = la(0, 0);
         llc.access(Cycle(0), CoreId(0), target, false, &mut d);
@@ -1164,7 +1131,7 @@ mod tests {
 
     #[test]
     fn ucp_quota_enforcement_steals_from_over_quota_core() {
-        let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::Ucp), 2);
+        let (mut llc, _) = llc_for("ucp");
         let mut d = dram();
         // Manually skew quotas: core 0 gets 3 ways, core 1 gets 1.
         llc.ucp
@@ -1185,7 +1152,7 @@ mod tests {
     #[test]
     fn cooperative_epoch_reallocates_and_gates() {
         // Core 0 streams (no reuse), core 1 re-uses a 2-way working set.
-        let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::Cooperative), 2);
+        let (mut llc, mut policy) = llc_for("cooperative");
         let mut d = dram();
         let mut t = 0u64;
         for round in 0..400u64 {
@@ -1204,7 +1171,7 @@ mod tests {
                 t += 1;
             }
         }
-        llc.on_epoch(Cycle(t), &mut d);
+        epoch(&mut llc, policy.as_mut(), Cycle(t), &mut d);
         let alloc = llc.current_allocation();
         let assigned: usize = alloc.iter().sum();
         assert!(
@@ -1218,7 +1185,7 @@ mod tests {
 
     #[test]
     fn takeover_transfers_way_between_cores() {
-        let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::Cooperative), 2);
+        let (mut llc, _) = llc_for("cooperative");
         let mut d = dram();
         // Hand-start a transition: core 1 donates way 3 to core 0.
         llc.perms.grant_full(3, CoreId(0));
@@ -1248,7 +1215,7 @@ mod tests {
 
     #[test]
     fn draining_way_is_gated_after_completion() {
-        let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::Cooperative), 2);
+        let (mut llc, _) = llc_for("cooperative");
         let mut d = dram();
         // Dirty a line of core 1 in way 2 (its own way: ways 2,3).
         llc.access(Cycle(0), CoreId(1), la(1, 0), true, &mut d);
@@ -1278,20 +1245,23 @@ mod tests {
 
     #[test]
     fn cpe_repartition_flushes_immediately() {
-        let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::DynamicCpe), 2);
+        let (mut llc, mut policy) = llc_for("cpe");
         let mut d = dram();
         // Profile: core 0 wants 1 way, core 1 wants 1 way -> 2 ways gated.
         let knee = MissCurve::new(vec![100.0, 1.0, 1.0, 1.0, 1.0], 1000.0);
-        llc.set_cpe_profile(CpeProfile {
-            curves: vec![vec![knee.clone()], vec![knee]],
-        });
+        set_cpe_profile(
+            policy.as_mut(),
+            CpeProfile {
+                curves: vec![vec![knee.clone()], vec![knee]],
+            },
+        );
         // Dirty lines everywhere first.
         for s in 0..64u64 {
             llc.access(Cycle(s), CoreId(0), la(0, s * 64), true, &mut d);
             llc.access(Cycle(s), CoreId(1), la(1, s * 64), true, &mut d);
         }
         let flushed_before = llc.stats().flush_lines.get();
-        llc.on_epoch(Cycle(10_000), &mut d);
+        epoch(&mut llc, policy.as_mut(), Cycle(10_000), &mut d);
         assert_eq!(llc.ways_on(), 2, "two ways gated by CPE");
         assert!(
             llc.stats().flush_lines.get() > flushed_before,
@@ -1302,7 +1272,7 @@ mod tests {
 
     #[test]
     fn external_allocation_drives_takeover_and_gating() {
-        let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::Cooperative), 2);
+        let (mut llc, _) = llc_for("cooperative");
         let mut d = dram();
         // Warm both cores so their ways hold data.
         for s in 0..64u64 {
@@ -1328,7 +1298,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn external_allocation_rejects_zero_way_cores() {
-        let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::Cooperative), 2);
+        let (mut llc, _) = llc_for("cooperative");
         let mut d = dram();
         llc.apply_decision(Cycle(0), &mut d, &takeover_decision(vec![0, 4], 0));
     }
@@ -1336,27 +1306,14 @@ mod tests {
     #[test]
     #[should_panic]
     fn unpartitioned_mechanism_rejects_way_targets() {
-        let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::Unmanaged), 2);
+        let (mut llc, _) = llc_for("unmanaged");
         let mut d = dram();
         llc.apply_decision(Cycle(0), &mut d, &takeover_decision(vec![2, 2], 0));
     }
 
     #[test]
-    fn external_mechanism_has_no_embedded_policy() {
-        let policy = crate::policy::CooperativePolicy { threshold: 0.03 };
-        let llc = PartitionedLlc::for_policy(tiny_cfg(SchemeKind::Cooperative), 2, &policy);
-        assert_eq!(llc.enforcement(), EnforcementMode::Takeover);
-        assert_eq!(llc.epoch_index(), 0);
-        // Observations are assembled even before any epoch ran.
-        let obs = llc.epoch_observations(Cycle(0), vec![0, 0]);
-        assert_eq!(obs.cores(), 2);
-        assert_eq!(obs.total_ways, 4);
-        assert_eq!(obs.cur_ways, vec![2, 2]);
-    }
-
-    #[test]
     fn writeback_into_owned_way_sets_dirty() {
-        let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::FairShare), 2);
+        let (mut llc, _) = llc_for("fair");
         let mut d = dram();
         let a = la(0, 0x2000);
         llc.access(Cycle(0), CoreId(0), a, false, &mut d);
@@ -1374,13 +1331,16 @@ mod tests {
 
     #[test]
     fn gated_ways_are_never_probed() {
-        let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::DynamicCpe), 2);
+        let (mut llc, mut policy) = llc_for("cpe");
         let mut d = dram();
         let knee = MissCurve::new(vec![100.0, 1.0, 1.0, 1.0, 1.0], 1000.0);
-        llc.set_cpe_profile(CpeProfile {
-            curves: vec![vec![knee.clone()], vec![knee]],
-        });
-        llc.on_epoch(Cycle(100), &mut d);
+        set_cpe_profile(
+            policy.as_mut(),
+            CpeProfile {
+                curves: vec![vec![knee.clone()], vec![knee]],
+            },
+        );
+        epoch(&mut llc, policy.as_mut(), Cycle(100), &mut d);
         assert_eq!(llc.ways_on(), 2);
         let probes_before = llc.energy.tag_way_probes;
         llc.access(Cycle(200), CoreId(0), la(0, 0), false, &mut d);
@@ -1393,13 +1353,16 @@ mod tests {
 
     #[test]
     fn energy_counts_capture_leakage_split() {
-        let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::DynamicCpe), 2);
+        let (mut llc, mut policy) = llc_for("cpe");
         let mut d = dram();
         let knee = MissCurve::new(vec![100.0, 1.0, 1.0, 1.0, 1.0], 1000.0);
-        llc.set_cpe_profile(CpeProfile {
-            curves: vec![vec![knee.clone()], vec![knee]],
-        });
-        llc.on_epoch(Cycle(1000), &mut d);
+        set_cpe_profile(
+            policy.as_mut(),
+            CpeProfile {
+                curves: vec![vec![knee.clone()], vec![knee]],
+            },
+        );
+        epoch(&mut llc, policy.as_mut(), Cycle(1000), &mut d);
         let e = llc.energy_counts(Cycle(2000));
         // 4 ways on for 1000 cycles, then 2 on + 2 gated for 1000.
         assert_eq!(e.on_way_cycles, 4 * 1000 + 2 * 1000);
@@ -1412,7 +1375,7 @@ mod tests {
         // Trace-driven fill-at-request: the line is installed on the miss,
         // so a second access to it is a hit and causes no new DRAM read.
         // (Same-line timing merges happen at the L1 MSHRs in `cpusim`.)
-        let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::Unmanaged), 2);
+        let (mut llc, _) = llc_for("unmanaged");
         let mut d = dram();
         let a = la(0, 0x8000);
         let t1 = llc.access(Cycle(0), CoreId(0), a, false, &mut d);

@@ -10,10 +10,9 @@
 //! [`HardwareOverhead::for_geometry`] computes from first principles.
 
 use memsim::CacheGeometry;
-use serde::{Deserialize, Serialize};
 
 /// Bit costs of the cooperative-partitioning hardware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HardwareOverhead {
     /// Takeover bit vectors: `sets * cores` bits.
     pub takeover_bits: u64,

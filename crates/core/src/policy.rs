@@ -32,8 +32,8 @@ use simkit::types::Cycle;
 ///
 /// Counters (`retired`, `misses`) are *cumulative*; policies that model
 /// rates difference them against their own last-epoch snapshot. `retired`
-/// may be empty when the caller has no core-side counters (the LLC's legacy
-/// `on_epoch` entry) — the five cache-only policies never read it.
+/// may be empty when the caller has no core-side counters — the five
+/// cache-only policies never read it.
 #[derive(Debug, Clone)]
 pub struct EpochObservations {
     /// Decision time.
@@ -143,24 +143,6 @@ pub trait PartitionPolicy: std::fmt::Debug + Send + Any {
 
     /// The per-epoch decision.
     fn on_epoch(&mut self, obs: &EpochObservations) -> AllocationDecision;
-}
-
-/// Builds the classic scheme policy for `scheme`, with knobs (takeover
-/// threshold) taken from `cfg`.
-pub fn policy_for_scheme(
-    scheme: crate::config::SchemeKind,
-    cfg: &crate::config::LlcConfig,
-) -> Box<dyn PartitionPolicy> {
-    use crate::config::SchemeKind;
-    match scheme {
-        SchemeKind::Unmanaged => Box::new(UnmanagedPolicy),
-        SchemeKind::FairShare => Box::new(FairSharePolicy),
-        SchemeKind::DynamicCpe => Box::new(DynamicCpePolicy::default()),
-        SchemeKind::Ucp => Box::new(UcpPolicy),
-        SchemeKind::Cooperative => Box::new(CooperativePolicy {
-            threshold: cfg.threshold,
-        }),
-    }
 }
 
 // ---------------------------------------------------------------- policies
@@ -325,6 +307,7 @@ impl PartitionPolicy for DynamicCpePolicy {
 mod tests {
     use super::*;
     use crate::config::SchemeKind;
+    use crate::registry::{PolicyRegistry, PolicySpec, PAPER_POLICIES};
 
     fn obs(curves: Vec<MissCurve>, ways: usize) -> EpochObservations {
         let n = curves.len();
@@ -392,13 +375,22 @@ mod tests {
     #[test]
     fn scheme_factory_matches_descriptors() {
         let cfg = crate::config::LlcConfig::two_core(SchemeKind::Cooperative).with_threshold(0.2);
-        for scheme in SchemeKind::ALL {
-            let p = policy_for_scheme(scheme, &cfg);
+        let reg = PolicyRegistry::core();
+        let build = |name| {
+            reg.build(name, &PolicySpec::for_llc(&cfg, 2))
+                .expect("registered")
+        };
+        for name in PAPER_POLICIES {
+            let scheme = reg
+                .entry(name)
+                .and_then(|e| e.scheme)
+                .expect("paper policy");
+            let p = build(name);
             assert_eq!(p.enforcement(), scheme.enforcement(), "{scheme}");
             assert_eq!(p.uses_umon(), scheme.uses_umon(), "{scheme}");
             assert_eq!(p.label(), scheme.label(), "{scheme}");
         }
-        let p = policy_for_scheme(SchemeKind::Cooperative, &cfg);
+        let p = build("cooperative");
         let any: &dyn std::any::Any = &*p;
         let coop = any
             .downcast_ref::<CooperativePolicy>()

@@ -5,11 +5,10 @@
 //! tracks each way's power state and integrates way·cycles in both states so
 //! the energy model can charge leakage (and the gated residual) exactly.
 
-use serde::{Deserialize, Serialize};
 use simkit::types::Cycle;
 
 /// Power state and leakage integrals for the LLC's ways.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WayPower {
     on: Vec<bool>,
     last_update: Cycle,

@@ -15,11 +15,10 @@
 //! Figure-14 event statistics; the cache-line mutations (flush/invalidate)
 //! are performed by the LLC, which owns the data arrays.
 
-use serde::{Deserialize, Serialize};
 use simkit::types::{CoreId, Cycle};
 
 /// Which kind of access set a takeover bit (Figure 14's four categories).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TakeoverEventKind {
     /// The donor hit in the cache while giving a way away.
     DonorHit,
@@ -52,7 +51,7 @@ impl TakeoverEventKind {
 }
 
 /// One in-flight way transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition {
     /// The way being transferred.
     pub way: usize,
@@ -77,7 +76,7 @@ pub struct MarkOutcome {
 }
 
 /// Takeover bit vectors and in-flight transitions for the whole LLC.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TakeoverState {
     sets: usize,
     cores: usize,
@@ -381,6 +380,7 @@ mod tests {
         // cache at all, which the paper's per-core minimum forbids.
         use crate::config::LlcConfig;
         use crate::llc::PartitionedLlc;
+        use crate::registry::{PolicyRegistry, PolicySpec};
         use crate::SchemeKind;
         use memsim::{CacheGeometry, Dram, DramConfig};
         use simkit::types::LineAddr;
@@ -397,7 +397,10 @@ mod tests {
             transition_timeout_epochs: 1,
         };
         let cores = 2;
-        let mut llc = PartitionedLlc::new(cfg, cores);
+        let mut policy = PolicyRegistry::core()
+            .build("cooperative", &PolicySpec::for_llc(&cfg, cores))
+            .expect("registered");
+        let mut llc = PartitionedLlc::for_policy(cfg, cores, policy.as_ref());
         let mut dram = Dram::new(DramConfig::default());
         let mut now = Cycle(0);
         let mut next_epoch = Cycle(20_000);
@@ -426,7 +429,9 @@ mod tests {
                 now += 20;
             }
             if now >= next_epoch {
-                llc.on_epoch(now, &mut dram);
+                let obs = llc.epoch_observations(now, vec![]);
+                let decision = policy.on_epoch(&obs);
+                llc.apply_decision(now, &mut dram, &decision);
                 next_epoch = now + 20_000;
                 let alloc = llc.current_allocation();
                 for (c, &w) in alloc.iter().enumerate() {

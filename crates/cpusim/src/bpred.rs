@@ -4,11 +4,10 @@
 //! 1024-entry 4-way BTB; a wrong direction or a taken branch that misses in
 //! the BTB costs the (minimum) 10-cycle redirect penalty applied by the core.
 
-use serde::{Deserialize, Serialize};
 use simkit::Counter;
 
 /// Direction/target prediction statistics.
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy)]
 pub struct BranchStats {
     /// Branches observed.
     pub branches: Counter,

@@ -24,11 +24,10 @@
 //! voltage) a core may be set to; the voltage feeds the energy model
 //! (`energy::CoreEnergyParams`), the frequency feeds [`CoreClock`].
 
-use serde::{Deserialize, Serialize};
 use simkit::types::Cycle;
 
 /// One voltage/frequency operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Core clock in GHz.
     pub freq_ghz: f64,
@@ -38,7 +37,7 @@ pub struct OperatingPoint {
 
 /// The table of discrete operating points a core can switch between,
 /// ordered from the highest frequency (index 0, the nominal point) down.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VfTable {
     points: Vec<OperatingPoint>,
 }
@@ -146,7 +145,7 @@ impl VfTable {
 /// cached tick (or a DVFS transition) solves for the grid index with a
 /// division. The answers are the same as the uncached formulas'; a
 /// property test keeps a reference copy of those to compare against.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoreClock {
     ratio: f64,
     /// Reference cycle the current grid is anchored at (the cycle of the

@@ -41,7 +41,6 @@
 
 use memsim::mshr::MshrOutcome;
 use memsim::{Cache, CacheGeometry, MshrFile};
-use serde::{Deserialize, Serialize};
 use simkit::types::{CoreId, Cycle, LineAddr};
 use simkit::Counter;
 
@@ -55,7 +54,7 @@ use crate::trace::{Instr, InstrKind, InstrSource};
 /// Both L1 geometries are limited to at most 4 ways (the paper's L1s are
 /// 4-way): [`memsim::Cache`] keeps each set in one 64-byte record and
 /// [`Core::new`] panics on a wider geometry.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CoreConfig {
     /// Instructions dispatched per cycle.
     pub issue_width: u32,
@@ -118,7 +117,7 @@ pub trait LlcPort {
 }
 
 /// Per-core performance statistics.
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy)]
 pub struct CoreStats {
     /// Instructions retired.
     pub retired: Counter,

@@ -15,8 +15,8 @@
 //! |---|---|---|
 //! | 0 | 1 | kind tag: 0 = Alu, 1 = Load, 2 = Store, 3 = Branch |
 //! | 1 | 1 | flags: bit 0 = branch taken (Branch only), bit 1 = `dep_prev_load` (Load only); any other set bit is an error |
-//! | 2 | 8 | program counter (u64 LE) |
-//! | 10 | 8 | referenced byte address (u64 LE; must be 0 for Alu/Branch) |
+//! | 2 | 8 | program counter (u64 LE; below 2^48) |
+//! | 10 | 8 | referenced byte address (u64 LE; below 2^48; must be 0 for Alu/Branch) |
 //!
 //! **Text** — any file *not* starting with the magic; UTF-8 lines, one
 //! record each (blank lines and `#` comments skipped), numbers decimal or
@@ -30,19 +30,23 @@
 //! B  <pc> <taken: 1|0|T|N>
 //! ```
 //!
+//! In both encodings `pc` and `addr` must lie below [`TRACE_ADDR_LIMIT`]
+//! (2^48). The core fetches instruction lines at `pc | 1 << 48`, and the
+//! shared cache tags line addresses with the core id in their top byte,
+//! so a larger value would alias instruction and data lines, or another
+//! core's lines.
+//!
 //! Parsing is bounds-checked end to end: a truncated binary record, an
-//! unknown kind tag, undefined flag bits or a malformed text line yield a
-//! [`TraceError`] instead of panicking. [`TraceSource`] replays a parsed
+//! unknown kind tag, undefined flag bits, an out-of-range `pc` or `addr`
+//! or a malformed text line yield a [`TraceError`] instead of panicking. [`TraceSource`] replays a parsed
 //! trace as an *infinite* [`InstrSource`] by rewinding to the first record
 //! on exhaustion, so partitioning epochs never starve however short the
 //! file is.
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// Dynamic instruction class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstrKind {
     /// Integer/FP computation — completes in one cycle, fully pipelined.
     Alu,
@@ -55,7 +59,7 @@ pub enum InstrKind {
 }
 
 /// One dynamic instruction produced by a trace source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Instr {
     /// Instruction class.
     pub kind: InstrKind,
@@ -152,6 +156,9 @@ pub const TRACE_MAGIC: [u8; 5] = *b"CTRC\x01";
 /// Bytes per binary trace record (kind + flags + pc + addr).
 pub const TRACE_RECORD_BYTES: usize = 18;
 
+/// Exclusive upper bound on a trace record's `pc` and `addr` (2^48).
+pub const TRACE_ADDR_LIMIT: u64 = 1 << 48;
+
 /// Why a trace failed to load or parse (see the module docs for the
 /// format specification).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,6 +207,16 @@ pub enum TraceError {
         /// The address found.
         addr: u64,
     },
+    /// A binary record's `pc` or `addr` is at or above
+    /// [`TRACE_ADDR_LIMIT`].
+    OutOfRange {
+        /// Index of the offending record (0-based).
+        record: usize,
+        /// Which field: `"pc"` or `"addr"`.
+        field: &'static str,
+        /// The value found.
+        value: u64,
+    },
     /// A text line could not be parsed.
     BadLine {
         /// 1-based line number.
@@ -237,6 +254,11 @@ impl std::fmt::Display for TraceError {
                     "record {record}: nonzero address {addr:#x} on an Alu/Branch record"
                 )
             }
+            TraceError::OutOfRange {
+                record,
+                field,
+                value,
+            } => write!(f, "record {record}: {field} {value:#x} is not below 2^48"),
             TraceError::BadLine { line, reason } => write!(f, "line {line}: {reason}"),
             TraceError::Empty => write!(f, "trace holds no records"),
         }
@@ -324,10 +346,20 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Vec<Instr>, TraceError> {
         if addr != 0 && matches!(kind, InstrKind::Alu | InstrKind::Branch) {
             return Err(TraceError::BadAddr { record, addr });
         }
+        let pc = word(2);
+        for (field, value) in [("pc", pc), ("addr", addr)] {
+            if value >= TRACE_ADDR_LIMIT {
+                return Err(TraceError::OutOfRange {
+                    record,
+                    field,
+                    value,
+                });
+            }
+        }
         instrs.push(Instr {
             kind,
             addr,
-            pc: word(2),
+            pc,
             taken: flags & 0b01 != 0,
             dep_prev_load: flags & 0b10 != 0,
         });
@@ -379,7 +411,14 @@ pub fn parse_trace_text(text: &str) -> Result<Vec<Instr>, TraceError> {
                 line,
                 reason: format!("missing {what}"),
             })?;
-            number(tok, line)
+            let value = number(tok, line)?;
+            if value >= TRACE_ADDR_LIMIT {
+                return Err(TraceError::BadLine {
+                    line,
+                    reason: format!("{what} {value:#x} is not below 2^48"),
+                });
+            }
+            Ok(value)
         };
         let instr = match kind.as_str() {
             "A" => Instr::alu(field("pc")?),

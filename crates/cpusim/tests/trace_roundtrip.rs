@@ -5,16 +5,22 @@
 
 use cpusim::trace::{
     decode_trace, encode_trace, format_trace_text, parse_trace, parse_trace_text, TraceError,
-    TRACE_MAGIC, TRACE_RECORD_BYTES,
+    TRACE_ADDR_LIMIT, TRACE_MAGIC, TRACE_RECORD_BYTES,
 };
 use cpusim::{Instr, InstrKind};
 use proptest::prelude::*;
 
 /// Strategy: one canonical instruction (fields meaningless for the kind
-/// are zeroed, exactly as the [`Instr`] constructors produce them).
+/// are zeroed, exactly as the [`Instr`] constructors produce them; `pc`
+/// and `addr` below [`TRACE_ADDR_LIMIT`], as the format requires).
 fn instr() -> impl Strategy<Value = Instr> {
-    (0u8..4, any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
-        |(kind, pc, addr, flag)| match kind {
+    (
+        0u8..4,
+        0..TRACE_ADDR_LIMIT,
+        0..TRACE_ADDR_LIMIT,
+        any::<bool>(),
+    )
+        .prop_map(|(kind, pc, addr, flag)| match kind {
             0 => Instr::alu(pc),
             1 => {
                 let mut i = Instr::load(pc, addr);
@@ -23,8 +29,7 @@ fn instr() -> impl Strategy<Value = Instr> {
             }
             2 => Instr::store(pc, addr),
             _ => Instr::branch(pc, flag),
-        },
-    )
+        })
 }
 
 fn stream() -> impl Strategy<Value = Vec<Instr>> {
@@ -80,6 +85,54 @@ proptest! {
                     prop_assert_eq!(i.addr, 0);
                 }
             }
+        }
+    }
+}
+
+/// Parses one load record with the given `pc` and `addr` in both
+/// encodings.
+fn parse_load_both(pc: u64, addr: u64) -> [Result<Vec<Instr>, TraceError>; 2] {
+    let mut bytes = TRACE_MAGIC.to_vec();
+    bytes.push(1); // Load
+    bytes.push(0);
+    bytes.extend_from_slice(&pc.to_le_bytes());
+    bytes.extend_from_slice(&addr.to_le_bytes());
+    let text = format!("A 0x10\nL {pc:#x} {addr:#x}\n");
+    [parse_trace(&bytes), parse_trace(text.as_bytes())]
+}
+
+#[test]
+fn pc_and_addr_just_below_2_pow_48_are_accepted() {
+    let top = TRACE_ADDR_LIMIT - 1;
+    assert_eq!(TRACE_ADDR_LIMIT, 1 << 48);
+    let [binary, text] = parse_load_both(top, top);
+    assert_eq!(binary.expect("binary"), vec![Instr::load(top, top)]);
+    assert_eq!(
+        text.expect("text"),
+        vec![Instr::alu(0x10), Instr::load(top, top)]
+    );
+}
+
+#[test]
+fn pc_or_addr_at_2_pow_48_is_rejected_in_both_encodings() {
+    for (field, pc, addr) in [
+        ("pc", TRACE_ADDR_LIMIT, 0x40),
+        ("addr", 0x400, TRACE_ADDR_LIMIT),
+    ] {
+        let [binary, text] = parse_load_both(pc, addr);
+        assert_eq!(
+            binary.expect_err("binary"),
+            TraceError::OutOfRange {
+                record: 0,
+                field,
+                value: TRACE_ADDR_LIMIT
+            }
+        );
+        match text.expect_err("text") {
+            TraceError::BadLine { line: 2, reason } => {
+                assert!(reason.starts_with(field), "{reason}")
+            }
+            other => panic!("expected a line-2 error, got {other:?}"),
         }
     }
 }

@@ -19,7 +19,6 @@
 use coop_core::policy::EpochObservations;
 use cpusim::VfTable;
 use energy::CoreEnergyReport;
-use serde::{Deserialize, Serialize};
 use simkit::types::Cycle;
 
 use crate::minimize::{minimize, EnergyCosts, JointAssignment};
@@ -27,7 +26,7 @@ use crate::model::{CorePerfModel, EpochObservation, MemModelParams, PerfModelPar
 
 /// Configuration of the coordinated controller: its axis set plus the
 /// model and cost parameters. Ways are always an axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DvfsConfig {
     /// The V/f operating points the minimizer may pick (nominal first). A
     /// one-point table keeps every core at the nominal clock.
@@ -78,7 +77,7 @@ impl DvfsConfig {
 
 /// Cumulative per-core, per-operating-point books (reference cycles and
 /// retired instructions). Snapshot/subtract to measure a window.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Residency {
     /// `ref_cycles[core][op]`.
     pub ref_cycles: Vec<Vec<u64>>,

@@ -40,13 +40,12 @@
 //! over one), so the program always has a solution.
 
 use energy::CoreEnergyParams;
-use serde::{Deserialize, Serialize};
 
 use crate::controller::DvfsConfig;
 use crate::model::{CorePerfModel, MemModelParams, Terms};
 
 /// Cost parameters of the minimizer's objective.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyCosts {
     /// Core energy magnitudes + voltage scaling laws.
     pub core: CoreEnergyParams,
@@ -69,7 +68,7 @@ impl EnergyCosts {
 }
 
 /// One core's chosen assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreAssignment {
     /// Index into the V/f table.
     pub op: usize,
@@ -87,7 +86,7 @@ pub struct CoreAssignment {
 }
 
 /// The minimizer's joint decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JointAssignment {
     /// Per-core assignments.
     pub cores: Vec<CoreAssignment>,

@@ -34,14 +34,13 @@
 //! cancels to first order when comparing candidates.
 
 use coop_core::MissCurve;
-use serde::{Deserialize, Serialize};
 
 /// Prefetch degrees the model considers (`0..=MAX_DEGREE`, matching the
 /// hardware prefetcher in `cpusim::prefetch`).
 pub const MAX_DEGREE: usize = cpusim::prefetch::MAX_DEGREE;
 
 /// Fixed parameters of the core-side model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfModelParams {
     /// Nominal (reference) core clock in GHz; the simulator's timeline.
     pub f_nom_ghz: f64,
@@ -66,7 +65,7 @@ impl PerfModelParams {
 }
 
 /// Fixed parameters of the bandwidth + prefetch terms.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemModelParams {
     /// Bandwidth quantization: shares are allocated in units of
     /// `1/bw_units` of the DRAM peak.
@@ -133,7 +132,7 @@ impl MemModelParams {
 /// What one core actually did over the last epoch, at the operating point
 /// and allocation it ran with. Counters a configuration does not have
 /// (no regulator, prefetcher off) are zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochObservation {
     /// Instructions retired during the epoch.
     pub instrs: u64,
@@ -169,7 +168,7 @@ pub(crate) struct Terms {
 /// The fitted per-core model: predicted misses per way count (precomputed —
 /// no curve lookups on the minimizer's hot path), calibrated compute cycles
 /// and the measured prefetch/traffic behaviour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorePerfModel {
     /// Predicted epoch misses at `w` ways, `w = 0..=total_ways`.
     misses_at: Vec<f64>,

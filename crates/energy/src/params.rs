@@ -1,7 +1,5 @@
 //! Energy parameters (CACTI-5.1-like magnitudes at 45 nm).
 
-use serde::{Deserialize, Serialize};
-
 use crate::accounting::{EnergyCounts, EnergyReport};
 
 /// Per-event energies and leakage powers for one LLC configuration.
@@ -9,7 +7,7 @@ use crate::accounting::{EnergyCounts, EnergyReport};
 /// Defaults are derived from published CACTI 5.1 45 nm outputs for multi-MB
 /// SRAM caches with serial tag/data access; see field docs. Use
 /// [`EnergyParams::for_llc`] to scale them to a given cache size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// Energy per tag-way probe, in nJ. Serial access probes the tag arrays
     /// of every consulted way; ~0.011 nJ/way for a 2 MB 8-way cache.

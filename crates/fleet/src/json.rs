@@ -1,7 +1,6 @@
 //! Minimal JSON reading/writing for the fleet protocol and results store.
 //!
-//! The vendored `serde` derives are no-op stand-ins (see `vendor/README.md`),
-//! so the repo hand-rolls its machine-readable output. The fleet subsystem
+//! The repo hand-rolls its machine-readable output. The fleet subsystem
 //! additionally needs to *read* JSON back — worker protocol messages, stored
 //! cell results, manifests — so this module carries a small self-contained
 //! parser and writer.

@@ -7,10 +7,10 @@
 // simlint's path allowlist.
 #![allow(clippy::disallowed_methods)]
 
-use coop_core::{LlcConfig, SchemeKind};
-use harness::system::{System, SystemConfig};
-use harness::SimScale;
-use workloads::Benchmark;
+use std::sync::Arc;
+
+use harness::{solo, SimScale};
+use workloads::{Benchmark, SyntheticWorkload, WorkloadFactory};
 
 fn main() {
     if std::env::args().any(|a| a == "--help" || a == "-h") {
@@ -28,15 +28,15 @@ fn main() {
     );
     let t0 = std::time::Instant::now();
     for b in Benchmark::ALL {
-        let cfg = SystemConfig::solo(b, LlcConfig::two_core(SchemeKind::Ucp), scale);
-        let r = System::new(cfg).run();
+        let factory: Arc<dyn WorkloadFactory> = Arc::new(SyntheticWorkload::new(b));
+        let r = solo::solo_result_for(&factory, solo::solo_llc(2), scale);
         println!(
             "{:11} ipc={:5.2} mpki={:6.2} (paper {:5.2}) apki={:6.1}",
             b.name(),
-            r.ipc[0],
-            r.mpki[0],
+            r.ipc,
+            r.mpki,
             b.paper_mpki(),
-            r.apki[0]
+            r.apki
         );
     }
     println!("elapsed {:.1}s", t0.elapsed().as_secs_f64());

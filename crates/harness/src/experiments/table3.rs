@@ -1,8 +1,10 @@
 //! Table 3: solo LLC MPKI classification of the 19 benchmark models,
 //! measured against the paper's published values.
 
+use std::sync::Arc;
+
 use simkit::table::Table;
-use workloads::{classify_mpki, Benchmark};
+use workloads::{classify_mpki, Benchmark, SyntheticWorkload, WorkloadFactory};
 
 use crate::experiments::Experiment;
 use crate::scale::SimScale;
@@ -23,7 +25,8 @@ pub fn table(scale: SimScale) -> Experiment {
     let mut matches = 0;
     let mut sim_accesses = 0u64;
     for b in Benchmark::ALL {
-        let (r, computed) = solo::solo_result_bench_tracked(b, llc, scale);
+        let factory: Arc<dyn WorkloadFactory> = Arc::new(SyntheticWorkload::new(b));
+        let (r, computed) = solo::solo_result_tracked(&factory, llc, scale);
         if computed {
             // Cached baselines cost this table no time; counting their
             // accesses would inflate the perf line's throughput.

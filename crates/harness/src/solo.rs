@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use coop_core::{LlcConfig, MissCurve, SchemeKind};
-use workloads::{Benchmark, ResolvedWorkload, SyntheticWorkload, WorkloadFactory};
+use workloads::{ResolvedWorkload, WorkloadFactory};
 
 use crate::scale::SimScale;
 use crate::system::System;
@@ -96,22 +96,6 @@ pub fn solo_result_tracked(
     (result, true)
 }
 
-/// Solo baseline for a synthetic benchmark (typed convenience over
-/// [`solo_result_for`]).
-pub fn solo_result(benchmark: Benchmark, llc: LlcConfig, scale: SimScale) -> Arc<SoloResult> {
-    solo_result_bench_tracked(benchmark, llc, scale).0
-}
-
-/// Typed convenience over [`solo_result_tracked`].
-pub fn solo_result_bench_tracked(
-    benchmark: Benchmark,
-    llc: LlcConfig,
-    scale: SimScale,
-) -> (Arc<SoloResult>, bool) {
-    let factory: Arc<dyn WorkloadFactory> = Arc::new(SyntheticWorkload::new(benchmark));
-    solo_result_tracked(&factory, llc, scale)
-}
-
 /// Solo IPCs for a whole workload (in member/core order).
 pub fn ipc_alone_for(workload: &ResolvedWorkload, llc: LlcConfig, scale: SimScale) -> Vec<f64> {
     workload
@@ -119,12 +103,6 @@ pub fn ipc_alone_for(workload: &ResolvedWorkload, llc: LlcConfig, scale: SimScal
         .iter()
         .map(|m| solo_result_for(m, llc, scale).ipc)
         .collect()
-}
-
-/// Solo IPCs for a benchmark list (typed legacy shim over
-/// [`ipc_alone_for`]).
-pub fn ipc_alone(benchmarks: &[Benchmark], llc: LlcConfig, scale: SimScale) -> Vec<f64> {
-    ipc_alone_for(&ResolvedWorkload::from_benchmarks(benchmarks), llc, scale)
 }
 
 /// The Dynamic CPE profile for a workload: per core, the solo per-epoch
@@ -143,19 +121,10 @@ pub fn cpe_profile_for(
     }
 }
 
-/// The Dynamic CPE profile for a benchmark list (typed legacy shim over
-/// [`cpe_profile_for`]).
-pub fn cpe_profile(
-    benchmarks: &[Benchmark],
-    llc: LlcConfig,
-    scale: SimScale,
-) -> coop_core::cpe::CpeProfile {
-    cpe_profile_for(&ResolvedWorkload::from_benchmarks(benchmarks), llc, scale)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::{Benchmark, SyntheticWorkload};
 
     fn quick() -> SimScale {
         SimScale {
@@ -165,6 +134,12 @@ mod tests {
             epoch_cycles: 40_000,
             max_cycles: 40_000_000,
         }
+    }
+
+    /// The solo baseline of one synthetic benchmark.
+    fn solo_result(benchmark: Benchmark, llc: LlcConfig, scale: SimScale) -> Arc<SoloResult> {
+        let factory: Arc<dyn WorkloadFactory> = Arc::new(SyntheticWorkload::new(benchmark));
+        solo_result_for(&factory, llc, scale)
     }
 
     #[test]

@@ -18,82 +18,39 @@
 //! trace files). The LLC is built as a pure enforcement mechanism matching the
 //! policy's descriptor, and the system loop feeds the policy
 //! [`coop_core::EpochObservations`] each epoch and applies its decisions —
-//! way targets through the LLC, clock hints through the cores. The
-//! pre-redesign [`SystemConfig`] constructors and the typed
-//! [`SystemBuilder::cores`] entry point remain as thin shims for the seed
-//! integration suites.
+//! way targets through the LLC, clock hints through the cores.
 
 use coop_core::cpe::CpeProfile;
 use coop_core::policy::{DynamicCpePolicy, PartitionPolicy};
-use coop_core::{
-    policy_for_scheme, AllocationDecision, LlcConfig, PartitionedLlc, PolicySpec, SchemeKind,
-};
+use coop_core::{AllocationDecision, LlcConfig, PartitionedLlc, PolicySpec, SchemeKind};
 use coop_dvfs::{DvfsPolicy, Residency};
 use cpusim::{Core, CoreConfig, EpochControl, InstrSource, LlcPort, StepperKind, SystemStepper};
 use energy::{CoreEnergyParams, CoreEnergyReport, EnergyCounts, EnergyParams, EnergyReport};
 use memsim::{Dram, DramConfig};
-use serde::{Deserialize, Serialize};
 use simkit::types::{CoreId, Cycle, LineAddr};
-use workloads::{Benchmark, ResolvedWorkload, StreamSource};
+use workloads::{ResolvedWorkload, StreamSource};
 
 use crate::scale::SimScale;
 
-/// Configuration of a whole simulated system run (legacy shape; prefer
-/// [`System::builder`], which resolves policies by registry name).
+/// The resolved configuration of one run, as [`SystemBuilder`] assembled
+/// it.
 #[derive(Debug, Clone)]
-pub struct SystemConfig {
-    /// The benchmarks to run, one per core.
-    pub benchmarks: Vec<Benchmark>,
-    /// LLC parameters (plus the legacy scheme selector).
-    pub llc: LlcConfig,
+struct SystemConfig {
+    /// LLC parameters (epoch length taken from the scale).
+    llc: LlcConfig,
     /// Core microarchitecture.
-    pub core: CoreConfig,
+    core: CoreConfig,
     /// Memory system.
-    pub dram: DramConfig,
+    dram: DramConfig,
     /// Simulation scale.
-    pub scale: SimScale,
+    scale: SimScale,
     /// Root seed (varies reference streams deterministically).
-    pub seed: u64,
+    seed: u64,
     /// Core energy magnitudes for the non-DVFS accounting path (all cores
     /// at nominal V/f); the same 45 nm magnitudes the coordinated
     /// controller's costs use, so baseline and coordinated runs evaluate
     /// core energy from the same source.
-    pub core_power: CoreEnergyParams,
-}
-
-impl SystemConfig {
-    fn base(benchmarks: Vec<Benchmark>, llc: LlcConfig, scale: SimScale) -> Self {
-        SystemConfig {
-            benchmarks,
-            llc: llc.with_epoch(scale.epoch_cycles),
-            core: CoreConfig::default(),
-            dram: DramConfig::default(),
-            scale,
-            seed: 0x5EED,
-            core_power: CoreEnergyParams::for_45nm(),
-        }
-    }
-
-    /// Paper two-core system for a benchmark pair (legacy shim).
-    pub fn two_core(benchmarks: Vec<Benchmark>, scheme: SchemeKind, scale: SimScale) -> Self {
-        assert_eq!(benchmarks.len(), 2);
-        SystemConfig::base(benchmarks, LlcConfig::two_core(scheme), scale)
-    }
-
-    /// Paper four-core system for a benchmark quartet (legacy shim).
-    pub fn four_core(benchmarks: Vec<Benchmark>, scheme: SchemeKind, scale: SimScale) -> Self {
-        assert_eq!(benchmarks.len(), 4);
-        SystemConfig::base(benchmarks, LlcConfig::four_core(scheme), scale)
-    }
-
-    /// Single benchmark alone in the full cache (for baselines/profiles).
-    /// Runs under UCP so the utility monitor stays active (with one core the
-    /// allocation is the whole cache, identical to an unmanaged run).
-    pub fn solo(benchmark: Benchmark, llc: LlcConfig, scale: SimScale) -> Self {
-        let mut llc = llc;
-        llc.scheme = SchemeKind::Ucp;
-        SystemConfig::base(vec![benchmark], llc, scale)
-    }
+    core_power: CoreEnergyParams,
 }
 
 /// What the builder was asked to run on the cores.
@@ -180,10 +137,10 @@ impl Default for SystemBuilder {
 
 impl SystemBuilder {
     /// The workload by spec string (required unless
-    /// [`SystemBuilder::cores`] or [`SystemBuilder::workload_resolved`]
-    /// is used): a named group (`"G2-1"`), an ad-hoc mix
-    /// (`"soplex,namd"`), or a trace file (`"trace:path.ctrace"`) —
-    /// resolved through [`crate::workload_registry`] at build time.
+    /// [`SystemBuilder::workload_resolved`] is used): a named group
+    /// (`"G2-1"`), an ad-hoc mix (`"soplex,namd"`), or a trace file
+    /// (`"trace:path.ctrace"`) — resolved through
+    /// [`crate::workload_registry`] at build time.
     pub fn workload(mut self, spec: impl Into<String>) -> Self {
         self.workload = Some(WorkloadInput::Spec(spec.into()));
         self
@@ -193,15 +150,6 @@ impl SystemBuilder {
     /// it across runs).
     pub fn workload_resolved(mut self, workload: ResolvedWorkload) -> Self {
         self.workload = Some(WorkloadInput::Resolved(workload));
-        self
-    }
-
-    /// One benchmark per core (typed legacy shim over
-    /// [`SystemBuilder::workload`]).
-    pub fn cores(mut self, benchmarks: Vec<Benchmark>) -> Self {
-        self.workload = Some(WorkloadInput::Resolved(ResolvedWorkload::from_benchmarks(
-            &benchmarks,
-        )));
         self
     }
 
@@ -292,7 +240,7 @@ impl SystemBuilder {
     pub fn try_build(self) -> Result<System, BuildError> {
         let workload = match self
             .workload
-            .expect("SystemBuilder::workload (or ::cores) was not called")
+            .expect("SystemBuilder::workload (or ::workload_resolved) was not called")
         {
             WorkloadInput::Spec(spec) => crate::workload_registry().resolve(&spec)?,
             WorkloadInput::Resolved(w) => w,
@@ -323,7 +271,6 @@ impl SystemBuilder {
         let policy = registry.build(canonical, &spec).expect("name resolved");
         let core_power = self.core_power.unwrap_or_else(CoreEnergyParams::for_45nm);
         let cfg = SystemConfig {
-            benchmarks: Vec::new(),
             llc,
             core: self.core,
             dram: self.dram,
@@ -356,7 +303,7 @@ impl SystemBuilder {
 
 /// Everything measured in one run (within the measurement window, i.e.
 /// after warm-up).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Canonical name of the policy that produced the run (registry key).
     pub policy: String,
@@ -487,15 +434,6 @@ impl System {
     /// A fresh [`SystemBuilder`].
     pub fn builder() -> SystemBuilder {
         SystemBuilder::default()
-    }
-
-    /// Builds the system from a legacy [`SystemConfig`]: the scheme maps
-    /// onto the matching [`PartitionPolicy`] object. New code uses
-    /// [`System::builder`].
-    pub fn new(cfg: SystemConfig) -> System {
-        let policy = policy_for_scheme(cfg.llc.scheme, &cfg.llc);
-        let workload = ResolvedWorkload::from_benchmarks(&cfg.benchmarks);
-        System::assemble(cfg, policy, workload, StepperKind::default())
     }
 
     /// Assembles cores, the enforcement mechanism and DRAM around
@@ -899,6 +837,7 @@ fn minus(a: EnergyCounts, b: EnergyCounts) -> EnergyCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::Benchmark;
 
     fn quick_scale() -> SimScale {
         SimScale {
@@ -910,14 +849,20 @@ mod tests {
         }
     }
 
+    /// A run of `benchmarks` (one per core) under the registry policy
+    /// `policy` at the test scale.
+    fn run(benchmarks: &[Benchmark], policy: &str) -> RunResult {
+        System::builder()
+            .workload_resolved(ResolvedWorkload::from_benchmarks(benchmarks))
+            .policy(policy)
+            .scale(quick_scale())
+            .build()
+            .run()
+    }
+
     #[test]
     fn two_core_run_produces_sane_metrics() {
-        let cfg = SystemConfig::two_core(
-            vec![Benchmark::Lbm, Benchmark::Namd],
-            SchemeKind::FairShare,
-            quick_scale(),
-        );
-        let r = System::new(cfg).run();
+        let r = run(&[Benchmark::Lbm, Benchmark::Namd], "fair");
         assert_eq!(r.ipc.len(), 2);
         assert!(r.ipc.iter().all(|&i| i > 0.05 && i < 4.0), "{:?}", r.ipc);
         assert!(
@@ -932,15 +877,9 @@ mod tests {
 
     #[test]
     fn deterministic_replay() {
-        let mk = || {
-            SystemConfig::two_core(
-                vec![Benchmark::Soplex, Benchmark::Milc],
-                SchemeKind::Cooperative,
-                quick_scale(),
-            )
-        };
-        let a = System::new(mk()).run();
-        let b = System::new(mk()).run();
+        let mk = || run(&[Benchmark::Soplex, Benchmark::Milc], "cooperative");
+        let a = mk();
+        let b = mk();
         assert_eq!(a.ipc, b.ipc);
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.takeover_events, b.takeover_events);
@@ -948,19 +887,8 @@ mod tests {
 
     #[test]
     fn unmanaged_probes_all_ways_cooperative_fewer() {
-        let scale = quick_scale();
-        let un = System::new(SystemConfig::two_core(
-            vec![Benchmark::Soplex, Benchmark::Namd],
-            SchemeKind::Unmanaged,
-            scale,
-        ))
-        .run();
-        let cp = System::new(SystemConfig::two_core(
-            vec![Benchmark::Soplex, Benchmark::Namd],
-            SchemeKind::Cooperative,
-            scale,
-        ))
-        .run();
+        let un = run(&[Benchmark::Soplex, Benchmark::Namd], "unmanaged");
+        let cp = run(&[Benchmark::Soplex, Benchmark::Namd], "cooperative");
         assert_eq!(un.avg_ways, 8.0);
         assert!(
             cp.avg_ways < 6.0,
@@ -1035,12 +963,7 @@ mod tests {
 
     #[test]
     fn solo_run_yields_profile_curves() {
-        let cfg = SystemConfig::solo(
-            Benchmark::Gcc,
-            coop_core::LlcConfig::two_core(SchemeKind::Ucp),
-            quick_scale(),
-        );
-        let r = System::new(cfg).run();
+        let r = run(&[Benchmark::Gcc], "ucp");
         assert!(!r.epoch_curves.is_empty(), "profiles captured per epoch");
         assert_eq!(r.ipc.len(), 1);
     }

@@ -17,7 +17,6 @@
 //! entirely (see `coop-core`'s `PartitionedLlc`, which holds it as an
 //! `Option` that stays `None` until a policy publishes bandwidth shares).
 
-use serde::{Deserialize, Serialize};
 use simkit::types::{CoreId, Cycle};
 use simkit::Counter;
 
@@ -27,7 +26,7 @@ pub const SHARE_Q: u32 = 256;
 
 /// Regulator configuration: the refill window and the whole-DRAM line
 /// budget per window (its peak bandwidth expressed in lines/window).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BandwidthConfig {
     /// Cycles per refill window.
     pub window_cycles: u64,
@@ -56,7 +55,7 @@ impl BandwidthConfig {
 }
 
 /// Per-core regulator traffic statistics (cumulative).
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy)]
 pub struct CoreBandwidthStats {
     /// Accesses admitted through the regulator.
     pub admitted: Counter,

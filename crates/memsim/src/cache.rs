@@ -20,7 +20,6 @@
 //! `tests/cache_reference.rs` property-tests this cache against a model
 //! built from `CacheSet`s at 1, 2 and 4 ways.
 
-use serde::{Deserialize, Serialize};
 use simkit::types::LineAddr;
 use simkit::Counter;
 
@@ -30,7 +29,7 @@ use crate::addr::CacheGeometry;
 pub const MAX_WAYS: usize = 4;
 
 /// Hit/miss and traffic statistics for one cache.
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy)]
 pub struct CacheStats {
     /// Demand read accesses (loads / instruction fetches).
     pub read_accesses: Counter,

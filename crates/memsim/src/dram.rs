@@ -8,12 +8,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
 use simkit::types::{Cycle, LineAddr};
 use simkit::Counter;
 
 /// DRAM configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DramConfig {
     /// Number of independent banks (power of two).
     pub banks: usize,
@@ -38,7 +37,7 @@ impl Default for DramConfig {
 }
 
 /// Traffic and queueing statistics.
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy)]
 pub struct DramStats {
     /// Demand reads (cache fills).
     pub reads: Counter,

@@ -11,13 +11,12 @@
 //! this type for bit-identical behaviour
 //! (`crates/memsim/tests/arena_reference.rs`).
 
-use serde::{Deserialize, Serialize};
 use simkit::types::CoreId;
 
 /// Bit mask selecting a subset of a set's ways (bit `w` = way `w`).
 ///
 /// Supports associativities up to 64.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WayMask(pub u64);
 
 impl WayMask {
@@ -85,7 +84,7 @@ impl WayMask {
 ///
 /// The `owner` field models the paper's "extra two bits added to each tag
 /// entry to distinguish data belonging to each core" (Section 2.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineState {
     /// Line holds valid data.
     pub valid: bool,
@@ -119,7 +118,7 @@ impl Default for LineState {
 /// The recency order is a small vector of way indices, most-recently-used
 /// first. For the associativities the paper uses (4–16) this is both exact
 /// and fast.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CacheSet {
     lines: Vec<LineState>,
     /// Way indices ordered MRU → LRU.

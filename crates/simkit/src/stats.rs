@@ -5,8 +5,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A named monotonically increasing event counter.
 ///
 /// ```
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// c.inc();
 /// assert_eq!(c.get(), 4);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -55,7 +53,7 @@ impl fmt::Display for Counter {
 ///
 /// Bucket `i` covers `[i * width, (i+1) * width)`; samples beyond the last
 /// bucket are clamped into it so nothing is lost.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     width: u64,
     buckets: Vec<u64>,
@@ -121,7 +119,7 @@ impl Histogram {
 /// Used for the paper's Figure 16 (flushed lines per interval after a
 /// partitioning decision): events are accumulated into fixed-width cycle
 /// buckets relative to a configurable origin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     bucket_cycles: u64,
     values: Vec<f64>,

@@ -100,9 +100,7 @@ impl Table {
     /// Renders the table as a JSON object `{"headers": [...], "rows":
     /// [[...], ...]}` with all cells as strings.
     ///
-    /// Hand-rolled like [`Table::to_csv`]: the vendored serde derives are
-    /// no-op stand-ins (see `vendor/README.md`), so machine-readable
-    /// output is written directly.
+    /// Hand-rolled like [`Table::to_csv`].
     pub fn to_json(&self) -> String {
         let array = |cells: &[String]| -> String {
             let quoted: Vec<String> = cells.iter().map(|c| json_string(c)).collect();

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, measured in processor clock cycles.
 ///
 /// `Cycle` is an absolute timestamp; durations are plain `u64`s added to or
@@ -18,9 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t - Cycle(40), 2);
 /// assert_eq!(t.max(Cycle(100)), Cycle(100));
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cycle(pub u64);
 
 impl Cycle {
@@ -77,9 +73,7 @@ impl fmt::Display for Cycle {
 ///
 /// The paper evaluates two- and four-core systems; the implementation is
 /// generic over the core count (bounded by [`MAX_CORES`]).
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub u8);
 
 /// Maximum number of cores supported by fixed-width bit masks (RAP/WAP
@@ -122,9 +116,7 @@ impl fmt::Display for CoreId {
 /// private address spaces of multiprogrammed workloads never collide in the
 /// shared LLC, mirroring how distinct processes map to distinct physical
 /// pages on real hardware.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LineAddr(pub u64);
 
 impl LineAddr {

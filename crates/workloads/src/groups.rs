@@ -1,11 +1,9 @@
 //! The paper's workload groupings (Table 4).
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::Benchmark;
 
 /// A named multiprogrammed workload group.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadGroup {
     /// Group name as in Table 4 (e.g. "G2-1").
     pub name: String,

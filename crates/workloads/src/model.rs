@@ -1,9 +1,7 @@
 //! Generative benchmark model parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Memory reference pattern of one model component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Pattern {
     /// Sequential walk with a byte stride over a huge region: no reuse at
     /// LLC scale — capacity buys nothing (e.g. `lbm`, `libquantum`, `milc`).
@@ -33,7 +31,7 @@ pub enum Pattern {
 }
 
 /// One component of a benchmark's reference stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Component {
     /// Footprint in bytes.
     pub region_bytes: u64,
@@ -47,7 +45,7 @@ pub struct Component {
 /// multiplied by `weight_scale` (index-aligned with the component list).
 ///
 /// Phases cycle; a model without phases is stationary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     /// Phase length in dynamic instructions.
     pub instrs: u64,
@@ -56,7 +54,7 @@ pub struct Phase {
 }
 
 /// A complete benchmark model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkModel {
     /// Display name (matches the paper's tables).
     pub name: &'static str,
@@ -111,6 +109,16 @@ impl BenchmarkModel {
         if self.components.is_empty() {
             return Err(format!("{}: no memory components", self.name));
         }
+        // A NaN weight or scale would panic in the generator's weighted
+        // draw; a negative one is never drawn but skews every later
+        // component's share.
+        let bad_weight = |w: f64| w.is_nan() || w < 0.0;
+        if let Some(c) = self.components.iter().find(|c| bad_weight(c.weight)) {
+            return Err(format!(
+                "{}: component weight {} is NaN or negative",
+                self.name, c.weight
+            ));
+        }
         if self.components.iter().map(|c| c.weight).sum::<f64>() <= 0.0 {
             return Err(format!("{}: zero total component weight", self.name));
         }
@@ -135,6 +143,12 @@ impl BenchmarkModel {
             }
             if p.instrs == 0 {
                 return Err(format!("{}: zero-length phase", self.name));
+            }
+            if let Some(s) = p.weight_scale.iter().find(|&&s| bad_weight(s)) {
+                return Err(format!(
+                    "{}: phase weight scale {s} is NaN or negative",
+                    self.name
+                ));
             }
         }
         Ok(())
@@ -225,6 +239,43 @@ mod tests {
         let mut m = base();
         m.branch_frac = -0.15;
         assert!(m.validate().unwrap_err().contains("negative branch"));
+    }
+
+    #[test]
+    fn nan_component_weight_rejected() {
+        let mut m = base();
+        m.components[0].weight = f64::NAN;
+        assert!(m.validate().unwrap_err().contains("component weight NaN"));
+    }
+
+    #[test]
+    fn negative_component_weight_rejected() {
+        // The sum stays positive, so only the per-weight check catches it.
+        let mut m = base();
+        let mut second = m.components[0];
+        second.weight = -0.5;
+        m.components.push(second);
+        assert!(m.validate().unwrap_err().contains("component weight -0.5"));
+    }
+
+    #[test]
+    fn nan_phase_scale_rejected() {
+        let mut m = base();
+        m.phases.push(Phase {
+            instrs: 1000,
+            weight_scale: vec![f64::NAN],
+        });
+        assert!(m.validate().unwrap_err().contains("phase weight scale NaN"));
+    }
+
+    #[test]
+    fn negative_phase_scale_rejected() {
+        let mut m = base();
+        m.phases.push(Phase {
+            instrs: 1000,
+            weight_scale: vec![-1.0],
+        });
+        assert!(m.validate().unwrap_err().contains("phase weight scale -1"));
     }
 
     #[test]

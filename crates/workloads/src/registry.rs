@@ -52,8 +52,8 @@ impl ResolvedWorkload {
         }
     }
 
-    /// Wraps a benchmark list directly (the legacy `Vec<Benchmark>` path;
-    /// labels as the comma-joined names).
+    /// Wraps a benchmark list directly (labels as the comma-joined
+    /// names, like the equivalent mix spec).
     ///
     /// # Panics
     ///

@@ -18,12 +18,10 @@
 //! * `astar`, `bzip2`, `gcc`, `povray` — phase changes that force frequent
 //!   repartitioning (Section 4.1's analysis of Groups 2-4/6/7/12/13).
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::{BenchmarkModel, Component, Pattern, Phase};
 
 /// The 19 benchmarks of the paper's Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum Benchmark {
     Astar,

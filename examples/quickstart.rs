@@ -5,10 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use coop_partitioning::coop_core::SchemeKind;
-use coop_partitioning::harness::system::{System, SystemConfig};
+use coop_partitioning::harness::system::System;
 use coop_partitioning::harness::{solo, SimScale};
-use coop_partitioning::workloads::Benchmark;
+use coop_partitioning::workloads::{Benchmark, ResolvedWorkload};
 
 fn main() {
     // A streaming application (lbm, MPKI ~20) sharing the LLC with a
@@ -23,9 +22,13 @@ fn main() {
         scale.instrs_per_app
     );
 
-    let cfg = SystemConfig::two_core(benchmarks.clone(), SchemeKind::Cooperative, scale);
-    let llc = cfg.llc;
-    let result = System::new(cfg).run();
+    let workload = ResolvedWorkload::from_benchmarks(&benchmarks);
+    let result = System::builder()
+        .workload_resolved(workload.clone())
+        .policy("cooperative")
+        .scale(scale)
+        .build()
+        .run();
 
     println!("\nper-core results:");
     for (i, b) in benchmarks.iter().enumerate() {
@@ -38,7 +41,7 @@ fn main() {
         );
     }
 
-    let alone = solo::ipc_alone(&benchmarks, llc, scale);
+    let alone = solo::ipc_alone_for(&workload, solo::solo_llc(2), scale);
     println!(
         "\nweighted speedup vs solo: {:.3}",
         result.weighted_speedup(&alone)

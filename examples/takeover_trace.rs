@@ -6,7 +6,9 @@
 //! ```
 
 use coop_partitioning::coop_core::takeover::Transition;
-use coop_partitioning::coop_core::{LlcConfig, PartitionedLlc, SchemeKind};
+use coop_partitioning::coop_core::{
+    LlcConfig, PartitionedLlc, PolicyRegistry, PolicySpec, SchemeKind,
+};
 use coop_partitioning::memsim::{CacheGeometry, Dram, DramConfig};
 use coop_partitioning::simkit::types::{CoreId, Cycle, LineAddr};
 
@@ -40,7 +42,10 @@ fn main() {
         seed: 42,
         transition_timeout_epochs: 1,
     };
-    let mut llc = PartitionedLlc::new(cfg, 2);
+    let policy = PolicyRegistry::core()
+        .build("cooperative", &PolicySpec::for_llc(&cfg, 2))
+        .expect("registered");
+    let mut llc = PartitionedLlc::for_policy(cfg, 2, policy.as_ref());
     let mut dram = Dram::new(DramConfig::default());
     let line = |core: u8, set: u64| LineAddr::from_byte_addr(CoreId(core), set * 64, 64);
 

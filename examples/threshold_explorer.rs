@@ -5,11 +5,10 @@
 //! cargo run --release --example threshold_explorer [-- <group>]
 //! ```
 
-use coop_partitioning::coop_core::{LlcConfig, SchemeKind};
-use coop_partitioning::harness::system::{System, SystemConfig};
+use coop_partitioning::harness::system::System;
 use coop_partitioning::harness::{solo, SimScale};
 use coop_partitioning::simkit::table::Table;
-use coop_partitioning::workloads::two_core_groups;
+use coop_partitioning::workloads::{two_core_groups, ResolvedWorkload};
 
 fn main() {
     let group_name = std::env::args()
@@ -22,11 +21,8 @@ fn main() {
     let scale = SimScale::from_env_or(SimScale::tiny());
     println!("threshold sweep on {group} at scale '{}'\n", scale.name);
 
-    let alone = solo::ipc_alone(
-        &group.benchmarks,
-        LlcConfig::two_core(SchemeKind::Cooperative),
-        scale,
-    );
+    let workload = ResolvedWorkload::from_benchmarks(&group.benchmarks);
+    let alone = solo::ipc_alone_for(&workload, solo::solo_llc(2), scale);
     let mut table = Table::new(vec![
         "T".into(),
         "weighted speedup".into(),
@@ -36,10 +32,13 @@ fn main() {
     ]);
     let mut base: Option<(f64, f64)> = None;
     for t in [0.0, 0.01, 0.02, 0.03, 0.05, 0.1, 0.2] {
-        let mut cfg =
-            SystemConfig::two_core(group.benchmarks.clone(), SchemeKind::Cooperative, scale);
-        cfg.llc = cfg.llc.with_threshold(t);
-        let r = System::new(cfg).run();
+        let r = System::builder()
+            .workload_resolved(workload.clone())
+            .policy("cooperative")
+            .threshold(t)
+            .scale(scale)
+            .build()
+            .run();
         let (dyn0, stat0) = *base.get_or_insert((r.energy.dynamic_nj, r.energy.static_nj));
         table.row(vec![
             format!("{t}"),

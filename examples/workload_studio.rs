@@ -6,14 +6,15 @@
 //! cargo run --release --example workload_studio [-- <benchmark>]
 //! ```
 
-use coop_partitioning::coop_core::{LlcConfig, SchemeKind};
+use std::sync::Arc;
+
 use coop_partitioning::harness::{solo, SimScale};
 use coop_partitioning::simkit::table::Table;
-use coop_partitioning::workloads::{classify_mpki, Benchmark};
+use coop_partitioning::workloads::{classify_mpki, Benchmark, SyntheticWorkload, WorkloadFactory};
 
 fn main() {
     let scale = SimScale::from_env_or(SimScale::tiny());
-    let llc = LlcConfig::two_core(SchemeKind::Ucp);
+    let llc = solo::solo_llc(2);
     let filter = std::env::args().nth(1);
 
     let mut table = Table::new(vec![
@@ -30,7 +31,8 @@ fn main() {
                 continue;
             }
         }
-        let r = solo::solo_result(b, llc, scale);
+        let factory: Arc<dyn WorkloadFactory> = Arc::new(SyntheticWorkload::new(b));
+        let r = solo::solo_result_for(&factory, llc, scale);
         let curve = r
             .epoch_curves
             .last()

@@ -1,10 +1,10 @@
 //! End-to-end integration tests across all crates: whole-system runs under
 //! every scheme, checking the paper's structural invariants.
 
-use coop_partitioning::coop_core::SchemeKind;
-use coop_partitioning::harness::system::{System, SystemConfig};
+use coop_partitioning::coop_core::PAPER_POLICIES;
+use coop_partitioning::harness::system::System;
 use coop_partitioning::harness::SimScale;
-use coop_partitioning::workloads::Benchmark;
+use coop_partitioning::workloads::{Benchmark, ResolvedWorkload};
 
 fn quick() -> SimScale {
     SimScale {
@@ -16,18 +16,18 @@ fn quick() -> SimScale {
     }
 }
 
-fn run(benchmarks: Vec<Benchmark>, scheme: SchemeKind) -> coop_partitioning::harness::RunResult {
-    let cfg = match benchmarks.len() {
-        2 => SystemConfig::two_core(benchmarks, scheme, quick()),
-        4 => SystemConfig::four_core(benchmarks, scheme, quick()),
-        n => panic!("unsupported core count {n}"),
-    };
-    System::new(cfg).run()
+fn run(benchmarks: Vec<Benchmark>, scheme: &str) -> coop_partitioning::harness::RunResult {
+    System::builder()
+        .workload_resolved(ResolvedWorkload::from_benchmarks(&benchmarks))
+        .policy(scheme)
+        .scale(quick())
+        .build()
+        .run()
 }
 
 #[test]
 fn every_scheme_completes_and_reports_sane_numbers() {
-    for scheme in SchemeKind::ALL {
+    for scheme in PAPER_POLICIES {
         let r = run(vec![Benchmark::Lbm, Benchmark::Namd], scheme);
         assert_eq!(r.ipc.len(), 2, "{scheme}");
         for (i, &ipc) in r.ipc.iter().enumerate() {
@@ -47,12 +47,7 @@ fn every_scheme_completes_and_reports_sane_numbers() {
 
 #[test]
 fn runs_are_deterministic() {
-    let make = || {
-        run(
-            vec![Benchmark::Soplex, Benchmark::Gcc],
-            SchemeKind::Cooperative,
-        )
-    };
+    let make = || run(vec![Benchmark::Soplex, Benchmark::Gcc], "cooperative");
     let a = make();
     let b = make();
     assert_eq!(a.ipc, b.ipc);
@@ -64,9 +59,9 @@ fn runs_are_deterministic() {
 #[test]
 fn way_aligned_schemes_probe_fewer_ways_than_unmanaged() {
     let benchmarks = vec![Benchmark::Lbm, Benchmark::Povray];
-    let unmanaged = run(benchmarks.clone(), SchemeKind::Unmanaged);
-    let fair = run(benchmarks.clone(), SchemeKind::FairShare);
-    let coop = run(benchmarks, SchemeKind::Cooperative);
+    let unmanaged = run(benchmarks.clone(), "unmanaged");
+    let fair = run(benchmarks.clone(), "fair");
+    let coop = run(benchmarks, "cooperative");
     assert_eq!(unmanaged.avg_ways, 8.0, "unmanaged probes everything");
     assert_eq!(fair.avg_ways, 4.0, "fair share probes its half");
     assert!(
@@ -80,8 +75,8 @@ fn way_aligned_schemes_probe_fewer_ways_than_unmanaged() {
 fn cooperative_saves_static_energy_on_low_utilization_mixes() {
     // lbm (flat curve) + povray (tiny set): most ways should gate.
     let benchmarks = vec![Benchmark::Lbm, Benchmark::Povray];
-    let fair = run(benchmarks.clone(), SchemeKind::FairShare);
-    let coop = run(benchmarks, SchemeKind::Cooperative);
+    let fair = run(benchmarks.clone(), "fair");
+    let coop = run(benchmarks, "cooperative");
     let fair_rate = fair.counts.on_way_cycles as f64 / fair.counts.total_cycles as f64;
     let coop_rate = coop.counts.on_way_cycles as f64 / coop.counts.total_cycles as f64;
     assert!((fair_rate - 8.0).abs() < 1e-9, "fair share never gates");
@@ -94,7 +89,7 @@ fn cooperative_saves_static_energy_on_low_utilization_mixes() {
 
 #[test]
 fn ucp_never_gates_or_saves_tag_energy() {
-    let r = run(vec![Benchmark::Lbm, Benchmark::Povray], SchemeKind::Ucp);
+    let r = run(vec![Benchmark::Lbm, Benchmark::Povray], "ucp");
     assert_eq!(r.counts.gated_way_cycles, 0, "UCP keeps all ways on");
     assert_eq!(r.avg_ways, 8.0, "UCP probes all ways");
 }
@@ -102,10 +97,7 @@ fn ucp_never_gates_or_saves_tag_energy() {
 #[test]
 fn cooperative_transfers_complete() {
     // A phase-changing app forces repartitioning; transfers must finish.
-    let r = run(
-        vec![Benchmark::Soplex, Benchmark::Bzip2],
-        SchemeKind::Cooperative,
-    );
+    let r = run(vec![Benchmark::Soplex, Benchmark::Bzip2], "cooperative");
     let events: u64 = r.takeover_events.iter().sum();
     if r.repartitions > 0 {
         assert!(
@@ -126,7 +118,7 @@ fn four_core_system_runs_all_schemes() {
         Benchmark::Gromacs,
         Benchmark::Mcf,
     ];
-    for scheme in SchemeKind::ALL {
+    for scheme in PAPER_POLICIES {
         let r = run(benchmarks.clone(), scheme);
         assert_eq!(r.ipc.len(), 4, "{scheme}");
         assert!(r.mpki[0] > r.mpki[2], "{scheme}: lbm must out-miss gromacs");
@@ -137,10 +129,10 @@ fn four_core_system_runs_all_schemes() {
 fn weighted_speedup_against_solo_is_positive_and_bounded() {
     use coop_partitioning::harness::solo;
     let scale = quick();
-    let llc = coop_partitioning::coop_core::LlcConfig::two_core(SchemeKind::Ucp);
     let benchmarks = vec![Benchmark::Milc, Benchmark::Namd];
-    let alone = solo::ipc_alone(&benchmarks, llc, scale);
-    let r = run(benchmarks, SchemeKind::Ucp);
+    let workload = ResolvedWorkload::from_benchmarks(&benchmarks);
+    let alone = solo::ipc_alone_for(&workload, solo::solo_llc(2), scale);
+    let r = run(benchmarks, "ucp");
     let ws = r.weighted_speedup(&alone);
     assert!(
         ws > 1.0 && ws <= 2.2,
@@ -153,13 +145,13 @@ fn dynamic_cpe_profile_drives_gating() {
     use coop_partitioning::harness::solo;
     let scale = quick();
     let benchmarks = vec![Benchmark::Povray, Benchmark::Namd];
-    let llc = coop_partitioning::coop_core::LlcConfig::two_core(SchemeKind::DynamicCpe);
-    let mut sys = System::new(SystemConfig::two_core(
-        benchmarks.clone(),
-        SchemeKind::DynamicCpe,
-        scale,
-    ));
-    sys.set_cpe_profile(solo::cpe_profile(&benchmarks, llc, scale));
+    let workload = ResolvedWorkload::from_benchmarks(&benchmarks);
+    let mut sys = System::builder()
+        .workload_resolved(workload.clone())
+        .policy("cpe")
+        .scale(scale)
+        .build();
+    sys.set_cpe_profile(solo::cpe_profile_for(&workload, solo::solo_llc(2), scale));
     let r = sys.run();
     assert!(
         r.counts.gated_way_cycles > 0,

@@ -1,11 +1,11 @@
 //! Conservation and consistency tests for the energy accounting chain
 //! (LLC event counts -> EnergyParams -> joules).
 
-use coop_partitioning::coop_core::SchemeKind;
+use coop_partitioning::coop_core::PAPER_POLICIES;
 use coop_partitioning::energy::{EnergyCounts, EnergyParams};
-use coop_partitioning::harness::system::{System, SystemConfig};
-use coop_partitioning::harness::SimScale;
-use coop_partitioning::workloads::Benchmark;
+use coop_partitioning::harness::system::System;
+use coop_partitioning::harness::{RunResult, SimScale};
+use coop_partitioning::workloads::{Benchmark, ResolvedWorkload};
 
 fn quick() -> SimScale {
     SimScale {
@@ -17,12 +17,21 @@ fn quick() -> SimScale {
     }
 }
 
+/// A two-core run of `benchmarks` under the registry policy `scheme`.
+fn two_core(benchmarks: [Benchmark; 2], scheme: &str) -> RunResult {
+    System::builder()
+        .workload_resolved(ResolvedWorkload::from_benchmarks(&benchmarks))
+        .policy(scheme)
+        .scale(quick())
+        .build()
+        .run()
+}
+
 #[test]
 fn way_cycles_partition_time_exactly() {
     // For every scheme: on_way_cycles + gated_way_cycles == ways x cycles.
-    for scheme in SchemeKind::ALL {
-        let cfg = SystemConfig::two_core(vec![Benchmark::Milc, Benchmark::Namd], scheme, quick());
-        let r = System::new(cfg).run();
+    for scheme in PAPER_POLICIES {
+        let r = two_core([Benchmark::Milc, Benchmark::Namd], scheme);
         let ways = 8;
         assert_eq!(
             r.counts.on_way_cycles + r.counts.gated_way_cycles,
@@ -34,12 +43,7 @@ fn way_cycles_partition_time_exactly() {
 
 #[test]
 fn probe_counts_bound_by_ways_times_accesses() {
-    let cfg = SystemConfig::two_core(
-        vec![Benchmark::Lbm, Benchmark::Gcc],
-        SchemeKind::Cooperative,
-        quick(),
-    );
-    let r = System::new(cfg).run();
+    let r = two_core([Benchmark::Lbm, Benchmark::Gcc], "cooperative");
     // avg_ways is a per-access mean over demand accesses, so it is within
     // [1, ways]; energy probes also include write-back probes, so the raw
     // counter exceeds the demand-only product.
@@ -73,12 +77,9 @@ fn energy_report_is_monotone_in_counts() {
 fn gating_trades_leakage_for_nothing_else() {
     // Same mix under FairShare vs Cooperative: gating must not create or
     // destroy way-cycles, only move them between the on and gated buckets.
-    let run = |scheme| {
-        let cfg = SystemConfig::two_core(vec![Benchmark::Povray, Benchmark::Namd], scheme, quick());
-        System::new(cfg).run()
-    };
-    let fair = run(SchemeKind::FairShare);
-    let coop = run(SchemeKind::Cooperative);
+    let run = |scheme| two_core([Benchmark::Povray, Benchmark::Namd], scheme);
+    let fair = run("fair");
+    let coop = run("cooperative");
     assert_eq!(fair.counts.gated_way_cycles, 0);
     let fair_total = fair.counts.on_way_cycles;
     let coop_total = coop.counts.on_way_cycles + coop.counts.gated_way_cycles;
@@ -91,12 +92,7 @@ fn dynamic_energy_ratio_tracks_probe_ratio() {
     // The headline mechanism: dynamic energy is proportional to tag probes
     // (plus small monitor overheads).
     let p = EnergyParams::for_llc(2 << 20, 8);
-    let cfg = SystemConfig::two_core(
-        vec![Benchmark::Lbm, Benchmark::Namd],
-        SchemeKind::Unmanaged,
-        quick(),
-    );
-    let r = System::new(cfg).run();
+    let r = two_core([Benchmark::Lbm, Benchmark::Namd], "unmanaged");
     let expected = r.counts.tag_way_probes as f64 * p.tag_probe_nj_per_way;
     assert!((r.energy.tag_nj - expected).abs() < 1e-6);
     assert!(r.energy.dynamic_nj >= r.energy.tag_nj);

@@ -1,7 +1,10 @@
 //! Scheme-differentiating integration tests: each test pins down one
 //! behavioural contrast the paper's evaluation relies on.
 
-use coop_partitioning::coop_core::{LlcConfig, PartitionedLlc, SchemeKind};
+use coop_partitioning::coop_core::{
+    LlcConfig, PartitionPolicy, PartitionedLlc, PolicyRegistry, PolicySpec, SchemeKind,
+    PAPER_POLICIES,
+};
 use coop_partitioning::memsim::{CacheGeometry, Dram, DramConfig};
 use coop_partitioning::simkit::types::{CoreId, Cycle, LineAddr};
 
@@ -23,10 +26,25 @@ fn la(core: u8, byte: u64) -> LineAddr {
     LineAddr::from_byte_addr(CoreId(core), byte, 64)
 }
 
+/// The two-core LLC for the paper policy `name`, built from the registry,
+/// plus the policy that drives its epochs.
+fn llc_for(name: &str) -> (PartitionedLlc, Box<dyn PartitionPolicy>) {
+    let reg = PolicyRegistry::core();
+    let scheme = reg
+        .entry(name)
+        .and_then(|e| e.scheme)
+        .expect("paper policy");
+    let cfg = tiny_cfg(scheme);
+    let policy = reg
+        .build(name, &PolicySpec::for_llc(&cfg, 2))
+        .expect("registered");
+    (PartitionedLlc::for_policy(cfg, 2, policy.as_ref()), policy)
+}
+
 /// Drives a simple two-phase access mix: core 0 streams (no reuse), core 1
 /// loops over a small hot set. Returns the LLC afterwards.
-fn drive(scheme: SchemeKind, rounds: u64) -> (PartitionedLlc, Dram) {
-    let mut llc = PartitionedLlc::new(tiny_cfg(scheme), 2);
+fn drive(scheme: &str, rounds: u64) -> (PartitionedLlc, Dram) {
+    let (mut llc, mut policy) = llc_for(scheme);
     let mut dram = Dram::new(DramConfig::default());
     let mut now = Cycle(0);
     let mut next_epoch = Cycle(50_000);
@@ -46,7 +64,10 @@ fn drive(scheme: SchemeKind, rounds: u64) -> (PartitionedLlc, Dram) {
             now += 20;
         }
         if now >= next_epoch {
-            llc.on_epoch(now, &mut dram);
+            // One epoch as the system loop drives it: observe, decide, apply.
+            let obs = llc.epoch_observations(now, vec![]);
+            let decision = policy.on_epoch(&obs);
+            llc.apply_decision(now, &mut dram, &decision);
             next_epoch = now + 50_000;
         }
     }
@@ -55,7 +76,7 @@ fn drive(scheme: SchemeKind, rounds: u64) -> (PartitionedLlc, Dram) {
 
 #[test]
 fn cooperative_shrinks_the_streamers_partition() {
-    let (llc, _) = drive(SchemeKind::Cooperative, 20_000);
+    let (llc, _) = drive("cooperative", 20_000);
     let alloc = llc.current_allocation();
     assert!(
         alloc[0] <= 2,
@@ -66,8 +87,8 @@ fn cooperative_shrinks_the_streamers_partition() {
 
 #[test]
 fn cooperative_gates_unused_ways_fair_share_does_not() {
-    let (coop, _) = drive(SchemeKind::Cooperative, 20_000);
-    let (fair, _) = drive(SchemeKind::FairShare, 20_000);
+    let (coop, _) = drive("cooperative", 20_000);
+    let (fair, _) = drive("fair", 20_000);
     assert!(fair.ways_on() == 8, "fair share keeps everything on");
     assert!(
         coop.ways_on() < 8,
@@ -78,11 +99,9 @@ fn cooperative_gates_unused_ways_fair_share_does_not() {
 
 #[test]
 fn probe_energy_orders_as_unmanaged_gt_fair_gt_cooperative() {
-    let un = drive(SchemeKind::Unmanaged, 20_000).0.avg_ways_consulted();
-    let fair = drive(SchemeKind::FairShare, 20_000).0.avg_ways_consulted();
-    let coop = drive(SchemeKind::Cooperative, 20_000)
-        .0
-        .avg_ways_consulted();
+    let un = drive("unmanaged", 20_000).0.avg_ways_consulted();
+    let fair = drive("fair", 20_000).0.avg_ways_consulted();
+    let coop = drive("cooperative", 20_000).0.avg_ways_consulted();
     assert_eq!(un, 8.0);
     assert_eq!(fair, 4.0);
     assert!(coop < fair, "cooperative probes fewer ways: {coop}");
@@ -90,7 +109,7 @@ fn probe_energy_orders_as_unmanaged_gt_fair_gt_cooperative() {
 
 #[test]
 fn unmanaged_and_ucp_never_repartition_the_power_state() {
-    for scheme in [SchemeKind::Unmanaged, SchemeKind::Ucp] {
+    for scheme in ["unmanaged", "ucp"] {
         let (llc, _) = drive(scheme, 10_000);
         assert_eq!(llc.ways_on(), 8, "{scheme}: all ways stay powered");
     }
@@ -100,7 +119,7 @@ fn unmanaged_and_ucp_never_repartition_the_power_state() {
 fn way_alignment_invariant_holds_under_cooperative() {
     // After a long run, every valid line must live in a way its owner may
     // write (or one in transition involving the owner).
-    let (llc, _) = drive(SchemeKind::Cooperative, 30_000);
+    let (llc, _) = drive("cooperative", 30_000);
     assert!(llc.permissions().check_invariants().is_ok());
     // The probe path never consults gated ways, so average ways consulted
     // is bounded by the powered count.
@@ -109,7 +128,7 @@ fn way_alignment_invariant_holds_under_cooperative() {
 
 #[test]
 fn takeover_demo_transition_moves_dirty_data_safely() {
-    let mut llc = PartitionedLlc::new(tiny_cfg(SchemeKind::Cooperative), 2);
+    let (mut llc, _) = llc_for("cooperative");
     let mut dram = Dram::new(DramConfig::default());
     // Dirty four core-1 lines in each set, filling all of its ways
     // (including way 4, the one about to move).
@@ -156,7 +175,7 @@ fn takeover_demo_transition_moves_dirty_data_safely() {
 
 #[test]
 fn scheme_statistics_are_internally_consistent() {
-    for scheme in SchemeKind::ALL {
+    for scheme in PAPER_POLICIES {
         let (llc, _) = drive(scheme, 5_000);
         let s = llc.stats();
         assert!(s.total_misses() <= s.total_accesses(), "{scheme}");
