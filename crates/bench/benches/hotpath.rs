@@ -21,11 +21,14 @@
 //! * `core_step_reference_4core` — the identical system under the per-cycle
 //!   reference stepper, so the wake-list speedup stays *measured*.
 //!
-//! Two more cover the per-instruction layers in front of the LLC:
+//! Three more cover the per-instruction layers in front of the LLC:
 //!
 //! * `synthetic_gen_soplex` — a 1000-instruction block from the `soplex`
 //!   model's `SyntheticSource` (kind draw, weighted component draw, address
 //!   and PC generation);
+//! * `trace_replay` — a 1000-instruction block replayed by a `TraceSource`
+//!   over 131,072 records recorded from the same model, the shape of one
+//!   `stream8` member in perfbench (so the record's copy cost shows);
 //! * `l1_access_4way_mixed` — 1000 demand accesses to a 32 KB 4-way L1
 //!   `Cache`: mostly hits in a hot window, plus cold misses and writes
 //!   (dirty victims).
@@ -33,9 +36,12 @@
 //! Run with `cargo bench -p bench --bench hotpath`. The numbers are
 //! ns per 1000 operations (each `iter` performs 1000 accesses).
 
+use std::sync::Arc;
+
 use coop_core::{LlcConfig, PartitionedLlc, PolicyRegistry, PolicySpec, SchemeKind};
 use cpusim::{
     Core, CoreConfig, EpochControl, Instr, InstrSource, LlcPort, StepperKind, SystemStepper,
+    TraceSource,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use memsim::{Cache, CacheGeometry, CacheSet, Dram, DramConfig, SetArena, WayMask};
@@ -194,7 +200,24 @@ fn bench_hotpath(c: &mut Criterion) {
             let mut acc = 0u64;
             for _ in 0..1000 {
                 let i = src.next_instr();
-                acc = acc.wrapping_add(i.pc ^ i.addr ^ i.taken as u64);
+                acc = acc.wrapping_add(i.pc() ^ i.addr() ^ i.taken() as u64);
+            }
+            acc
+        })
+    });
+
+    // Kernel 6b: replay of a recorded stream, one 1000-instruction block
+    // per iteration, wrapping around the recording like a perfbench
+    // `stream8` member.
+    c.bench_function("trace_replay", |b| {
+        let mut gen = SyntheticSource::new(Benchmark::Soplex.model(), 0x5EED);
+        let records: Vec<Instr> = (0..131_072).map(|_| gen.next_instr()).collect();
+        let mut src = TraceSource::new(Arc::new(records)).expect("non-empty");
+        b.iter(|| {
+            let mut acc = 0u64;
+            for _ in 0..1000 {
+                let i = src.next_instr();
+                acc = acc.wrapping_add(i.pc() ^ i.addr() ^ i.taken() as u64);
             }
             acc
         })

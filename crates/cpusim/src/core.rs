@@ -466,13 +466,13 @@ impl<S: InstrSource> Core<S> {
                 None => self.source.next_instr(),
             };
             // Instruction-side: a new I-line may miss in the L1-I.
-            let iline = instr.pc >> self.iline_shift;
+            let iline = instr.pc() >> self.iline_shift;
             if iline != self.last_iline {
                 self.last_iline = iline;
                 let line = LineAddr::from_byte_addr(
                     self.id,
                     // Separate I-side address space within the core.
-                    instr.pc | (1 << 48),
+                    instr.pc() | (1 << 48),
                     self.cfg.l1i.line_bytes(),
                 );
                 let r = self.l1i.access(line, false);
@@ -486,7 +486,7 @@ impl<S: InstrSource> Core<S> {
                     break;
                 }
             }
-            match instr.kind {
+            match instr.kind() {
                 InstrKind::Alu => {
                     self.rob.push_back(now + 1, false);
                     n += 1;
@@ -494,7 +494,7 @@ impl<S: InstrSource> Core<S> {
                 InstrKind::Branch => {
                     self.rob.push_back(now + 1, false);
                     n += 1;
-                    if self.bpred.observe(instr.pc, instr.taken) {
+                    if self.bpred.observe(instr.pc(), instr.taken()) {
                         self.fetch_stall_until = now + bp_penalty;
                         self.stats.redirect_cycles.add(bp_penalty);
                         break;
@@ -506,14 +506,14 @@ impl<S: InstrSource> Core<S> {
                         self.pending = Some(instr);
                         break;
                     }
-                    let start = if instr.dep_prev_load {
+                    let start = if instr.dep_prev_load() {
                         now.max(self.last_load_done)
                     } else {
                         now
                     };
                     let line =
-                        LineAddr::from_byte_addr(self.id, instr.addr, self.cfg.l1d.line_bytes());
-                    let line_no = instr.addr >> self.dline_shift;
+                        LineAddr::from_byte_addr(self.id, instr.addr(), self.cfg.l1d.line_bytes());
+                    let line_no = instr.addr() >> self.dline_shift;
                     if self.prefetch.enabled() && self.prefetch.note_demand(line_no) {
                         self.stats.prefetch_useful.inc();
                     }
@@ -565,9 +565,9 @@ impl<S: InstrSource> Core<S> {
                         break;
                     }
                     let line =
-                        LineAddr::from_byte_addr(self.id, instr.addr, self.cfg.l1d.line_bytes());
+                        LineAddr::from_byte_addr(self.id, instr.addr(), self.cfg.l1d.line_bytes());
                     if self.prefetch.enabled()
-                        && self.prefetch.note_demand(instr.addr >> self.dline_shift)
+                        && self.prefetch.note_demand(instr.addr() >> self.dline_shift)
                     {
                         self.stats.prefetch_useful.inc();
                     }
@@ -676,7 +676,7 @@ impl<S: InstrSource> Core<S> {
             || (self.lsq_count >= self.cfg.lsq_entries
                 && self
                     .pending
-                    .is_some_and(|p| matches!(p.kind, InstrKind::Load | InstrKind::Store)));
+                    .is_some_and(|p| matches!(p.kind(), InstrKind::Load | InstrKind::Store)));
         if !fetch_blocked && !mshr_blocked && !structural {
             // Dispatch can be attempted on the very next tick (covers the
             // expired-stall window a dilated clock has not serviced yet).
@@ -767,9 +767,7 @@ mod tests {
             let mut i = 0u64;
             move || {
                 i += 1;
-                let mut ins = Instr::load(64, i * 64);
-                ins.dep_prev_load = dep;
-                ins
+                Instr::load(64, i * 64).with_dep_prev_load(dep)
             }
         };
         let cfg = CoreConfig::default();
@@ -926,9 +924,7 @@ mod tests {
             let mut i = 0u64;
             move || {
                 i += 1;
-                let mut ins = Instr::load(64, i * 4096);
-                ins.dep_prev_load = true;
-                ins
+                Instr::load(64, i * 4096).with_dep_prev_load(true)
             }
         };
         let cfg = CoreConfig::default();
@@ -977,9 +973,7 @@ mod tests {
         let mut i = 0u64;
         let src = move || {
             i += 1;
-            let mut ins = Instr::load(64, i * 4096);
-            ins.dep_prev_load = true;
-            ins
+            Instr::load(64, i * 4096).with_dep_prev_load(true)
         };
         let mut core = Core::new(CoreId(0), CoreConfig::default(), Box::new(src));
         let mut llc = FixedLlc::new(400);
@@ -1006,9 +1000,7 @@ mod tests {
             let mut i = 0u64;
             move || {
                 i += 1;
-                let mut ins = Instr::load(64, i * 64);
-                ins.dep_prev_load = true;
-                ins
+                Instr::load(64, i * 64).with_dep_prev_load(true)
             }
         };
         let cfg = CoreConfig::default();

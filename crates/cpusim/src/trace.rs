@@ -1,6 +1,36 @@
 //! Instruction records, the trace-source abstraction, and the `.ctrace`
 //! trace-file format.
 //!
+//! # The in-memory record
+//!
+//! An [`Instr`] is 16 bytes, 8-aligned: two `u64` words, so a recorded
+//! stream costs 16 bytes per instruction and a replay copies two words.
+//!
+//! | word | bits | field |
+//! |---|---|---|
+//! | `addr` | 0..64 | referenced byte address (0 unless Load/Store; below 2^48) |
+//! | `word` | 0..48 | program counter |
+//! | `word` | 48..50 | kind tag: 0 = Alu, 1 = Load, 2 = Store, 3 = Branch |
+//! | `word` | 50 | branch taken (Branch only) |
+//! | `word` | 51 | `dep_prev_load` (Load only) |
+//! | `word` | 52..64 | always 0 |
+//!
+//! The fields are private and read through accessors named after them
+//! ([`Instr::kind`], [`Instr::pc`], [`Instr::addr`], [`Instr::taken`],
+//! [`Instr::dep_prev_load`]). Records are canonical by construction: the
+//! only constructors are [`Instr::alu`], [`Instr::load`] (with
+//! [`Instr::with_dep_prev_load`] for a dependent load), [`Instr::store`] and
+//! [`Instr::branch`], so a field the kind cannot express always reads 0 or
+//! false, and two records are equal exactly when their fields are.
+//!
+//! Every constructor panics on a `pc` or `addr` at or above
+//! [`TRACE_ADDR_LIMIT`] (2^48), naming the field, so the bound holds for
+//! every source, not only for parsed traces. The core fetches instruction
+//! lines at `pc | 1 << 48`, and the shared cache tags line addresses with
+//! the core id in their top byte, so a larger value would alias
+//! instruction and data lines, or reach another core's lines; the packed
+//! word could not hold it either.
+//!
 //! # The `.ctrace` trace-file format
 //!
 //! Real-trace workloads (ChampSim-style: one record per retired
@@ -31,17 +61,14 @@
 //! ```
 //!
 //! In both encodings `pc` and `addr` must lie below [`TRACE_ADDR_LIMIT`]
-//! (2^48). The core fetches instruction lines at `pc | 1 << 48`, and the
-//! shared cache tags line addresses with the core id in their top byte,
-//! so a larger value would alias instruction and data lines, or another
-//! core's lines.
+//! (2^48), the same bound every [`Instr`] constructor enforces.
 //!
 //! Parsing is bounds-checked end to end: a truncated binary record, an
 //! unknown kind tag, undefined flag bits, an out-of-range `pc` or `addr`
-//! or a malformed text line yield a [`TraceError`] instead of panicking. [`TraceSource`] replays a parsed
-//! trace as an *infinite* [`InstrSource`] by rewinding to the first record
-//! on exhaustion, so partitioning epochs never starve however short the
-//! file is.
+//! or a malformed text line yield a [`TraceError`] instead of panicking.
+//! [`TraceSource`] replays a parsed trace as an *infinite* [`InstrSource`]
+//! by rewinding to the first record on exhaustion, so partitioning epochs
+//! never starve however short the file is.
 
 use std::sync::Arc;
 
@@ -59,64 +86,145 @@ pub enum InstrKind {
 }
 
 /// One dynamic instruction produced by a trace source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// A 16-byte value (see the module docs for the bit layout). Records are
+/// canonical by construction: only the kind constructors build one, so a
+/// field the kind cannot express (`addr` on an Alu or Branch, `taken` off
+/// a Branch, `dep_prev_load` off a Load) always reads as zero or false.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Instr {
-    /// Instruction class.
-    pub kind: InstrKind,
-    /// Core-local byte address referenced (loads/stores; ignored otherwise).
-    pub addr: u64,
-    /// Program counter (drives the L1-I stream and branch prediction).
-    pub pc: u64,
-    /// Actual branch outcome (branches only).
-    pub taken: bool,
-    /// This load's address depends on the previous load (pointer chasing);
-    /// it cannot issue before that load completes.
-    pub dep_prev_load: bool,
+    /// Core-local byte address referenced (0 unless a load or store).
+    addr: u64,
+    /// Program counter in bits 0..48, kind tag in bits 48..50, `taken` in
+    /// bit 50 and `dep_prev_load` in bit 51.
+    word: u64,
+}
+
+const KIND_SHIFT: u32 = 48;
+const TAKEN_BIT: u64 = 1 << 50;
+const DEP_BIT: u64 = 1 << 51;
+
+/// The constructors' failure path, kept out of line: names the first of
+/// `pc` and `addr` that is not below [`TRACE_ADDR_LIMIT`].
+#[cold]
+#[inline(never)]
+fn out_of_range(pc: u64, addr: u64) -> ! {
+    let (field, value) = if pc >= TRACE_ADDR_LIMIT {
+        ("pc", pc)
+    } else {
+        ("addr", addr)
+    };
+    panic!("Instr {field} {value:#x} is not below 2^48")
 }
 
 impl Instr {
-    /// A plain ALU instruction at `pc`.
-    pub fn alu(pc: u64) -> Instr {
-        Instr {
-            kind: InstrKind::Alu,
-            addr: 0,
-            pc,
-            taken: false,
-            dep_prev_load: false,
+    #[inline]
+    fn new(kind: InstrKind, pc: u64, addr: u64) -> Instr {
+        if (pc | addr) >= TRACE_ADDR_LIMIT {
+            out_of_range(pc, addr);
         }
+        Instr {
+            addr,
+            word: pc | (u64::from(kind.tag()) << KIND_SHIFT),
+        }
+    }
+
+    /// A plain ALU instruction at `pc`.
+    ///
+    /// Panics if `pc` is not below [`TRACE_ADDR_LIMIT`].
+    #[inline]
+    pub fn alu(pc: u64) -> Instr {
+        Instr::new(InstrKind::Alu, pc, 0)
     }
 
     /// A load of `addr` at `pc`.
+    ///
+    /// Panics if `pc` or `addr` is not below [`TRACE_ADDR_LIMIT`].
+    #[inline]
     pub fn load(pc: u64, addr: u64) -> Instr {
-        Instr {
-            kind: InstrKind::Load,
-            addr,
-            pc,
-            taken: false,
-            dep_prev_load: false,
-        }
+        Instr::new(InstrKind::Load, pc, addr)
     }
 
     /// A store to `addr` at `pc`.
+    ///
+    /// Panics if `pc` or `addr` is not below [`TRACE_ADDR_LIMIT`].
+    #[inline]
     pub fn store(pc: u64, addr: u64) -> Instr {
-        Instr {
-            kind: InstrKind::Store,
-            addr,
-            pc,
-            taken: false,
-            dep_prev_load: false,
-        }
+        Instr::new(InstrKind::Store, pc, addr)
     }
 
     /// A branch at `pc` with the given outcome.
+    ///
+    /// Panics if `pc` is not below [`TRACE_ADDR_LIMIT`].
+    #[inline]
     pub fn branch(pc: u64, taken: bool) -> Instr {
+        let mut i = Instr::new(InstrKind::Branch, pc, 0);
+        i.word |= u64::from(taken) * TAKEN_BIT;
+        i
+    }
+
+    /// This load, with its address marked as depending on the previous
+    /// load exactly when `dep` is set (pointer chasing).
+    ///
+    /// Panics if `self` is not a load.
+    #[inline]
+    pub fn with_dep_prev_load(self, dep: bool) -> Instr {
+        assert!(
+            self.kind() == InstrKind::Load,
+            "dep_prev_load applies to loads only"
+        );
         Instr {
-            kind: InstrKind::Branch,
-            addr: 0,
-            pc,
-            taken,
-            dep_prev_load: false,
+            addr: self.addr,
+            word: (self.word & !DEP_BIT) | (u64::from(dep) * DEP_BIT),
         }
+    }
+
+    /// Instruction class.
+    #[inline]
+    pub fn kind(self) -> InstrKind {
+        match (self.word >> KIND_SHIFT) & 0b11 {
+            0 => InstrKind::Alu,
+            1 => InstrKind::Load,
+            2 => InstrKind::Store,
+            _ => InstrKind::Branch,
+        }
+    }
+
+    /// Program counter (drives the L1-I stream and branch prediction).
+    #[inline]
+    pub fn pc(self) -> u64 {
+        self.word & (TRACE_ADDR_LIMIT - 1)
+    }
+
+    /// Core-local byte address referenced (0 unless a load or store).
+    #[inline]
+    pub fn addr(self) -> u64 {
+        self.addr
+    }
+
+    /// Actual branch outcome (false unless a branch).
+    #[inline]
+    pub fn taken(self) -> bool {
+        self.word & TAKEN_BIT != 0
+    }
+
+    /// This load's address depends on the previous load (pointer chasing);
+    /// it cannot issue before that load completes. False unless a load.
+    #[inline]
+    pub fn dep_prev_load(self) -> bool {
+        self.word & DEP_BIT != 0
+    }
+}
+
+impl std::fmt::Debug for Instr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Instr")
+            .field("kind", &self.kind())
+            .field("addr", &self.addr())
+            .field("pc", &self.pc())
+            .field("taken", &self.taken())
+            .field("dep_prev_load", &self.dep_prev_load())
+            .finish()
     }
 }
 
@@ -290,24 +398,16 @@ impl InstrKind {
 
 /// Encodes a record sequence in the binary `.ctrace` format.
 ///
-/// Fields a kind cannot express (`taken` off branches, `dep_prev_load`
-/// off loads, `addr` on Alu/Branch) are canonicalized away, exactly as
-/// [`format_trace_text`] does — so the writer's output always satisfies
-/// the reader's validation, whatever the in-memory `Instr`s held.
+/// Records are canonical by construction, so the output always satisfies
+/// the reader's validation.
 pub fn encode_trace(instrs: &[Instr]) -> Vec<u8> {
     let mut out = Vec::with_capacity(TRACE_MAGIC.len() + instrs.len() * TRACE_RECORD_BYTES);
     out.extend_from_slice(&TRACE_MAGIC);
     for i in instrs {
-        let taken = i.taken && i.kind == InstrKind::Branch;
-        let dep = i.dep_prev_load && i.kind == InstrKind::Load;
-        let addr = match i.kind {
-            InstrKind::Load | InstrKind::Store => i.addr,
-            InstrKind::Alu | InstrKind::Branch => 0,
-        };
-        out.push(i.kind.tag());
-        out.push(u8::from(taken) | (u8::from(dep) << 1));
-        out.extend_from_slice(&i.pc.to_le_bytes());
-        out.extend_from_slice(&addr.to_le_bytes());
+        out.push(i.kind().tag());
+        out.push(u8::from(i.taken()) | (u8::from(i.dep_prev_load()) << 1));
+        out.extend_from_slice(&i.pc().to_le_bytes());
+        out.extend_from_slice(&i.addr().to_le_bytes());
     }
     out
 }
@@ -356,12 +456,11 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Vec<Instr>, TraceError> {
                 });
             }
         }
-        instrs.push(Instr {
-            kind,
-            addr,
-            pc,
-            taken: flags & 0b01 != 0,
-            dep_prev_load: flags & 0b10 != 0,
+        instrs.push(match kind {
+            InstrKind::Alu => Instr::alu(pc),
+            InstrKind::Load => Instr::load(pc, addr).with_dep_prev_load(flags & 0b10 != 0),
+            InstrKind::Store => Instr::store(pc, addr),
+            InstrKind::Branch => Instr::branch(pc, flags & 0b01 != 0),
         });
     }
     Ok(instrs)
@@ -372,14 +471,13 @@ pub fn format_trace_text(instrs: &[Instr]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for i in instrs {
-        let _ = match i.kind {
-            InstrKind::Alu => writeln!(out, "A 0x{:x}", i.pc),
-            InstrKind::Load if i.dep_prev_load => writeln!(out, "LD 0x{:x} 0x{:x}", i.pc, i.addr),
-            InstrKind::Load => writeln!(out, "L 0x{:x} 0x{:x}", i.pc, i.addr),
-            InstrKind::Store => writeln!(out, "S 0x{:x} 0x{:x}", i.pc, i.addr),
-            InstrKind::Branch => {
-                writeln!(out, "B 0x{:x} {}", i.pc, if i.taken { 1 } else { 0 })
-            }
+        let (pc, addr) = (i.pc(), i.addr());
+        let _ = match i.kind() {
+            InstrKind::Alu => writeln!(out, "A 0x{pc:x}"),
+            InstrKind::Load if i.dep_prev_load() => writeln!(out, "LD 0x{pc:x} 0x{addr:x}"),
+            InstrKind::Load => writeln!(out, "L 0x{pc:x} 0x{addr:x}"),
+            InstrKind::Store => writeln!(out, "S 0x{pc:x} 0x{addr:x}"),
+            InstrKind::Branch => writeln!(out, "B 0x{pc:x} {}", u8::from(i.taken())),
         };
     }
     out
@@ -423,9 +521,7 @@ pub fn parse_trace_text(text: &str) -> Result<Vec<Instr>, TraceError> {
         let instr = match kind.as_str() {
             "A" => Instr::alu(field("pc")?),
             "L" | "LD" => {
-                let mut i = Instr::load(field("pc")?, field("addr")?);
-                i.dep_prev_load = kind == "LD";
-                i
+                Instr::load(field("pc")?, field("addr")?).with_dep_prev_load(kind == "LD")
             }
             "S" => Instr::store(field("pc")?, field("addr")?),
             "B" => {
@@ -559,14 +655,137 @@ mod tests {
     #[test]
     fn constructors_set_fields() {
         let l = Instr::load(0x400, 0x1000);
-        assert_eq!(l.kind, InstrKind::Load);
-        assert_eq!(l.addr, 0x1000);
-        assert_eq!(l.pc, 0x400);
+        assert_eq!(l.kind(), InstrKind::Load);
+        assert_eq!(l.addr(), 0x1000);
+        assert_eq!(l.pc(), 0x400);
         let b = Instr::branch(0x404, true);
-        assert_eq!(b.kind, InstrKind::Branch);
-        assert!(b.taken);
-        assert_eq!(Instr::alu(0).kind, InstrKind::Alu);
-        assert_eq!(Instr::store(0, 8).kind, InstrKind::Store);
+        assert_eq!(b.kind(), InstrKind::Branch);
+        assert!(b.taken());
+        assert_eq!(Instr::alu(0).kind(), InstrKind::Alu);
+        assert_eq!(Instr::store(0, 8).kind(), InstrKind::Store);
+    }
+
+    #[test]
+    fn instr_is_two_words() {
+        assert_eq!(std::mem::size_of::<Instr>(), 16);
+        assert_eq!(std::mem::align_of::<Instr>(), 8);
+    }
+
+    /// One record of kind `kind` (0..4 in tag order) built from `pc`,
+    /// `addr` and `flag`; the flag is `dep_prev_load` on a load and
+    /// `taken` on a branch.
+    fn build(kind: u8, pc: u64, addr: u64, flag: bool) -> Instr {
+        match kind {
+            0 => Instr::alu(pc),
+            1 => Instr::load(pc, addr).with_dep_prev_load(flag),
+            2 => Instr::store(pc, addr),
+            _ => Instr::branch(pc, flag),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn accessors_return_what_the_constructor_was_given(
+            kind in 0u8..4,
+            pc in 0..TRACE_ADDR_LIMIT,
+            addr in 0..TRACE_ADDR_LIMIT,
+            flag in proptest::prelude::any::<bool>(),
+        ) {
+            let i = build(kind, pc, addr, flag);
+            let want_kind = InstrKind::from_tag(kind).expect("tag 0..4");
+            let memory = matches!(want_kind, InstrKind::Load | InstrKind::Store);
+            proptest::prop_assert_eq!(i.kind(), want_kind);
+            proptest::prop_assert_eq!(i.pc(), pc);
+            proptest::prop_assert_eq!(i.addr(), if memory { addr } else { 0 });
+            proptest::prop_assert_eq!(i.taken(), flag && want_kind == InstrKind::Branch);
+            proptest::prop_assert_eq!(i.dep_prev_load(), flag && want_kind == InstrKind::Load);
+        }
+    }
+
+    #[test]
+    fn debug_prints_the_five_fields_in_order() {
+        assert_eq!(
+            format!("{:?}", Instr::load(0x40c, 0x9000).with_dep_prev_load(true)),
+            "Instr { kind: Load, addr: 36864, pc: 1036, taken: false, dep_prev_load: true }"
+        );
+        assert_eq!(
+            format!("{:?}", Instr::branch(0x10, true)),
+            "Instr { kind: Branch, addr: 0, pc: 16, taken: true, dep_prev_load: false }"
+        );
+    }
+
+    const TOP: u64 = TRACE_ADDR_LIMIT - 1;
+
+    #[test]
+    fn alu_accepts_pc_below_2_pow_48() {
+        assert_eq!(Instr::alu(TOP).pc(), TOP);
+    }
+
+    #[test]
+    #[should_panic(expected = "pc 0x1000000000000 is not below 2^48")]
+    fn alu_rejects_pc_at_2_pow_48() {
+        Instr::alu(TRACE_ADDR_LIMIT);
+    }
+
+    #[test]
+    fn branch_accepts_pc_below_2_pow_48() {
+        assert_eq!(Instr::branch(TOP, true).pc(), TOP);
+    }
+
+    #[test]
+    #[should_panic(expected = "pc 0x1000000000000 is not below 2^48")]
+    fn branch_rejects_pc_at_2_pow_48() {
+        Instr::branch(TRACE_ADDR_LIMIT, true);
+    }
+
+    #[test]
+    fn load_accepts_pc_and_addr_below_2_pow_48() {
+        let i = Instr::load(TOP, TOP);
+        assert_eq!((i.pc(), i.addr()), (TOP, TOP));
+    }
+
+    #[test]
+    #[should_panic(expected = "pc 0x1000000000000 is not below 2^48")]
+    fn load_rejects_pc_at_2_pow_48() {
+        Instr::load(TRACE_ADDR_LIMIT, 0x40);
+    }
+
+    #[test]
+    #[should_panic(expected = "addr 0x1000000000000 is not below 2^48")]
+    fn load_rejects_addr_at_2_pow_48() {
+        Instr::load(0x400, TRACE_ADDR_LIMIT);
+    }
+
+    #[test]
+    fn store_accepts_pc_and_addr_below_2_pow_48() {
+        let i = Instr::store(TOP, TOP);
+        assert_eq!((i.pc(), i.addr()), (TOP, TOP));
+    }
+
+    #[test]
+    #[should_panic(expected = "pc 0x1000000000000 is not below 2^48")]
+    fn store_rejects_pc_at_2_pow_48() {
+        Instr::store(TRACE_ADDR_LIMIT, 0x40);
+    }
+
+    #[test]
+    #[should_panic(expected = "addr 0x1000000000000 is not below 2^48")]
+    fn store_rejects_addr_at_2_pow_48() {
+        Instr::store(0x400, TRACE_ADDR_LIMIT);
+    }
+
+    #[test]
+    fn dependent_form_sets_and_clears_the_flag() {
+        let plain = Instr::load(0x400, 0x1000);
+        let dep = plain.with_dep_prev_load(true);
+        assert!(dep.dep_prev_load());
+        assert_eq!(dep.with_dep_prev_load(false), plain);
+    }
+
+    #[test]
+    #[should_panic(expected = "dep_prev_load applies to loads only")]
+    fn dependent_form_rejects_non_loads() {
+        let _ = Instr::store(0x400, 0x40).with_dep_prev_load(true);
     }
 
     #[test]
@@ -576,18 +795,16 @@ mod tests {
             n += 4;
             Instr::alu(n)
         };
-        assert_eq!(src.next_instr().pc, 4);
-        assert_eq!(src.next_instr().pc, 8);
+        assert_eq!(src.next_instr().pc(), 4);
+        assert_eq!(src.next_instr().pc(), 8);
     }
 
     fn sample() -> Vec<Instr> {
-        let mut dep = Instr::load(0x40c, 0x9000);
-        dep.dep_prev_load = true;
         vec![
             Instr::alu(0x400),
             Instr::load(0x404, 0x1000),
             Instr::store(0x408, 0x2040),
-            dep,
+            Instr::load(0x40c, 0x9000).with_dep_prev_load(true),
             Instr::branch(0x410, true),
             Instr::branch(0x414, false),
         ]
@@ -670,28 +887,20 @@ mod tests {
     }
 
     #[test]
-    fn encoder_canonicalizes_kind_inapplicable_fields() {
-        // Instr fields are public, so callers can hold non-canonical
-        // records; the writer must still emit files the reader accepts.
-        let weird = vec![
-            Instr {
-                kind: InstrKind::Alu,
-                addr: 0x1234,
-                pc: 0x400,
-                taken: true,
-                dep_prev_load: true,
-            },
-            Instr {
-                kind: InstrKind::Branch,
-                addr: 0x99,
-                pc: 0x404,
-                taken: true,
-                dep_prev_load: true,
-            },
-        ];
-        let parsed = parse_trace(&encode_trace(&weird)).expect("writer output decodes");
-        assert_eq!(parsed[0], Instr::alu(0x400));
-        assert_eq!(parsed[1], Instr::branch(0x404, true));
+    fn constructed_records_round_trip_through_both_encodings() {
+        // Every kind with every flag value, at both ends of the bound.
+        let mut instrs = Vec::new();
+        for (pc, addr) in [(0, 0), (TOP, TOP)] {
+            for kind in 0..4 {
+                for flag in [false, true] {
+                    instrs.push(build(kind, pc, addr, flag));
+                }
+            }
+        }
+        let binary = parse_trace(&encode_trace(&instrs)).expect("binary decodes");
+        let text = parse_trace(format_trace_text(&instrs).as_bytes()).expect("text parses");
+        assert_eq!(binary, instrs);
+        assert_eq!(text, instrs);
     }
 
     #[test]

@@ -65,11 +65,7 @@ impl InstrSource for SynthSource {
         match self.flavor {
             0 => Instr::alu((r % 512) & !3),
             1 => Instr::load(64, self.i * 64),
-            2 => {
-                let mut l = Instr::load(64, self.i * 4096);
-                l.dep_prev_load = true;
-                l
-            }
+            2 => Instr::load(64, self.i * 4096).with_dep_prev_load(true),
             3 => {
                 if self.i.is_multiple_of(3) {
                     Instr::branch(128 + (r % 8) * 4, r & 1 == 0)
@@ -82,11 +78,7 @@ impl InstrSource for SynthSource {
                 3 | 4 => Instr::load((r >> 3) % 4096, (r >> 10) % (1 << 20)),
                 5 => Instr::store((r >> 3) % 4096, (r >> 10) % (1 << 18)),
                 6 => Instr::branch((r >> 3) % 2048, r & 1 == 0),
-                _ => {
-                    let mut l = Instr::load(64, (r >> 10) % (1 << 16));
-                    l.dep_prev_load = r & 2 == 0;
-                    l
-                }
+                _ => Instr::load(64, (r >> 10) % (1 << 16)).with_dep_prev_load(r & 2 == 0),
             },
         }
     }

@@ -22,11 +22,7 @@ fn instr() -> impl Strategy<Value = Instr> {
     )
         .prop_map(|(kind, pc, addr, flag)| match kind {
             0 => Instr::alu(pc),
-            1 => {
-                let mut i = Instr::load(pc, addr);
-                i.dep_prev_load = flag;
-                i
-            }
+            1 => Instr::load(pc, addr).with_dep_prev_load(flag),
             2 => Instr::store(pc, addr),
             _ => Instr::branch(pc, flag),
         })
@@ -81,8 +77,8 @@ proptest! {
             .collect();
         if let Ok(instrs) = parse_trace_text(&text) {
             for i in instrs {
-                if i.kind == InstrKind::Alu || i.kind == InstrKind::Branch {
-                    prop_assert_eq!(i.addr, 0);
+                if i.kind() == InstrKind::Alu || i.kind() == InstrKind::Branch {
+                    prop_assert_eq!(i.addr(), 0);
                 }
             }
         }

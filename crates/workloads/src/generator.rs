@@ -277,9 +277,7 @@ impl InstrSource for SyntheticSource {
         let [load, store, branch] = self.kind_cuts;
         let instr = if u < load {
             let (addr, dep) = self.gen_mem();
-            let mut i = Instr::load(pc, addr);
-            i.dep_prev_load = dep;
-            i
+            Instr::load(pc, addr).with_dep_prev_load(dep)
         } else if u < store {
             let (addr, _) = self.gen_mem();
             Instr::store(pc, addr)
@@ -355,7 +353,7 @@ mod tests {
         let mut stores = 0;
         let mut branches = 0;
         for _ in 0..n {
-            match s.next_instr().kind {
+            match s.next_instr().kind() {
                 cpusim::InstrKind::Load => loads += 1,
                 cpusim::InstrKind::Store => stores += 1,
                 cpusim::InstrKind::Branch => branches += 1,
@@ -383,7 +381,7 @@ mod tests {
         let mut s = SyntheticSource::new(m, 4);
         let mut lines = BTreeSet::new();
         for _ in 0..1000 {
-            lines.insert(s.next_instr().addr / 64);
+            lines.insert(s.next_instr().addr() / 64);
         }
         assert_eq!(lines.len(), 1000, "every access is a fresh line");
     }
@@ -403,7 +401,7 @@ mod tests {
         let mut s = SyntheticSource::new(m, 5);
         let mut lines = BTreeSet::new();
         for _ in 0..100 {
-            lines.insert(s.next_instr().addr / 64);
+            lines.insert(s.next_instr().addr() / 64);
         }
         assert_eq!(lines.len(), 10, "loop revisits its footprint");
     }
@@ -423,7 +421,7 @@ mod tests {
         let mut s = SyntheticSource::new(m, 6);
         for _ in 0..50 {
             let i = s.next_instr();
-            assert!(i.dep_prev_load);
+            assert!(i.dep_prev_load());
         }
     }
 
@@ -447,13 +445,13 @@ mod tests {
         // Phase 1: all addresses within the 1 MB region (plus base 0).
         for _ in 0..1000 {
             let i = s.next_instr();
-            assert!(i.addr < (1 << 20), "phase 1 stays in component 0");
+            assert!(i.addr() < (1 << 20), "phase 1 stays in component 0");
         }
         // Phase 2: addresses in component 1's base range.
         let mut saw_stream = false;
         for _ in 0..1000 {
             let i = s.next_instr();
-            if i.addr >= (1 << 30) {
+            if i.addr() >= (1 << 30) {
                 saw_stream = true;
             }
         }
@@ -518,7 +516,7 @@ mod tests {
     fn pcs_stay_within_code_footprint() {
         let mut s = SyntheticSource::new(model(), 8);
         for _ in 0..10_000 {
-            assert!(s.next_instr().pc < 8 << 10);
+            assert!(s.next_instr().pc() < 8 << 10);
         }
     }
 }

@@ -532,7 +532,7 @@ mod tests {
         assert_eq!(w.member_names()[0], "namd");
         assert!(w.member_names()[1].starts_with("trace:"));
         let mut src = w.members[1].source(0);
-        assert_eq!(src.next_instr().addr, 0x1000);
+        assert_eq!(src.next_instr().addr(), 0x1000);
     }
 
     #[test]

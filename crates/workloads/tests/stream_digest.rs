@@ -46,16 +46,16 @@ fn stream_digest(b: Benchmark, seed: u64) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325;
     for _ in 0..INSTRS {
         let i = src.next_instr();
-        let kind = match i.kind {
+        let kind = match i.kind() {
             InstrKind::Alu => 0,
             InstrKind::Load => 1,
             InstrKind::Store => 2,
             InstrKind::Branch => 3,
         };
         h = fnv(h, kind);
-        h = fnv(h, i.pc);
-        h = fnv(h, i.addr);
-        h = fnv(h, i.taken as u64 | (i.dep_prev_load as u64) << 1);
+        h = fnv(h, i.pc());
+        h = fnv(h, i.addr());
+        h = fnv(h, i.taken() as u64 | (i.dep_prev_load() as u64) << 1);
     }
     h
 }
