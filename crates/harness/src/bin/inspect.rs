@@ -1,11 +1,11 @@
 //! `inspect` — watches one workload epoch by epoch: UMON miss curves
 //! (CURVES=1), UCP quotas / CP allocations, powered ways and per-core
 //! IPC. Env: WORKLOAD=spec (any workload-registry spec — a named group
-//! like G2-1, an ad-hoc mix like `soplex,namd`, or `trace:path.ctrace`;
-//! GROUP= is accepted as a legacy alias), SCHEME=policy-name (resolved
-//! through the harness policy registry), EPOCHS=n (default 34),
-//! QOS_SLACK=fraction (dvfs/cbp, default 0.10). Unknown workload or
-//! policy names print the registered lists and exit non-zero. Every
+//! like G2-1, an ad-hoc mix like `soplex,namd`, or `trace:path.ctrace`),
+//! SCHEME=policy-name (resolved through the harness policy registry),
+//! EPOCHS=n (default 34), QOS_SLACK=fraction (dvfs/cbp, default 0.10).
+//! Unknown workload or policy names print the registered lists and exit
+//! 2; a malformed EPOCHS or QOS_SLACK exits 2 with a one-line message. Every
 //! policy prints the same epoch line; an epoch whose decision hints clock
 //! ratios, bandwidth shares or prefetch degrees appends `ghz=`, `bw=` or
 //! `pf=` with them, and the first such decision announces the coordinated
@@ -32,13 +32,25 @@ impl LlcPort for Port<'_> {
     }
 }
 
+/// The environment variable `name` parsed as a `T`, or `default` when
+/// unset; a value that does not parse exits 2 with a one-line message.
+fn env_or<T: std::str::FromStr>(name: &str, default: T, what: &str) -> T {
+    match std::env::var(name) {
+        Err(_) => default,
+        Ok(v) => v.parse().unwrap_or_else(|_| {
+            eprintln!("{name}: '{v}' is not {what}");
+            std::process::exit(2);
+        }),
+    }
+}
+
 fn main() {
     let registry = policy_registry();
     if std::env::args().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: inspect\n\
              env: WORKLOAD=<spec> (default G2-1; a group like G2-1/G4-3/G8-2, a mix like\n\
-             \x20             'soplex,namd', or 'trace:path.ctrace'; GROUP= is a legacy alias)\n\
+             \x20             'soplex,namd', or 'trace:path.ctrace')\n\
              \x20    SCHEME=<policy> (default ucp; one of: {})\n\
              \x20    CURVES=1 to print per-epoch UMON miss curves\n\
              \x20    EPOCHS=n epochs to watch (default 34)\n\
@@ -47,9 +59,7 @@ fn main() {
         );
         return;
     }
-    let spec = std::env::var("WORKLOAD")
-        .or_else(|_| std::env::var("GROUP"))
-        .unwrap_or_else(|_| "G2-1".into());
+    let spec = std::env::var("WORKLOAD").unwrap_or_else(|_| "G2-1".into());
     let workloads_reg = workload_registry();
     let workload = match workloads_reg.resolve(&spec) {
         Ok(w) => w,
@@ -67,15 +77,9 @@ fn main() {
         }
         std::process::exit(2);
     };
-    let qos_slack: f64 = std::env::var("QOS_SLACK")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.10);
+    let qos_slack: f64 = env_or("QOS_SLACK", 0.10, "a fraction");
     let curves = std::env::var("CURVES").is_ok();
-    let epochs: u64 = std::env::var("EPOCHS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(34);
+    let epochs: u64 = env_or("EPOCHS", 34, "an epoch count");
     let n = workload.cores();
     println!("{} under {}", workload, policy_name);
     let mut cores: Vec<Core> = workload

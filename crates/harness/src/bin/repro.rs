@@ -83,21 +83,17 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--scale" => {
-                i += 1;
-                let name = args.get(i).expect("--scale needs a value");
-                scale = SimScale::by_name(name).unwrap_or_else(|| panic!("unknown scale '{name}'"));
+                let name = flag_value(&args, &mut i);
+                scale = SimScale::by_name(name).unwrap_or_else(|| {
+                    usage_error(&format!(
+                        "--scale: unknown preset '{name}' (quick, tiny, small, medium, paper)"
+                    ))
+                });
             }
-            "--csv" => {
-                i += 1;
-                csv_dir = Some(args.get(i).expect("--csv needs a directory").clone());
-            }
-            "--json" => {
-                i += 1;
-                json_dir = Some(args.get(i).expect("--json needs a directory").clone());
-            }
+            "--csv" => csv_dir = Some(flag_value(&args, &mut i).to_string()),
+            "--json" => json_dir = Some(flag_value(&args, &mut i).to_string()),
             "--policy" => {
-                i += 1;
-                let list = args.get(i).expect("--policy needs a name list");
+                let list = flag_value(&args, &mut i);
                 let registry = policy_registry();
                 for name in list.split(',') {
                     match registry.resolve(name.trim()) {
@@ -106,22 +102,18 @@ fn main() {
                                 policies.push(canonical);
                             }
                         }
-                        None => {
-                            eprintln!(
-                                "{}",
-                                coop_core::UnknownPolicy {
-                                    requested: name.trim().to_string(),
-                                    known: registry.names(),
-                                }
-                            );
-                            std::process::exit(2);
-                        }
+                        None => usage_error(
+                            &coop_core::UnknownPolicy {
+                                requested: name.trim().to_string(),
+                                known: registry.names(),
+                            }
+                            .to_string(),
+                        ),
                     }
                 }
             }
             "--group" => {
-                i += 1;
-                let list = args.get(i).expect("--group needs a name list");
+                let list = flag_value(&args, &mut i);
                 let registry = workload_registry();
                 for name in list.split(',') {
                     let name = name.trim();
@@ -131,73 +123,34 @@ fn main() {
                                 groups.push(canonical);
                             }
                         }
-                        None => {
-                            eprintln!(
-                                "unknown workload group '{name}'; registered groups: {}",
-                                registry.group_names().join(", ")
-                            );
-                            std::process::exit(2);
-                        }
+                        None => usage_error(&format!(
+                            "unknown workload group '{name}'; registered groups: {}",
+                            registry.group_names().join(", ")
+                        )),
                     }
                 }
             }
             "--slacks" => {
-                i += 1;
-                let list = args.get(i).expect("--slacks needs a comma-separated list");
-                slacks = list
+                slacks = flag_value(&args, &mut i)
                     .split(',')
-                    .map(|v| {
-                        v.trim()
-                            .parse::<f64>()
-                            .unwrap_or_else(|_| panic!("bad slack '{v}'"))
+                    .map(|v| match v.trim().parse::<f64>() {
+                        Ok(s) if (0.0..=1.0).contains(&s) => s,
+                        _ => usage_error(&format!("--slacks: '{v}' is not a fraction in [0, 1]")),
                     })
                     .collect();
-                assert!(
-                    slacks.iter().all(|&s| (0.0..=1.0).contains(&s)),
-                    "slacks must be fractions in [0, 1]"
-                );
             }
-            "--workers" => {
-                i += 1;
-                let n: usize = args
-                    .get(i)
-                    .expect("--workers needs a count")
-                    .parse()
-                    .expect("--workers must be an integer");
-                assert!(n >= 1, "--workers must be at least 1");
-                workers = Some(n);
-            }
-            "--shards" => {
-                i += 1;
-                let n: usize = args
-                    .get(i)
-                    .expect("--shards needs a count")
-                    .parse()
-                    .expect("--shards must be an integer");
-                assert!(n >= 1, "--shards must be at least 1");
-                shards = Some(n);
-            }
+            "--workers" => workers = Some(positive(&args, &mut i) as usize),
+            "--shards" => shards = Some(positive(&args, &mut i) as usize),
             "--resume" => resume = true,
-            "--sample" => {
-                i += 1;
-                let n: u64 = args
-                    .get(i)
-                    .expect("--sample needs a count")
-                    .parse()
-                    .expect("--sample must be an integer");
-                assert!(n >= 1, "--sample must be at least 1");
-                sample_n = Some(n);
-            }
+            "--sample" => sample_n = Some(positive(&args, &mut i)),
             "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("--seed must be an integer");
+                let v = flag_value(&args, &mut i);
+                seed = v.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("--seed: '{v}' is not an unsigned integer"))
+                });
             }
             other if i == 0 => what = other.to_string(),
-            other => panic!("unexpected argument '{other}'"),
+            other => usage_error(&format!("unexpected argument '{other}'")),
         }
         i += 1;
     }
@@ -206,19 +159,7 @@ fn main() {
     // would either do nothing (fig11-16, tables, dvfs_energy) or *add* a
     // second, differently-keyed sweep beside the full one that figs 14-16
     // need anyway (two-core/all) — so ignore them loudly instead.
-    let sweep_aware = matches!(
-        what.as_str(),
-        "fig5"
-            | "fig6"
-            | "fig7"
-            | "fig8"
-            | "fig9"
-            | "fig10"
-            | "fig5_10"
-            | "four-core"
-            | "eight_core"
-            | "eight-core"
-    );
+    let sweep_aware = fleet_run::sweep_targets(&what).is_some();
     let sampling = what == "sample";
     if !sweep_aware && !sampling && !policies.is_empty() {
         eprintln!(
@@ -431,6 +372,55 @@ fn write_single_process_manifest(
     store.write_manifest(&manifest).map_err(|e| e.to_string())
 }
 
+/// Prints a one-line usage error and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// The value after the flag at `args[*i]`, advancing `i` to it.
+fn flag_value<'a>(args: &'a [String], i: &mut usize) -> &'a str {
+    *i += 1;
+    match args.get(*i) {
+        Some(v) => v,
+        None => usage_error(&format!("{} needs a value", args[*i - 1])),
+    }
+}
+
+/// The positive integer after the flag at `args[*i]`, advancing `i`.
+fn positive(args: &[String], i: &mut usize) -> u64 {
+    let v = flag_value(args, i);
+    match v.parse() {
+        Ok(n) if n >= 1 => n,
+        _ => usage_error(&format!(
+            "{}: '{v}' is not a positive integer",
+            args[*i - 1]
+        )),
+    }
+}
+
+/// The in-process figures of a sweep layout, each core count's sweep from
+/// the process memo.
+fn memo_figures(
+    layout: &[(usize, &[Metric])],
+    scale: SimScale,
+    policies: &[&'static str],
+    groups: &[String],
+) -> Vec<Experiment> {
+    let policies = fleet_run::target_policies(policies, false);
+    let figures = fleet_run::sweep_figures(layout, groups, |cores| {
+        let sweep = experiments::cached_sweep_filtered(cores, scale, &policies, groups);
+        if sweep.is_none() {
+            eprintln!("# note: --group filter leaves no {cores}-core groups; sweep skipped");
+        }
+        Ok(sweep.map(|s| {
+            let perf = s.perf();
+            (s, perf)
+        }))
+    });
+    figures.unwrap_or_else(|e| panic!("{e}"))
+}
+
 fn select(
     what: &str,
     scale: SimScale,
@@ -438,32 +428,15 @@ fn select(
     policies: &[&'static str],
     groups: &[String],
 ) -> Vec<Experiment> {
-    let fig = |cores: usize, metric: Metric| -> Option<Experiment> {
-        let policies: &[&'static str] = if policies.is_empty() {
-            &coop_core::PAPER_POLICIES
-        } else {
-            policies
-        };
-        let built = experiments::fig5_10::figure_for(cores, metric, scale, policies, groups);
-        if built.is_none() {
-            eprintln!("# note: --group filter leaves no {cores}-core groups; sweep skipped");
-        }
-        built
-    };
-    let sweep3 = |cores: usize| -> Vec<Experiment> {
-        // The first metric decides whether the group filter leaves any
-        // group at this core count (fig prints the skip note once); the
-        // other two then can't miss.
-        let Some(first) = fig(cores, Metric::WeightedSpeedup) else {
-            return Vec::new();
-        };
-        let mut v = vec![first];
-        v.extend(
-            [Metric::DynamicEnergy, Metric::StaticEnergy]
-                .into_iter()
-                .filter_map(|m| fig(cores, m)),
-        );
-        v
+    if let Some(layout) = fleet_run::sweep_targets(what) {
+        return memo_figures(layout, scale, policies, groups);
+    }
+    let fig14_16 = || {
+        vec![
+            experiments::fig14::figure(scale),
+            experiments::fig15::figure(scale),
+            experiments::fig16::figure(scale),
+        ]
     };
     match what {
         "dvfs_energy" => vec![experiments::dvfs_energy::figure(scale, slacks)],
@@ -471,17 +444,6 @@ fn select(
         "table1" => vec![experiments::table1::table()],
         "table3" => vec![experiments::table3::table(scale)],
         "table4" => vec![experiments::table4::table()],
-        "fig5" => fig(2, Metric::WeightedSpeedup).into_iter().collect(),
-        "fig6" => fig(2, Metric::DynamicEnergy).into_iter().collect(),
-        "fig7" => fig(2, Metric::StaticEnergy).into_iter().collect(),
-        "fig8" => fig(4, Metric::WeightedSpeedup).into_iter().collect(),
-        "fig9" => fig(4, Metric::DynamicEnergy).into_iter().collect(),
-        "fig10" => fig(4, Metric::StaticEnergy).into_iter().collect(),
-        "fig5_10" => {
-            let mut v = sweep3(2);
-            v.extend(sweep3(4));
-            v
-        }
         "fig11" => vec![experiments::fig11_13::figure(
             ThresholdMetric::Performance,
             scale,
@@ -498,22 +460,18 @@ fn select(
         "fig15" => vec![experiments::fig15::figure(scale)],
         "fig16" => vec![experiments::fig16::figure(scale)],
         "two-core" => {
-            let mut v = sweep3(2);
-            v.push(experiments::fig14::figure(scale));
-            v.push(experiments::fig15::figure(scale));
-            v.push(experiments::fig16::figure(scale));
+            let mut v = memo_figures(&[(2, &Metric::ALL)], scale, policies, groups);
+            v.extend(fig14_16());
             v
         }
-        "four-core" => sweep3(4),
-        "eight_core" | "eight-core" => sweep3(8),
         "all" => {
             let mut v = vec![
                 experiments::table1::table(),
                 experiments::table4::table(),
                 experiments::table3::table(scale),
             ];
-            v.extend(sweep3(2));
-            v.extend(sweep3(4));
+            let fig5_10 = fleet_run::sweep_targets("fig5_10").expect("fig5_10 is a sweep target");
+            v.extend(memo_figures(fig5_10, scale, policies, groups));
             for m in [
                 ThresholdMetric::Performance,
                 ThresholdMetric::DynamicEnergy,
@@ -521,16 +479,14 @@ fn select(
             ] {
                 v.push(experiments::fig11_13::figure(m, scale));
             }
-            v.push(experiments::fig14::figure(scale));
-            v.push(experiments::fig15::figure(scale));
-            v.push(experiments::fig16::figure(scale));
+            v.extend(fig14_16());
             v.push(experiments::dvfs_energy::figure(scale, slacks));
             v.push(experiments::cbp_energy::figure(scale, slacks));
             v
         }
         other => {
             usage();
-            panic!("unknown experiment '{other}'");
+            usage_error(&format!("unknown experiment '{other}'"));
         }
     }
 }

@@ -23,52 +23,24 @@
 use simkit::geometric_mean;
 use simkit::table::Table;
 
-use crate::experiments::{groups_for_cores, parallel_for_each, Experiment};
+use crate::experiments::{groups_for_cores, run_grid, slacks_or_default, Experiment};
 use crate::scale::SimScale;
-use crate::system::{RunResult, System};
-use std::sync::Mutex;
 
-/// Default QoS slack sweep (fractional allowed slowdown per core).
-pub const DEFAULT_SLACKS: [f64; 3] = [0.05, 0.10, 0.20];
-
-/// Builds the experiment over `slacks` (falls back to [`DEFAULT_SLACKS`]
-/// when empty).
+/// Builds the experiment over `slacks` (falls back to
+/// [`DEFAULT_SLACKS`](crate::experiments::DEFAULT_SLACKS) when empty).
 pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
-    let started = std::time::Instant::now();
-    let slacks: Vec<f64> = if slacks.is_empty() {
-        DEFAULT_SLACKS.to_vec()
-    } else {
-        slacks.to_vec()
-    };
+    let slacks = slacks_or_default(slacks);
     let groups = groups_for_cores(2);
 
     // Column layout per group: [coop baseline, then per slack (dvfs, cbp)].
-    let width = 1 + 2 * slacks.len();
-    let jobs: Vec<(usize, usize)> = (0..groups.len())
-        .flat_map(|g| (0..width).map(move |j| (g, j)))
-        .collect();
-    let cells: Mutex<Vec<Vec<Option<RunResult>>>> =
-        Mutex::new(vec![vec![None; width]; groups.len()]);
-    parallel_for_each(jobs, |(g, j)| {
-        let mut builder = System::builder()
-            .workload_resolved(groups[g].clone())
-            .scale(scale);
-        builder = if j == 0 {
-            builder.policy("cooperative")
+    let (runs, perf) = run_grid(&groups, 1 + 2 * slacks.len(), scale, |b, j| {
+        if j == 0 {
+            b.policy("cooperative")
         } else {
-            let si = (j - 1) / 2;
             let policy = if (j - 1) % 2 == 0 { "dvfs" } else { "cbp" };
-            builder.policy(policy).qos_slack(slacks[si])
-        };
-        let result = builder.build().run();
-        cells.lock().expect("cells")[g][j] = Some(result);
+            b.policy(policy).qos_slack(slacks[(j - 1) / 2])
+        }
     });
-    let runs: Vec<Vec<RunResult>> = cells
-        .into_inner()
-        .expect("cells")
-        .into_iter()
-        .map(|row| row.into_iter().map(|c| c.expect("job ran")).collect())
-        .collect();
 
     let mut table = Table::new(
         [
@@ -151,20 +123,12 @@ pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
          energy covers LLC (tag+data+leakage), cores (dynamic+static) and DRAM traffic"
             .to_string(),
     );
-    let sim_accesses = runs
-        .iter()
-        .flatten()
-        .flat_map(|r| r.accesses.iter())
-        .sum::<u64>();
     Experiment {
         id: "CBP-E".to_string(),
         title: "Coordinated cache+bandwidth+prefetch vs Cooperative and DVFS (two-core)"
             .to_string(),
         table,
         notes,
-        perf: Some(crate::experiments::ExperimentPerf::local(
-            started.elapsed().as_secs_f64(),
-            sim_accesses,
-        )),
+        perf: Some(perf),
     }
 }

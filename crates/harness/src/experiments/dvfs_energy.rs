@@ -20,23 +20,13 @@ use coop_dvfs::DvfsConfig;
 use simkit::geometric_mean;
 use simkit::table::Table;
 
-use crate::experiments::{groups_for_cores, parallel_for_each, Experiment};
+use crate::experiments::{groups_for_cores, run_grid, slacks_or_default, Experiment};
 use crate::scale::SimScale;
-use crate::system::{RunResult, System};
-use std::sync::Mutex;
 
-/// Default QoS slack sweep (fractional allowed slowdown per core).
-pub const DEFAULT_SLACKS: [f64; 3] = [0.05, 0.10, 0.20];
-
-/// Builds the experiment over `slacks` (falls back to [`DEFAULT_SLACKS`]
-/// when empty).
+/// Builds the experiment over `slacks` (falls back to
+/// [`DEFAULT_SLACKS`](crate::experiments::DEFAULT_SLACKS) when empty).
 pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
-    let started = std::time::Instant::now();
-    let slacks: Vec<f64> = if slacks.is_empty() {
-        DEFAULT_SLACKS.to_vec()
-    } else {
-        slacks.to_vec()
-    };
+    let slacks = slacks_or_default(slacks);
     let groups = groups_for_cores(2);
     // One controller configuration template: the runs derive from it (per
     // slack) and the residency column labels read its V/f table, so the
@@ -44,29 +34,13 @@ pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
     let template = DvfsConfig::paper_default(0.0);
 
     // One baseline + one run per slack, for every group, all in parallel.
-    let jobs: Vec<(usize, usize)> = (0..groups.len())
-        .flat_map(|g| (0..=slacks.len()).map(move |j| (g, j)))
-        .collect();
-    let cells: Mutex<Vec<Vec<Option<RunResult>>>> =
-        Mutex::new(vec![vec![None; slacks.len() + 1]; groups.len()]);
-    parallel_for_each(jobs, |(g, j)| {
-        let mut builder = System::builder()
-            .workload_resolved(groups[g].clone())
-            .scale(scale);
-        builder = if j > 0 {
-            builder.policy("dvfs").qos_slack(slacks[j - 1])
+    let (runs, perf) = run_grid(&groups, slacks.len() + 1, scale, |b, j| {
+        if j > 0 {
+            b.policy("dvfs").qos_slack(slacks[j - 1])
         } else {
-            builder.policy("cooperative")
-        };
-        let result = builder.build().run();
-        cells.lock().expect("cells")[g][j] = Some(result);
+            b.policy("cooperative")
+        }
     });
-    let runs: Vec<Vec<RunResult>> = cells
-        .into_inner()
-        .expect("cells")
-        .into_iter()
-        .map(|row| row.into_iter().map(|c| c.expect("job ran")).collect())
-        .collect();
 
     let mut table = Table::new(
         [
@@ -152,20 +126,12 @@ pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
         "total wins across slacks: {}",
         per_slack_wins.iter().sum::<usize>()
     ));
-    let sim_accesses = runs
-        .iter()
-        .flatten()
-        .flat_map(|r| r.accesses.iter())
-        .sum::<u64>();
     Experiment {
         id: "DVFS-E".to_string(),
         title: "Coordinated DVFS + partitioning vs Cooperative alone (two-core)".to_string(),
         table,
         notes,
-        perf: Some(crate::experiments::ExperimentPerf::local(
-            started.elapsed().as_secs_f64(),
-            sim_accesses,
-        )),
+        perf: Some(perf),
     }
 }
 

@@ -7,9 +7,8 @@
 use simkit::geometric_mean;
 use simkit::table::Table;
 
-use crate::experiments::{cached_sweep_filtered, Experiment, Sweep};
+use crate::experiments::{cached_sweep, Experiment, Sweep};
 use crate::scale::SimScale;
-use coop_core::PAPER_POLICIES;
 
 /// Which quantity a figure plots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,6 +22,13 @@ pub enum Metric {
 }
 
 impl Metric {
+    /// Every metric, in the order a full sweep renders them.
+    pub const ALL: [Metric; 3] = [
+        Metric::WeightedSpeedup,
+        Metric::DynamicEnergy,
+        Metric::StaticEnergy,
+    ];
+
     fn of(self, sweep: &Sweep, g: usize, policy: &str) -> f64 {
         match self {
             Metric::WeightedSpeedup => sweep.ws_normalized(g, policy),
@@ -35,34 +41,12 @@ impl Metric {
 /// Builds one of Figures 5-10 (or an 8-core extension figure) over the
 /// five paper policies.
 pub fn figure(cores: usize, metric: Metric, scale: SimScale) -> Experiment {
-    figure_for(cores, metric, scale, &PAPER_POLICIES, &[])
-        .expect("unfiltered sweeps always have groups")
+    let sweep = cached_sweep(cores, scale);
+    figure_from(&sweep, cores, metric, &[], sweep.perf())
 }
 
-/// Builds one of Figures 5-10 (or an 8-core extension figure) over an
-/// explicit policy list (canonical registry names; Fair Share joins
-/// automatically as the baseline), optionally restricted to the named
-/// groups. Returns `None` when the group filter leaves nothing at this
-/// core count.
-pub fn figure_for(
-    cores: usize,
-    metric: Metric,
-    scale: SimScale,
-    policies: &[&'static str],
-    group_filter: &[String],
-) -> Option<Experiment> {
-    let sweep = cached_sweep_filtered(cores, scale, policies, group_filter)?;
-    Some(figure_from(
-        &sweep,
-        cores,
-        metric,
-        group_filter,
-        sweep.perf(),
-    ))
-}
-
-/// Builds one sweep figure from an already-computed [`Sweep`] — the shared
-/// table builder behind both the in-process path ([`figure_for`]) and the
+/// Builds one sweep figure from an already-computed [`Sweep`] — the one
+/// table builder behind the in-process path (the process memo) and the
 /// fleet path, where the sweep was merged from a results store and `perf`
 /// carries the orchestration's aggregate cost.
 pub fn figure_from(

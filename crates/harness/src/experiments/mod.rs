@@ -6,9 +6,12 @@
 //! and the 8-core extension) all read from the same group × policy sweep,
 //! so sweeps are memoized process-wide by (core count, scale, policy
 //! list, group list); the threshold sweep behind Figures 11-13 is cached
-//! the same way. Every experiment returns an [`Experiment`] holding a
-//! rendered table plus free-form notes comparing against the paper's
-//! reported numbers.
+//! the same way. A single-process sweep is the fleet's own cells run on
+//! local threads ([`cached_sweep_filtered`]), so it and a `--workers` run
+//! are one engine. The threshold and coordinator sweeps run a plain
+//! group × configuration grid (`run_grid`). Every experiment returns an
+//! [`Experiment`] holding a rendered table plus free-form notes comparing
+//! against the paper's reported numbers.
 
 // The perf lines (`perf:` wall/throughput reporting) read wall time;
 // allowlisted here and in simlint's path allowlist.
@@ -26,7 +29,6 @@ pub mod table1;
 pub mod table3;
 pub mod table4;
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -34,9 +36,10 @@ use coop_core::PAPER_POLICIES;
 use simkit::table::Table;
 use workloads::ResolvedWorkload;
 
+use crate::fleet_run;
 use crate::scale::SimScale;
 use crate::solo;
-use crate::system::{RunResult, System};
+use crate::system::{RunResult, System, SystemBuilder};
 
 /// Simulation cost behind one experiment: the wall-clock its backing runs
 /// took and how many LLC demand accesses they simulated. This is the
@@ -258,164 +261,144 @@ pub fn run_group(workload: &ResolvedWorkload, policy: &str, scale: SimScale) -> 
     sys.run()
 }
 
-fn compute_sweep(
-    groups: Vec<ResolvedWorkload>,
-    cores: usize,
-    scale: SimScale,
-    policies: &[&'static str],
-) -> Sweep {
-    let started = std::time::Instant::now();
-    let llc = solo::solo_llc(cores);
-
-    // Prefetch solo baselines in parallel (they are shared by many cells).
-    let names: BTreeSet<String> = groups
-        .iter()
-        .flat_map(|g| g.member_names().into_iter().map(str::to_string))
-        .collect();
-    let members: Vec<_> = groups
-        .iter()
-        .flat_map(|g| g.members.iter().cloned())
-        .filter({
-            let mut todo = names;
-            move |m| todo.remove(m.name())
-        })
-        .collect();
-    // Only baselines *simulated by this call* count toward the perf line —
-    // cache hits carry accesses whose compute time this sweep never paid.
-    let solo_accesses = Mutex::new(0u64);
-    parallel_for_each(members, |m| {
-        let (r, computed) = solo::solo_result_tracked(&m, llc, scale);
-        if computed {
-            *solo_accesses.lock().expect("solo accesses") += r.accesses;
-        }
-    });
-
-    // Run every (group, policy) cell in parallel.
-    let jobs: Vec<(usize, usize)> = (0..groups.len())
-        .flat_map(|g| (0..policies.len()).map(move |s| (g, s)))
-        .collect();
-    let cells: Mutex<Vec<Vec<Option<RunResult>>>> =
-        Mutex::new(vec![vec![None; policies.len()]; groups.len()]);
-    parallel_for_each(jobs, |(g, s)| {
-        let result = run_group(&groups[g], policies[s], scale);
-        cells.lock().expect("cells")[g][s] = Some(result);
-    });
-    let runs: Vec<Vec<RunResult>> = cells
-        .into_inner()
-        .expect("cells")
-        .into_iter()
-        .map(|row| row.into_iter().map(|c| c.expect("job ran")).collect())
-        .collect();
-
-    let ipc_alone = groups
-        .iter()
-        .map(|g| solo::ipc_alone_for(g, llc, scale))
-        .collect();
-    let sim_accesses: u64 = runs
-        .iter()
-        .flatten()
-        .flat_map(|r| r.accesses.iter())
-        .sum::<u64>()
-        + solo_accesses.into_inner().expect("solo accesses");
-    Sweep {
-        cores,
-        policies: policies.to_vec(),
-        groups,
-        runs,
-        ipc_alone,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        sim_accesses,
-    }
-}
-
-/// Runs `f` over `items` on up to `available_parallelism` worker threads.
-pub(crate) fn parallel_for_each<T: Send, F: Fn(T) + Sync>(items: Vec<T>, f: F) {
+/// Maps `f` over `items` on up to `available_parallelism` worker threads,
+/// starting items in list order; results come back in list order.
+pub(crate) fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     let n_workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .min(items.len().max(1));
-    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..n_workers {
             scope.spawn(|| loop {
                 let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= items.len() {
+                let Some(item) = items.get(idx) else {
                     break;
-                }
-                let item = items[idx].lock().expect("item").take().expect("taken once");
-                f(item);
+                };
+                *slots[idx].lock().expect("result slot") = Some(f(item));
             });
         }
     });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot")
+                .expect("every item ran")
+        })
+        .collect()
 }
 
-/// Cache entries for [`cached_sweep_filtered`], keyed by
-/// `(cores, scale name, policies, group labels)`.
-type SweepKey = (usize, &'static str, Vec<&'static str>, Vec<String>);
-type SweepCache = Mutex<Vec<(SweepKey, Arc<Sweep>)>>;
+/// Runs `width` configurations of every group on the local thread pool:
+/// `runs[g][j]` is configuration `j` of `groups[g]`, where `configure`
+/// finishes a builder that already holds the group and the scale. Returns
+/// the runs with their cost.
+pub(crate) fn run_grid(
+    groups: &[ResolvedWorkload],
+    width: usize,
+    scale: SimScale,
+    configure: impl Fn(SystemBuilder, usize) -> SystemBuilder + Sync,
+) -> (Vec<Vec<RunResult>>, ExperimentPerf) {
+    let started = std::time::Instant::now();
+    let jobs: Vec<(usize, usize)> = (0..groups.len())
+        .flat_map(|g| (0..width).map(move |j| (g, j)))
+        .collect();
+    let flat = parallel_map(&jobs, |&(g, j)| {
+        let builder = System::builder()
+            .workload_resolved(groups[g].clone())
+            .scale(scale);
+        configure(builder, j).build().run()
+    });
+    let sim_accesses = flat.iter().flat_map(|r| r.accesses.iter()).sum();
+    let mut flat = flat.into_iter();
+    let runs = groups
+        .iter()
+        .map(|_| flat.by_ref().take(width).collect())
+        .collect();
+    let perf = ExperimentPerf::local(started.elapsed().as_secs_f64(), sim_accesses);
+    (runs, perf)
+}
+
+/// Default QoS slack sweep of the coordinator experiments (fractional
+/// allowed slowdown per core).
+pub const DEFAULT_SLACKS: [f64; 3] = [0.05, 0.10, 0.20];
+
+/// `slacks`, or [`DEFAULT_SLACKS`] when empty.
+pub(crate) fn slacks_or_default(slacks: &[f64]) -> Vec<f64> {
+    if slacks.is_empty() {
+        DEFAULT_SLACKS.to_vec()
+    } else {
+        slacks.to_vec()
+    }
+}
+
+/// A process-wide memo: entries computed once per key and shared.
+type Memo<K, V> = Mutex<Vec<(K, Arc<V>)>>;
+
+/// The memo's entry for `key`, computing it on a miss. The lock is not held
+/// while computing, so independent entries compute concurrently.
+fn memoized<K: PartialEq, V>(memo: &Memo<K, V>, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
+    if let Some((_, hit)) = memo.lock().expect("memo").iter().find(|(k, _)| *k == key) {
+        return Arc::clone(hit);
+    }
+    let value = Arc::new(compute());
+    memo.lock().expect("memo").push((key, Arc::clone(&value)));
+    value
+}
 
 /// Memoized sweep for (cores, scale) over the five paper policies.
 pub fn cached_sweep(cores: usize, scale: SimScale) -> Arc<Sweep> {
-    cached_sweep_for(cores, scale, &PAPER_POLICIES)
+    cached_sweep_filtered(cores, scale, &PAPER_POLICIES, &[])
+        .expect("the registry always has groups for 2/4/8 cores")
 }
 
 /// Memoized sweep for (cores, scale) over an explicit policy list
 /// (canonical registry names; the Fair Share baseline is added when
-/// missing, since every figure normalizes to it).
-pub fn cached_sweep_for(cores: usize, scale: SimScale, policies: &[&'static str]) -> Arc<Sweep> {
-    cached_sweep_filtered(cores, scale, policies, &[])
-        .expect("the registry always has groups for 2/4/8 cores")
-}
-
-/// Memoized sweep for (cores, scale) over an explicit policy list,
-/// restricted to the named groups (canonical registry group names; an
-/// empty filter keeps every group of the core count). Returns `None`
-/// when the filter leaves no group at this core count.
+/// missing, since every figure normalizes to it), restricted to the named
+/// groups (canonical registry group names; an empty filter keeps every
+/// group of the core count). Returns `None` when the filter leaves no
+/// group at this core count.
+///
+/// The sweep runs the fleet's own cells ([`fleet_run::sweep_cells`]) on
+/// the local thread pool and folds their payloads with
+/// [`fleet_run::merge_sweep`], so a single-process sweep and a fleet run
+/// are one engine. `scale` must be a named preset: cells resolve their
+/// scale by name.
 pub fn cached_sweep_filtered(
     cores: usize,
     scale: SimScale,
     policies: &[&'static str],
     group_filter: &[String],
 ) -> Option<Arc<Sweep>> {
-    static CACHE: OnceLock<SweepCache> = OnceLock::new();
-    let mut policies = policies.to_vec();
-    if !policies.contains(&"fair") {
-        policies.insert(0, "fair");
-    }
-    let groups: Vec<ResolvedWorkload> = groups_for_cores(cores)
-        .into_iter()
-        .filter(|g| {
-            group_filter.is_empty()
-                || group_filter
-                    .iter()
-                    .any(|f| f.eq_ignore_ascii_case(&g.label))
-        })
-        .collect();
+    /// Keyed by `(cores, scale name, policies with Fair Share, group labels)`.
+    type SweepKey = (usize, &'static str, Vec<&'static str>, Vec<String>);
+    static MEMO: OnceLock<Memo<SweepKey, Sweep>> = OnceLock::new();
+    let groups = fleet_run::filtered_groups(cores, group_filter);
     if groups.is_empty() {
         return None;
     }
-    let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
     let key: SweepKey = (
         cores,
         scale.name,
-        policies.clone(),
+        fleet_run::policies_with_fair(policies),
         groups.iter().map(|g| g.label.clone()).collect(),
     );
-    if let Some((_, hit)) = cache
-        .lock()
-        .expect("sweep cache")
-        .iter()
-        .find(|(k, _)| *k == key)
-    {
-        return Some(Arc::clone(hit));
-    }
-    let sweep = Arc::new(compute_sweep(groups, cores, scale, &policies));
-    cache
-        .lock()
-        .expect("sweep cache")
-        .push((key, Arc::clone(&sweep)));
-    Some(sweep)
+    Some(memoized(MEMO.get_or_init(Default::default), key, || {
+        let cells = fleet_run::sweep_cells(&[cores], scale, policies, group_filter);
+        let run = fleet_run::run_cells_local(&cells).unwrap_or_else(|e| panic!("{e}"));
+        fleet_run::merge_sweep(
+            &|cell| run.lookup(cell),
+            cores,
+            scale,
+            policies,
+            group_filter,
+            run.perf.wall_seconds,
+            run.perf.sim_accesses,
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }))
 }
 
 /// The Cooperative-scheme threshold sweep behind Figures 11-13:
@@ -431,53 +414,12 @@ pub struct ThresholdSweep {
 /// Memoized Cooperative-scheme threshold sweep over the two-core groups
 /// (Figures 11-13).
 pub fn cached_threshold_sweep(scale: SimScale) -> Arc<ThresholdSweep> {
-    /// Cache entries keyed by scale name.
-    type ThresholdCache = Mutex<Vec<(&'static str, Arc<ThresholdSweep>)>>;
-    static CACHE: OnceLock<ThresholdCache> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-    if let Some((_, hit)) = cache
-        .lock()
-        .expect("threshold cache")
-        .iter()
-        .find(|(k, _)| *k == scale.name)
-    {
-        return Arc::clone(hit);
-    }
-    let started = std::time::Instant::now();
-    let groups = groups_for_cores(2);
-    let jobs: Vec<(usize, usize)> = (0..groups.len())
-        .flat_map(|g| (0..fig11_13::THRESHOLDS.len()).map(move |t| (g, t)))
-        .collect();
-    let cells: Mutex<Vec<Vec<Option<RunResult>>>> =
-        Mutex::new(vec![vec![None; fig11_13::THRESHOLDS.len()]; groups.len()]);
-    parallel_for_each(jobs, |(g, t)| {
-        let result = System::builder()
-            .workload_resolved(groups[g].clone())
-            .policy("cooperative")
-            .scale(scale)
-            .threshold(fig11_13::THRESHOLDS[t])
-            .build()
-            .run();
-        cells.lock().expect("cells")[g][t] = Some(result);
-    });
-    let runs: Vec<Vec<RunResult>> = cells
-        .into_inner()
-        .expect("cells")
-        .into_iter()
-        .map(|row| row.into_iter().map(|c| c.expect("job ran")).collect())
-        .collect();
-    let sim_accesses = runs
-        .iter()
-        .flatten()
-        .flat_map(|r| r.accesses.iter())
-        .sum::<u64>();
-    let arc = Arc::new(ThresholdSweep {
-        runs,
-        perf: ExperimentPerf::local(started.elapsed().as_secs_f64(), sim_accesses),
-    });
-    cache
-        .lock()
-        .expect("threshold cache")
-        .push((scale.name, Arc::clone(&arc)));
-    arc
+    static MEMO: OnceLock<Memo<&'static str, ThresholdSweep>> = OnceLock::new();
+    memoized(MEMO.get_or_init(Default::default), scale.name, || {
+        let thresholds = fig11_13::THRESHOLDS;
+        let (runs, perf) = run_grid(&groups_for_cores(2), thresholds.len(), scale, |b, t| {
+            b.policy("cooperative").threshold(thresholds[t])
+        });
+        ThresholdSweep { runs, perf }
+    })
 }

@@ -1,8 +1,15 @@
-//! Harness side of fleet orchestration: the [`fleet::CellRunner`] that
-//! executes one sweep cell, bit-exact serialization of [`RunResult`] /
-//! solo baselines through the fleet JSON layer, cell enumeration for the
-//! sweep-aware `repro` targets, and the merge that folds a results store
-//! back into a [`Sweep`] identical to what one process would compute.
+//! Harness side of fleet orchestration, and the one sweep engine: the
+//! [`fleet::CellRunner`] that executes one sweep cell, bit-exact
+//! serialization of [`RunResult`] / solo baselines through the fleet JSON
+//! layer, cell enumeration for the sweep targets, and the merge that folds
+//! finished cells back into a [`Sweep`].
+//!
+//! A single-process sweep is the same cells run on local threads:
+//! [`experiments::cached_sweep_filtered`] enumerates [`sweep_cells`], runs
+//! them with [`run_cells_local`] and folds the payloads with
+//! [`merge_sweep`], exactly as a fleet run folds its results store. So
+//! [`merge_sweep`] is the only code that assembles a [`Sweep`], and
+//! [`sweep_targets`] is the only table of sweep targets.
 //!
 //! Bit-identity is the contract: every `f64` crosses the worker protocol
 //! and the results store via Rust's shortest-roundtrip formatting and
@@ -15,8 +22,9 @@
 // allowlisted here and in simlint's path allowlist.
 #![allow(clippy::disallowed_methods)]
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use coop_core::MissCurve;
 use energy::{CoreEnergyReport, EnergyCounts, EnergyReport};
@@ -266,8 +274,10 @@ fn scale_by_name(name: &str) -> Result<SimScale, String> {
 }
 
 /// Executes fleet cells with the harness simulator. One instance serves a
-/// whole worker process, so the process-wide solo cache deduplicates
-/// baseline work across the cells of every shard it is assigned.
+/// whole worker process (or the local thread pool of a single-process
+/// sweep), so the process-wide solo cache deduplicates baseline work
+/// across every cell it runs. The access count it reports with a payload
+/// is the work the cell simulated: 0 for a baseline already cached.
 pub struct HarnessCellRunner;
 
 impl fleet::CellRunner for HarnessCellRunner {
@@ -297,8 +307,11 @@ impl fleet::CellRunner for HarnessCellRunner {
                 let member = crate::workload_registry()
                     .member(&cell.workload)
                     .map_err(|e| e.to_string())?;
-                let s = solo::solo_result_for(&member, solo::solo_llc(cell.cores), scale);
-                Ok((solo_to_value(&s), s.accesses))
+                // A baseline this process already held costs the cell no
+                // simulation, so it reports no accesses.
+                let (s, computed) =
+                    solo::solo_result_tracked(&member, solo::solo_llc(cell.cores), scale);
+                Ok((solo_to_value(&s), if computed { s.accesses } else { 0 }))
             }
         }
     }
@@ -314,33 +327,39 @@ pub fn worker_serve() {
 // Cell enumeration
 
 /// The sweep layout behind a `repro` target: which core counts it runs
-/// and which metrics it renders per core count. `None` for targets the
-/// fleet does not cover.
-pub fn sweep_targets(what: &str) -> Option<Vec<(usize, Vec<Metric>)>> {
-    let all = || {
-        vec![
-            Metric::WeightedSpeedup,
-            Metric::DynamicEnergy,
-            Metric::StaticEnergy,
-        ]
-    };
+/// and which metrics it renders per core count. `None` for targets that
+/// are not sweeps. This is the one table of fleet-capable sweep targets:
+/// `repro`'s in-process path, the fleet's cell enumeration and its merge
+/// all read it.
+pub fn sweep_targets(what: &str) -> Option<&'static [(usize, &'static [Metric])]> {
+    const ALL: &[Metric] = &Metric::ALL;
     Some(match what {
-        "fig5" => vec![(2, vec![Metric::WeightedSpeedup])],
-        "fig6" => vec![(2, vec![Metric::DynamicEnergy])],
-        "fig7" => vec![(2, vec![Metric::StaticEnergy])],
-        "fig8" => vec![(4, vec![Metric::WeightedSpeedup])],
-        "fig9" => vec![(4, vec![Metric::DynamicEnergy])],
-        "fig10" => vec![(4, vec![Metric::StaticEnergy])],
-        "fig5_10" => vec![(2, all()), (4, all())],
-        "four-core" => vec![(4, all())],
-        "eight_core" | "eight-core" => vec![(8, all())],
+        "fig5" => &[(2, &[Metric::WeightedSpeedup])],
+        "fig6" => &[(2, &[Metric::DynamicEnergy])],
+        "fig7" => &[(2, &[Metric::StaticEnergy])],
+        "fig8" => &[(4, &[Metric::WeightedSpeedup])],
+        "fig9" => &[(4, &[Metric::DynamicEnergy])],
+        "fig10" => &[(4, &[Metric::StaticEnergy])],
+        "fig5_10" => &[(2, ALL), (4, ALL)],
+        "four-core" => &[(4, ALL)],
+        "eight_core" | "eight-core" => &[(8, ALL)],
         _ => return None,
     })
 }
 
-/// Normalizes a sweep policy list the way [`experiments::cached_sweep_filtered`]
-/// does: Fair Share joins at the front when missing (every figure
-/// normalizes to it).
+/// The policy list a target runs: `policies`, or when that is empty the
+/// target's default set — [`SAMPLE_POLICIES`] for a Monte Carlo run, the
+/// five paper policies for a sweep.
+pub fn target_policies(policies: &[&'static str], sample: bool) -> Vec<&'static str> {
+    match (policies.is_empty(), sample) {
+        (false, _) => policies.to_vec(),
+        (true, true) => SAMPLE_POLICIES.to_vec(),
+        (true, false) => coop_core::PAPER_POLICIES.to_vec(),
+    }
+}
+
+/// Normalizes a sweep policy list: Fair Share joins at the front when
+/// missing (every figure normalizes to it).
 pub fn policies_with_fair(policies: &[&'static str]) -> Vec<&'static str> {
     let mut out = policies.to_vec();
     if !out.contains(&"fair") {
@@ -349,9 +368,9 @@ pub fn policies_with_fair(policies: &[&'static str]) -> Vec<&'static str> {
     out
 }
 
-/// The filtered groups of one core count, mirroring the sweep cache's
-/// filter semantics (case-insensitive label match; empty filter = all).
-fn filtered_groups(cores: usize, group_filter: &[String]) -> Vec<ResolvedWorkload> {
+/// The groups of one core count that a filter keeps (case-insensitive
+/// label match; an empty filter keeps all), in registry order.
+pub(crate) fn filtered_groups(cores: usize, group_filter: &[String]) -> Vec<ResolvedWorkload> {
     experiments::groups_for_cores(cores)
         .into_iter()
         .filter(|g| {
@@ -572,29 +591,62 @@ pub fn sample_outcomes(
     Ok(out)
 }
 
-/// Runs every cell in-process (on the harness thread pool) and returns
-/// payloads by cell ID — the single-process twin of a fleet run, used by
-/// the Monte Carlo mode without `--workers` and by the determinism tests.
-pub fn compute_cells_inprocess(cells: &[CellSpec]) -> Result<BTreeMap<String, Value>, String> {
+/// Payloads of cells run on the local thread pool, by cell ID, with the
+/// cost of running them.
+pub struct LocalRun {
+    payloads: BTreeMap<String, Value>,
+    /// Wall-clock of the run and the LLC accesses its cells reported.
+    pub perf: ExperimentPerf,
+}
+
+impl LocalRun {
+    /// The payload of a cell this run computed.
+    pub fn lookup(&self, cell: &CellSpec) -> Result<Value, String> {
+        self.payloads
+            .get(&cell.id())
+            .cloned()
+            .ok_or_else(|| format!("cell {} was not computed", cell.canonical()))
+    }
+}
+
+/// Runs cells in-process with the fleet's own [`HarnessCellRunner`] on the
+/// local thread pool: every solo cell first, then the rest, so a CPE cell
+/// reads its profile from the solo cache and never simulates a baseline.
+/// The perf counts the accesses the runner reported, so a baseline the
+/// process already held counts nothing.
+pub fn run_cells_local(cells: &[CellSpec]) -> Result<LocalRun, String> {
     use fleet::CellRunner as _;
-    let results: Mutex<BTreeMap<String, Value>> = Mutex::new(BTreeMap::new());
-    let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    experiments::parallel_for_each(cells.to_vec(), |cell| {
-        match HarnessCellRunner.run_cell(&cell) {
-            Ok((payload, _)) => {
-                results.lock().expect("results").insert(cell.id(), payload);
+    let started = std::time::Instant::now();
+    let (solos, rest): (Vec<&CellSpec>, Vec<&CellSpec>) =
+        cells.iter().partition(|c| c.kind == CellKind::Solo);
+    let mut payloads = BTreeMap::new();
+    let mut sim_accesses = 0;
+    let mut errors = Vec::new();
+    for phase in [solos, rest] {
+        let results = experiments::parallel_map(&phase, |cell| HarnessCellRunner.run_cell(cell));
+        for (cell, result) in phase.into_iter().zip(results) {
+            match result {
+                Ok((payload, accesses)) => {
+                    sim_accesses += accesses;
+                    payloads.insert(cell.id(), payload);
+                }
+                Err(e) => errors.push(format!("{}: {e}", cell.canonical())),
             }
-            Err(e) => errors
-                .lock()
-                .expect("errors")
-                .push(format!("{}: {e}", cell.canonical())),
         }
-    });
-    let errors = errors.into_inner().expect("errors");
+    }
     if let Some(first) = errors.first() {
         return Err(format!("{} cells failed; first: {first}", errors.len()));
     }
-    Ok(results.into_inner().expect("results"))
+    Ok(LocalRun {
+        payloads,
+        perf: ExperimentPerf::local(started.elapsed().as_secs_f64(), sim_accesses),
+    })
+}
+
+/// Runs every cell in-process (see [`run_cells_local`]) and returns the
+/// payloads by cell ID — the single-process twin of a fleet run.
+pub fn compute_cells_inprocess(cells: &[CellSpec]) -> Result<BTreeMap<String, Value>, String> {
+    run_cells_local(cells).map(|run| run.payloads)
 }
 
 // ---------------------------------------------------------------------------
@@ -658,22 +710,11 @@ pub fn cells_for_target(
     group_filter: &[String],
     sample: Option<&SamplePlan>,
 ) -> Option<Result<Vec<CellSpec>, String>> {
+    let pol = target_policies(policies, sample.is_some());
     if let Some(plan) = sample {
-        let specs = sample_specs(plan);
-        let pol: Vec<&'static str> = if policies.is_empty() {
-            SAMPLE_POLICIES.to_vec()
-        } else {
-            policies.to_vec()
-        };
-        return Some(sample_cells(&specs, scale, &pol));
+        return Some(sample_cells(&sample_specs(plan), scale, &pol));
     }
-    let targets = sweep_targets(what)?;
-    let core_counts: Vec<usize> = targets.iter().map(|(c, _)| *c).collect();
-    let pol: Vec<&'static str> = if policies.is_empty() {
-        coop_core::PAPER_POLICIES.to_vec()
-    } else {
-        policies.to_vec()
-    };
+    let core_counts: Vec<usize> = sweep_targets(what)?.iter().map(|&(c, _)| c).collect();
     Some(Ok(sweep_cells(&core_counts, scale, &pol, group_filter)))
 }
 
@@ -860,11 +901,7 @@ fn salvage_partial(
         .collect();
     let durable = cells.iter().filter(|c| done.contains(&c.id())).count();
     let total = cells.len();
-    let pol: Vec<&'static str> = if policies.is_empty() {
-        coop_core::PAPER_POLICIES.to_vec()
-    } else {
-        policies.to_vec()
-    };
+    let pol = target_policies(policies, false);
     let pol_fair = policies_with_fair(&pol);
     let lookup = |cell: &CellSpec| -> Result<Value, String> {
         store
@@ -874,7 +911,7 @@ fn salvage_partial(
     };
     let mut experiments = Vec::new();
     let mut omitted: Vec<String> = Vec::new();
-    for (cores, metrics) in targets {
+    for &(cores, metrics) in targets {
         let groups = filtered_groups(cores, group_filter);
         let covered: Vec<String> = groups
             .iter()
@@ -906,7 +943,7 @@ fn salvage_partial(
             perf.wall_seconds,
             perf.sim_accesses,
         )?;
-        for m in metrics {
+        for &m in metrics {
             experiments.push(figure_from(&sweep, cores, m, &covered, perf));
         }
     }
@@ -932,9 +969,32 @@ fn salvage_partial(
     }))
 }
 
+/// Renders a sweep layout's figures: per core count, every metric the
+/// layout names, from one [`Sweep`]. `sweep_for(cores)` supplies that
+/// sweep with the cost its perf lines report — the process memo for an
+/// in-process run, a results store for a fleet run — or `None` to skip
+/// the core count.
+pub fn sweep_figures<S: Borrow<Sweep>>(
+    layout: &[(usize, &[Metric])],
+    group_filter: &[String],
+    mut sweep_for: impl FnMut(usize) -> Result<Option<(S, ExperimentPerf)>, String>,
+) -> Result<Vec<Experiment>, String> {
+    let mut out = Vec::new();
+    for &(cores, metrics) in layout {
+        if let Some((sweep, perf)) = sweep_for(cores)? {
+            out.extend(
+                metrics
+                    .iter()
+                    .map(|&m| figure_from(sweep.borrow(), cores, m, group_filter, perf)),
+            );
+        }
+    }
+    Ok(out)
+}
+
 /// Builds the target's experiments from finished cells — shared by the
-/// fleet path (store lookup) and the in-process Monte Carlo path (map
-/// lookup).
+/// fleet path (store lookup), the in-process Monte Carlo path and
+/// perfbench's in-process twin (map lookup).
 pub fn merge_target_experiments(
     lookup: CellLookup,
     what: &str,
@@ -944,12 +1004,8 @@ pub fn merge_target_experiments(
     sample: Option<&SamplePlan>,
     perf: ExperimentPerf,
 ) -> Result<Vec<Experiment>, String> {
+    let pol = target_policies(policies, sample.is_some());
     if let Some(plan) = sample {
-        let pol: Vec<&'static str> = if policies.is_empty() {
-            SAMPLE_POLICIES.to_vec()
-        } else {
-            policies.to_vec()
-        };
         let specs = sample_specs(plan);
         let mut out = Vec::new();
         for p in policies_with_fair(&pol) {
@@ -963,14 +1019,8 @@ pub fn merge_target_experiments(
         }
         return Ok(out);
     }
-    let targets = sweep_targets(what).ok_or_else(|| format!("'{what}' has no sweep layout"))?;
-    let pol: Vec<&'static str> = if policies.is_empty() {
-        coop_core::PAPER_POLICIES.to_vec()
-    } else {
-        policies.to_vec()
-    };
-    let mut out = Vec::new();
-    for (cores, metrics) in targets {
+    let layout = sweep_targets(what).ok_or_else(|| format!("'{what}' has no sweep layout"))?;
+    sweep_figures(layout, group_filter, |cores| {
         let sweep = merge_sweep(
             lookup,
             cores,
@@ -980,49 +1030,30 @@ pub fn merge_target_experiments(
             perf.wall_seconds,
             perf.sim_accesses,
         )?;
-        for m in metrics {
-            out.push(figure_from(&sweep, cores, m, group_filter, perf));
-        }
-    }
-    Ok(out)
+        Ok(Some((sweep, perf)))
+    })
 }
 
 /// The in-process Monte Carlo path (`repro sample` without `--workers`):
-/// compute every cell on the local thread pool, then build the same
+/// run every cell on the local thread pool, then build the same
 /// distributional report the fleet path merges.
 pub fn run_sample_inprocess(
     scale: SimScale,
     policies: &[&'static str],
     plan: &SamplePlan,
 ) -> Result<Vec<Experiment>, String> {
-    let started = std::time::Instant::now();
     let cells = cells_for_target("sample", scale, policies, &[], Some(plan))
         .expect("sample is fleet-capable")?;
-    let results = compute_cells_inprocess(&cells)?;
-    let sim_accesses: u64 = results
-        .values()
-        .map(|v| {
-            // Sweep payloads carry per-core access arrays; solo payloads a
-            // single count.
-            v.get("accesses")
-                .map(|a| {
-                    json::read_arr_u64(a)
-                        .ok()
-                        .map(|arr| arr.iter().sum())
-                        .or_else(|| a.as_u64())
-                        .unwrap_or(0)
-                })
-                .unwrap_or(0)
-        })
-        .sum();
-    let perf = ExperimentPerf::local(started.elapsed().as_secs_f64(), sim_accesses);
-    let lookup = |cell: &CellSpec| -> Result<Value, String> {
-        results
-            .get(&cell.id())
-            .cloned()
-            .ok_or_else(|| format!("cell {} was not computed", cell.canonical()))
-    };
-    merge_target_experiments(&lookup, "sample", scale, policies, &[], Some(plan), perf)
+    let run = run_cells_local(&cells)?;
+    merge_target_experiments(
+        &|cell| run.lookup(cell),
+        "sample",
+        scale,
+        policies,
+        &[],
+        Some(plan),
+        run.perf,
+    )
 }
 
 #[cfg(test)]
@@ -1064,30 +1095,63 @@ mod tests {
         assert_eq!(ids.len(), n, "cell list has no duplicate IDs");
     }
 
+    /// Parses a payload back from its rendered text, as a worker's
+    /// result or a stored cell is read.
+    fn through_text(v: &Value) -> Value {
+        json::parse(&v.render()).expect("parses")
+    }
+
+    /// In-process sweeps read deserialized results, so the round trip is
+    /// their contract: every field of every registry policy's result (the
+    /// `{:?}` render distinguishes every non-NaN `f64` bit pattern).
     #[test]
     fn run_result_roundtrips_bit_exactly() {
         let wl = crate::workload_registry().resolve("G2-1").expect("group");
-        let r = experiments::run_group(&wl, "cooperative", quick());
-        let v = run_result_to_value(&r);
-        let text = v.render();
-        let back =
-            run_result_from_value(&json::parse(&text).expect("parses")).expect("deserializes");
-        // Spot-check exact bits on the fields the figures read.
-        assert_eq!(back.ipc, r.ipc);
-        assert_eq!(
-            back.energy.dynamic_nj.to_bits(),
-            r.energy.dynamic_nj.to_bits()
-        );
-        assert_eq!(
-            back.energy.static_nj.to_bits(),
-            r.energy.static_nj.to_bits()
-        );
-        assert_eq!(back.accesses, r.accesses);
-        assert_eq!(back.counts, r.counts);
-        assert_eq!(back.epoch_curves, r.epoch_curves);
-        assert_eq!(back.freq_residency, r.freq_residency);
-        // And the whole rendered payload is stable under a second trip.
-        assert_eq!(run_result_to_value(&back).render(), text);
+        for policy in crate::policy_registry().names() {
+            let r = experiments::run_group(&wl, policy, quick());
+            let v = run_result_to_value(&r);
+            let back = run_result_from_value(&through_text(&v)).expect("deserializes");
+            assert_eq!(format!("{back:?}"), format!("{r:?}"), "{policy}");
+            // And the whole rendered payload is stable under a second trip.
+            assert_eq!(run_result_to_value(&back).render(), v.render(), "{policy}");
+            if policy == "cooperative" {
+                // The fields Figures 14-16 read are live, not vacuously equal.
+                assert!(r.takeover_events.iter().sum::<u64>() > 0);
+                assert!(!r.cp_transfer_durations.is_empty());
+                assert!(!r.flush_series.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn solo_result_roundtrips_bit_exactly() {
+        let member = crate::workload_registry().member("mcf").expect("benchmark");
+        let s = solo::solo_result_for(&member, solo::solo_llc(2), quick());
+        let back = solo_from_value(&through_text(&solo_to_value(&s))).expect("deserializes");
+        assert_eq!(format!("{back:?}"), format!("{s:?}"));
+        assert!(!s.epoch_curves.is_empty());
+    }
+
+    /// `Sweep::sim_accesses` counts only work the call simulated: a second
+    /// sweep over the same groups finds every baseline cached, so it counts
+    /// its policy cells and nothing else.
+    #[test]
+    fn repeated_sweep_counts_no_solo_accesses() {
+        let groups = ["G2-3".to_string()];
+        let cell_accesses = |s: &Sweep| -> u64 {
+            s.runs
+                .iter()
+                .flatten()
+                .flat_map(|r| r.accesses.iter())
+                .sum()
+        };
+        let first = experiments::cached_sweep_filtered(2, quick(), &["ucp"], &groups)
+            .expect("group exists");
+        assert!(first.sim_accesses >= cell_accesses(&first));
+        let second = experiments::cached_sweep_filtered(2, quick(), &["cooperative"], &groups)
+            .expect("group exists");
+        assert_eq!(second.policies, ["fair", "cooperative"]);
+        assert_eq!(second.sim_accesses, cell_accesses(&second));
     }
 
     #[test]

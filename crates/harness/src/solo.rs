@@ -34,8 +34,12 @@ pub struct SoloResult {
 
 type Key = (String, u64, usize, &'static str);
 
-fn cache() -> &'static Mutex<BTreeMap<Key, Arc<SoloResult>>> {
-    static CACHE: OnceLock<Mutex<BTreeMap<Key, Arc<SoloResult>>>> = OnceLock::new();
+/// One baseline's cache slot: filled exactly once, however many threads
+/// ask for it at the same time.
+type Slot = Arc<OnceLock<Arc<SoloResult>>>;
+
+fn cache() -> &'static Mutex<BTreeMap<Key, Slot>> {
+    static CACHE: OnceLock<Mutex<BTreeMap<Key, Slot>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
@@ -61,6 +65,8 @@ pub fn solo_result_for(
 /// simulated by *this* call (`true`) or served from the process-wide cache
 /// (`false`). The perf accounting uses the flag so accesses-per-second
 /// lines never count cached work whose compute time they did not pay.
+/// Concurrent calls for one baseline simulate it once: the others wait
+/// for it and report `false`.
 pub fn solo_result_tracked(
     factory: &Arc<dyn WorkloadFactory>,
     llc: LlcConfig,
@@ -72,28 +78,32 @@ pub fn solo_result_tracked(
         llc.geom.ways(),
         scale.name,
     );
-    if let Some(hit) = cache().lock().expect("poisoned solo cache").get(&key) {
-        return (Arc::clone(hit), false);
-    }
-    let run = System::builder()
-        .workload_resolved(ResolvedWorkload::single(Arc::clone(factory)))
-        .policy("ucp")
-        .llc(llc)
-        .scale(scale)
-        .build()
-        .run();
-    let result = Arc::new(SoloResult {
-        ipc: run.ipc[0],
-        mpki: run.mpki[0],
-        apki: run.apki[0],
-        accesses: run.accesses[0],
-        epoch_curves: run.epoch_curves,
+    let slot = Arc::clone(
+        cache()
+            .lock()
+            .expect("poisoned solo cache")
+            .entry(key)
+            .or_default(),
+    );
+    let mut computed = false;
+    let result = slot.get_or_init(|| {
+        computed = true;
+        let run = System::builder()
+            .workload_resolved(ResolvedWorkload::single(Arc::clone(factory)))
+            .policy("ucp")
+            .llc(llc)
+            .scale(scale)
+            .build()
+            .run();
+        Arc::new(SoloResult {
+            ipc: run.ipc[0],
+            mpki: run.mpki[0],
+            apki: run.apki[0],
+            accesses: run.accesses[0],
+            epoch_curves: run.epoch_curves,
+        })
     });
-    cache()
-        .lock()
-        .expect("poisoned solo cache")
-        .insert(key, Arc::clone(&result));
-    (result, true)
+    (Arc::clone(result), computed)
 }
 
 /// Solo IPCs for a whole workload (in member/core order).
@@ -147,6 +157,26 @@ mod tests {
         let a = solo_result(Benchmark::Namd, solo_llc(2), quick());
         let b = solo_result(Benchmark::Namd, solo_llc(2), quick());
         assert!(Arc::ptr_eq(&a, &b), "second lookup is a cache hit");
+    }
+
+    #[test]
+    fn concurrent_requests_simulate_a_baseline_once() {
+        let factory: Arc<dyn WorkloadFactory> = Arc::new(SyntheticWorkload::new(Benchmark::Gcc));
+        // A scale of its own, so no other test has cached this baseline.
+        let scale = SimScale {
+            name: "solo-once-test",
+            ..quick()
+        };
+        let computed: Vec<bool> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| solo_result_tracked(&factory, solo_llc(2), scale).1))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("ran"))
+                .collect()
+        });
+        assert_eq!(computed.iter().filter(|&&c| c).count(), 1, "{computed:?}");
     }
 
     #[test]

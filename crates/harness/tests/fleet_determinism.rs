@@ -14,8 +14,8 @@ use std::sync::OnceLock;
 
 use fleet::json::{self, Value};
 use fleet::{CellSpec, JournalEntry, ResultsStore};
-use harness::experiments::fig5_10::{figure_for, figure_from, Metric};
-use harness::experiments::ExperimentPerf;
+use harness::experiments::fig5_10::{figure_from, Metric};
+use harness::experiments::{cached_sweep_filtered, ExperimentPerf};
 use harness::fleet_run;
 use harness::SimScale;
 use proptest::prelude::*;
@@ -47,7 +47,7 @@ struct Baseline {
     /// Rendered payload text per cell ID — what a worker would put on
     /// the wire.
     payloads: BTreeMap<String, String>,
-    /// The single-process figure renders (all three metrics per case).
+    /// The in-process figure renders (all three metrics per case).
     golden: Vec<Vec<String>>,
 }
 
@@ -66,19 +66,13 @@ fn baseline() -> &'static Baseline {
                 case.policies,
                 &filter,
             ));
+            let sweep = cached_sweep_filtered(case.cores, scale, case.policies, &filter)
+                .expect("groups exist");
             golden.push(
-                [
-                    Metric::WeightedSpeedup,
-                    Metric::DynamicEnergy,
-                    Metric::StaticEnergy,
-                ]
-                .into_iter()
-                .map(|m| {
-                    figure_for(case.cores, m, scale, case.policies, &filter)
-                        .expect("groups exist")
-                        .render()
-                })
-                .collect(),
+                Metric::ALL
+                    .into_iter()
+                    .map(|m| figure_from(&sweep, case.cores, m, &filter, sweep.perf()).render())
+                    .collect(),
             );
         }
         let computed = fleet_run::compute_cells_inprocess(&cells).expect("cells compute");

@@ -175,5 +175,40 @@ fn repro_rejects_bad_slacks() {
         &["dvfs_energy", "--slacks", "1.5"],
         &[],
     );
-    assert!(!out.status.success(), "slack > 1 must be rejected");
+    assert_eq!(out.status.code(), Some(2), "slack > 1 must be rejected");
+}
+
+/// Asserts a usage error: exit code 2 with a one-line message, no panic.
+fn assert_usage_error(what: &str, out: &Output) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{what}: one line, got {stderr}");
+    assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+}
+
+#[test]
+fn repro_rejects_bad_flag_values_with_exit_2() {
+    for args in [
+        &["fig5", "--scale", "huge"][..],
+        &["fig5", "--workers", "two"],
+        &["fig5", "--workers", "0"],
+        &["fig5", "--shards", "x"],
+        &["sample", "--sample", "many"],
+        &["sample", "--seed", "-1"],
+        &["dvfs_energy", "--slacks", "0.1,abc"],
+        &["fig5", "--scale"],
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_repro"), args, &[]);
+        assert_usage_error(&args.join(" "), &out);
+    }
+}
+
+#[test]
+fn inspect_rejects_malformed_epochs_and_slack() {
+    for env in [("EPOCHS", "many"), ("QOS_SLACK", "ten%")] {
+        let out = run(env!("CARGO_BIN_EXE_inspect"), &[], &[env]);
+        assert_usage_error(&format!("{}={}", env.0, env.1), &out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(env.0) && stderr.contains(env.1), "{stderr}");
+    }
 }
