@@ -11,7 +11,7 @@ use harness::SimScale;
 use simkit::types::{CoreId, Cycle};
 
 fn bench_analysis(c: &mut Criterion) {
-    let scale = SimScale::from_env_or(SimScale::tiny());
+    let scale = SimScale::from_env_or(SimScale::tiny()).unwrap_or_else(|e| panic!("{e}"));
     for metric in [
         ThresholdMetric::Performance,
         ThresholdMetric::DynamicEnergy,

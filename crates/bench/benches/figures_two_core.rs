@@ -10,7 +10,7 @@ use harness::SimScale;
 use workloads::{Benchmark, ResolvedWorkload};
 
 fn bench_two_core(c: &mut Criterion) {
-    let scale = SimScale::from_env_or(SimScale::tiny());
+    let scale = SimScale::from_env_or(SimScale::tiny()).unwrap_or_else(|e| panic!("{e}"));
     for metric in [
         Metric::WeightedSpeedup,
         Metric::DynamicEnergy,

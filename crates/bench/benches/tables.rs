@@ -16,7 +16,7 @@ fn print_tables(scale: SimScale) {
 }
 
 fn bench_tables(c: &mut Criterion) {
-    let scale = SimScale::from_env_or(SimScale::tiny());
+    let scale = SimScale::from_env_or(SimScale::tiny()).unwrap_or_else(|e| panic!("{e}"));
     print_tables(scale);
 
     // Kernel 1: the threshold look-ahead allocator on realistic curves.

@@ -41,8 +41,9 @@ pub enum StepperKind {
 pub enum EpochControl {
     /// Continue to the next event.
     Continue,
-    /// Return immediately after this epoch (used by fixed-epoch drivers
-    /// like `inspect`); the stepper can be re-entered later.
+    /// Return immediately after this epoch (used when a watcher of the
+    /// harness's observed runs ends a run early); the stepper can be
+    /// re-entered later.
     Stop,
 }
 

@@ -21,7 +21,10 @@ fn main() {
         );
         return;
     }
-    let scale = SimScale::from_env_or(SimScale::tiny());
+    let scale = SimScale::from_env_or(SimScale::tiny()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     println!(
         "scale {} warm={} instrs={}",
         scale.name, scale.warmup_instrs, scale.instrs_per_app

@@ -67,7 +67,7 @@ fn main() {
     if args[0] == "fsck" {
         run_fsck(&args[1..]);
     }
-    let mut scale = SimScale::from_env_or(SimScale::small());
+    let mut scale = SimScale::from_env_or(SimScale::small()).unwrap_or_else(|e| usage_error(&e));
     let mut csv_dir: Option<String> = None;
     let mut json_dir: Option<String> = None;
     let mut slacks: Vec<f64> = Vec::new();
@@ -85,9 +85,8 @@ fn main() {
             "--scale" => {
                 let name = flag_value(&args, &mut i);
                 scale = SimScale::by_name(name).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "--scale: unknown preset '{name}' (quick, tiny, small, medium, paper)"
-                    ))
+                    let names = SimScale::NAMES.join(", ");
+                    usage_error(&format!("--scale: unknown preset '{name}' ({names})"))
                 });
             }
             "--csv" => csv_dir = Some(flag_value(&args, &mut i).to_string()),

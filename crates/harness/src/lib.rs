@@ -28,7 +28,7 @@ pub mod system;
 
 pub use policies::policy_registry;
 pub use scale::SimScale;
-pub use system::{drive_epoch, BuildError, RunResult, System, SystemBuilder};
+pub use system::{drive_epoch, BuildError, EpochView, RunResult, System, SystemBuilder};
 
 /// The harness workload registry: the 19 synthetic benchmark models plus
 /// the named groups (G2-1..G2-14, G4-1..G4-14, G8-1..G8-6). Mirrors

@@ -87,6 +87,9 @@ impl SimScale {
         }
     }
 
+    /// The preset names [`SimScale::by_name`] knows, smallest first.
+    pub const NAMES: [&'static str; 5] = ["quick", "tiny", "small", "medium", "paper"];
+
     /// Parses a preset by name.
     pub fn by_name(name: &str) -> Option<SimScale> {
         match name {
@@ -99,17 +102,16 @@ impl SimScale {
         }
     }
 
-    /// Reads `COOP_SCALE` from the environment, falling back to `default`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `COOP_SCALE` is set to an unknown preset name.
-    pub fn from_env_or(default: SimScale) -> SimScale {
+    /// Reads `COOP_SCALE` from the environment, falling back to `default`
+    /// when it is unset. An unknown preset name is an error whose one-line
+    /// message names the variable and the presets.
+    pub fn from_env_or(default: SimScale) -> Result<SimScale, String> {
         match std::env::var("COOP_SCALE") {
-            Ok(v) => {
-                SimScale::by_name(&v).unwrap_or_else(|| panic!("unknown COOP_SCALE preset: {v}"))
-            }
-            Err(_) => default,
+            Ok(v) => SimScale::by_name(&v).ok_or_else(|| {
+                let names = SimScale::NAMES.join(", ");
+                format!("COOP_SCALE: unknown preset '{v}' ({names})")
+            }),
+            Err(_) => Ok(default),
         }
     }
 }
@@ -151,6 +153,9 @@ mod tests {
             assert_eq!(SimScale::by_name(s.name), Some(s));
         }
         assert_eq!(SimScale::by_name("bogus"), None);
+        for name in SimScale::NAMES {
+            assert_eq!(SimScale::by_name(name).map(|s| s.name), Some(name));
+        }
     }
 
     #[test]

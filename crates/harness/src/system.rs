@@ -22,7 +22,10 @@
 
 use coop_core::cpe::CpeProfile;
 use coop_core::policy::{DynamicCpePolicy, PartitionPolicy};
-use coop_core::{AllocationDecision, LlcConfig, PartitionedLlc, PolicySpec, SchemeKind};
+use coop_core::{
+    AllocationDecision, EpochObservations, LlcConfig, MissCurve, PartitionedLlc, PolicySpec,
+    SchemeKind,
+};
 use coop_dvfs::{DvfsPolicy, Residency};
 use cpusim::{Core, CoreConfig, EpochControl, InstrSource, LlcPort, StepperKind, SystemStepper};
 use energy::{CoreEnergyParams, CoreEnergyReport, EnergyCounts, EnergyParams, EnergyReport};
@@ -399,6 +402,22 @@ impl RunResult {
     }
 }
 
+/// One closed epoch as [`System::run_observed`] shows it, after the
+/// decision was applied.
+#[derive(Debug, Clone, Copy)]
+pub struct EpochView<'a> {
+    /// Epochs closed before this one (0 for the first decision).
+    pub index: u64,
+    /// Whether the epoch falls in the measurement window (not warm-up).
+    pub measured: bool,
+    /// What the policy observed, read before the decision.
+    pub observations: &'a EpochObservations,
+    /// The policy's decision.
+    pub decision: &'a AllocationDecision,
+    /// The LLC with the decision applied.
+    pub llc: &'a PartitionedLlc,
+}
+
 /// The assembled system.
 pub struct System {
     cfg: SystemConfig,
@@ -482,7 +501,14 @@ impl System {
     /// instructions; all applications keep running (and keep contending for
     /// the cache) until the slowest reaches its target.
     pub fn run(self) -> RunResult {
-        let uses_umon = self.policy.uses_umon();
+        self.run_observed(|_| EpochControl::Continue)
+    }
+
+    /// [`System::run`], showing `watch` every epoch (warm-up and measured)
+    /// once its decision is applied. A returned [`EpochControl::Stop`] ends
+    /// the run there; after a warm-up stop no measurement phase runs, and
+    /// the result covers an empty window.
+    pub fn run_observed(self, mut watch: impl FnMut(&EpochView) -> EpochControl) -> RunResult {
         let System {
             cfg,
             mut cores,
@@ -495,32 +521,48 @@ impl System {
         let n = cores.len();
         let scale = cfg.scale;
         let mut stepper = SystemStepper::new(kind, cfg.llc.epoch_cycles);
-        // Sum of per-core way targets over measured epochs + the epoch
-        // count (for `RunResult::avg_ways_owned`).
-        let mut way_occupancy: (Vec<u64>, u64) = (vec![0; n], 0);
-        // Sums of per-core bandwidth share and prefetch degree over the
-        // same epochs (for `avg_bw_share` / `avg_prefetch_degree`).
-        let mut resource_occupancy: (Vec<f64>, Vec<f64>) = (vec![0.0; n], vec![0.0; n]);
+        let mut window = WindowSum {
+            per_core: vec![[0.0; 3]; n],
+            ..WindowSum::default()
+        };
+        let stopped = std::cell::Cell::new(false);
+        // Closes one epoch: the policy decides, measured epochs join the
+        // window sum, and `watch` sees the outcome.
+        let mut close = |now: Cycle,
+                         cores: &mut [Core<StreamSource>],
+                         port: &mut SharedMem,
+                         policy: &mut dyn PartitionPolicy,
+                         measured: bool| {
+            let (observations, decision) =
+                observe_and_drive(now, cores, port.llc, port.dram, policy);
+            if measured {
+                if policy.uses_umon() {
+                    window.curves.push(observations.curves[0].clone());
+                }
+                window.add(port.llc, cores);
+            }
+            let control = watch(&EpochView {
+                index: observations.epoch_index,
+                measured,
+                observations: &observations,
+                decision: &decision,
+                llc: port.llc,
+            });
+            stopped.set(control == EpochControl::Stop);
+            control
+        };
 
         // ---- Warm-up ----------------------------------------------------
-        {
-            let mut port = SharedMem {
+        stepper.run(
+            &mut cores,
+            &mut SharedMem {
                 llc: &mut llc,
                 dram: &mut dram,
-            };
-            let warm_targets = vec![scale.warmup_instrs; n];
-            let policy = &mut policy;
-            stepper.run(
-                &mut cores,
-                &mut port,
-                &warm_targets,
-                Cycle(scale.max_cycles / 2),
-                |now, cores, port| {
-                    drive_epoch(now, cores, port.llc, port.dram, policy.as_mut());
-                    EpochControl::Continue
-                },
-            );
-        }
+            },
+            &vec![scale.warmup_instrs; n],
+            Cycle(scale.max_cycles / 2),
+            |now, cores, port| close(now, cores, port, policy.as_mut(), false),
+        );
 
         // ---- Measurement window ----------------------------------------
         let window_start = stepper.now();
@@ -552,43 +594,18 @@ impl System {
             .iter()
             .map(|&b| b + scale.instrs_per_app)
             .collect();
-        let mut epoch_curves: Vec<coop_core::MissCurve> = Vec::new();
-
-        let mut finish = {
-            let mut port = SharedMem {
-                llc: &mut llc,
-                dram: &mut dram,
-            };
-            let policy = &mut policy;
-            let epoch_curves = &mut epoch_curves;
-            let way_occupancy = &mut way_occupancy;
-            let resource_occupancy = &mut resource_occupancy;
+        let mut finish = if stopped.get() {
+            vec![None; n]
+        } else {
             stepper.run(
                 &mut cores,
-                &mut port,
+                &mut SharedMem {
+                    llc: &mut llc,
+                    dram: &mut dram,
+                },
                 &target,
                 Cycle(scale.max_cycles),
-                |now, cores, port| {
-                    if uses_umon {
-                        epoch_curves.push(port.llc.umon_curve(CoreId(0)));
-                    }
-                    drive_epoch(now, cores, port.llc, port.dram, policy.as_mut());
-                    let alloc = port.llc.current_allocation();
-                    for (acc, w) in way_occupancy.0.iter_mut().zip(alloc) {
-                        *acc += w as u64;
-                    }
-                    way_occupancy.1 += 1;
-                    for (i, acc) in resource_occupancy.0.iter_mut().enumerate() {
-                        *acc += match port.llc.bandwidth_regulator() {
-                            Some(r) => r.share_of(CoreId(i as u8)),
-                            None => 1.0,
-                        };
-                    }
-                    for (acc, core) in resource_occupancy.1.iter_mut().zip(cores.iter()) {
-                        *acc += core.prefetch_degree() as f64;
-                    }
-                    EpochControl::Continue
-                },
+                |now, cores, port| close(now, cores, port, policy.as_mut(), true),
             )
         };
         let end = stepper.now();
@@ -670,41 +687,11 @@ impl System {
                 )
             }
         };
-        let avg_ways_owned: Vec<f64> = {
-            let (sums, epochs) = &way_occupancy;
-            if *epochs == 0 {
-                llc.current_allocation().iter().map(|&w| w as f64).collect()
-            } else {
-                sums.iter().map(|&s| s as f64 / *epochs as f64).collect()
-            }
-        };
-        let (avg_bw_share, avg_prefetch_degree): (Vec<f64>, Vec<f64>) = {
-            let epochs = way_occupancy.1;
-            if epochs == 0 {
-                (
-                    (0..n)
-                        .map(|i| match llc.bandwidth_regulator() {
-                            Some(r) => r.share_of(CoreId(i as u8)),
-                            None => 1.0,
-                        })
-                        .collect(),
-                    cores.iter().map(|c| c.prefetch_degree() as f64).collect(),
-                )
-            } else {
-                (
-                    resource_occupancy
-                        .0
-                        .iter()
-                        .map(|&s| s / epochs as f64)
-                        .collect(),
-                    resource_occupancy
-                        .1
-                        .iter()
-                        .map(|&s| s / epochs as f64)
-                        .collect(),
-                )
-            }
-        };
+        // A window without epochs reports the state it ran under.
+        if window.epochs == 0 {
+            window.add(&llc, &cores);
+        }
+        let [avg_ways_owned, avg_bw_share, avg_prefetch_degree] = window.means();
         let prefetches: Vec<u64> = cores
             .iter()
             .zip(&base_prefetches)
@@ -744,7 +731,7 @@ impl System {
             flush_series: flush_series_ts.values().to_vec(),
             flush_bucket: flush_series_ts.bucket_cycles(),
             repartitions: llc.stats().repartitions.get(),
-            epoch_curves,
+            epoch_curves: window.curves,
             core_energy,
             avg_freq_ghz,
             freq_residency,
@@ -763,9 +750,10 @@ impl System {
 /// asks the policy for a decision, applies way targets through the LLC's
 /// enforcement mode and clock-ratio hints through the cores.
 ///
-/// This is *the* epoch semantics — [`System::run`] and the `inspect` binary
-/// both call it, so a policy's decisions (including DVFS clock hints) take
-/// effect identically everywhere.
+/// This is *the* epoch semantics — [`System::run_observed`] closes every
+/// epoch through the same steps, so drivers that assemble the pieces
+/// themselves see a policy's decisions (including DVFS clock hints) take
+/// effect identically.
 pub fn drive_epoch<S: InstrSource>(
     now: Cycle,
     cores: &mut [Core<S>],
@@ -773,6 +761,17 @@ pub fn drive_epoch<S: InstrSource>(
     dram: &mut Dram,
     policy: &mut dyn PartitionPolicy,
 ) -> AllocationDecision {
+    observe_and_drive(now, cores, llc, dram, policy).1
+}
+
+/// [`drive_epoch`], also returning the observations the policy decided on.
+fn observe_and_drive<S: InstrSource>(
+    now: Cycle,
+    cores: &mut [Core<S>],
+    llc: &mut PartitionedLlc,
+    dram: &mut Dram,
+    policy: &mut dyn PartitionPolicy,
+) -> (EpochObservations, AllocationDecision) {
     let retired: Vec<u64> = cores.iter().map(|c| c.retired()).collect();
     let mut obs = llc.epoch_observations(now, retired);
     // Core-side prefetch counters (the LLC cannot see them).
@@ -796,7 +795,38 @@ pub fn drive_epoch<S: InstrSource>(
             core.set_prefetch_degree(d);
         }
     }
-    decision
+    (obs, decision)
+}
+
+/// Sums over the measured epochs of each core's way target, bandwidth
+/// share (1.0 without a regulator) and prefetch degree, behind the window
+/// means of [`RunResult`]; plus core 0's UMON curve per epoch.
+#[derive(Default)]
+struct WindowSum {
+    epochs: u64,
+    per_core: Vec<[f64; 3]>,
+    curves: Vec<MissCurve>,
+}
+
+impl WindowSum {
+    fn add<S: InstrSource>(&mut self, llc: &PartitionedLlc, cores: &[Core<S>]) {
+        let ways = llc.current_allocation();
+        for (i, (sum, core)) in self.per_core.iter_mut().zip(cores).enumerate() {
+            let regulator = llc.bandwidth_regulator();
+            let share = regulator.map_or(1.0, |r| r.share_of(CoreId(i as u8)));
+            let epoch = [ways[i] as f64, share, core.prefetch_degree() as f64];
+            for (s, x) in sum.iter_mut().zip(epoch) {
+                *s += x;
+            }
+        }
+        self.epochs += 1;
+    }
+
+    /// Per-core means of way targets, bandwidth shares and prefetch degrees.
+    fn means(&self) -> [Vec<f64>; 3] {
+        let epochs = self.epochs as f64;
+        std::array::from_fn(|k| self.per_core.iter().map(|s| s[k] / epochs).collect())
+    }
 }
 
 /// Cumulative per-core LLC misses (for per-epoch observations).

@@ -19,9 +19,9 @@
 
 use std::sync::Arc;
 
-use cpusim::StepperKind;
+use cpusim::{EpochControl, StepperKind};
 use harness::experiments::run_group;
-use harness::{workload_registry, SimScale, System};
+use harness::{solo, workload_registry, SimScale, System};
 use workloads::{ResolvedWorkload, WorkloadFactory, WorkloadSource};
 
 struct Golden {
@@ -339,4 +339,79 @@ fn only_the_dvfs_preset_is_a_dvfs_policy() {
     };
     assert!(is_dvfs("dvfs"));
     assert!(!is_dvfs("cbp"));
+}
+
+/// Every registry policy on G2-1 plus the two coordinator presets on the
+/// four-core G4-5, each built at the quick scale (`cpe` with its solo
+/// profile installed, as the sweeps run it).
+fn observed_systems() -> Vec<(String, impl Fn() -> System)> {
+    let policies = harness::policy_registry().names();
+    let cases = policies.into_iter().map(|p| ("G2-1", p));
+    let cases = cases.chain([("G4-5", "dvfs"), ("G4-5", "cbp")]);
+    cases
+        .map(|(workload, policy)| {
+            let build = move || {
+                let mut sys = System::builder()
+                    .workload(workload)
+                    .policy(policy)
+                    .scale(SimScale::quick())
+                    .build();
+                if policy == "cpe" {
+                    let w = workload_registry().resolve(workload).expect("registered");
+                    let llc = solo::solo_llc(w.cores());
+                    sys.set_cpe_profile(solo::cpe_profile_for(&w, llc, SimScale::quick()));
+                }
+                sys
+            };
+            (format!("{workload}/{policy}"), build)
+        })
+        .collect()
+}
+
+#[test]
+fn observed_runs_match_plain_runs_and_show_every_epoch() {
+    for (case, build) in observed_systems() {
+        let plain = run_digest(&build().run());
+        // (index, measured, way targets) of every view.
+        let mut views: Vec<(u64, bool, Vec<usize>)> = Vec::new();
+        let observed = build().run_observed(|v| {
+            views.push((v.index, v.measured, v.llc.current_allocation()));
+            EpochControl::Continue
+        });
+        assert_eq!(
+            run_digest(&observed),
+            plain,
+            "{case}: watching changed the run"
+        );
+        for (i, view) in views.iter().enumerate() {
+            assert_eq!(view.0, i as u64, "{case}: epoch indices run 0..k");
+        }
+        let warm = views.iter().take_while(|v| !v.1).count();
+        let measured = &views[warm..];
+        assert!(!measured.is_empty(), "{case}: no measured epoch");
+        assert!(
+            measured.iter().all(|v| v.1),
+            "{case}: measured epochs come last"
+        );
+        let mean: Vec<f64> = (0..observed.ipc.len())
+            .map(|c| measured.iter().map(|v| v.2[c] as f64).sum::<f64>() / measured.len() as f64)
+            .collect();
+        assert_eq!(mean, observed.avg_ways_owned, "{case}: mean way targets");
+    }
+}
+
+#[test]
+fn a_warm_up_stop_ends_the_run_before_measurement() {
+    for (case, build) in observed_systems() {
+        let mut views = Vec::new();
+        build().run_observed(|v| {
+            views.push((v.index, v.measured));
+            if v.index == 2 {
+                EpochControl::Stop
+            } else {
+                EpochControl::Continue
+            }
+        });
+        assert_eq!(views, [(0, false), (1, false), (2, false)], "{case}");
+    }
 }

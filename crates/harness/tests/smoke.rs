@@ -77,6 +77,17 @@ fn inspect_two_epoch_run_exits_zero() {
 }
 
 #[test]
+fn inspect_prints_curves_only_when_asked() {
+    for (curves, printed) in [("0", false), ("1", true)] {
+        let envs = [("EPOCHS", "1"), ("CURVES", curves)];
+        let out = run(env!("CARGO_BIN_EXE_inspect"), &[], &envs);
+        assert_ok(&format!("inspect (CURVES={curves})"), &out);
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(text.contains("curve:"), printed, "CURVES={curves}: {text}");
+    }
+}
+
+#[test]
 fn inspect_dvfs_run_reports_frequencies() {
     let out = run(
         env!("CARGO_BIN_EXE_inspect"),
@@ -203,9 +214,31 @@ fn repro_rejects_bad_flag_values_with_exit_2() {
     }
 }
 
+/// Asserts the one-line usage error for `COOP_SCALE=bogus`, naming the
+/// variable and the presets.
+fn assert_rejects_bogus_coop_scale(exe: &str, args: &[&str]) {
+    let out = run(exe, args, &[("COOP_SCALE", "bogus")]);
+    assert_usage_error(&format!("COOP_SCALE=bogus {exe}"), &out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("COOP_SCALE") && stderr.contains("bogus") && stderr.contains("quick"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn repro_rejects_an_unknown_coop_scale() {
+    assert_rejects_bogus_coop_scale(env!("CARGO_BIN_EXE_repro"), &["table1"]);
+}
+
+#[test]
+fn calibrate_rejects_an_unknown_coop_scale() {
+    assert_rejects_bogus_coop_scale(env!("CARGO_BIN_EXE_calibrate"), &[]);
+}
+
 #[test]
 fn inspect_rejects_malformed_epochs_and_slack() {
-    for env in [("EPOCHS", "many"), ("QOS_SLACK", "ten%")] {
+    for env in [("EPOCHS", "many"), ("QOS_SLACK", "ten%"), ("CURVES", "yes")] {
         let out = run(env!("CARGO_BIN_EXE_inspect"), &[], &[env]);
         assert_usage_error(&format!("{}={}", env.0, env.1), &out);
         let stderr = String::from_utf8_lossy(&out.stderr);

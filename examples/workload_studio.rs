@@ -13,7 +13,7 @@ use coop_partitioning::simkit::table::Table;
 use coop_partitioning::workloads::{classify_mpki, Benchmark, SyntheticWorkload, WorkloadFactory};
 
 fn main() {
-    let scale = SimScale::from_env_or(SimScale::tiny());
+    let scale = SimScale::from_env_or(SimScale::tiny()).unwrap_or_else(|e| panic!("{e}"));
     let llc = solo::solo_llc(2);
     let filter = std::env::args().nth(1);
 
