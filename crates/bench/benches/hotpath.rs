@@ -21,14 +21,18 @@
 //! * `core_step_reference_4core` — the identical system under the per-cycle
 //!   reference stepper, so the wake-list speedup stays *measured*.
 //!
-//! Three more cover the per-instruction layers in front of the LLC:
+//! Four more cover the per-instruction layers in front of the LLC:
 //!
 //! * `synthetic_gen_soplex` — a 1000-instruction block from the `soplex`
 //!   model's `SyntheticSource` (kind draw, weighted component draw, address
 //!   and PC generation);
 //! * `trace_replay` — a 1000-instruction block replayed by a `TraceSource`
-//!   over 131,072 records recorded from the same model, the shape of one
-//!   `stream8` member in perfbench (so the record's copy cost shows);
+//!   over 131,072 records recorded from the same model into a
+//!   `PackedTrace`, the shape of one `stream8` member in perfbench (so the
+//!   unpacking cost shows);
+//! * `trace_pack` — packing those 131,072 records into a fresh
+//!   `PackedTrace`, the encoder cost `stream8` pays per member at set-up
+//!   (one iteration packs the whole recording, not 1000 records);
 //! * `l1_access_4way_mixed` — 1000 demand accesses to a 32 KB 4-way L1
 //!   `Cache`: mostly hits in a hot window, plus cold misses and writes
 //!   (dirty victims).
@@ -40,8 +44,8 @@ use std::sync::Arc;
 
 use coop_core::{LlcConfig, PartitionedLlc, PolicyRegistry, PolicySpec, SchemeKind};
 use cpusim::{
-    Core, CoreConfig, EpochControl, Instr, InstrSource, LlcPort, StepperKind, SystemStepper,
-    TraceSource,
+    Core, CoreConfig, EpochControl, Instr, InstrSource, LlcPort, PackedTrace, StepperKind,
+    SystemStepper, TraceSource,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use memsim::{Cache, CacheGeometry, CacheSet, Dram, DramConfig, SetArena, WayMask};
@@ -206,13 +210,14 @@ fn bench_hotpath(c: &mut Criterion) {
         })
     });
 
-    // Kernel 6b: replay of a recorded stream, one 1000-instruction block
+    // Kernel 6b: replay of a packed recording, one 1000-instruction block
     // per iteration, wrapping around the recording like a perfbench
     // `stream8` member.
+    let mut gen = SyntheticSource::new(Benchmark::Soplex.model(), 0x5EED);
+    let records: Vec<Instr> = (0..131_072).map(|_| gen.next_instr()).collect();
     c.bench_function("trace_replay", |b| {
-        let mut gen = SyntheticSource::new(Benchmark::Soplex.model(), 0x5EED);
-        let records: Vec<Instr> = (0..131_072).map(|_| gen.next_instr()).collect();
-        let mut src = TraceSource::new(Arc::new(records)).expect("non-empty");
+        let packed: PackedTrace = records.iter().copied().collect();
+        let mut src = TraceSource::new(Arc::new(packed)).expect("non-empty");
         b.iter(|| {
             let mut acc = 0u64;
             for _ in 0..1000 {
@@ -221,6 +226,11 @@ fn bench_hotpath(c: &mut Criterion) {
             }
             acc
         })
+    });
+
+    // Kernel 6c: packing the same recording, whole, per iteration.
+    c.bench_function("trace_pack", |b| {
+        b.iter(|| records.iter().copied().collect::<PackedTrace>().len())
     });
 
     // Kernel 7: the private L1 path. ~7/8 of the accesses walk a 24 KB hot

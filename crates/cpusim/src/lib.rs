@@ -40,4 +40,4 @@ pub use clock::{CoreClock, OperatingPoint, VfTable};
 pub use core::{Core, CoreConfig, CoreStats, LlcPort, StepOutcome};
 pub use prefetch::Prefetcher;
 pub use stepper::{EpochControl, StepperKind, SystemStepper};
-pub use trace::{Instr, InstrKind, InstrSource, TraceError, TraceSource};
+pub use trace::{Instr, InstrKind, InstrSource, PackedTrace, TraceError, TraceSource};

@@ -3,8 +3,7 @@
 //!
 //! # The in-memory record
 //!
-//! An [`Instr`] is 16 bytes, 8-aligned: two `u64` words, so a recorded
-//! stream costs 16 bytes per instruction and a replay copies two words.
+//! An [`Instr`] is 16 bytes, 8-aligned: two `u64` words.
 //!
 //! | word | bits | field |
 //! |---|---|---|
@@ -30,6 +29,51 @@
 //! the core id in their top byte, so a larger value would alias
 //! instruction and data lines, or reach another core's lines; the packed
 //! word could not hold it either.
+//!
+//! # Recorded streams: the packed store
+//!
+//! A stream kept in memory is not a slice of `Instr`s. It is a
+//! [`PackedTrace`]: an append-only store that holds each instruction in
+//! one `u64`, half an [`Instr`]. It is filled one record at a time by
+//! [`PackedTrace::push`] and replayed by [`TraceSource`]. Each word stores
+//! the pc and the address as deltas:
+//!
+//! | bits | field |
+//! |---|---|
+//! | 0..2 | kind tag: 0 = Alu, 1 = Load, 2 = Store, 3 = Branch |
+//! | 2 | flag: `taken` on a Branch, `dep_prev_load` on a Load, else 0 |
+//! | 3..24 | pc − (previous pc + 4), signed 21 bits |
+//! | 24..64 | addr − previous memory address, signed 40 bits (0 unless Load/Store) |
+//!
+//! "Previous" is the record before this one (the previous Load or Store
+//! for the address); before the first record the pc + 4 and the address
+//! both read 0, and a replay that rewinds starts again from there. A
+//! sequential instruction's pc field is 0, and so is an Alu's or a
+//! Branch's address field, so those records cost no address state.
+//!
+//! **Escapes.** A record whose pc or address delta does not fit its field
+//! is stored whole in a side table of [`Instr`]s, and its word holds the
+//! escape code — an Alu tag with the flag set, which no canonical record
+//! uses — with the side-table index in bits 3..64. The record still moves
+//! the delta state, so the words after it stay short. The 19 synthetic
+//! models never escape (their code spans under 1 MiB and their regions sit
+//! within 8 GiB); a real trace escapes when it jumps between code or data
+//! segments that lie further apart.
+//!
+//! **Decoding** is a few shifts and adds with no data-dependent branch but
+//! the escape test: an 8-entry table indexed by the low three bits gives
+//! the address mask (0 for non-memory kinds) and the kind and flag bits of
+//! the [`Instr`] word. The core branches on the kind anyway.
+//!
+//! **Why fixed width.** Two smaller layouts were measured on perfbench's
+//! `stream8` (eight replayed streams) and rejected. A 4-byte slot-delta
+//! record cut its peak RSS to 10.9 MiB but cost 2–8% `wall_s` and 18–26%
+//! `setup_s`; a byte-granular varint reached 8.5 MiB but cost 15% `wall_s`
+//! and 30% `setup_s`. One word per record takes it from 22.4 MiB (16-byte
+//! `Instr`s) to 15.3 MiB for about 5% more `setup_s` (packing costs 3–5 ns
+//! per record) and 9% more `wall_s` (unpacking adds about 2 ns to each
+//! replayed instruction), medians of 12 alternating pairs on a 2-CPU
+//! x86_64 host.
 //!
 //! # The `.ctrace` trace-file format
 //!
@@ -66,9 +110,11 @@
 //! Parsing is bounds-checked end to end: a truncated binary record, an
 //! unknown kind tag, undefined flag bits, an out-of-range `pc` or `addr`
 //! or a malformed text line yield a [`TraceError`] instead of panicking.
-//! [`TraceSource`] replays a parsed trace as an *infinite* [`InstrSource`]
-//! by rewinding to the first record on exhaustion, so partitioning epochs
-//! never starve however short the file is.
+//! Both decoders emit records through one sink: [`parse_trace`] collects
+//! them into a `Vec<Instr>`, and [`load_trace`] packs them straight into a
+//! [`PackedTrace`]. [`TraceSource`] replays a packed trace as an *infinite*
+//! [`InstrSource`] by rewinding to the first record on exhaustion, so
+//! partitioning epochs never starve however short the file is.
 
 use std::sync::Arc;
 
@@ -414,10 +460,23 @@ pub fn encode_trace(instrs: &[Instr]) -> Vec<u8> {
 
 /// Decodes a binary `.ctrace` payload (must start with [`TRACE_MAGIC`]).
 pub fn decode_trace(bytes: &[u8]) -> Result<Vec<Instr>, TraceError> {
+    let mut instrs = Vec::with_capacity(binary_records(bytes));
+    decode_records(bytes, &mut |i| instrs.push(i))?;
+    Ok(instrs)
+}
+
+/// Records in a binary payload's body, rounded down (0 for text).
+fn binary_records(bytes: &[u8]) -> usize {
+    bytes
+        .strip_prefix(&TRACE_MAGIC[..])
+        .map_or(0, |body| body.len() / TRACE_RECORD_BYTES)
+}
+
+/// The binary decoder: hands each validated record to `emit`, in order.
+fn decode_records(bytes: &[u8], emit: &mut impl FnMut(Instr)) -> Result<(), TraceError> {
     let body = bytes
         .strip_prefix(&TRACE_MAGIC[..])
         .ok_or(TraceError::BadMagic)?;
-    let mut instrs = Vec::with_capacity(body.len() / TRACE_RECORD_BYTES);
     for (record, chunk) in body.chunks(TRACE_RECORD_BYTES).enumerate() {
         if chunk.len() != TRACE_RECORD_BYTES {
             return Err(TraceError::Truncated { record });
@@ -456,14 +515,14 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Vec<Instr>, TraceError> {
                 });
             }
         }
-        instrs.push(match kind {
+        emit(match kind {
             InstrKind::Alu => Instr::alu(pc),
             InstrKind::Load => Instr::load(pc, addr).with_dep_prev_load(flags & 0b10 != 0),
             InstrKind::Store => Instr::store(pc, addr),
             InstrKind::Branch => Instr::branch(pc, flags & 0b01 != 0),
         });
     }
-    Ok(instrs)
+    Ok(())
 }
 
 /// Renders a record sequence in the text trace format.
@@ -485,6 +544,13 @@ pub fn format_trace_text(instrs: &[Instr]) -> String {
 
 /// Parses the text trace format (see the module docs for the grammar).
 pub fn parse_trace_text(text: &str) -> Result<Vec<Instr>, TraceError> {
+    let mut instrs = Vec::new();
+    parse_text_records(text, &mut |i| instrs.push(i))?;
+    Ok(instrs)
+}
+
+/// The text parser: hands each parsed record to `emit`, in order.
+fn parse_text_records(text: &str, emit: &mut impl FnMut(Instr)) -> Result<(), TraceError> {
     let number = |tok: &str, line: usize| -> Result<u64, TraceError> {
         let parsed = match tok.strip_prefix("0x").or_else(|| tok.strip_prefix("0X")) {
             Some(hex) => u64::from_str_radix(hex, 16),
@@ -495,7 +561,6 @@ pub fn parse_trace_text(text: &str) -> Result<Vec<Instr>, TraceError> {
             reason: format!("bad number '{tok}'"),
         })
     };
-    let mut instrs = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
         let body = raw.split('#').next().unwrap_or("").trim();
@@ -555,15 +620,21 @@ pub fn parse_trace_text(text: &str) -> Result<Vec<Instr>, TraceError> {
                 reason: format!("trailing token '{extra}'"),
             });
         }
-        instrs.push(instr);
+        emit(instr);
     }
-    Ok(instrs)
+    Ok(())
 }
 
-/// Parses a trace payload, sniffing binary (magic prefix) vs text.
-pub fn parse_trace(bytes: &[u8]) -> Result<Vec<Instr>, TraceError> {
-    let instrs = if bytes.starts_with(&TRACE_MAGIC) {
-        decode_trace(bytes)?
+/// Reads a trace payload into `emit`, sniffing binary (magic prefix) vs
+/// text, and returns how many records it emitted.
+fn read_trace(bytes: &[u8], emit: &mut impl FnMut(Instr)) -> Result<usize, TraceError> {
+    let mut records = 0;
+    let mut counted = |i: Instr| {
+        records += 1;
+        emit(i);
+    };
+    if bytes.starts_with(&TRACE_MAGIC) {
+        decode_records(bytes, &mut counted)?;
     } else if bytes.starts_with(b"CTRC") {
         // A binary header with a version this build does not read —
         // falling through to the text parser would produce a nonsense
@@ -576,52 +647,248 @@ pub fn parse_trace(bytes: &[u8]) -> Result<Vec<Instr>, TraceError> {
             line: 1,
             reason: format!("not UTF-8 text and not CTRC binary: {e}"),
         })?;
-        parse_trace_text(text)?
-    };
-    if instrs.is_empty() {
-        return Err(TraceError::Empty);
+        parse_text_records(text, &mut counted)?;
     }
+    match records {
+        0 => Err(TraceError::Empty),
+        n => Ok(n),
+    }
+}
+
+/// Parses a trace payload, sniffing binary (magic prefix) vs text.
+pub fn parse_trace(bytes: &[u8]) -> Result<Vec<Instr>, TraceError> {
+    let mut instrs = Vec::with_capacity(binary_records(bytes));
+    read_trace(bytes, &mut |i| instrs.push(i))?;
     Ok(instrs)
 }
 
-/// Reads and parses a trace file (binary or text, sniffed by content).
-pub fn load_trace(path: &std::path::Path) -> Result<Vec<Instr>, TraceError> {
+/// [`parse_trace`] into a packed store, with no `Vec<Instr>` in between.
+fn pack_trace(bytes: &[u8]) -> Result<PackedTrace, TraceError> {
+    let mut packed = PackedTrace::with_capacity(binary_records(bytes));
+    read_trace(bytes, &mut |i| packed.push(i))?;
+    Ok(packed)
+}
+
+/// Reads a trace file (binary or text, sniffed by content) and packs its
+/// records for replay.
+pub fn load_trace(path: &std::path::Path) -> Result<PackedTrace, TraceError> {
     let bytes = std::fs::read(path).map_err(|e| TraceError::Io {
         path: path.display().to_string(),
         error: e.to_string(),
     })?;
-    parse_trace(&bytes)
+    pack_trace(&bytes)
 }
 
-/// Replays a parsed trace as an infinite instruction stream: on
+// ------------------------------------------------------------ packed store
+
+/// Bit of a packed word holding the flag (`taken` or `dep_prev_load`).
+const PACK_FLAG_SHIFT: u32 = 2;
+/// First bit of the pc delta field (and of an escape's side-table index).
+const PACK_PC_SHIFT: u32 = 3;
+/// Width of the signed pc delta field.
+const PACK_PC_BITS: u32 = 21;
+/// First bit of the address delta field, which runs to bit 63.
+const PACK_ADDR_SHIFT: u32 = PACK_PC_SHIFT + PACK_PC_BITS;
+/// Width of the signed address delta field.
+const PACK_ADDR_BITS: u32 = 64 - PACK_ADDR_SHIFT;
+/// The escape code in a word's low three bits: an Alu tag with the flag
+/// set, which no canonical record has.
+const ESCAPE: u64 = 1 << PACK_FLAG_SHIFT;
+
+/// What a packed word's low three bits (kind tag and flag) unpack to:
+/// the mask its address passes through (all ones for a Load or Store, 0
+/// otherwise) and the [`Instr`] word bits above the pc (the kind, and the
+/// flag as `taken` on a Branch or `dep_prev_load` on a Load). The escape
+/// code's entry is never read.
+const UNPACK: [(u64, u64); 8] = {
+    let mut table = [(0, 0); 8];
+    let mut low = 0;
+    while low < 8 {
+        let tag = (low & 0b11) as u64;
+        let flag_bit = match tag {
+            1 => DEP_BIT,
+            3 => TAKEN_BIT,
+            _ => 0,
+        };
+        let memory = if tag == 1 || tag == 2 { u64::MAX } else { 0 };
+        table[low] = (memory, (tag << KIND_SHIFT) | ((low >> 2) as u64 * flag_bit));
+        low += 1;
+    }
+    table
+};
+
+/// Whether `delta`, read as two's complement, fits a signed field of
+/// `bits` bits.
+fn fits(delta: u64, bits: u32) -> bool {
+    let d = delta as i64;
+    (d << (64 - bits)) >> (64 - bits) == d
+}
+
+/// The state a packed word's deltas are taken against: the pc a
+/// sequential next record would have, and the last memory address.
+/// Both start at 0, and a rewind resets them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Deltas {
+    next_pc: u64,
+    last_addr: u64,
+}
+
+impl Deltas {
+    /// `instr`'s pc delta and address delta (0 unless a Load or Store)
+    /// against the state, moving the state past `instr`; no branch on the
+    /// record's contents.
+    #[inline]
+    fn advance(&mut self, instr: Instr) -> (u64, u64) {
+        let memory = UNPACK[((instr.word >> KIND_SHIFT) & 0b11) as usize].0;
+        let pc_delta = instr.pc().wrapping_sub(self.next_pc);
+        let addr_delta = instr.addr().wrapping_sub(self.last_addr) & memory;
+        self.next_pc = instr.pc() + 4;
+        self.last_addr = self.last_addr.wrapping_add(addr_delta);
+        (pc_delta, addr_delta)
+    }
+
+    /// Unpacks a word that is not an escape and moves the state past it,
+    /// with no branch on the record's contents.
+    #[inline]
+    fn unpack(&mut self, word: u64) -> Instr {
+        // Sign-extend each field with an arithmetic shift.
+        let pc_delta = ((word << (64 - PACK_ADDR_SHIFT)) as i64 >> (64 - PACK_PC_BITS)) as u64;
+        let addr_delta = ((word as i64) >> PACK_ADDR_SHIFT) as u64;
+        let pc = self.next_pc.wrapping_add(pc_delta);
+        // An Alu's or Branch's address delta is 0, so this is the last
+        // memory address again for them.
+        let addr = self.last_addr.wrapping_add(addr_delta);
+        self.next_pc = pc + 4;
+        self.last_addr = addr;
+        let (memory, high) = UNPACK[(word & 0b111) as usize];
+        Instr {
+            addr: addr & memory,
+            word: pc | high,
+        }
+    }
+}
+
+/// An append-only store of instruction records at one `u64` each (see the
+/// module docs for the layout and the escape rule).
+///
+/// Records go in one at a time through [`PackedTrace::push`] (or by
+/// collecting an iterator) and come back out, in order, through a
+/// [`TraceSource`] over an `Arc` of the store.
+#[derive(Clone, Default)]
+pub struct PackedTrace {
+    words: Vec<u64>,
+    /// Records whose deltas did not fit, in order; escape words index it.
+    escapes: Vec<Instr>,
+    /// The delta state after the last record.
+    tail: Deltas,
+}
+
+impl PackedTrace {
+    /// An empty store.
+    pub fn new() -> PackedTrace {
+        PackedTrace::default()
+    }
+
+    /// An empty store with room for `records` records before it grows.
+    fn with_capacity(records: usize) -> PackedTrace {
+        PackedTrace {
+            words: Vec::with_capacity(records),
+            ..PackedTrace::default()
+        }
+    }
+
+    /// Appends one record.
+    #[inline]
+    pub fn push(&mut self, instr: Instr) {
+        let (pc_delta, addr_delta) = self.tail.advance(instr);
+        let word = if fits(pc_delta, PACK_PC_BITS) && fits(addr_delta, PACK_ADDR_BITS) {
+            let tag = (instr.word >> KIND_SHIFT) & 0b11;
+            let flag = u64::from(instr.taken() | instr.dep_prev_load());
+            tag | flag << PACK_FLAG_SHIFT
+                | (pc_delta & ((1 << PACK_PC_BITS) - 1)) << PACK_PC_SHIFT
+                | addr_delta << PACK_ADDR_SHIFT
+        } else {
+            self.escapes.push(instr);
+            ESCAPE | ((self.escapes.len() - 1) as u64) << PACK_PC_SHIFT
+        };
+        self.words.push(word);
+    }
+
+    /// Records stored.
+    pub fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Whether the store holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Records stored whole in the side table because a delta did not fit.
+    pub fn escapes(&self) -> usize {
+        self.escapes.len()
+    }
+
+    /// Bytes the records occupy: one word each, plus one [`Instr`] per
+    /// escape (capacity not yet filled is not counted).
+    pub fn record_bytes(&self) -> usize {
+        self.words.len() * std::mem::size_of::<u64>()
+            + self.escapes.len() * std::mem::size_of::<Instr>()
+    }
+}
+
+impl std::fmt::Debug for PackedTrace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PackedTrace")
+            .field("records", &self.len())
+            .field("escapes", &self.escapes())
+            .finish()
+    }
+}
+
+impl FromIterator<Instr> for PackedTrace {
+    fn from_iter<I: IntoIterator<Item = Instr>>(iter: I) -> PackedTrace {
+        let iter = iter.into_iter();
+        let mut packed = PackedTrace::with_capacity(iter.size_hint().0);
+        for instr in iter {
+            packed.push(instr);
+        }
+        packed
+    }
+}
+
+/// Replays a packed trace as an infinite instruction stream: on
 /// exhaustion the source rewinds to the first record, so epochs keep
-/// receiving instructions however short the trace is.
+/// receiving instructions however short the trace is. Sources over one
+/// shared store are independent.
 #[derive(Debug, Clone)]
 pub struct TraceSource {
-    instrs: Arc<Vec<Instr>>,
+    trace: Arc<PackedTrace>,
     pos: usize,
+    deltas: Deltas,
     wraps: u64,
 }
 
 impl TraceSource {
-    /// Wraps a parsed record sequence.
+    /// A replay of `trace` from its first record.
     ///
-    /// Returns [`TraceError::Empty`] for an empty sequence (it cannot
-    /// feed an infinite stream).
-    pub fn new(instrs: Arc<Vec<Instr>>) -> Result<TraceSource, TraceError> {
-        if instrs.is_empty() {
+    /// Returns [`TraceError::Empty`] for an empty store (it cannot feed an
+    /// infinite stream).
+    pub fn new(trace: Arc<PackedTrace>) -> Result<TraceSource, TraceError> {
+        if trace.is_empty() {
             return Err(TraceError::Empty);
         }
         Ok(TraceSource {
-            instrs,
+            trace,
             pos: 0,
+            deltas: Deltas::default(),
             wraps: 0,
         })
     }
 
     /// Records in one pass of the trace.
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.trace.len()
     }
 
     /// Always false: construction rejects empty traces.
@@ -633,15 +900,30 @@ impl TraceSource {
     pub fn wraps(&self) -> u64 {
         self.wraps
     }
+
+    /// The escaped record behind `word`, moving the delta state past it.
+    #[cold]
+    #[inline(never)]
+    fn escaped(&mut self, word: u64) -> Instr {
+        let instr = self.trace.escapes[(word >> PACK_PC_SHIFT) as usize];
+        self.deltas.advance(instr);
+        instr
+    }
 }
 
 impl InstrSource for TraceSource {
     #[inline]
     fn next_instr(&mut self) -> Instr {
-        let instr = self.instrs[self.pos];
+        let word = self.trace.words[self.pos];
+        let instr = if word & 0b111 == ESCAPE {
+            self.escaped(word)
+        } else {
+            self.deltas.unpack(word)
+        };
         self.pos += 1;
-        if self.pos == self.instrs.len() {
+        if self.pos == self.trace.words.len() {
             self.pos = 0;
+            self.deltas = Deltas::default();
             self.wraps += 1;
         }
         instr
@@ -965,13 +1247,13 @@ mod tests {
             parse_trace(&encode_trace(&[])).expect_err("empty"),
             TraceError::Empty
         );
-        assert!(TraceSource::new(Arc::new(Vec::new())).is_err());
     }
 
     #[test]
     fn trace_source_rewinds_on_exhaustion() {
-        let instrs = Arc::new(sample());
-        let mut src = TraceSource::new(Arc::clone(&instrs)).expect("non-empty");
+        let instrs = sample();
+        let mut src =
+            TraceSource::new(Arc::new(instrs.iter().copied().collect())).expect("non-empty");
         assert_eq!(src.len(), 6);
         assert!(!src.is_empty());
         for lap in 0..3 {
@@ -981,6 +1263,28 @@ mod tests {
             }
         }
         assert_eq!(src.wraps(), 3);
+    }
+
+    #[test]
+    fn packing_a_payload_replays_what_parsing_it_returns() {
+        let instrs = sample();
+        for bytes in [
+            encode_trace(&instrs),
+            format_trace_text(&instrs).into_bytes(),
+        ] {
+            let mut src =
+                TraceSource::new(Arc::new(pack_trace(&bytes).expect("packs"))).expect("non-empty");
+            let replayed: Vec<Instr> = instrs.iter().map(|_| src.next_instr()).collect();
+            assert_eq!(replayed, parse_trace(&bytes).expect("parses"));
+        }
+        assert_eq!(
+            pack_trace(b"# nothing\n").expect_err("empty"),
+            TraceError::Empty
+        );
+        assert_eq!(
+            pack_trace(b"CTRC\x02").expect_err("version"),
+            TraceError::UnsupportedVersion { found: Some(2) }
+        );
     }
 
     #[test]

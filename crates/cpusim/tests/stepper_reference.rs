@@ -347,8 +347,8 @@ proptest! {
     ) {
         let n = CORE_COUNTS[sel];
         let mk = |i: usize| -> Box<dyn InstrSource + Send> {
-            let instrs = Arc::new(gen_trace(seed ^ ((i as u64 + 1) << 40), len));
-            Box::new(TraceSource::new(instrs).expect("non-empty trace"))
+            let trace = gen_trace(seed ^ ((i as u64 + 1) << 40), len).into_iter().collect();
+            Box::new(TraceSource::new(Arc::new(trace)).expect("non-empty trace"))
         };
         let a = run_snapshot(StepperKind::Reference, n, &mk, true, true);
         let b = run_snapshot(StepperKind::EventDriven, n, &mk, true, true);

@@ -334,18 +334,18 @@ impl WorkloadRegistry {
     }
 
     /// Resolves one member name: a registered factory or a `trace:` path
-    /// (loaded and parsed on the spot).
+    /// (loaded and packed on the spot).
     pub fn member(&self, name: &str) -> Result<Arc<dyn WorkloadFactory>, WorkloadError> {
         if let Some(path) = name.strip_prefix(TRACE_PREFIX) {
-            let instrs = cpusim::trace::load_trace(std::path::Path::new(path)).map_err(|e| {
+            let trace = cpusim::trace::load_trace(std::path::Path::new(path)).map_err(|e| {
                 WorkloadError::Trace {
                     path: path.to_string(),
                     error: e,
                 }
             })?;
-            return Ok(Arc::new(TraceWorkload::new(
+            return Ok(Arc::new(TraceWorkload::packed(
                 format!("{TRACE_PREFIX}{path}"),
-                instrs,
+                trace,
             )));
         }
         self.factory(name)

@@ -5,8 +5,9 @@
 //! instruction stream — instantiating it any number of times (with
 //! different seeds) yields independent [`WorkloadSource`]s. The two
 //! built-in factories are [`SyntheticWorkload`] (one of the 19 generative
-//! SPEC models) and [`TraceWorkload`] (a parsed `.ctrace` file replayed
-//! with rewind-on-exhaustion). Downstream crates add new workload kinds by
+//! SPEC models) and [`TraceWorkload`] (a recorded stream, such as a
+//! `.ctrace` file, replayed from its packed records with
+//! rewind-on-exhaustion). Downstream crates add new workload kinds by
 //! implementing the trait and registering the factory in a
 //! [`crate::WorkloadRegistry`] — no harness edits required, mirroring how
 //! `PartitionPolicy` objects plug into the policy registry.
@@ -21,7 +22,7 @@
 
 use std::sync::Arc;
 
-use cpusim::trace::TraceSource;
+use cpusim::trace::{PackedTrace, TraceSource};
 use cpusim::{Instr, InstrSource};
 
 use crate::generator::SyntheticSource;
@@ -40,7 +41,7 @@ pub type WorkloadSource = Box<dyn InstrSource + Send>;
 pub enum StreamSource {
     /// A synthetic SPEC model's generator.
     Synthetic(SyntheticSource),
-    /// A `.ctrace` replay.
+    /// A replay of packed records: a `.ctrace` file or a recording.
     Trace(TraceSource),
     /// Any other source, behind a trait object.
     Boxed(WorkloadSource),
@@ -127,35 +128,45 @@ impl WorkloadFactory for SyntheticWorkload {
     }
 }
 
-/// Factory replaying a parsed `.ctrace` instruction trace (see
-/// `cpusim::trace` for the file format). The record sequence is shared
-/// across instances; each source rewinds to the first record on
-/// exhaustion, so the stream is infinite.
+/// Factory replaying a recorded instruction stream, such as a `.ctrace`
+/// file (see `cpusim::trace` for the file format and the packed store).
+/// The packed records are shared across instances; each source rewinds to
+/// the first record on exhaustion, so the stream is infinite.
 #[derive(Debug, Clone)]
 pub struct TraceWorkload {
     name: String,
-    instrs: Arc<Vec<Instr>>,
+    trace: Arc<PackedTrace>,
 }
 
 impl TraceWorkload {
-    /// Wraps an already-parsed record sequence under `name`
-    /// (conventionally `"trace:<path>"`).
+    /// Packs a record sequence under `name` (conventionally
+    /// `"trace:<path>"`); the `Vec` is dropped once packed.
     ///
     /// # Panics
     ///
     /// Panics on an empty sequence — validate with
     /// `cpusim::trace::parse_trace` first, which rejects empty traces.
     pub fn new(name: impl Into<String>, instrs: Vec<Instr>) -> TraceWorkload {
-        assert!(!instrs.is_empty(), "a trace workload needs >= 1 record");
+        TraceWorkload::packed(name, instrs.into_iter().collect())
+    }
+
+    /// Wraps an already-packed store under `name`, such as one
+    /// `cpusim::trace::load_trace` filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty store.
+    pub fn packed(name: impl Into<String>, trace: PackedTrace) -> TraceWorkload {
+        assert!(!trace.is_empty(), "a trace workload needs >= 1 record");
         TraceWorkload {
             name: name.into(),
-            instrs: Arc::new(instrs),
+            trace: Arc::new(trace),
         }
     }
 
     /// Records in one pass of the trace.
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.trace.len()
     }
 
     /// Always false: construction rejects empty traces.
@@ -165,7 +176,7 @@ impl TraceWorkload {
 
     /// A fresh replay from the first record.
     fn replay(&self) -> TraceSource {
-        TraceSource::new(Arc::clone(&self.instrs)).expect("non-empty by construction")
+        TraceSource::new(Arc::clone(&self.trace)).expect("non-empty by construction")
     }
 }
 
@@ -175,7 +186,7 @@ impl WorkloadFactory for TraceWorkload {
     }
 
     fn summary(&self) -> String {
-        format!("trace replay, {} records/pass (rewinds)", self.instrs.len())
+        format!("trace replay, {} records/pass (rewinds)", self.trace.len())
     }
 
     fn source(&self, _seed: u64) -> WorkloadSource {
