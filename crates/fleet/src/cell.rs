@@ -8,7 +8,8 @@
 //! runs, which is what makes resume (diff the manifest against the done
 //! set) and retry (re-issue the same cell) coherent.
 
-use crate::json::{self, Value};
+use simkit::json::{self, Value};
+use simkit::rng::fnv1a;
 
 /// What kind of simulation a cell asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -109,50 +110,24 @@ impl CellSpec {
 
     /// Reads a spec back from JSON.
     pub fn from_value(v: &Value) -> Result<CellSpec, String> {
-        let field = |k: &str| -> Result<&Value, String> {
-            v.get(k).ok_or_else(|| format!("cell spec missing '{k}'"))
-        };
-        let kind_str = field("kind")?
-            .as_str()
-            .ok_or("cell 'kind' must be a string")?;
+        let field = |e: String| format!("cell spec: {e}");
+        let kind: &str = v.req("kind").map_err(field)?;
         Ok(CellSpec {
-            kind: CellKind::from_str(kind_str)
-                .ok_or_else(|| format!("bad cell kind '{kind_str}'"))?,
-            workload: field("workload")?
-                .as_str()
-                .ok_or("cell 'workload' must be a string")?
-                .to_string(),
-            policy: field("policy")?
-                .as_str()
-                .ok_or("cell 'policy' must be a string")?
-                .to_string(),
-            cores: field("cores")?
-                .as_usize()
-                .ok_or("cell 'cores' must be an integer")?,
-            scale: field("scale")?
-                .as_str()
-                .ok_or("cell 'scale' must be a string")?
-                .to_string(),
+            kind: CellKind::from_str(kind).ok_or_else(|| format!("bad cell kind '{kind}'"))?,
+            workload: v.req("workload").map_err(field)?,
+            policy: v.req("policy").map_err(field)?,
+            cores: v.req("cores").map_err(field)?,
+            scale: v.req("scale").map_err(field)?,
         })
     }
 }
 
-/// FNV-1a, the repo's stable string hash (see `simkit::rng`); duplicated
-/// here so the fleet crate stays dependency-free.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// Content checksum of a JSON value: 16 hex digits of FNV-1a over its
-/// canonical render. The JSON layer keeps objects key-sorted and numbers
-/// as raw tokens, so parse → render is byte-stable and a checksum taken
-/// at write time verifies bit-exactly at read time. Used by the store
-/// (cell files, journal lines) and the protocol (`cell_done` payloads).
+/// canonical render. The JSON layer keeps object keys in the order they
+/// were written (or parsed) and numbers as raw tokens, so parse → render
+/// is byte-stable and a checksum taken at write time verifies bit-exactly
+/// at read time. Used by the store (cell files, journal lines) and the
+/// protocol (`cell_done` payloads).
 pub fn content_sum(v: &Value) -> String {
     format!("{:016x}", fnv1a(v.render().as_bytes()))
 }
@@ -183,8 +158,7 @@ mod tests {
             CellSpec::solo("soplex", 4, "quick"),
         ] {
             let text = spec.to_value().render();
-            let back =
-                CellSpec::from_value(&crate::json::parse(&text).expect("json")).expect("spec");
+            let back = CellSpec::from_value(&json::parse(&text).expect("json")).expect("spec");
             assert_eq!(back, spec);
             assert_eq!(back.id(), spec.id());
         }
@@ -192,12 +166,11 @@ mod tests {
 
     #[test]
     fn malformed_specs_error() {
-        let v = crate::json::parse(
-            r#"{"kind":"nope","workload":"x","policy":"","cores":2,"scale":"quick"}"#,
-        )
-        .expect("json");
+        let v =
+            json::parse(r#"{"kind":"nope","workload":"x","policy":"","cores":2,"scale":"quick"}"#)
+                .expect("json");
         assert!(CellSpec::from_value(&v).is_err());
-        let v = crate::json::parse(r#"{"workload":"x"}"#).expect("json");
+        let v = json::parse(r#"{"workload":"x"}"#).expect("json");
         assert!(CellSpec::from_value(&v).unwrap_err().contains("kind"));
     }
 }

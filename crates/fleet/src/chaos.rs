@@ -31,7 +31,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::cell::fnv1a;
+use simkit::rng::fnv1a;
 
 /// An injection site: one class of fault at one I/O boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,7 +12,9 @@
 //! how to execute one cell, and code that merges stored payloads back
 //! into its own result tables.
 //!
-//! Layering (nothing here depends on the simulator):
+//! Layering: the only internal dependency is `simkit`, for its JSON layer
+//! ([`simkit::json`]) and its FNV-1a hash; nothing here depends on the
+//! simulator.
 //!
 //! ```text
 //! harness (repro bin) ──> fleet::orchestrator ── NDJSON ──> repro worker
@@ -24,7 +26,6 @@
 
 pub mod cell;
 pub mod chaos;
-pub mod json;
 pub mod orchestrator;
 pub mod protocol;
 pub mod shard;

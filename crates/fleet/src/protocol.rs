@@ -32,8 +32,9 @@
 //! the worker as corrupt and recycles it — so the protocol can grow
 //! without old orchestrators silently dropping new messages.
 
+use simkit::json::{self, Value};
+
 use crate::cell::{content_sum, CellSpec};
-use crate::json::{self, Value};
 
 /// Messages the orchestrator sends to a worker.
 #[derive(Debug, Clone)]
@@ -83,34 +84,20 @@ impl ToWorker {
     /// Parses one line.
     pub fn from_line(line: &str) -> Result<ToWorker, String> {
         let v = json::parse(line.trim()).map_err(|e| e.to_string())?;
-        match v.get("type").and_then(Value::as_str) {
-            Some("assign") => {
-                let cells = v
-                    .get("cells")
-                    .and_then(Value::as_arr)
-                    .ok_or("assign without cells")?
+        let kind: &str = v.req("type")?;
+        match kind {
+            "assign" => Ok(ToWorker::Assign {
+                shard_id: v.req("shard_id")?,
+                shard_index: v.req("shard_index")?,
+                attempt: v.req("attempt")?,
+                cells: v
+                    .req::<&[Value]>("cells")?
                     .iter()
                     .map(CellSpec::from_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(ToWorker::Assign {
-                    shard_id: v
-                        .get("shard_id")
-                        .and_then(Value::as_str)
-                        .ok_or("assign without shard_id")?
-                        .to_string(),
-                    shard_index: v
-                        .get("shard_index")
-                        .and_then(Value::as_usize)
-                        .ok_or("assign without shard_index")?,
-                    // Tolerate an orchestrator one release older than the
-                    // worker: a missing attempt reads as the first.
-                    attempt: v.get("attempt").and_then(Value::as_usize).unwrap_or(1),
-                    cells,
-                })
-            }
-            Some("exit") => Ok(ToWorker::Exit),
-            Some(other) => Err(format!("unknown orchestrator message '{other}'")),
-            None => Err("orchestrator message without a type".to_string()),
+                    .collect::<Result<Vec<_>, _>>()?,
+            }),
+            "exit" => Ok(ToWorker::Exit),
+            other => Err(format!("unknown orchestrator message '{other}'")),
         }
     }
 }
@@ -209,38 +196,16 @@ impl FromWorker {
     /// Parses one line.
     pub fn from_line(line: &str) -> Result<FromWorker, String> {
         let v = json::parse(line.trim()).map_err(|e| e.to_string())?;
-        let shard = |v: &Value| -> Result<String, String> {
-            Ok(v.get("shard_id")
-                .and_then(Value::as_str)
-                .ok_or("message without shard_id")?
-                .to_string())
-        };
-        let cell = |v: &Value| -> Result<String, String> {
-            Ok(v.get("cell_id")
-                .and_then(Value::as_str)
-                .ok_or("message without cell_id")?
-                .to_string())
-        };
-        match v.get("type").and_then(Value::as_str) {
-            Some("ready") => Ok(FromWorker::Ready {
-                pid: v
-                    .get("pid")
-                    .and_then(Value::as_u64)
-                    .ok_or("ready without pid")? as u32,
+        let kind: &str = v.req("type")?;
+        match kind {
+            "ready" => Ok(FromWorker::Ready { pid: v.req("pid")? }),
+            "heartbeat" => Ok(FromWorker::Heartbeat {
+                shard_id: v.req("shard_id")?,
             }),
-            Some("heartbeat") => Ok(FromWorker::Heartbeat {
-                shard_id: shard(&v)?,
-            }),
-            Some("cell_done") => {
-                let payload = v
-                    .get("payload")
-                    .cloned()
-                    .ok_or("cell_done without payload")?;
-                let sum = v
-                    .get("sum")
-                    .and_then(Value::as_str)
-                    .ok_or("cell_done without checksum")?;
-                if sum != content_sum(&payload) {
+            "cell_done" => {
+                let payload: &Value = v.req("payload")?;
+                let sum: &str = v.req("sum")?;
+                if sum != content_sum(payload) {
                     // A byte flip somewhere on the pipe that still parsed
                     // as JSON; the worker (or its transport) is corrupt.
                     return Err(format!(
@@ -248,33 +213,24 @@ impl FromWorker {
                     ));
                 }
                 Ok(FromWorker::CellDone {
-                    shard_id: shard(&v)?,
-                    cell_id: cell(&v)?,
-                    wall_ms: v
-                        .get("wall_ms")
-                        .and_then(Value::as_u64)
-                        .ok_or("cell_done without wall_ms")?,
-                    accesses: v
-                        .get("accesses")
-                        .and_then(Value::as_u64)
-                        .ok_or("cell_done without accesses")?,
-                    payload,
+                    shard_id: v.req("shard_id")?,
+                    cell_id: v.req("cell_id")?,
+                    wall_ms: v.req("wall_ms")?,
+                    accesses: v.req("accesses")?,
+                    payload: payload.clone(),
                 })
             }
-            Some("cell_error") => Ok(FromWorker::CellError {
-                shard_id: shard(&v)?,
-                cell_id: cell(&v)?,
+            "cell_error" => Ok(FromWorker::CellError {
+                shard_id: v.req("shard_id")?,
+                cell_id: v.req("cell_id")?,
                 message: v
-                    .get("message")
-                    .and_then(Value::as_str)
-                    .unwrap_or("unspecified")
-                    .to_string(),
+                    .req("message")
+                    .unwrap_or_else(|_| "unspecified".to_string()),
             }),
-            Some("shard_done") => Ok(FromWorker::ShardDone {
-                shard_id: shard(&v)?,
+            "shard_done" => Ok(FromWorker::ShardDone {
+                shard_id: v.req("shard_id")?,
             }),
-            Some(other) => Err(format!("unknown worker message '{other}'")),
-            None => Err("worker message without a type".to_string()),
+            other => Err(format!("unknown worker message '{other}'")),
         }
     }
 }
@@ -308,13 +264,11 @@ mod tests {
             }
             other => panic!("wrong message: {other:?}"),
         }
-        // One-release tolerance: an assign without attempt reads as the
-        // first attempt.
-        let legacy = r#"{"cells":[],"shard_id":"s","shard_index":0,"type":"assign"}"#;
-        match ToWorker::from_line(legacy).expect("parses") {
-            ToWorker::Assign { attempt, .. } => assert_eq!(attempt, 1),
-            other => panic!("wrong message: {other:?}"),
-        }
+        // Workers are always the orchestrator's own executable, so an
+        // assign without an attempt is malformed, not an older peer.
+        let no_attempt = r#"{"type":"assign","shard_id":"s","shard_index":0,"cells":[]}"#;
+        let err = ToWorker::from_line(no_attempt).expect_err("attempt is required");
+        assert!(err.contains("attempt"), "{err}");
         assert!(matches!(
             ToWorker::from_line(&ToWorker::Exit.to_line()),
             Ok(ToWorker::Exit)
@@ -357,6 +311,8 @@ mod tests {
         assert!(FromWorker::from_line(r#"{"type":"mystery"}"#).is_err());
         assert!(FromWorker::from_line("not json").is_err());
         assert!(FromWorker::from_line(r#"{"no":"type"}"#).is_err());
+        // A pid outside u32 is rejected, not truncated.
+        assert!(FromWorker::from_line(r#"{"type":"ready","pid":4294967296}"#).is_err());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! the same shard IDs across runs — the fault-injection hook can name a
 //! shard by ID (or ordinal) and hit the same work every time.
 
-use crate::cell::{fnv1a, CellSpec};
+use simkit::rng::fnv1a;
+
+use crate::cell::CellSpec;
 
 /// A planned shard: an ordinal (stable within one plan), a content-hashed
 /// ID, and the member cells in plan order.

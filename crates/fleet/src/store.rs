@@ -20,12 +20,13 @@
 //!
 //! Every cell file and journal line embeds a `"sum"`: the FNV-1a content
 //! checksum of its own canonical render minus that field (see
-//! [`crate::cell::content_sum`]; the JSON layer's sorted keys and raw
-//! number tokens make parse → render byte-stable, so a checksum taken at
-//! write time verifies bit-exactly at read time). Verification runs on
-//! every resume/merge read: a corrupt cell is **quarantined** to
-//! `cells/quarantine/` and recomputed, never silently merged; a damaged
-//! journal line is skipped, which simply makes its cell look not-done.
+//! [`crate::cell::content_sum`]; the JSON layer keeps keys in document
+//! order and numbers as raw tokens, so parse → render is byte-stable and a
+//! checksum taken at write time verifies bit-exactly at read time).
+//! Verification runs on every resume/merge read: a corrupt cell is
+//! **quarantined** to `cells/quarantine/` and recomputed, never silently
+//! merged; a damaged journal line is skipped, which simply makes its cell
+//! look not-done.
 //! [`fsck`] audits manifest ↔ journal ↔ cell-file consistency offline and
 //! (with repair) quarantines bad cells and rebuilds the journal from the
 //! cell files that still verify.
@@ -34,16 +35,20 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use simkit::json::{self, Value};
+
 use crate::cell::{content_sum, CellSpec};
 use crate::chaos::{ChaosEngine, Site};
-use crate::json::{self, Value};
 
 /// Results-store format version (bump when the cell payload layout
 /// changes incompatibly). Format 2 added content checksums to cell files
 /// and journal lines; format-1 stores are refused (their cells carry no
 /// integrity information, so resuming onto them would reintroduce the
-/// blind-trust hole this format closed).
-pub const STORE_FORMAT: u64 = 2;
+/// blind-trust hole this format closed). Format 3 writes object keys in
+/// insertion order where format 2 sorted them, so the bytes each checksum
+/// covers changed; format-2 files still verify (their checksums cover
+/// their own key order), but a resume refuses to mix the two.
+pub const STORE_FORMAT: u64 = 3;
 
 /// The run manifest: everything that must match for partial results to be
 /// mergeable.
@@ -95,14 +100,13 @@ impl Manifest {
 
     /// Serializes the manifest.
     pub fn to_value(&self) -> Value {
-        let strs = |v: &[String]| Value::Arr(v.iter().map(json::str).collect());
         let mut fields = vec![
             ("experiment", json::str(&self.experiment)),
             ("scale", json::str(&self.scale)),
-            ("policies", strs(&self.policies)),
-            ("groups", strs(&self.groups)),
+            ("policies", json::arr_str(&self.policies)),
+            ("groups", json::arr_str(&self.groups)),
             ("version", json::str(&self.version)),
-            ("cells", strs(&self.cell_ids)),
+            ("cells", json::arr_str(&self.cell_ids)),
             ("format", json::num_u64(self.format)),
         ];
         if let Some((n, seed)) = self.sample {
@@ -116,47 +120,20 @@ impl Manifest {
 
     /// Parses a manifest.
     pub fn from_value(v: &Value) -> Result<Manifest, String> {
-        let strs = |key: &str| -> Result<Vec<String>, String> {
-            v.get(key)
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("manifest missing '{key}'"))?
-                .iter()
-                .map(|s| {
-                    s.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("manifest '{key}' must hold strings"))
-                })
-                .collect()
-        };
-        let text = |key: &str| -> Result<String, String> {
-            Ok(v.get(key)
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("manifest missing '{key}'"))?
-                .to_string())
-        };
+        let field = |e: String| format!("manifest: {e}");
         let sample = match v.get("sample") {
             None => None,
-            Some(s) => Some((
-                s.get("n")
-                    .and_then(Value::as_u64)
-                    .ok_or("manifest sample missing 'n'")?,
-                s.get("seed")
-                    .and_then(Value::as_u64)
-                    .ok_or("manifest sample missing 'seed'")?,
-            )),
+            Some(s) => Some((s.req("n").map_err(field)?, s.req("seed").map_err(field)?)),
         };
         Ok(Manifest {
-            experiment: text("experiment")?,
-            scale: text("scale")?,
-            policies: strs("policies")?,
-            groups: strs("groups")?,
+            experiment: v.req("experiment").map_err(field)?,
+            scale: v.req("scale").map_err(field)?,
+            policies: v.req("policies").map_err(field)?,
+            groups: v.req("groups").map_err(field)?,
             sample,
-            version: text("version")?,
-            cell_ids: strs("cells")?,
-            format: v
-                .get("format")
-                .and_then(Value::as_u64)
-                .ok_or("manifest missing 'format'")?,
+            version: v.req("version").map_err(field)?,
+            cell_ids: v.req("cells").map_err(field)?,
+            format: v.req("format").map_err(field)?,
         })
     }
 
@@ -486,30 +463,33 @@ pub enum CellHealth {
     Corrupt(String),
 }
 
-/// Adds a `"sum"` field to an object: the content checksum of the object
-/// *without* that field, which is exactly what verification recomputes.
+/// Appends a `"sum"` field to an object: the content checksum of the
+/// object *without* that field, which is exactly what verification
+/// recomputes.
 fn seal(v: Value) -> Value {
     let sum = content_sum(&v);
     match v {
-        Value::Obj(mut m) => {
-            m.insert("sum".to_string(), json::str(&sum));
-            Value::Obj(m)
+        Value::Obj(mut fields) => {
+            fields.push(("sum".to_string(), json::str(sum)));
+            Value::Obj(fields)
         }
         other => other,
     }
 }
 
 /// Splits a sealed object back into (content-without-sum, claimed sum).
+/// The other keys keep their order, wherever `"sum"` sat among them.
 fn unseal(v: Value) -> Result<(Value, String), String> {
-    match v {
-        Value::Obj(mut m) => {
-            let sum = m
-                .remove("sum")
-                .and_then(|s| s.as_str().map(str::to_string))
-                .ok_or("missing checksum")?;
-            Ok((Value::Obj(m), sum))
-        }
-        _ => Err("not an object".to_string()),
+    let Value::Obj(mut fields) = v else {
+        return Err("not an object".to_string());
+    };
+    let at = fields
+        .iter()
+        .position(|(k, _)| k == "sum")
+        .ok_or("missing checksum")?;
+    match fields.remove(at).1 {
+        Value::Str(sum) => Ok((Value::Obj(fields), sum)),
+        _ => Err("missing checksum".to_string()),
     }
 }
 
@@ -525,19 +505,15 @@ fn check_cell_text(cell_id: &str, text: &str) -> Result<(CellSpec, Value), Strin
             "checksum mismatch (file says {claimed}, content is {actual})"
         ));
     }
-    let spec = content
-        .get("spec")
-        .ok_or("missing spec")
-        .and_then(|s| CellSpec::from_value(s).map_err(|_| "bad spec"))
-        .map_err(str::to_string)?;
+    let spec = CellSpec::from_value(content.req("spec")?).map_err(|_| "bad spec")?;
     if spec.id() != cell_id {
         return Err(format!(
             "spec hashes to {} but file is stored as {cell_id}",
             spec.id()
         ));
     }
-    let payload = content.get("payload").cloned().ok_or("missing payload")?;
-    Ok((spec, payload))
+    let payload: &Value = content.req("payload")?;
+    Ok((spec, payload.clone()))
 }
 
 /// The journal line for an entry, before sealing.
@@ -560,17 +536,11 @@ fn parse_journal_line(line: &str) -> Result<JournalEntry, String> {
             "checksum mismatch (line says {claimed}, content is {actual})"
         ));
     }
-    let (Some(cell), Some(shard)) = (
-        content.get("cell").and_then(Value::as_str),
-        content.get("shard").and_then(Value::as_str),
-    ) else {
-        return Err("missing cell/shard".to_string());
-    };
     Ok(JournalEntry {
-        cell_id: cell.to_string(),
-        shard_id: shard.to_string(),
-        wall_ms: content.get("wall_ms").and_then(Value::as_u64).unwrap_or(0),
-        accesses: content.get("accesses").and_then(Value::as_u64).unwrap_or(0),
+        cell_id: content.req("cell")?,
+        shard_id: content.req("shard")?,
+        wall_ms: content.req("wall_ms")?,
+        accesses: content.req("accesses")?,
     })
 }
 
@@ -1123,6 +1093,46 @@ mod tests {
         assert!(!report.repairs.is_empty());
         assert!(fsck(&dir, false).expect("recheck").clean());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Format 2 rendered every object with sorted keys, so its journal
+    /// lines carry `"sum"` between `"shard"` and `"wall_ms"`. Both files
+    /// below are verbatim format-2 output; they must still verify, since
+    /// `fsck` and salvage read whatever a store holds.
+    #[test]
+    fn format_2_sorted_key_files_still_verify() {
+        let dir = tmpdir("format2");
+        let store = ResultsStore::open(&dir).expect("open");
+        let spec = CellSpec::sweep("G2-1", "ucp", 2, "quick");
+        store
+            .write_manifest(&manifest(std::slice::from_ref(&spec)))
+            .expect("manifest");
+        let cell = r#"{"payload":{"counts":{"data_reads":12,"total_cycles":80000},"ipc":[1.25,0.5],"policy":"ucp"},"spec":{"cores":2,"kind":"sweep","policy":"ucp","scale":"quick","workload":"G2-1"},"sum":"2c82a33daa59c42b"}"#;
+        let line = r#"{"accesses":1000,"cell":"fbfbb21172a6a52b","shard":"s0","sum":"97f72b96fc509d47","wall_ms":10}"#;
+        assert_eq!(spec.id(), "fbfbb21172a6a52b");
+        std::fs::write(dir.join("cells").join(format!("{}.json", spec.id())), cell).expect("cell");
+        std::fs::write(dir.join("journal.jsonl"), format!("{line}\n")).expect("journal");
+
+        let entry = parse_journal_line(line).expect("format-2 journal line verifies");
+        assert_eq!((entry.wall_ms, entry.accesses), (10, 1000));
+        let (back, payload) = store.read_cell(&spec.id()).expect("format-2 cell verifies");
+        assert_eq!(back, spec);
+        assert_eq!(payload.req::<Vec<f64>>("ipc"), Ok(vec![1.25, 0.5]));
+        assert_eq!(store.done_cell_ids().expect("done"), vec![spec.id()]);
+        let report = fsck(&dir, false).expect("fsck");
+        assert!(report.clean(), "{}", report.render());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_accounting_fields_are_required() {
+        let content = json::obj(vec![
+            ("cell", json::str("c")),
+            ("shard", json::str("s")),
+            ("wall_ms", json::num_u64(1)),
+        ]);
+        let err = parse_journal_line(&seal(content).render()).expect_err("no accesses");
+        assert!(err.contains("accesses"), "{err}");
     }
 
     #[test]

@@ -31,9 +31,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use simkit::json::Value;
+
 use crate::cell::CellSpec;
 use crate::chaos::{ChaosEngine, Site, TargetedMode};
-use crate::json::Value;
 use crate::protocol::{FromWorker, ToWorker};
 
 /// Executes one cell; implemented by the harness.

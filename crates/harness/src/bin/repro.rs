@@ -41,14 +41,12 @@
 // simlint's path allowlist.
 #![allow(clippy::disallowed_methods)]
 
-use std::io::Write as _;
-
 use harness::experiments::fig11_13::ThresholdMetric;
 use harness::experiments::fig5_10::Metric;
 use harness::experiments::{self, Experiment};
 use harness::fleet_run::{self, FleetOptions, SamplePlan};
 use harness::{policy_registry, workload_registry, SimScale};
-use simkit::table::json_string;
+use simkit::json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -152,6 +150,13 @@ fn main() {
             other => usage_error(&format!("unexpected argument '{other}'")),
         }
         i += 1;
+    }
+    // Output directories are created before anything runs, so a bad path
+    // fails in milliseconds instead of after the whole simulation.
+    for dir in [&csv_dir, &json_dir].into_iter().flatten() {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            usage_error(&format!("cannot create output directory '{dir}': {e}"));
+        }
     }
 
     // The filters only drive the standalone sweep figures. Elsewhere they
@@ -271,10 +276,10 @@ fn main() {
     for e in &list {
         println!("{}", e.render());
         if let Some(dir) = &csv_dir {
-            write_csv(dir, e);
+            write_output(dir, e, "csv", e.table.to_csv());
         }
         if let Some(dir) = &json_dir {
-            write_json(dir, e);
+            write_output(dir, e, "json", json_document(e));
         }
     }
     eprintln!("# done in {:.1}s", start.elapsed().as_secs_f64());
@@ -490,32 +495,29 @@ fn select(
     }
 }
 
-/// File stem for an experiment's machine-readable outputs.
-fn file_stem(e: &Experiment) -> String {
-    e.id.to_lowercase().replace(' ', "")
-}
-
-fn write_csv(dir: &str, e: &Experiment) {
-    std::fs::create_dir_all(dir).expect("create csv dir");
-    let path = format!("{dir}/{}.csv", file_stem(e));
-    let mut f = std::fs::File::create(&path).expect("create csv file");
-    f.write_all(e.table.to_csv().as_bytes()).expect("write csv");
+/// Writes one machine-readable rendering of `e` as `DIR/<id>.<ext>` (the
+/// id lowercased, spaces dropped). A failed write prints one line and
+/// exits 1.
+fn write_output(dir: &str, e: &Experiment, ext: &str, text: String) {
+    let path = format!("{dir}/{}.{ext}", e.id.to_lowercase().replace(' ', ""));
+    if let Err(err) = std::fs::write(&path, text) {
+        eprintln!("cannot write {path}: {err}");
+        std::process::exit(1);
+    }
     eprintln!("# wrote {path}");
 }
 
-fn write_json(dir: &str, e: &Experiment) {
-    std::fs::create_dir_all(dir).expect("create json dir");
-    let path = format!("{dir}/{}.json", file_stem(e));
-    let notes: Vec<String> = e.notes.iter().map(|n| json_string(n)).collect();
-    let doc = format!(
-        "{{\"id\":{},\"title\":{},\"table\":{},\"notes\":[{}]}}\n",
-        json_string(&e.id),
-        json_string(&e.title),
-        e.table.to_json(),
-        notes.join(",")
-    );
-    std::fs::write(&path, doc).expect("write json");
-    eprintln!("# wrote {path}");
+/// The experiment as one newline-terminated JSON document.
+fn json_document(e: &Experiment) -> String {
+    let mut doc = json::obj(vec![
+        ("id", json::str(&e.id)),
+        ("title", json::str(&e.title)),
+        ("table", e.table.to_value()),
+        ("notes", json::arr_str(&e.notes)),
+    ])
+    .render();
+    doc.push('\n');
+    doc
 }
 
 fn usage() {

@@ -1,8 +1,8 @@
 //! Harness side of fleet orchestration, and the one sweep engine: the
 //! [`fleet::CellRunner`] that executes one sweep cell, bit-exact
-//! serialization of [`RunResult`] / solo baselines through the fleet JSON
-//! layer, cell enumeration for the sweep targets, and the merge that folds
-//! finished cells back into a [`Sweep`].
+//! serialization of [`RunResult`] / solo baselines through
+//! [`simkit::json`], cell enumeration for the sweep targets, and the merge
+//! that folds finished cells back into a [`Sweep`].
 //!
 //! A single-process sweep is the same cells run on local threads:
 //! [`experiments::cached_sweep_filtered`] enumerates [`sweep_cells`], runs
@@ -28,8 +28,8 @@ use std::sync::Arc;
 
 use coop_core::MissCurve;
 use energy::{CoreEnergyReport, EnergyCounts, EnergyReport};
-use fleet::json::{self, Value};
 use fleet::{CellKind, CellSpec, FleetConfig, FleetReport, Manifest, ResultsStore};
+use simkit::json::{self, Value};
 use simkit::DetRng;
 use workloads::ResolvedWorkload;
 
@@ -43,37 +43,6 @@ use crate::system::RunResult;
 // ---------------------------------------------------------------------------
 // Payload serialization (bit-exact)
 
-fn req<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("payload missing '{key}'"))
-}
-
-fn f64_of(v: &Value, key: &str) -> Result<f64, String> {
-    req(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("payload '{key}' is not a number"))
-}
-
-fn u64_of(v: &Value, key: &str) -> Result<u64, String> {
-    req(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("payload '{key}' is not an integer"))
-}
-
-fn str_of(v: &Value, key: &str) -> Result<String, String> {
-    Ok(req(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("payload '{key}' is not a string"))?
-        .to_string())
-}
-
-fn arr_f64_of(v: &Value, key: &str) -> Result<Vec<f64>, String> {
-    json::read_arr_f64(req(v, key)?).map_err(|_| format!("payload '{key}' is not a float array"))
-}
-
-fn arr_u64_of(v: &Value, key: &str) -> Result<Vec<u64>, String> {
-    json::read_arr_u64(req(v, key)?).map_err(|_| format!("payload '{key}' is not an int array"))
-}
-
 fn curve_to_value(c: &MissCurve) -> Value {
     let values: Vec<f64> = (0..=c.ways()).map(|w| c.misses(w)).collect();
     json::obj(vec![
@@ -83,10 +52,7 @@ fn curve_to_value(c: &MissCurve) -> Value {
 }
 
 fn curve_from_value(v: &Value) -> Result<MissCurve, String> {
-    Ok(MissCurve::new(
-        arr_f64_of(v, "misses")?,
-        f64_of(v, "accesses")?,
-    ))
+    Ok(MissCurve::new(v.req("misses")?, v.req("accesses")?))
 }
 
 fn curves_to_value(curves: &[MissCurve]) -> Value {
@@ -94,9 +60,7 @@ fn curves_to_value(curves: &[MissCurve]) -> Value {
 }
 
 fn curves_from_value(v: &Value, key: &str) -> Result<Vec<MissCurve>, String> {
-    req(v, key)?
-        .as_arr()
-        .ok_or_else(|| format!("payload '{key}' is not an array"))?
+    v.req::<&[Value]>(key)?
         .iter()
         .map(curve_from_value)
         .collect()
@@ -177,70 +141,62 @@ pub fn run_result_to_value(r: &RunResult) -> Value {
 
 /// Rebuilds a [`RunResult`] from its serialized form.
 pub fn run_result_from_value(v: &Value) -> Result<RunResult, String> {
-    let counts = req(v, "counts")?;
-    let energy = req(v, "energy")?;
-    let core_energy = req(v, "core_energy")?;
-    let takeover: Vec<u64> = arr_u64_of(v, "takeover_events")?;
-    if takeover.len() != 4 {
-        return Err(format!(
-            "takeover_events must have 4 entries, got {}",
-            takeover.len()
-        ));
-    }
+    let counts: &Value = v.req("counts")?;
+    let energy: &Value = v.req("energy")?;
+    let core_energy: &Value = v.req("core_energy")?;
+    let takeover: Vec<u64> = v.req("takeover_events")?;
+    let takeover_events: [u64; 4] = takeover
+        .try_into()
+        .map_err(|t: Vec<u64>| format!("takeover_events must have 4 entries, got {}", t.len()))?;
     Ok(RunResult {
-        policy: str_of(v, "policy")?,
-        label: str_of(v, "label")?,
-        workload: str_of(v, "workload")?,
-        ipc: arr_f64_of(v, "ipc")?,
-        mpki: arr_f64_of(v, "mpki")?,
-        apki: arr_f64_of(v, "apki")?,
-        accesses: arr_u64_of(v, "accesses")?,
+        policy: v.req("policy")?,
+        label: v.req("label")?,
+        workload: v.req("workload")?,
+        ipc: v.req("ipc")?,
+        mpki: v.req("mpki")?,
+        apki: v.req("apki")?,
+        accesses: v.req("accesses")?,
         counts: EnergyCounts {
-            tag_way_probes: u64_of(counts, "tag_way_probes")?,
-            data_reads: u64_of(counts, "data_reads")?,
-            data_writes: u64_of(counts, "data_writes")?,
-            umon_probes: u64_of(counts, "umon_probes")?,
-            vector_accesses: u64_of(counts, "vector_accesses")?,
-            on_way_cycles: u64_of(counts, "on_way_cycles")?,
-            gated_way_cycles: u64_of(counts, "gated_way_cycles")?,
-            total_cycles: u64_of(counts, "total_cycles")?,
+            tag_way_probes: counts.req("tag_way_probes")?,
+            data_reads: counts.req("data_reads")?,
+            data_writes: counts.req("data_writes")?,
+            umon_probes: counts.req("umon_probes")?,
+            vector_accesses: counts.req("vector_accesses")?,
+            on_way_cycles: counts.req("on_way_cycles")?,
+            gated_way_cycles: counts.req("gated_way_cycles")?,
+            total_cycles: counts.req("total_cycles")?,
         },
         energy: EnergyReport {
-            dynamic_nj: f64_of(energy, "dynamic_nj")?,
-            tag_nj: f64_of(energy, "tag_nj")?,
-            overhead_nj: f64_of(energy, "overhead_nj")?,
-            data_nj: f64_of(energy, "data_nj")?,
-            static_nj: f64_of(energy, "static_nj")?,
+            dynamic_nj: energy.req("dynamic_nj")?,
+            tag_nj: energy.req("tag_nj")?,
+            overhead_nj: energy.req("overhead_nj")?,
+            data_nj: energy.req("data_nj")?,
+            static_nj: energy.req("static_nj")?,
         },
-        avg_ways: f64_of(v, "avg_ways")?,
-        cycles: u64_of(v, "cycles")?,
-        cp_transfer_durations: arr_u64_of(v, "cp_transfer_durations")?,
-        ucp_transfer_durations: arr_u64_of(v, "ucp_transfer_durations")?,
-        takeover_events: [takeover[0], takeover[1], takeover[2], takeover[3]],
-        forced_transfers: u64_of(v, "forced_transfers")?,
-        flush_lines: u64_of(v, "flush_lines")?,
-        flush_series: arr_f64_of(v, "flush_series")?,
-        flush_bucket: u64_of(v, "flush_bucket")?,
-        repartitions: u64_of(v, "repartitions")?,
+        avg_ways: v.req("avg_ways")?,
+        cycles: v.req("cycles")?,
+        cp_transfer_durations: v.req("cp_transfer_durations")?,
+        ucp_transfer_durations: v.req("ucp_transfer_durations")?,
+        takeover_events,
+        forced_transfers: v.req("forced_transfers")?,
+        flush_lines: v.req("flush_lines")?,
+        flush_series: v.req("flush_series")?,
+        flush_bucket: v.req("flush_bucket")?,
+        repartitions: v.req("repartitions")?,
         epoch_curves: curves_from_value(v, "epoch_curves")?,
         core_energy: CoreEnergyReport {
-            dynamic_nj: f64_of(core_energy, "dynamic_nj")?,
-            static_nj: f64_of(core_energy, "static_nj")?,
+            dynamic_nj: core_energy.req("dynamic_nj")?,
+            static_nj: core_energy.req("static_nj")?,
         },
-        avg_freq_ghz: arr_f64_of(v, "avg_freq_ghz")?,
-        freq_residency: req(v, "freq_residency")?
-            .as_arr()
-            .ok_or("payload 'freq_residency' is not an array")?
-            .iter()
-            .map(|c| json::read_arr_f64(c).map_err(|_| "bad freq_residency row".to_string()))
-            .collect::<Result<Vec<_>, _>>()?,
-        avg_ways_owned: arr_f64_of(v, "avg_ways_owned")?,
-        prefetches: arr_u64_of(v, "prefetches")?,
-        prefetch_useful: arr_u64_of(v, "prefetch_useful")?,
-        dram_lines: arr_u64_of(v, "dram_lines")?,
-        bw_delay_cycles: arr_u64_of(v, "bw_delay_cycles")?,
-        avg_bw_share: arr_f64_of(v, "avg_bw_share")?,
-        avg_prefetch_degree: arr_f64_of(v, "avg_prefetch_degree")?,
+        avg_freq_ghz: v.req("avg_freq_ghz")?,
+        freq_residency: v.req("freq_residency")?,
+        avg_ways_owned: v.req("avg_ways_owned")?,
+        prefetches: v.req("prefetches")?,
+        prefetch_useful: v.req("prefetch_useful")?,
+        dram_lines: v.req("dram_lines")?,
+        bw_delay_cycles: v.req("bw_delay_cycles")?,
+        avg_bw_share: v.req("avg_bw_share")?,
+        avg_prefetch_degree: v.req("avg_prefetch_degree")?,
     })
 }
 
@@ -258,10 +214,10 @@ pub fn solo_to_value(s: &solo::SoloResult) -> Value {
 /// Rebuilds a solo baseline payload.
 pub fn solo_from_value(v: &Value) -> Result<solo::SoloResult, String> {
     Ok(solo::SoloResult {
-        ipc: f64_of(v, "ipc")?,
-        mpki: f64_of(v, "mpki")?,
-        apki: f64_of(v, "apki")?,
-        accesses: u64_of(v, "accesses")?,
+        ipc: v.req("ipc")?,
+        mpki: v.req("mpki")?,
+        apki: v.req("apki")?,
+        accesses: v.req("accesses")?,
         epoch_curves: curves_from_value(v, "epoch_curves")?,
     })
 }

@@ -12,13 +12,13 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use fleet::json::{self, Value};
 use fleet::{CellSpec, JournalEntry, ResultsStore};
 use harness::experiments::fig5_10::{figure_from, Metric};
 use harness::experiments::{cached_sweep_filtered, ExperimentPerf};
 use harness::fleet_run;
 use harness::SimScale;
 use proptest::prelude::*;
+use simkit::json::{self, Value};
 
 /// One sweep configuration under test: G2-1 over the full paper policy
 /// set, G4-1 over a subset (both at quick scale, per the acceptance

@@ -214,6 +214,30 @@ fn repro_rejects_bad_flag_values_with_exit_2() {
     }
 }
 
+/// An output directory that cannot be created is bad input: it fails
+/// before the sweep runs, with one line and exit 2, for either flag.
+#[test]
+fn repro_rejects_an_uncreatable_output_dir_before_running() {
+    let file = std::env::temp_dir().join(format!("repro-not-a-dir-{}", std::process::id()));
+    std::fs::write(&file, b"a regular file").expect("write temp file");
+    let under_file = file.join("out");
+    let dir = under_file.to_str().expect("utf-8 temp path");
+    for flag in ["--json", "--csv"] {
+        let out = run(
+            env!("CARGO_BIN_EXE_repro"),
+            &["fig5", "--scale", "quick", flag, dir],
+            &[],
+        );
+        assert_usage_error(&format!("repro fig5 {flag} <file>/out"), &out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("cannot create output directory"),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_file(&file).ok();
+}
+
 /// Asserts the one-line usage error for `COOP_SCALE=bogus`, naming the
 /// variable and the presets.
 fn assert_rejects_bogus_coop_scale(exe: &str, args: &[&str]) {

@@ -1,22 +1,33 @@
-//! Minimal JSON reading/writing for the fleet protocol and results store.
+//! The workspace's one JSON layer: a small self-contained writer and
+//! parser.
 //!
-//! The repo hand-rolls its machine-readable output. The fleet subsystem
-//! additionally needs to *read* JSON back — worker protocol messages, stored
-//! cell results, manifests — so this module carries a small self-contained
-//! parser and writer.
+//! Every machine-readable artifact goes through it: the experiment JSON
+//! files `repro --json` writes, the fleet's worker protocol, and its
+//! results store (cell files, journal lines, manifests).
 //!
+//! Objects keep their keys in insertion order: [`render`](Value::render)
+//! writes them in the order they were built, and [`parse`] keeps the
+//! order they appear in the document, so parse → render is byte-stable.
 //! Numbers are kept as their raw source text ([`Value::Num`]) and converted
 //! on demand: floats written with Rust's shortest-roundtrip formatting
 //! (`{:?}`) parse back to the bit-identical `f64`, and `u64` counters larger
 //! than 2^53 never lose precision by being squeezed through a double. That
 //! property is what lets a resumed, re-merged sweep reproduce the
 //! single-process tables bit for bit.
+//!
+//! ```
+//! use simkit::json::{self, Value};
+//!
+//! let v = json::parse(r#"{"b":[1,2],"a":"x"}"#).expect("parses");
+//! assert_eq!(v.render(), r#"{"b":[1,2],"a":"x"}"#);
+//! assert_eq!(v.req::<Vec<u64>>("b"), Ok(vec![1, 2]));
+//! assert_eq!(v.req::<&str>("a"), Ok("x"));
+//! assert!(v.req::<u64>("a").is_err());
+//! ```
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A parsed JSON value. Object keys keep insertion order irrelevant by
-/// using a sorted map; duplicate keys keep the last occurrence.
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -29,72 +40,28 @@ pub enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object.
-    Obj(BTreeMap<String, Value>),
+    /// An object, keys in insertion order. [`parse`] keeps one entry per
+    /// key: a duplicate key keeps its first position and its last value.
+    Obj(Vec<(String, Value)>),
 }
 
 impl Value {
     /// Object field lookup (`None` for non-objects/missing keys).
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Obj(m) => m.get(key),
+            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
 
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
+    /// A required object field converted to `T`; the error names the key
+    /// and what was expected.
+    pub fn req<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<T, String> {
+        let v = self.get(key).ok_or_else(|| format!("missing '{key}'"))?;
+        T::from_json(v).ok_or_else(|| format!("'{key}' is not {}", T::EXPECTED))
     }
 
-    /// The number as `u64`, if this is an integer token in range.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(raw) => raw.parse::<u64>().ok(),
-            _ => None,
-        }
-    }
-
-    /// The number as `usize`.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|v| v as usize)
-    }
-
-    /// The number as `f64` (exact round-trip for values written by
-    /// [`fmt_f64`]); accepts the `"NaN"`/`"inf"`/`"-inf"` string escapes.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(raw) => raw.parse::<f64>().ok(),
-            Value::Str(s) => match s.as_str() {
-                "NaN" => Some(f64::NAN),
-                "inf" => Some(f64::INFINITY),
-                "-inf" => Some(f64::NEG_INFINITY),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
-    /// The bool payload.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The array items, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Serializes the value back to compact JSON text.
+    /// Serializes the value to compact JSON text.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
@@ -107,7 +74,7 @@ impl Value {
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
             Value::Num(raw) => out.push_str(raw),
-            Value::Str(s) => out.push_str(&escape(s)),
+            Value::Str(s) => write_str(out, s),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -118,13 +85,13 @@ impl Value {
                 }
                 out.push(']');
             }
-            Value::Obj(m) => {
+            Value::Obj(fields) => {
                 out.push('{');
-                for (i, (k, v)) in m.iter().enumerate() {
+                for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&escape(k));
+                    write_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -134,7 +101,100 @@ impl Value {
     }
 }
 
-/// Builds a [`Value::Obj`] from key/value pairs.
+/// A type [`Value::req`] can read a field as.
+pub trait FromJson<'a>: Sized {
+    /// What the value must be, for the error message.
+    const EXPECTED: &'static str;
+
+    /// The converted value, or `None` when `v` has the wrong shape.
+    fn from_json(v: &'a Value) -> Option<Self>;
+}
+
+impl<'a> FromJson<'a> for &'a Value {
+    const EXPECTED: &'static str = "a value";
+    fn from_json(v: &'a Value) -> Option<Self> {
+        Some(v)
+    }
+}
+
+impl<'a> FromJson<'a> for &'a [Value] {
+    const EXPECTED: &'static str = "an array";
+    fn from_json(v: &'a Value) -> Option<Self> {
+        match v {
+            Value::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+}
+
+impl<'a> FromJson<'a> for &'a str {
+    const EXPECTED: &'static str = "a string";
+    fn from_json(v: &'a Value) -> Option<Self> {
+        match v {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+impl FromJson<'_> for String {
+    const EXPECTED: &'static str = "a string";
+    fn from_json(v: &Value) -> Option<Self> {
+        <&str>::from_json(v).map(str::to_string)
+    }
+}
+
+/// Any integer token in range (lossless at any magnitude).
+impl FromJson<'_> for u64 {
+    const EXPECTED: &'static str = "an unsigned integer";
+    fn from_json(v: &Value) -> Option<Self> {
+        match v {
+            Value::Num(raw) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+}
+
+impl FromJson<'_> for usize {
+    const EXPECTED: &'static str = "an unsigned integer";
+    fn from_json(v: &Value) -> Option<Self> {
+        u64::from_json(v).and_then(|n| n.try_into().ok())
+    }
+}
+
+impl FromJson<'_> for u32 {
+    const EXPECTED: &'static str = "an unsigned 32-bit integer";
+    fn from_json(v: &Value) -> Option<Self> {
+        u64::from_json(v).and_then(|n| n.try_into().ok())
+    }
+}
+
+/// Exact round-trip for values written by [`num_f64`], including its
+/// `"NaN"`/`"inf"`/`"-inf"` string escapes.
+impl FromJson<'_> for f64 {
+    const EXPECTED: &'static str = "a number";
+    fn from_json(v: &Value) -> Option<Self> {
+        match v {
+            Value::Num(raw) => raw.parse().ok(),
+            Value::Str(s) => match s.as_str() {
+                "NaN" => Some(f64::NAN),
+                "inf" => Some(f64::INFINITY),
+                "-inf" => Some(f64::NEG_INFINITY),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+}
+
+impl<'a, T: FromJson<'a>> FromJson<'a> for Vec<T> {
+    const EXPECTED: &'static str = "an array of the expected items";
+    fn from_json(v: &'a Value) -> Option<Self> {
+        <&[Value]>::from_json(v)?.iter().map(T::from_json).collect()
+    }
+}
+
+/// Builds a [`Value::Obj`] from key/value pairs, in the given order.
 pub fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
@@ -149,16 +209,24 @@ pub fn num_u64(v: u64) -> Value {
     Value::Num(v.to_string())
 }
 
-/// A float value via shortest-roundtrip formatting; non-finite values
-/// become the string escapes [`Value::as_f64`] understands.
+/// A float value via shortest-roundtrip formatting (parsing the text back
+/// yields the identical IEEE-754 double); non-finite values become the
+/// string escapes its `f64` reader understands.
 pub fn num_f64(v: f64) -> Value {
     if v.is_nan() {
         Value::Str("NaN".to_string())
     } else if v.is_infinite() {
         Value::Str(if v > 0.0 { "inf" } else { "-inf" }.to_string())
     } else {
-        Value::Num(fmt_f64(v))
+        let s = format!("{v:?}");
+        debug_assert_eq!(s.parse::<f64>().ok(), Some(v), "roundtrip {s}");
+        Value::Num(s)
     }
+}
+
+/// An array of strings.
+pub fn arr_str(vs: &[String]) -> Value {
+    Value::Arr(vs.iter().map(str).collect())
 }
 
 /// An array of floats.
@@ -171,40 +239,9 @@ pub fn arr_u64(vs: &[u64]) -> Value {
     Value::Arr(vs.iter().map(|&v| num_u64(v)).collect())
 }
 
-/// Reads a float array back.
-pub fn read_arr_f64(v: &Value) -> Result<Vec<f64>, ParseError> {
-    v.as_arr()
-        .ok_or_else(|| ParseError::shape("expected float array"))?
-        .iter()
-        .map(|item| {
-            item.as_f64()
-                .ok_or_else(|| ParseError::shape("expected float"))
-        })
-        .collect()
-}
-
-/// Reads an unsigned-integer array back.
-pub fn read_arr_u64(v: &Value) -> Result<Vec<u64>, ParseError> {
-    v.as_arr()
-        .ok_or_else(|| ParseError::shape("expected integer array"))?
-        .iter()
-        .map(|item| {
-            item.as_u64()
-                .ok_or_else(|| ParseError::shape("expected integer"))
-        })
-        .collect()
-}
-
-/// Shortest-roundtrip float text: parsing it back yields the identical
-/// IEEE-754 double.
-pub fn fmt_f64(v: f64) -> String {
-    let s = format!("{v:?}");
-    debug_assert_eq!(s.parse::<f64>().ok(), Some(v), "roundtrip {s}");
-    s
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Writes `s` as a quoted JSON string literal: quotes, backslashes and
+/// control characters escaped, everything else verbatim.
+fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -220,7 +257,6 @@ fn escape(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Why a JSON document failed to parse.
@@ -228,18 +264,8 @@ fn escape(s: &str) -> String {
 pub struct ParseError {
     /// Human description.
     pub message: String,
-    /// Byte offset where the problem was noticed (0 for shape errors
-    /// raised by typed readers).
+    /// Byte offset where the problem was noticed.
     pub offset: usize,
-}
-
-impl ParseError {
-    fn shape(message: &str) -> ParseError {
-        ParseError {
-            message: message.to_string(),
-            offset: 0,
-        }
-    }
 }
 
 impl std::fmt::Display for ParseError {
@@ -252,19 +278,18 @@ impl std::error::Error for ParseError {}
 
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(text: &str) -> Result<Value, ParseError> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != text.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -276,18 +301,14 @@ impl Parser<'_> {
         }
     }
 
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
 
     fn eat(&mut self, b: u8, what: &str) -> Result<(), ParseError> {
@@ -300,7 +321,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -347,11 +368,11 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Value, ParseError> {
         self.eat(b'{', "expected '{'")?;
-        let mut map = BTreeMap::new();
+        let mut fields: Vec<(String, Value)> = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Obj(map));
+            return Ok(Value::Obj(fields));
         }
         loop {
             self.skip_ws();
@@ -360,13 +381,16 @@ impl Parser<'_> {
             self.eat(b':', "expected ':' after object key")?;
             self.skip_ws();
             let val = self.value()?;
-            map.insert(key, val);
+            match fields.iter_mut().find(|(k, _)| *k == key) {
+                Some(field) => field.1 = val,
+                None => fields.push((key, val)),
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Obj(map));
+                    return Ok(Value::Obj(fields));
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
@@ -395,13 +419,11 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let code = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             // Surrogate pairs are not produced by our own
                             // writer; map lone surrogates to U+FFFD.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -412,12 +434,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // A run of plain characters up to the next quote or
+                    // escape. Both are ASCII, so the run ends on a char
+                    // boundary of the (valid UTF-8) input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -434,13 +458,11 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ascii slice")
-            .to_string();
+        let raw = &self.text[start..self.pos];
         if raw.parse::<f64>().is_err() {
             return Err(self.err("malformed number"));
         }
-        Ok(Value::Num(raw))
+        Ok(Value::Num(raw.to_string()))
     }
 }
 
@@ -450,14 +472,48 @@ mod tests {
 
     #[test]
     fn roundtrips_nested_documents() {
-        let doc = r#"{"a":[1,2.5,"x"],"b":{"c":true,"d":null},"e":"q\"\n"}"#;
-        let v = parse(doc).expect("parses");
-        assert_eq!(parse(&v.render()).expect("reparses"), v);
+        for doc in [
+            r#"{"a":[1,2.5,"x"],"b":{"c":true,"d":null},"e":"q\"\n"}"#,
+            // Insertion order survives parse -> render.
+            r#"{"zeta":1,"alpha":{"y":[],"b":"\u0001"},"mid":-2.5e-3}"#,
+        ] {
+            let v = parse(doc).expect("parses");
+            assert_eq!(v.render(), doc);
+            assert_eq!(parse(&v.render()).expect("reparses"), v);
+        }
+        let v = parse(r#"{"a":[1,2.5,"x"],"b":{"c":true,"d":null},"e":"q\"\n"}"#).unwrap();
         assert_eq!(
             v.get("b").and_then(|b| b.get("c")),
             Some(&Value::Bool(true))
         );
-        assert_eq!(v.get("e").and_then(Value::as_str), Some("q\"\n"));
+        assert_eq!(v.req::<&str>("e"), Ok("q\"\n"));
+        // A duplicate key keeps its first position and its last value.
+        let dup = parse(r#"{"k":1,"j":2,"k":3}"#).expect("parses");
+        assert_eq!(dup.req::<u64>("k"), Ok(3));
+        assert_eq!(dup.render(), r#"{"k":3,"j":2}"#);
+    }
+
+    #[test]
+    fn typed_fields_read_and_name_their_errors() {
+        let v = parse(r#"{"n":7,"big":4294967296,"f":[0.5,"inf"],"rows":[[1],[2,3]]}"#).unwrap();
+        assert_eq!(v.req::<u32>("n"), Ok(7));
+        assert_eq!(v.req::<usize>("n"), Ok(7));
+        assert_eq!(v.req::<u64>("big"), Ok(1 << 32));
+        assert_eq!(v.req::<Vec<f64>>("f"), Ok(vec![0.5, f64::INFINITY]));
+        assert_eq!(
+            v.req::<Vec<Vec<u64>>>("rows"),
+            Ok(vec![vec![1], vec![2, 3]])
+        );
+        assert_eq!(v.req::<&[Value]>("rows").map(<[Value]>::len), Ok(2));
+        assert!(v.req::<u32>("big").unwrap_err().contains("'big'"));
+        assert!(v.req::<String>("n").unwrap_err().contains("string"));
+        assert!(v.req::<Vec<u64>>("f").is_err());
+        assert_eq!(v.req::<u64>("gone"), Err("missing 'gone'".to_string()));
+    }
+
+    /// Renders `v` and reads the text back as a `T`.
+    fn reread<T: for<'a> FromJson<'a>>(v: &Value) -> Option<T> {
+        T::from_json(&parse(&v.render()).expect("parses"))
     }
 
     #[test]
@@ -469,35 +525,35 @@ mod tests {
             123456789.000000001,
             f64::MIN_POSITIVE,
         ] {
-            let text = num_f64(v).render();
-            let back = parse(&text).expect("number").as_f64().expect("f64");
-            assert_eq!(back.to_bits(), v.to_bits(), "{text}");
+            let back: f64 = reread(&num_f64(v)).expect("f64");
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:?}");
         }
     }
 
     #[test]
     fn non_finite_floats_use_string_escapes() {
-        assert!(parse(&num_f64(f64::NAN).render())
-            .unwrap()
-            .as_f64()
-            .unwrap()
-            .is_nan());
-        assert_eq!(
-            parse(&num_f64(f64::INFINITY).render()).unwrap().as_f64(),
-            Some(f64::INFINITY)
-        );
+        assert!(reread::<f64>(&num_f64(f64::NAN)).expect("NaN").is_nan());
+        assert_eq!(reread(&num_f64(f64::INFINITY)), Some(f64::INFINITY));
     }
 
     #[test]
     fn u64_counters_do_not_lose_precision() {
         let big = u64::MAX - 3;
-        let v = parse(&num_u64(big).render()).expect("number");
-        assert_eq!(v.as_u64(), Some(big));
+        assert_eq!(reread(&num_u64(big)), Some(big));
     }
 
     #[test]
     fn malformed_documents_error_with_offsets() {
-        for bad in ["{", "[1,", "\"abc", "{\"a\" 1}", "nulL", "1 2", ""] {
+        for bad in [
+            "{",
+            "[1,",
+            "\"abc",
+            "{\"a\" 1}",
+            "nulL",
+            "1 2",
+            "",
+            "\"\\u12\"",
+        ] {
             let err = parse(bad).expect_err(bad);
             assert!(!err.to_string().is_empty());
         }

@@ -3,8 +3,10 @@
 //! Foundation types shared by every crate in the Cooperative Partitioning
 //! reproduction: strongly-typed cycles and core identifiers, deterministic
 //! seeded random-number streams, statistics primitives (counters, histograms,
-//! bucketed time series) and plain-text table rendering used by the
-//! experiment harness.
+//! bucketed time series), plain-text table rendering used by the
+//! experiment harness, and the one JSON layer ([`json`]: objects in
+//! insertion order, numbers as lossless raw tokens) that every
+//! machine-readable output and the fleet's protocol and store go through.
 //!
 //! The simulator is fully deterministic: all randomness flows through
 //! [`rng::DetRng`] streams derived from a root seed, so the same configuration
@@ -18,6 +20,7 @@
 //! assert_eq!(CoreId(1).index(), 1);
 //! ```
 
+pub mod json;
 pub mod rng;
 pub mod stats;
 pub mod table;

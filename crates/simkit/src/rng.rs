@@ -203,8 +203,9 @@ impl WeightedIndex {
     }
 }
 
-/// FNV-1a hash used for label-based stream derivation.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a, the workspace's stable string hash: label-based stream
+/// derivation here, and the fleet's cell IDs and content checksums.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -1,10 +1,12 @@
 //! Plain-text table rendering for experiment output.
 //!
-//! The harness prints every reproduced table/figure as an aligned text table
-//! and as CSV; both renderers live here so formatting is consistent across
-//! experiments.
+//! The harness prints every reproduced table/figure as an aligned text table,
+//! as CSV and as JSON; the renderers live here so formatting is consistent
+//! across experiments.
 
 use std::fmt::Write as _;
+
+use crate::json::{self, Value};
 
 /// A simple column-aligned text table.
 ///
@@ -97,21 +99,21 @@ impl Table {
         out
     }
 
-    /// Renders the table as a JSON object `{"headers": [...], "rows":
-    /// [[...], ...]}` with all cells as strings.
-    ///
-    /// Hand-rolled like [`Table::to_csv`].
+    /// The table as a JSON object `{"headers": [...], "rows": [[...],
+    /// ...]}` with all cells as strings.
+    pub fn to_value(&self) -> Value {
+        json::obj(vec![
+            ("headers", json::arr_str(&self.headers)),
+            (
+                "rows",
+                Value::Arr(self.rows.iter().map(|r| json::arr_str(r)).collect()),
+            ),
+        ])
+    }
+
+    /// Renders [`Table::to_value`] as compact JSON text.
     pub fn to_json(&self) -> String {
-        let array = |cells: &[String]| -> String {
-            let quoted: Vec<String> = cells.iter().map(|c| json_string(c)).collect();
-            format!("[{}]", quoted.join(","))
-        };
-        let rows: Vec<String> = self.rows.iter().map(|r| array(r)).collect();
-        format!(
-            "{{\"headers\":{},\"rows\":[{}]}}",
-            array(&self.headers),
-            rows.join(",")
-        )
+        self.to_value().render()
     }
 
     /// Renders the table as CSV (RFC-4180-style quoting for cells containing
@@ -134,27 +136,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Escapes and quotes `s` as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -201,10 +182,12 @@ mod tests {
     fn json_escapes_special_cells() {
         let mut t = Table::new(vec!["h\"1".into()]);
         t.row(vec!["line\nbreak\tand \\ quote \"".into()]);
+        t.row(vec!["\u{1}\u{1f}\r".into()]);
         let json = t.to_json();
         assert!(json.contains(r#""h\"1""#), "{json}");
         assert!(json.contains(r#""line\nbreak\tand \\ quote \"""#), "{json}");
-        assert_eq!(json_string("\u{1}"), r#""\u0001""#);
+        assert!(json.contains(r#"["\u0001\u001f\r"]"#), "{json}");
+        assert_eq!(json::parse(&json).expect("parses"), t.to_value());
     }
 
     #[test]

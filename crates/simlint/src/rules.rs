@@ -25,7 +25,8 @@ pub struct CrateRule {
 
 /// The dependency DAG, bottom-up. Mechanism crates (`memsim`, `cpusim`,
 /// `energy`) never list the policy crates (`coop-core`, `coop-dvfs`);
-/// `fleet` lists no internal crate at all (harness-independent by
+/// `fleet` lists only `simkit`, for its JSON layer and hash (no mechanism,
+/// policy or harness crate, so it is harness-independent by
 /// construction); only `harness` and the umbrella crate see everything.
 pub const CRATES: &[CrateRule] = &[
     CrateRule {
@@ -81,7 +82,7 @@ pub const CRATES: &[CrateRule] = &[
         package: "fleet",
         dir: "crates/fleet",
         lib: "fleet",
-        deps: &[],
+        deps: &["simkit"],
         sim: false,
     },
     CrateRule {
@@ -256,6 +257,6 @@ mod tests {
 
     #[test]
     fn fleet_is_harness_independent() {
-        assert!(crate_for_package("fleet").expect("fleet").deps.is_empty());
+        assert_eq!(crate_for_package("fleet").expect("fleet").deps, ["simkit"]);
     }
 }
