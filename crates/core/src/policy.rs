@@ -26,6 +26,7 @@ use crate::config::EnforcementMode;
 use crate::cpe::{cpe_allocate, CpeProfile};
 use crate::curve::MissCurve;
 use crate::lookahead::{allocate, Allocation};
+use energy::CoreEnergyReport;
 use simkit::types::Cycle;
 
 /// Everything a policy may observe at an epoch boundary.
@@ -116,15 +117,30 @@ impl AllocationDecision {
     }
 }
 
+/// Core energy and V/f residency over a measurement window, as
+/// [`PartitionPolicy::close_clock_window`] returns them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClockWindow {
+    /// Core-side energy over the window (all cores).
+    pub core_energy: CoreEnergyReport,
+    /// Residency-weighted average frequency per core (GHz).
+    pub avg_freq_ghz: Vec<f64>,
+    /// Fraction of the window each core spent at each V/f operating point
+    /// (nominal first).
+    pub freq_residency: Vec<Vec<f64>>,
+}
+
 /// An epoch-driven allocation policy.
 ///
 /// Implementations own whatever decision state they need (CPE profiles,
 /// fitted performance models, residency books); the utility monitors stay
 /// in the LLC — they are sampled shadow-tag *hardware* on the access path —
-/// and arrive pre-read as [`EpochObservations::curves`].
+/// and arrive pre-read as [`EpochObservations::curves`]. What only some
+/// policies do at the edges of a run goes through provided methods whose
+/// defaults do nothing, so a system loop never needs the concrete type.
 ///
-/// The `Any` supertrait allows callers that need a concrete policy back
-/// (profile installation, DVFS residency accounting) to downcast.
+/// The `Any` supertrait lets tools and tests that hold a boxed policy
+/// inspect its concrete state by downcasting.
 pub trait PartitionPolicy: std::fmt::Debug + Send + Any {
     /// Canonical registry name, e.g. `"cooperative"`.
     fn name(&self) -> &'static str;
@@ -143,6 +159,29 @@ pub trait PartitionPolicy: std::fmt::Debug + Send + Any {
 
     /// The per-epoch decision.
     fn on_epoch(&mut self, obs: &EpochObservations) -> AllocationDecision;
+
+    /// Installs a solo-run CPE profile. Only Dynamic CPE reads one; the
+    /// default ignores it.
+    fn set_cpe_profile(&mut self, _profile: CpeProfile) {}
+
+    /// Opens the measurement window at `now`, given each core's cumulative
+    /// retired instructions and LLC misses. A policy that moves core clocks
+    /// books the time since its last decision at the current operating
+    /// points, so its window starts exactly here. The default does nothing.
+    fn open_clock_window(&mut self, _now: Cycle, _retired: &[u64], _misses: &[u64]) {}
+
+    /// Closes the window opened by [`PartitionPolicy::open_clock_window`]
+    /// at `now` and returns the core energy and V/f residency booked inside
+    /// it. `None` (the default) means every core ran at the nominal point
+    /// throughout, and the caller evaluates core energy at nominal V/f.
+    fn close_clock_window(
+        &mut self,
+        _now: Cycle,
+        _retired: &[u64],
+        _misses: &[u64],
+    ) -> Option<ClockWindow> {
+        None
+    }
 }
 
 // ---------------------------------------------------------------- policies
@@ -281,6 +320,9 @@ impl PartitionPolicy for DynamicCpePolicy {
     fn enforcement(&self) -> EnforcementMode {
         EnforcementMode::ImmediateFlush
     }
+    fn set_cpe_profile(&mut self, profile: CpeProfile) {
+        self.set_profile(profile);
+    }
     fn on_epoch(&mut self, obs: &EpochObservations) -> AllocationDecision {
         let n = obs.cores();
         let have_all = (0..n).all(|c| self.profile.curve(c, obs.epoch_index).is_some());
@@ -370,6 +412,22 @@ mod tests {
         let a = d.allocation.expect("profiled epochs decide");
         assert!(a.unallocated > 0, "knee curves leave ways to gate: {a:?}");
         assert!(a.ways.iter().all(|&w| w >= 1));
+    }
+
+    #[test]
+    fn edge_hooks_reach_cpe_and_default_to_nothing() {
+        let profile = CpeProfile {
+            curves: vec![vec![knee()], vec![knee()]],
+        };
+        let o = obs(vec![knee(), knee()], 8);
+        let mut cpe: Box<dyn PartitionPolicy> = Box::new(DynamicCpePolicy::default());
+        cpe.set_cpe_profile(profile.clone());
+        assert!(cpe.on_epoch(&o).allocation.is_some(), "profile installed");
+        let mut coop: Box<dyn PartitionPolicy> = Box::new(CooperativePolicy { threshold: 0.03 });
+        coop.set_cpe_profile(profile);
+        coop.open_clock_window(Cycle(0), &[0, 0], &[0, 0]);
+        let window = coop.close_clock_window(Cycle(1000), &[10, 10], &[1, 1]);
+        assert!(window.is_none(), "no clock books by default");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!
 //! The controller also keeps the books DVFS energy accounting needs: how
 //! many reference cycles and retired instructions each core spent at each
-//! operating point (*frequency residency*). The harness snapshots these at
-//! the measurement-window start and evaluates core energy over the window.
+//! operating point (*frequency residency*). The coordinator snapshots these
+//! when the system loop opens its measurement window and evaluates core
+//! energy over the window when it closes.
 
 use coop_core::policy::EpochObservations;
 use cpusim::VfTable;
@@ -98,6 +99,18 @@ impl Residency {
             ref_cycles: sub(&self.ref_cycles, &earlier.ref_cycles),
             instrs: sub(&self.instrs, &earlier.instrs),
         }
+    }
+
+    /// Per core, the fraction of booked reference cycles spent at each
+    /// operating point. A core with no booked time reports all of it at
+    /// the nominal point.
+    pub fn fractions(&self) -> Vec<Vec<f64>> {
+        let nominal = |op| if op == 0 { 1.0 } else { 0.0 };
+        let fractions = |row: &Vec<u64>| match row.iter().sum::<u64>() {
+            0 => (0..row.len()).map(nominal).collect(),
+            total => row.iter().map(|&r| r as f64 / total as f64).collect(),
+        };
+        self.ref_cycles.iter().map(fractions).collect()
     }
 }
 

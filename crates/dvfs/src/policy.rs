@@ -8,17 +8,20 @@
 //! the LLC's token-bucket regulator, prefetch degrees to
 //! `Core::set_prefetch_degree`.
 //!
-//! The presets are distinct types so the harness's frequency-residency
-//! books (reached by downcasting to [`DvfsPolicy`]) never touch a `cbp`
-//! run.
+//! Only a coordinator whose V/f table has more than one point (`dvfs`)
+//! books residency through [`PartitionPolicy::close_clock_window`]; `cbp`
+//! keeps the nominal defaults and is never settled at the window edges.
 
 use std::marker::PhantomData;
 
-use coop_core::policy::{AllocationDecision, EpochObservations, PartitionPolicy, ResourceHints};
+use coop_core::policy::{
+    AllocationDecision, ClockWindow, EpochObservations, PartitionPolicy, ResourceHints,
+};
 use coop_core::registry::{PolicyEntry, PolicyRegistry};
 use coop_core::{allocate, Allocation, EnforcementMode};
+use simkit::types::Cycle;
 
-use crate::controller::{Controller, DvfsConfig};
+use crate::controller::{Controller, DvfsConfig, Residency};
 
 /// A registry entry of the coordinator: its names and its axis set.
 pub trait Preset: std::fmt::Debug + Clone + Send + 'static {
@@ -79,6 +82,8 @@ pub struct Coordinator<P: Preset> {
     /// the last decision (nothing to model): the policy then falls back to
     /// the plain cooperative look-ahead over the same UMON curves.
     fallback_threshold: f64,
+    /// The residency books when the measurement window opened.
+    window_start: Option<Residency>,
     preset: PhantomData<P>,
 }
 
@@ -88,6 +93,7 @@ impl<P: Preset> Coordinator<P> {
         Coordinator {
             ctl: Controller::new(cfg, cores, total_ways),
             fallback_threshold,
+            window_start: None,
             preset: PhantomData,
         }
     }
@@ -97,7 +103,8 @@ impl<P: Preset> Coordinator<P> {
         &self.ctl
     }
 
-    /// Mutable access for window bookkeeping (`settle`).
+    /// Mutable access to the controller, for drivers that book the
+    /// measurement window themselves (`settle`).
     pub fn controller_mut(&mut self) -> &mut Controller {
         &mut self.ctl
     }
@@ -148,6 +155,29 @@ impl<P: Preset> PartitionPolicy for Coordinator<P> {
                 prefetch_slots: (cfg.max_degree > 0).then(|| joint.degrees()),
             },
         }
+    }
+
+    fn open_clock_window(&mut self, now: Cycle, retired: &[u64], misses: &[u64]) {
+        if self.ctl.config().table.len() > 1 {
+            self.ctl.settle(now, retired, misses);
+            self.window_start = Some(self.ctl.books().clone());
+        }
+    }
+
+    fn close_clock_window(
+        &mut self,
+        now: Cycle,
+        retired: &[u64],
+        misses: &[u64],
+    ) -> Option<ClockWindow> {
+        let start = self.window_start.take()?;
+        self.ctl.settle(now, retired, misses);
+        let window = self.ctl.books().since(&start);
+        Some(ClockWindow {
+            core_energy: self.ctl.core_energy(&window),
+            avg_freq_ghz: self.ctl.avg_freq_ghz(&window),
+            freq_residency: window.fractions(),
+        })
     }
 }
 

@@ -40,6 +40,21 @@ impl EnergyCounts {
             total_cycles: self.total_cycles + other.total_cycles,
         }
     }
+
+    /// Element-wise `self - earlier`: the events between two snapshots of
+    /// cumulative counts (a measurement window).
+    pub fn since(self, earlier: EnergyCounts) -> EnergyCounts {
+        EnergyCounts {
+            tag_way_probes: self.tag_way_probes - earlier.tag_way_probes,
+            data_reads: self.data_reads - earlier.data_reads,
+            data_writes: self.data_writes - earlier.data_writes,
+            umon_probes: self.umon_probes - earlier.umon_probes,
+            vector_accesses: self.vector_accesses - earlier.vector_accesses,
+            on_way_cycles: self.on_way_cycles - earlier.on_way_cycles,
+            gated_way_cycles: self.gated_way_cycles - earlier.gated_way_cycles,
+            total_cycles: self.total_cycles - earlier.total_cycles,
+        }
+    }
 }
 
 /// Evaluated energies in nanojoules.
@@ -80,6 +95,32 @@ mod tests {
         assert_eq!(m.tag_way_probes, 2);
         assert_eq!(m.total_cycles, 16);
         assert_eq!(m.gated_way_cycles, 14);
+    }
+
+    #[test]
+    fn since_subtracts_every_field() {
+        let earlier = EnergyCounts {
+            tag_way_probes: 1,
+            data_reads: 2,
+            data_writes: 3,
+            umon_probes: 4,
+            vector_accesses: 5,
+            on_way_cycles: 6,
+            gated_way_cycles: 7,
+            total_cycles: 8,
+        };
+        let window = EnergyCounts {
+            tag_way_probes: 10,
+            data_reads: 20,
+            data_writes: 30,
+            umon_probes: 40,
+            vector_accesses: 50,
+            on_way_cycles: 60,
+            gated_way_cycles: 70,
+            total_cycles: 80,
+        };
+        // Distinct values per field: a missed or swapped field shows.
+        assert_eq!(window.merged(earlier).since(earlier), window);
     }
 
     #[test]

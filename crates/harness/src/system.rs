@@ -21,12 +21,12 @@
 //! way targets through the LLC, clock hints through the cores.
 
 use coop_core::cpe::CpeProfile;
-use coop_core::policy::{DynamicCpePolicy, PartitionPolicy};
+use coop_core::policy::{ClockWindow, PartitionPolicy};
+use coop_core::stats::CoreLlcStats;
 use coop_core::{
     AllocationDecision, EpochObservations, LlcConfig, MissCurve, PartitionedLlc, PolicySpec,
     SchemeKind,
 };
-use coop_dvfs::{DvfsPolicy, Residency};
 use cpusim::{Core, CoreConfig, EpochControl, InstrSource, LlcPort, StepperKind, SystemStepper};
 use energy::{CoreEnergyParams, CoreEnergyReport, EnergyCounts, EnergyParams, EnergyReport};
 use memsim::{Dram, DramConfig};
@@ -35,26 +35,9 @@ use workloads::{ResolvedWorkload, StreamSource};
 
 use crate::scale::SimScale;
 
-/// The resolved configuration of one run, as [`SystemBuilder`] assembled
-/// it.
-#[derive(Debug, Clone)]
-struct SystemConfig {
-    /// LLC parameters (epoch length taken from the scale).
-    llc: LlcConfig,
-    /// Core microarchitecture.
-    core: CoreConfig,
-    /// Memory system.
-    dram: DramConfig,
-    /// Simulation scale.
-    scale: SimScale,
-    /// Root seed (varies reference streams deterministically).
-    seed: u64,
-    /// Core energy magnitudes for the non-DVFS accounting path (all cores
-    /// at nominal V/f); the same 45 nm magnitudes the coordinated
-    /// controller's costs use, so baseline and coordinated runs evaluate
-    /// core energy from the same source.
-    core_power: CoreEnergyParams,
-}
+/// Root seed of every core's instruction stream (core `i` runs
+/// `SEED ^ (i << 32)`).
+const SEED: u64 = 0x5EED;
 
 /// What the builder was asked to run on the cores.
 #[derive(Debug, Clone)]
@@ -109,10 +92,6 @@ pub struct SystemBuilder {
     llc: Option<LlcConfig>,
     threshold: Option<f64>,
     qos_slack: f64,
-    seed: u64,
-    core: CoreConfig,
-    dram: DramConfig,
-    core_power: Option<CoreEnergyParams>,
     stepper: StepperKind,
     bandwidth_shares: Option<Vec<f64>>,
     prefetch_degree: Option<u8>,
@@ -127,10 +106,6 @@ impl Default for SystemBuilder {
             llc: None,
             threshold: None,
             qos_slack: 0.10,
-            seed: 0x5EED,
-            core: CoreConfig::default(),
-            dram: DramConfig::default(),
-            core_power: None,
             stepper: StepperKind::default(),
             bandwidth_shares: None,
             prefetch_degree: None,
@@ -185,30 +160,6 @@ impl SystemBuilder {
     /// QoS slack for performance-trading policies (default 0.10).
     pub fn qos_slack(mut self, slack: f64) -> Self {
         self.qos_slack = slack;
-        self
-    }
-
-    /// Root seed (default 0x5EED).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Core microarchitecture override.
-    pub fn core_config(mut self, core: CoreConfig) -> Self {
-        self.core = core;
-        self
-    }
-
-    /// Memory-system override.
-    pub fn dram(mut self, dram: DramConfig) -> Self {
-        self.dram = dram;
-        self
-    }
-
-    /// Core-energy magnitude override for the accounting path.
-    pub fn core_power(mut self, params: CoreEnergyParams) -> Self {
-        self.core_power = Some(params);
         self
     }
 
@@ -272,16 +223,7 @@ impl SystemBuilder {
         }
         let spec = PolicySpec::for_llc(&llc, n).with_qos_slack(self.qos_slack);
         let policy = registry.build(canonical, &spec).expect("name resolved");
-        let core_power = self.core_power.unwrap_or_else(CoreEnergyParams::for_45nm);
-        let cfg = SystemConfig {
-            llc,
-            core: self.core,
-            dram: self.dram,
-            scale: self.scale,
-            seed: self.seed,
-            core_power,
-        };
-        let mut sys = System::assemble(cfg, policy, workload, self.stepper);
+        let mut sys = System::assemble(llc, self.scale, policy, workload, self.stepper);
         if let Some(shares) = &self.bandwidth_shares {
             sys.llc.set_bandwidth_shares(shares);
         }
@@ -304,8 +246,14 @@ impl SystemBuilder {
     }
 }
 
-/// Everything measured in one run (within the measurement window, i.e.
-/// after warm-up).
+/// Everything measured in one run.
+///
+/// The measurement window starts after warm-up and ends when the slowest
+/// core reaches its instruction target; every core keeps running (and
+/// contending) until then. Most fields count only the window. Those marked
+/// *run-cumulative* also count the warm-up: Figures 14-16 read them as they
+/// are, and windowing them would change those figures and the equivalence
+/// goldens.
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Canonical name of the policy that produced the run (registry key).
@@ -317,9 +265,13 @@ pub struct RunResult {
     pub workload: String,
     /// Per-core IPC over each core's own measurement window.
     pub ipc: Vec<f64>,
-    /// Per-core LLC misses per kilo-instruction.
+    /// Per-core LLC misses per kilo-instruction: misses over the whole
+    /// window divided by each core's instruction budget, so a core that
+    /// reaches its target early also counts the misses of the instructions
+    /// it retires while waiting for the slowest core.
     pub mpki: Vec<f64>,
-    /// Per-core LLC accesses per kilo-instruction.
+    /// Per-core LLC accesses per kilo-instruction (window accesses over the
+    /// instruction budget, like `mpki`).
     pub apki: Vec<f64>,
     /// Per-core LLC demand accesses simulated inside the window (the
     /// numerator of the harness's accesses-per-second throughput lines).
@@ -328,26 +280,29 @@ pub struct RunResult {
     pub counts: EnergyCounts,
     /// Evaluated energies for the window.
     pub energy: EnergyReport,
-    /// Average tag ways consulted per demand access.
+    /// Average tag ways consulted per demand access (run-cumulative).
     pub avg_ways: f64,
     /// Cycles simulated in the window (to the last core's finish).
     pub cycles: u64,
-    /// Cooperative-takeover transfer durations (cycles).
+    /// Cooperative-takeover transfer durations in cycles (run-cumulative).
     pub cp_transfer_durations: Vec<u64>,
-    /// UCP migration durations (cycles).
+    /// UCP migration durations in cycles (run-cumulative).
     pub ucp_transfer_durations: Vec<u64>,
     /// Figure-14 takeover event counts
-    /// (recipient-miss, recipient-hit, donor-miss, donor-hit).
+    /// (recipient-miss, recipient-hit, donor-miss, donor-hit;
+    /// run-cumulative).
     pub takeover_events: [u64; 4],
-    /// Transfers that needed the force-complete timeout.
+    /// Transfers that needed the force-complete timeout (run-cumulative).
     pub forced_transfers: u64,
     /// Lines flushed by partitioning activity.
     pub flush_lines: u64,
-    /// Flush traffic bucketed by cycles since the last decision.
+    /// Flush traffic bucketed by cycles since the last decision
+    /// (run-cumulative).
     pub flush_series: Vec<f64>,
     /// Bucket width of `flush_series` in cycles.
     pub flush_bucket: u64,
-    /// Partitioning decisions that actually changed the allocation.
+    /// Partitioning decisions that actually changed the allocation
+    /// (run-cumulative).
     pub repartitions: u64,
     /// Per-epoch UMON miss curves of core 0 (used when profiling solo runs
     /// for the Dynamic CPE scheme).
@@ -420,7 +375,8 @@ pub struct EpochView<'a> {
 
 /// The assembled system.
 pub struct System {
-    cfg: SystemConfig,
+    /// Warm-up and measurement lengths (the LLC carries its own epoch).
+    scale: SimScale,
     cores: Vec<Core<StreamSource>>,
     llc: PartitionedLlc,
     dram: Dram,
@@ -458,7 +414,8 @@ impl System {
     /// Assembles cores, the enforcement mechanism and DRAM around
     /// `policy`, with one `workload` member feeding each core.
     fn assemble(
-        cfg: SystemConfig,
+        llc: LlcConfig,
+        scale: SimScale,
         policy: Box<dyn PartitionPolicy>,
         workload: ResolvedWorkload,
         stepper: StepperKind,
@@ -469,28 +426,24 @@ impl System {
             .iter()
             .enumerate()
             .map(|(i, m)| {
-                let source = m.stream(cfg.seed ^ ((i as u64) << 32));
-                Core::new(CoreId(i as u8), cfg.core, source)
+                let source = m.stream(SEED ^ ((i as u64) << 32));
+                Core::new(CoreId(i as u8), CoreConfig::default(), source)
             })
             .collect();
         System {
+            scale,
             cores,
-            llc: PartitionedLlc::for_policy(cfg.llc, n, policy.as_ref()),
-            dram: Dram::new(cfg.dram),
+            llc: PartitionedLlc::for_policy(llc, n, policy.as_ref()),
+            dram: Dram::new(DramConfig::default()),
             policy,
             workload_label: workload.label,
             stepper,
-            cfg,
         }
     }
 
     /// Installs the Dynamic CPE solo profile (no-op for other policies).
     pub fn set_cpe_profile(&mut self, profile: CpeProfile) {
-        if let Some(p) =
-            (self.policy.as_mut() as &mut dyn std::any::Any).downcast_mut::<DynamicCpePolicy>()
-        {
-            p.set_profile(profile);
-        }
+        self.policy.set_cpe_profile(profile);
     }
 
     /// Runs warm-up + measurement and returns the results.
@@ -510,7 +463,7 @@ impl System {
     /// the result covers an empty window.
     pub fn run_observed(self, mut watch: impl FnMut(&EpochView) -> EpochControl) -> RunResult {
         let System {
-            cfg,
+            scale,
             mut cores,
             mut llc,
             mut dram,
@@ -519,12 +472,7 @@ impl System {
             stepper: kind,
         } = self;
         let n = cores.len();
-        let scale = cfg.scale;
-        let mut stepper = SystemStepper::new(kind, cfg.llc.epoch_cycles);
-        let mut window = WindowSum {
-            per_core: vec![[0.0; 3]; n],
-            ..WindowSum::default()
-        };
+        let mut stepper = SystemStepper::new(kind, llc.config().epoch_cycles);
         let stopped = std::cell::Cell::new(false);
         // Closes one epoch: the policy decides, measured epochs join the
         // window sum, and `watch` sees the outcome.
@@ -532,10 +480,11 @@ impl System {
                          cores: &mut [Core<StreamSource>],
                          port: &mut SharedMem,
                          policy: &mut dyn PartitionPolicy,
-                         measured: bool| {
+                         window: Option<&mut WindowSum>| {
             let (observations, decision) =
                 observe_and_drive(now, cores, port.llc, port.dram, policy);
-            if measured {
+            let measured = window.is_some();
+            if let Some(window) = window {
                 if policy.uses_umon() {
                     window.curves.push(observations.curves[0].clone());
                 }
@@ -553,44 +502,25 @@ impl System {
         };
 
         // ---- Warm-up ----------------------------------------------------
+        let mut port = SharedMem {
+            llc: &mut llc,
+            dram: &mut dram,
+        };
         stepper.run(
             &mut cores,
-            &mut SharedMem {
-                llc: &mut llc,
-                dram: &mut dram,
-            },
+            &mut port,
             &vec![scale.warmup_instrs; n],
             Cycle(scale.max_cycles / 2),
-            |now, cores, port| close(now, cores, port, policy.as_mut(), false),
+            |now, cores, port| close(now, cores, port, policy.as_mut(), None),
         );
 
         // ---- Measurement window ----------------------------------------
         let window_start = stepper.now();
-        // Book the warm-up tail at the current operating points so the
-        // residency window starts exactly here.
-        let base_retired: Vec<u64> = cores.iter().map(|c| c.retired()).collect();
-        let base_misses = llc_misses(&llc, n);
-        let dvfs_books_base: Option<Residency> = dvfs_of(policy.as_mut()).map(|p| {
-            let ctl = p.controller_mut();
-            ctl.settle(window_start, &base_retired, &base_misses);
-            ctl.books().clone()
-        });
-        let base_accesses: Vec<u64> = (0..n)
-            .map(|i| llc.stats().per_core[i].accesses.get())
-            .collect();
-        let base_flush = llc.stats().flush_lines.get();
-        let base_counts = llc.energy_counts(window_start);
-        let base_prefetches: Vec<u64> = cores.iter().map(|c| c.stats().prefetches.get()).collect();
-        let base_useful: Vec<u64> = cores
-            .iter()
-            .map(|c| c.stats().prefetch_useful.get())
-            .collect();
-        let base_dram_lines: Vec<u64> = (0..n)
-            .map(|i| llc.stats().per_core[i].dram_lines.get())
-            .collect();
-        let base_bw_delay = bw_delay_cycles_of(&llc, n);
-
-        let target: Vec<u64> = base_retired
+        let start = Snapshot::take(window_start, port.llc, &cores);
+        policy.open_clock_window(window_start, &start.retired, &start.misses);
+        let mut window = WindowSum::default();
+        let target: Vec<u64> = start
+            .retired
             .iter()
             .map(|&b| b + scale.instrs_per_app)
             .collect();
@@ -599,20 +529,21 @@ impl System {
         } else {
             stepper.run(
                 &mut cores,
-                &mut SharedMem {
-                    llc: &mut llc,
-                    dram: &mut dram,
-                },
+                &mut port,
                 &target,
                 Cycle(scale.max_cycles),
-                |now, cores, port| close(now, cores, port, policy.as_mut(), true),
+                |now, cores, port| close(now, cores, port, policy.as_mut(), Some(&mut window)),
             )
         };
-        let end = stepper.now();
+        let window_end = stepper.now();
+        let end = Snapshot::take(window_end, port.llc, &cores);
         for f in &mut finish {
             // A run capped by max_cycles reports the cap (flagged by tests).
-            f.get_or_insert(end);
+            f.get_or_insert(window_end);
         }
+        let clock = policy.close_clock_window(window_end, &end.retired, &end.misses);
+        let delta = end.since(&start);
+        let cycles = window_end - window_start;
 
         // ---- Collect ----------------------------------------------------
         let ipc: Vec<f64> = (0..n)
@@ -622,124 +553,65 @@ impl System {
             })
             .collect();
         let kilo = scale.instrs_per_app as f64 / 1000.0;
-        let mpki: Vec<f64> = (0..n)
-            .map(|i| (llc.stats().per_core[i].misses.get() - base_misses[i]) as f64 / kilo)
-            .collect();
-        let apki: Vec<f64> = (0..n)
-            .map(|i| (llc.stats().per_core[i].accesses.get() - base_accesses[i]) as f64 / kilo)
-            .collect();
-        let accesses: Vec<u64> = (0..n)
-            .map(|i| llc.stats().per_core[i].accesses.get() - base_accesses[i])
-            .collect();
-        let counts = minus(llc.energy_counts(end), base_counts);
-        let params = EnergyParams::for_llc(cfg.llc.geom.size_bytes(), cfg.llc.geom.ways());
-        let flush_series_ts = llc.stats().flush_series.clone();
-
-        // ---- Core-side energy and frequency residency -------------------
-        let final_retired: Vec<u64> = cores.iter().map(|c| c.retired()).collect();
-        let final_misses = llc_misses(&llc, n);
-        let dvfs_window = dvfs_books_base.map(|base| {
-            let ctl = dvfs_of(policy.as_mut())
-                .expect("the window-start books came from a DVFS policy")
-                .controller_mut();
-            ctl.settle(end, &final_retired, &final_misses);
-            let window = ctl.books().since(&base);
-            let fractions: Vec<Vec<f64>> = window
-                .ref_cycles
+        let per_kilo = |v: &[u64]| v.iter().map(|&x| x as f64 / kilo).collect();
+        let geom = llc.config().geom;
+        let params = EnergyParams::for_llc(geom.size_bytes(), geom.ways());
+        let clock = clock.unwrap_or_else(|| {
+            // Every core at nominal V/f for the whole window, at the same
+            // 45 nm magnitudes the coordinated controller's costs use.
+            let p = CoreEnergyParams::for_45nm();
+            let window_ns = cycles as f64 / params.clock_ghz;
+            let dynamic_nj: f64 = delta
+                .retired
                 .iter()
-                .map(|row| {
-                    let total: u64 = row.iter().sum();
-                    if total == 0 {
-                        let mut v = vec![0.0; row.len()];
-                        v[0] = 1.0;
-                        v
-                    } else {
-                        row.iter().map(|&r| r as f64 / total as f64).collect()
-                    }
-                })
-                .collect();
-            (
-                ctl.core_energy(&window),
-                ctl.avg_freq_ghz(&window),
-                fractions,
-            )
-        });
-        let (core_energy, avg_freq_ghz, freq_residency) = match dvfs_window {
-            Some(report) => report,
-            None => {
-                // Every core at nominal V/f for the whole window.
-                let p = cfg.core_power;
-                let window_ns = (end - window_start) as f64 / params.clock_ghz;
-                let dynamic_nj: f64 = (0..n)
-                    .map(|i| {
-                        (final_retired[i] - base_retired[i]) as f64
-                            * p.dynamic_nj_per_instr(p.vdd_nom)
-                    })
-                    .sum();
-                let static_nj = p.static_nj(p.vdd_nom, window_ns) * n as f64;
-                (
-                    CoreEnergyReport {
-                        dynamic_nj,
-                        static_nj,
-                    },
-                    vec![params.clock_ghz; n],
-                    vec![vec![1.0]; n],
-                )
+                .map(|&r| r as f64 * p.dynamic_nj_per_instr(p.vdd_nom))
+                .sum();
+            let static_nj = p.static_nj(p.vdd_nom, window_ns) * n as f64;
+            ClockWindow {
+                core_energy: CoreEnergyReport {
+                    dynamic_nj,
+                    static_nj,
+                },
+                avg_freq_ghz: vec![params.clock_ghz; n],
+                freq_residency: vec![vec![1.0]; n],
             }
-        };
+        });
         // A window without epochs reports the state it ran under.
         if window.epochs == 0 {
             window.add(&llc, &cores);
         }
         let [avg_ways_owned, avg_bw_share, avg_prefetch_degree] = window.means();
-        let prefetches: Vec<u64> = cores
-            .iter()
-            .zip(&base_prefetches)
-            .map(|(c, &b)| c.stats().prefetches.get() - b)
-            .collect();
-        let prefetch_useful: Vec<u64> = cores
-            .iter()
-            .zip(&base_useful)
-            .map(|(c, &b)| c.stats().prefetch_useful.get() - b)
-            .collect();
-        let dram_lines: Vec<u64> = (0..n)
-            .map(|i| llc.stats().per_core[i].dram_lines.get() - base_dram_lines[i])
-            .collect();
-        let bw_delay_cycles: Vec<u64> = bw_delay_cycles_of(&llc, n)
-            .iter()
-            .zip(&base_bw_delay)
-            .map(|(&a, &b)| a - b)
-            .collect();
+        let flush_series = &llc.stats().flush_series;
 
         RunResult {
             policy: policy.name().to_string(),
             label: policy.label().to_string(),
             workload: workload_label,
             ipc,
-            mpki,
-            apki,
-            accesses,
-            counts,
-            energy: params.evaluate(&counts),
+            mpki: per_kilo(&delta.misses),
+            apki: per_kilo(&delta.accesses),
+            accesses: delta.accesses,
+            counts: delta.counts,
+            energy: params.evaluate(&delta.counts),
             avg_ways: llc.avg_ways_consulted(),
-            cycles: end - window_start,
+            cycles,
             cp_transfer_durations: llc.takeover().durations().to_vec(),
             ucp_transfer_durations: llc.ucp_transfer_durations().to_vec(),
             takeover_events: llc.takeover().event_counts(),
             forced_transfers: llc.takeover().forced_count(),
-            flush_lines: llc.stats().flush_lines.get() - base_flush,
-            flush_series: flush_series_ts.values().to_vec(),
-            flush_bucket: flush_series_ts.bucket_cycles(),
+            flush_lines: delta.flush_lines,
+            flush_series: flush_series.values().to_vec(),
+            flush_bucket: flush_series.bucket_cycles(),
             repartitions: llc.stats().repartitions.get(),
             epoch_curves: window.curves,
-            core_energy,
-            avg_freq_ghz,
-            freq_residency,
+            core_energy: clock.core_energy,
+            avg_freq_ghz: clock.avg_freq_ghz,
+            freq_residency: clock.freq_residency,
             avg_ways_owned,
-            prefetches,
-            prefetch_useful,
-            dram_lines,
-            bw_delay_cycles,
+            prefetches: delta.prefetches,
+            prefetch_useful: delta.prefetch_useful,
+            dram_lines: delta.dram_lines,
+            bw_delay_cycles: delta.bw_delay_cycles,
             avg_bw_share,
             avg_prefetch_degree,
         }
@@ -811,6 +683,7 @@ struct WindowSum {
 impl WindowSum {
     fn add<S: InstrSource>(&mut self, llc: &PartitionedLlc, cores: &[Core<S>]) {
         let ways = llc.current_allocation();
+        self.per_core.resize(cores.len(), [0.0; 3]);
         for (i, (sum, core)) in self.per_core.iter_mut().zip(cores).enumerate() {
             let regulator = llc.bandwidth_regulator();
             let share = regulator.map_or(1.0, |r| r.share_of(CoreId(i as u8)));
@@ -829,38 +702,59 @@ impl WindowSum {
     }
 }
 
-/// Cumulative per-core LLC misses (for per-epoch observations).
-fn llc_misses(llc: &PartitionedLlc, n: usize) -> Vec<u64> {
-    (0..n)
-        .map(|i| llc.stats().per_core[i].misses.get())
-        .collect()
+/// The cumulative counters behind every windowed [`RunResult`] field
+/// (per core where a `Vec`; regulator delay reads zeros without a
+/// regulator), taken once at each edge of the measurement window. The
+/// window's values are `end.since(&start)`.
+struct Snapshot {
+    retired: Vec<u64>,
+    misses: Vec<u64>,
+    accesses: Vec<u64>,
+    dram_lines: Vec<u64>,
+    bw_delay_cycles: Vec<u64>,
+    prefetches: Vec<u64>,
+    prefetch_useful: Vec<u64>,
+    flush_lines: u64,
+    counts: EnergyCounts,
 }
 
-/// Cumulative per-core regulator delay cycles (zeros when no bandwidth
-/// regulator is installed).
-fn bw_delay_cycles_of(llc: &PartitionedLlc, n: usize) -> Vec<u64> {
-    match llc.bandwidth_regulator() {
-        Some(r) => r.stats().iter().map(|s| s.delay_cycles.get()).collect(),
-        None => vec![0; n],
+impl Snapshot {
+    fn take<S: InstrSource>(now: Cycle, llc: &mut PartitionedLlc, cores: &[Core<S>]) -> Snapshot {
+        let counts = llc.energy_counts(now);
+        let stats = llc.stats();
+        let llc_core =
+            |f: fn(&CoreLlcStats) -> u64| -> Vec<u64> { stats.per_core.iter().map(f).collect() };
+        let core = |f: fn(&Core<S>) -> u64| -> Vec<u64> { cores.iter().map(f).collect() };
+        Snapshot {
+            retired: core(|c| c.retired()),
+            misses: llc_core(|s| s.misses.get()),
+            accesses: llc_core(|s| s.accesses.get()),
+            dram_lines: llc_core(|s| s.dram_lines.get()),
+            bw_delay_cycles: match llc.bandwidth_regulator() {
+                Some(r) => r.stats().iter().map(|s| s.delay_cycles.get()).collect(),
+                None => vec![0; cores.len()],
+            },
+            prefetches: core(|c| c.stats().prefetches.get()),
+            prefetch_useful: core(|c| c.stats().prefetch_useful.get()),
+            flush_lines: stats.flush_lines.get(),
+            counts,
+        }
     }
-}
 
-/// The policy as the concrete DVFS type, when it is one (residency
-/// accounting needs the controller's books).
-fn dvfs_of(policy: &mut dyn PartitionPolicy) -> Option<&mut DvfsPolicy> {
-    (policy as &mut dyn std::any::Any).downcast_mut::<DvfsPolicy>()
-}
-
-fn minus(a: EnergyCounts, b: EnergyCounts) -> EnergyCounts {
-    EnergyCounts {
-        tag_way_probes: a.tag_way_probes - b.tag_way_probes,
-        data_reads: a.data_reads - b.data_reads,
-        data_writes: a.data_writes - b.data_writes,
-        umon_probes: a.umon_probes - b.umon_probes,
-        vector_accesses: a.vector_accesses - b.vector_accesses,
-        on_way_cycles: a.on_way_cycles - b.on_way_cycles,
-        gated_way_cycles: a.gated_way_cycles - b.gated_way_cycles,
-        total_cycles: a.total_cycles - b.total_cycles,
+    /// Element-wise `self - start`: the counts inside the window.
+    fn since(&self, start: &Snapshot) -> Snapshot {
+        let sub = |a: &[u64], b: &[u64]| a.iter().zip(b).map(|(x, y)| x - y).collect();
+        Snapshot {
+            retired: sub(&self.retired, &start.retired),
+            misses: sub(&self.misses, &start.misses),
+            accesses: sub(&self.accesses, &start.accesses),
+            dram_lines: sub(&self.dram_lines, &start.dram_lines),
+            bw_delay_cycles: sub(&self.bw_delay_cycles, &start.bw_delay_cycles),
+            prefetches: sub(&self.prefetches, &start.prefetches),
+            prefetch_useful: sub(&self.prefetch_useful, &start.prefetch_useful),
+            flush_lines: self.flush_lines - start.flush_lines,
+            counts: self.counts.since(start.counts),
+        }
     }
 }
 

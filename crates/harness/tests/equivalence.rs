@@ -22,6 +22,7 @@ use std::sync::Arc;
 use cpusim::{EpochControl, StepperKind};
 use harness::experiments::run_group;
 use harness::{solo, workload_registry, SimScale, System};
+use simkit::types::Cycle;
 use workloads::{ResolvedWorkload, WorkloadFactory, WorkloadSource};
 
 struct Golden {
@@ -322,8 +323,9 @@ fn boxed_plug_in_sources_match_the_static_stream_path() {
 
 #[test]
 fn only_the_dvfs_preset_is_a_dvfs_policy() {
-    // The harness books frequency residency on whatever downcasts to
-    // `DvfsPolicy`; a CBP run must not, or its counter deltas would shift.
+    // Only a policy that moves core clocks books V/f residency over the
+    // measurement window; a CBP run must not, or settling its controller at
+    // the window edges would shift its counter deltas.
     let registry = harness::policy_registry();
     let spec = coop_core::PolicySpec {
         cores: 2,
@@ -332,40 +334,80 @@ fn only_the_dvfs_preset_is_a_dvfs_policy() {
         cpe_slack: 0.05,
         qos_slack: 0.10,
     };
-    let is_dvfs = |name: &str| {
-        let p = registry.build(name, &spec).expect("registered");
-        let any: &dyn std::any::Any = &*p;
-        any.downcast_ref::<coop_dvfs::DvfsPolicy>().is_some()
+    let books_clocks = |name: &&str| {
+        let mut p = registry.build(name, &spec).expect("registered");
+        p.open_clock_window(Cycle(1_000), &[100, 100], &[10, 10]);
+        let window = p.close_clock_window(Cycle(5_000), &[900, 700], &[30, 20]);
+        window.is_some_and(|w| w.freq_residency.iter().all(|row| row.len() > 1))
     };
-    assert!(is_dvfs("dvfs"));
-    assert!(!is_dvfs("cbp"));
+    let names = registry.names();
+    let dvfs: Vec<&str> = names.into_iter().filter(books_clocks).collect();
+    assert_eq!(dvfs, ["dvfs"]);
+}
+
+/// `workload` under `policy` at the quick scale and QoS slack `slack`
+/// (`cpe` with its solo profile installed, as the sweeps run it).
+fn quick_system(workload: &str, policy: &str, slack: f64) -> System {
+    let mut sys = System::builder()
+        .workload(workload)
+        .policy(policy)
+        .qos_slack(slack)
+        .scale(SimScale::quick())
+        .build();
+    if policy == "cpe" {
+        let w = workload_registry().resolve(workload).expect("registered");
+        let llc = solo::solo_llc(w.cores());
+        sys.set_cpe_profile(solo::cpe_profile_for(&w, llc, SimScale::quick()));
+    }
+    sys
 }
 
 /// Every registry policy on G2-1 plus the two coordinator presets on the
-/// four-core G4-5, each built at the quick scale (`cpe` with its solo
-/// profile installed, as the sweeps run it).
+/// four-core G4-5, each built at the quick scale and the default slack.
 fn observed_systems() -> Vec<(String, impl Fn() -> System)> {
     let policies = harness::policy_registry().names();
     let cases = policies.into_iter().map(|p| ("G2-1", p));
     let cases = cases.chain([("G4-5", "dvfs"), ("G4-5", "cbp")]);
     cases
         .map(|(workload, policy)| {
-            let build = move || {
-                let mut sys = System::builder()
-                    .workload(workload)
-                    .policy(policy)
-                    .scale(SimScale::quick())
-                    .build();
-                if policy == "cpe" {
-                    let w = workload_registry().resolve(workload).expect("registered");
-                    let llc = solo::solo_llc(w.cores());
-                    sys.set_cpe_profile(solo::cpe_profile_for(&w, llc, SimScale::quick()));
-                }
-                sys
-            };
+            let build = move || quick_system(workload, policy, 0.10);
             (format!("{workload}/{policy}"), build)
         })
         .collect()
+}
+
+/// `(workload, policy, qos_slack, digest)` over every `RunResult` field,
+/// recorded before the measurement window was read from one snapshot per
+/// edge. Unlike the goldens above they also pin `apki`, `accesses`,
+/// `prefetches`, `prefetch_useful`, `dram_lines` and `bw_delay_cycles`,
+/// which are differenced across the window too.
+const FULL_FIELD_DIGESTS: [(&str, &str, f64, u64); 11] = [
+    ("G2-1", "unmanaged", 0.10, 0xfb52a300a6876572),
+    ("G2-1", "fair", 0.10, 0xe39c81dc028ee29d),
+    ("G2-1", "cpe", 0.10, 0xbdade272e2cfaf86),
+    ("G2-1", "ucp", 0.10, 0x1173c8f5953b2cb0),
+    ("G2-1", "cooperative", 0.10, 0xe1297d47a73e2096),
+    ("G2-1", "dvfs", 0.10, 0x10b80a5dcd8bda71),
+    ("G2-1", "cbp", 0.10, 0x3df7027b8c98e7e3),
+    ("G4-5", "dvfs", 0.05, 0xe5e25a8781d8ba2a),
+    ("G4-5", "dvfs", 0.10, 0x593579be0cddec14),
+    ("G4-5", "cbp", 0.05, 0xffebe4d53eb64aa0),
+    ("G4-5", "cbp", 0.10, 0xc0a248eb54eb26f0),
+];
+
+#[test]
+fn every_field_reproduces_recorded_digests() {
+    let registry = harness::policy_registry().names();
+    let covered: Vec<&str> = FULL_FIELD_DIGESTS.iter().map(|c| c.1).collect();
+    assert!(registry.iter().all(|p| covered.contains(p)), "{registry:?}");
+    let mut drift = Vec::new();
+    for &(workload, policy, slack, digest) in &FULL_FIELD_DIGESTS {
+        let got = run_digest(&quick_system(workload, policy, slack).run());
+        if got != digest {
+            drift.push(format!("{workload}/{policy}@{slack}: {got:#018x}"));
+        }
+    }
+    assert!(drift.is_empty(), "digests moved: {drift:#?}");
 }
 
 #[test]
