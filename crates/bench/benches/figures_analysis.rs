@@ -1,28 +1,14 @@
-//! Regenerates the analysis figures: the threshold sweep (Figures 11-13),
-//! takeover event breakdown (Figure 14), way-transfer latency (Figure 15)
-//! and flush bandwidth (Figure 16); benches the takeover protocol kernel.
+//! Benches the takeover protocol kernel behind the analysis figures: the
+//! threshold sweep (Figures 11-13), takeover event breakdown (Figure 14),
+//! way-transfer latency (Figure 15) and flush bandwidth (Figure 16), which
+//! `repro fig11`..`repro fig16` render.
 //!
 //! Run with `cargo bench -p bench --bench figures_analysis`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use harness::experiments::fig11_13::{figure as threshold_figure, ThresholdMetric};
-use harness::experiments::{fig14, fig15, fig16};
-use harness::SimScale;
 use simkit::types::{CoreId, Cycle};
 
 fn bench_analysis(c: &mut Criterion) {
-    let scale = SimScale::from_env_or(SimScale::tiny()).unwrap_or_else(|e| panic!("{e}"));
-    for metric in [
-        ThresholdMetric::Performance,
-        ThresholdMetric::DynamicEnergy,
-        ThresholdMetric::StaticEnergy,
-    ] {
-        println!("{}", threshold_figure(metric, scale).render());
-    }
-    println!("{}", fig14::figure(scale).render());
-    println!("{}", fig15::figure(scale).render());
-    println!("{}", fig16::figure(scale).render());
-
     // Kernel: the takeover bit-vector protocol (mark + completion check),
     // the per-access cost cooperative takeover adds during transitions.
     c.bench_function("takeover_mark_4096_sets", |b| {

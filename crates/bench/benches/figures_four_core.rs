@@ -1,24 +1,14 @@
-//! Regenerates Figures 8-10 (four-core weighted speedup, dynamic energy,
-//! static energy) and benches a four-core simulation slice.
+//! Benches a four-core simulation slice (the system behind Figures 8-10;
+//! `repro fig8` renders the figures themselves).
 //!
 //! Run with `cargo bench -p bench --bench figures_four_core`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use harness::experiments::fig5_10::{figure, Metric};
 use harness::system::System;
 use harness::SimScale;
 use workloads::{Benchmark, ResolvedWorkload};
 
 fn bench_four_core(c: &mut Criterion) {
-    let scale = SimScale::from_env_or(SimScale::tiny()).unwrap_or_else(|e| panic!("{e}"));
-    for metric in [
-        Metric::WeightedSpeedup,
-        Metric::DynamicEnergy,
-        Metric::StaticEnergy,
-    ] {
-        println!("{}", figure(4, metric, scale).render());
-    }
-
     let bench_scale = SimScale {
         name: "bench4",
         warmup_instrs: 10_000,

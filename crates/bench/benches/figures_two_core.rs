@@ -1,24 +1,14 @@
-//! Regenerates Figures 5-7 (two-core weighted speedup, dynamic energy,
-//! static energy) and benches a representative two-core simulation slice.
+//! Benches a representative two-core simulation slice (the system behind
+//! Figures 5-7; `repro fig5` renders the figures themselves).
 //!
 //! Run with `cargo bench -p bench --bench figures_two_core`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use harness::experiments::fig5_10::{figure, Metric};
 use harness::system::System;
 use harness::SimScale;
 use workloads::{Benchmark, ResolvedWorkload};
 
 fn bench_two_core(c: &mut Criterion) {
-    let scale = SimScale::from_env_or(SimScale::tiny()).unwrap_or_else(|e| panic!("{e}"));
-    for metric in [
-        Metric::WeightedSpeedup,
-        Metric::DynamicEnergy,
-        Metric::StaticEnergy,
-    ] {
-        println!("{}", figure(2, metric, scale).render());
-    }
-
     // Time one full cooperative two-core run at a fixed small size so the
     // number is comparable across machines and code changes.
     let bench_scale = SimScale {

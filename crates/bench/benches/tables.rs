@@ -1,24 +1,11 @@
-//! Regenerates the paper's tables (1, 3, 4) and benches the allocation
-//! kernels that feed them.
+//! Benches the allocation kernels that feed the paper's tables (1, 3, 4);
+//! `repro table1`/`table3`/`table4` render the tables themselves.
 //!
-//! Run with `cargo bench -p bench --bench tables`. Scale via `COOP_SCALE`
-//! (tiny by default; the paper-vs-measured record in EXPERIMENTS.md uses
-//! `small`).
+//! Run with `cargo bench -p bench --bench tables`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use harness::experiments;
-use harness::SimScale;
-
-fn print_tables(scale: SimScale) {
-    println!("{}", experiments::table1::table().render());
-    println!("{}", experiments::table4::table().render());
-    println!("{}", experiments::table3::table(scale).render());
-}
 
 fn bench_tables(c: &mut Criterion) {
-    let scale = SimScale::from_env_or(SimScale::tiny()).unwrap_or_else(|e| panic!("{e}"));
-    print_tables(scale);
-
     // Kernel 1: the threshold look-ahead allocator on realistic curves.
     let curves: Vec<coop_core::MissCurve> = (0..4)
         .map(|i| {

@@ -1014,7 +1014,6 @@ mod tests {
     use super::*;
     use crate::config::SchemeKind;
     use crate::cpe::CpeProfile;
-    use crate::policy::DynamicCpePolicy;
     use crate::registry::{PolicyRegistry, PolicySpec, PAPER_POLICIES};
     use memsim::{CacheGeometry, DramConfig};
 
@@ -1058,14 +1057,6 @@ mod tests {
         let obs = llc.epoch_observations(now, vec![]);
         let decision = policy.on_epoch(&obs);
         llc.apply_decision(now, d, &decision);
-    }
-
-    /// Installs a solo profile into a Dynamic CPE policy.
-    fn set_cpe_profile(policy: &mut dyn PartitionPolicy, profile: CpeProfile) {
-        (policy as &mut dyn std::any::Any)
-            .downcast_mut::<DynamicCpePolicy>()
-            .expect("a Dynamic CPE policy")
-            .set_profile(profile);
     }
 
     fn dram() -> Dram {
@@ -1249,12 +1240,9 @@ mod tests {
         let mut d = dram();
         // Profile: core 0 wants 1 way, core 1 wants 1 way -> 2 ways gated.
         let knee = MissCurve::new(vec![100.0, 1.0, 1.0, 1.0, 1.0], 1000.0);
-        set_cpe_profile(
-            policy.as_mut(),
-            CpeProfile {
-                curves: vec![vec![knee.clone()], vec![knee]],
-            },
-        );
+        policy.set_cpe_profile(CpeProfile {
+            curves: vec![vec![knee.clone()], vec![knee]],
+        });
         // Dirty lines everywhere first.
         for s in 0..64u64 {
             llc.access(Cycle(s), CoreId(0), la(0, s * 64), true, &mut d);
@@ -1334,12 +1322,9 @@ mod tests {
         let (mut llc, mut policy) = llc_for("cpe");
         let mut d = dram();
         let knee = MissCurve::new(vec![100.0, 1.0, 1.0, 1.0, 1.0], 1000.0);
-        set_cpe_profile(
-            policy.as_mut(),
-            CpeProfile {
-                curves: vec![vec![knee.clone()], vec![knee]],
-            },
-        );
+        policy.set_cpe_profile(CpeProfile {
+            curves: vec![vec![knee.clone()], vec![knee]],
+        });
         epoch(&mut llc, policy.as_mut(), Cycle(100), &mut d);
         assert_eq!(llc.ways_on(), 2);
         let probes_before = llc.energy.tag_way_probes;
@@ -1356,12 +1341,9 @@ mod tests {
         let (mut llc, mut policy) = llc_for("cpe");
         let mut d = dram();
         let knee = MissCurve::new(vec![100.0, 1.0, 1.0, 1.0, 1.0], 1000.0);
-        set_cpe_profile(
-            policy.as_mut(),
-            CpeProfile {
-                curves: vec![vec![knee.clone()], vec![knee]],
-            },
-        );
+        policy.set_cpe_profile(CpeProfile {
+            curves: vec![vec![knee.clone()], vec![knee]],
+        });
         epoch(&mut llc, policy.as_mut(), Cycle(1000), &mut d);
         let e = llc.energy_counts(Cycle(2000));
         // 4 ways on for 1000 cycles, then 2 on + 2 gated for 1000.

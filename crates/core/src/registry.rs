@@ -1,6 +1,6 @@
 //! String-keyed policy registry.
 //!
-//! `repro`, `inspect` and the experiment matrix enumerate policies by name
+//! `repro`, `repro inspect` and the experiment matrix enumerate policies by name
 //! instead of matching on an enum: [`PolicyRegistry::core`] registers the
 //! five paper schemes, and downstream crates add theirs through
 //! [`PolicyRegistry::register`] (the `coop-dvfs` crate registers `"dvfs"`;

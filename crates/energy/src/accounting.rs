@@ -27,20 +27,6 @@ pub struct EnergyCounts {
 }
 
 impl EnergyCounts {
-    /// Element-wise sum (for aggregating across epochs or runs).
-    pub fn merged(self, other: EnergyCounts) -> EnergyCounts {
-        EnergyCounts {
-            tag_way_probes: self.tag_way_probes + other.tag_way_probes,
-            data_reads: self.data_reads + other.data_reads,
-            data_writes: self.data_writes + other.data_writes,
-            umon_probes: self.umon_probes + other.umon_probes,
-            vector_accesses: self.vector_accesses + other.vector_accesses,
-            on_way_cycles: self.on_way_cycles + other.on_way_cycles,
-            gated_way_cycles: self.gated_way_cycles + other.gated_way_cycles,
-            total_cycles: self.total_cycles + other.total_cycles,
-        }
-    }
-
     /// Element-wise `self - earlier`: the events between two snapshots of
     /// cumulative counts (a measurement window).
     pub fn since(self, earlier: EnergyCounts) -> EnergyCounts {
@@ -80,24 +66,6 @@ mod tests {
     use crate::EnergyParams;
 
     #[test]
-    fn merged_adds_fields() {
-        let a = EnergyCounts {
-            tag_way_probes: 1,
-            data_reads: 2,
-            data_writes: 3,
-            umon_probes: 4,
-            vector_accesses: 5,
-            on_way_cycles: 6,
-            gated_way_cycles: 7,
-            total_cycles: 8,
-        };
-        let m = a.merged(a);
-        assert_eq!(m.tag_way_probes, 2);
-        assert_eq!(m.total_cycles, 16);
-        assert_eq!(m.gated_way_cycles, 14);
-    }
-
-    #[test]
     fn since_subtracts_every_field() {
         let earlier = EnergyCounts {
             tag_way_probes: 1,
@@ -119,8 +87,18 @@ mod tests {
             gated_way_cycles: 70,
             total_cycles: 80,
         };
+        let later = EnergyCounts {
+            tag_way_probes: 11,
+            data_reads: 22,
+            data_writes: 33,
+            umon_probes: 44,
+            vector_accesses: 55,
+            on_way_cycles: 66,
+            gated_way_cycles: 77,
+            total_cycles: 88,
+        };
         // Distinct values per field: a missed or swapped field shows.
-        assert_eq!(window.merged(earlier).since(earlier), window);
+        assert_eq!(later.since(earlier), window);
     }
 
     #[test]

@@ -81,14 +81,6 @@ impl CoreEnergyReport {
     pub fn total_nj(&self) -> f64 {
         self.dynamic_nj + self.static_nj
     }
-
-    /// Element-wise sum (for aggregating across cores or windows).
-    pub fn merged(self, other: CoreEnergyReport) -> CoreEnergyReport {
-        CoreEnergyReport {
-            dynamic_nj: self.dynamic_nj + other.dynamic_nj,
-            static_nj: self.static_nj + other.static_nj,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -128,13 +120,12 @@ mod tests {
     }
 
     #[test]
-    fn report_merge_and_total() {
+    fn report_total_sums_components() {
         let a = CoreEnergyReport {
             dynamic_nj: 1.0,
             static_nj: 2.0,
         };
-        let m = a.merged(a);
-        assert_eq!(m.total_nj(), 6.0);
+        assert_eq!(a.total_nj(), 3.0);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! experiments: table1 table3 table4 fig5 fig6 fig7 fig8 fig9 fig10
 //!              fig5_10 fig11 fig12 fig13 fig14 fig15 fig16 dvfs_energy
 //!              cbp_energy all two-core four-core eight_core sample
+//! repro inspect [SPEC] [--policy P] [--slacks S] [--epochs N] [--curves]
 //! repro worker              # internal: fleet worker process (NDJSON on stdio)
 //! repro fsck [--repair] DIR # audit/repair a results store
 //! ```
@@ -23,9 +24,9 @@
 //! count has no matching group is skipped). `eight_core` sweeps the G8
 //! extension groups in the 8 MB / 32-way LLC. `dvfs_energy` sweeps the
 //! coordinated DVFS + partitioning subsystem's QoS slack levels (override
-//! with `--slacks`) against the Cooperative-only baseline. The scale can
-//! also be set via the `COOP_SCALE` environment variable. `--csv` and
-//! `--json` write one machine-readable file per experiment.
+//! with `--slacks`) against the Cooperative-only baseline. The scale comes
+//! from `--scale` alone (default `small`). `--csv` and `--json` write one
+//! machine-readable file per experiment.
 //!
 //! `--workers N` runs a sweep figure (or `sample`) as a fleet: the cells
 //! are sharded over N `repro worker` child processes and streamed into
@@ -36,17 +37,35 @@
 //! run. `sample` draws `--sample N` random 1-8-core mixes (seeded with
 //! `--seed`) and reports distributional results; without `--workers` it
 //! runs in-process.
+//!
+//! `inspect` watches one workload epoch by epoch: per-epoch UMON miss
+//! curves (`--curves`), UCP quotas / CP allocations, powered ways and
+//! per-core IPC. SPEC is any workload-registry spec (a named group like
+//! `G2-1`, an ad-hoc mix like `soplex,namd`, or `trace:path.ctrace`;
+//! default `G2-1`), `--policy` one registry policy (default `ucp`),
+//! `--slacks` the QoS slack of `dvfs`/`cbp` (its first value; default
+//! 0.10) and `--epochs` how many epochs to watch (default 34). It renders
+//! the per-epoch views of `System::run_observed` on a system with no
+//! warm-up and 500k-cycle epochs. Every policy prints the same epoch line;
+//! an epoch whose decision hints clock ratios, bandwidth shares or
+//! prefetch degrees appends `ghz=`, `bw=` or `pf=` with them, and the
+//! first such decision announces the coordinated resources and the QoS
+//! slack.
 
 // The CLI reports wall time per experiment; allowlisted here and in
 // simlint's path allowlist.
 #![allow(clippy::disallowed_methods)]
 
+use cpusim::{EpochControl, VfTable};
 use harness::experiments::fig11_13::ThresholdMetric;
 use harness::experiments::fig5_10::Metric;
 use harness::experiments::{self, Experiment};
 use harness::fleet_run::{self, FleetOptions, SamplePlan};
-use harness::{policy_registry, workload_registry, SimScale};
+use harness::{policy_registry, solo, workload_registry, SimScale, System};
 use simkit::json;
+
+/// Cycles per epoch watched by `repro inspect`.
+const INSPECT_EPOCH_CYCLES: u64 = 500_000;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -65,7 +84,11 @@ fn main() {
     if args[0] == "fsck" {
         run_fsck(&args[1..]);
     }
-    let mut scale = SimScale::from_env_or(SimScale::small()).unwrap_or_else(|e| usage_error(&e));
+    if args[0] == "inspect" {
+        run_inspect(&args[1..]);
+        return;
+    }
+    let mut scale = SimScale::small();
     let mut csv_dir: Option<String> = None;
     let mut json_dir: Option<String> = None;
     let mut slacks: Vec<f64> = Vec::new();
@@ -90,22 +113,10 @@ fn main() {
             "--csv" => csv_dir = Some(flag_value(&args, &mut i).to_string()),
             "--json" => json_dir = Some(flag_value(&args, &mut i).to_string()),
             "--policy" => {
-                let list = flag_value(&args, &mut i);
-                let registry = policy_registry();
-                for name in list.split(',') {
-                    match registry.resolve(name.trim()) {
-                        Some(canonical) => {
-                            if !policies.contains(&canonical) {
-                                policies.push(canonical);
-                            }
-                        }
-                        None => usage_error(
-                            &coop_core::UnknownPolicy {
-                                requested: name.trim().to_string(),
-                                known: registry.names(),
-                            }
-                            .to_string(),
-                        ),
+                for name in flag_value(&args, &mut i).split(',') {
+                    let canonical = resolve_policy(name.trim());
+                    if !policies.contains(&canonical) {
+                        policies.push(canonical);
                     }
                 }
             }
@@ -127,15 +138,7 @@ fn main() {
                     }
                 }
             }
-            "--slacks" => {
-                slacks = flag_value(&args, &mut i)
-                    .split(',')
-                    .map(|v| match v.trim().parse::<f64>() {
-                        Ok(s) if (0.0..=1.0).contains(&s) => s,
-                        _ => usage_error(&format!("--slacks: '{v}' is not a fraction in [0, 1]")),
-                    })
-                    .collect();
-            }
+            "--slacks" => slacks = slack_list(flag_value(&args, &mut i)),
             "--workers" => workers = Some(positive(&args, &mut i) as usize),
             "--shards" => shards = Some(positive(&args, &mut i) as usize),
             "--resume" => resume = true,
@@ -176,6 +179,25 @@ fn main() {
             "# note: --group only filters fig5..fig10/fig5_10/four-core/eight_core; ignored for '{what}'"
         );
         groups.clear();
+    }
+    // A core count that --group leaves without groups is skipped, in
+    // process and in a fleet alike; a sweep left with nothing to run is
+    // bad input, refused before anything runs.
+    if let Some(layout) = fleet_run::sweep_targets(&what) {
+        let skipped: Vec<usize> = layout
+            .iter()
+            .map(|&(cores, _)| cores)
+            .filter(|&cores| fleet_run::filtered_groups(cores, &groups).is_empty())
+            .collect();
+        if skipped.len() == layout.len() {
+            usage_error(&format!(
+                "'{what}' has no groups under --group {}",
+                groups.join(",")
+            ));
+        }
+        for cores in skipped {
+            eprintln!("# note: --group filter leaves no {cores}-core groups; sweep skipped");
+        }
     }
     if !sampling && (sample_n.is_some() || seed != 0) {
         eprintln!(
@@ -264,13 +286,10 @@ fn main() {
     };
 
     if list.is_empty() {
-        // Only reachable via a --group filter whose core count doesn't
-        // match the requested sweep; a silent exit-0 would read as
-        // success to scripts.
-        eprintln!(
-            "'{what}' produced no experiments under --group {}",
-            groups.join(",")
-        );
+        // Only reachable via a policy filter that leaves nothing to report
+        // (`sample --policy fair`); a silent exit-0 would read as success
+        // to scripts.
+        eprintln!("'{what}' produced no experiments under the given filters");
         std::process::exit(2);
     }
     for e in &list {
@@ -348,6 +367,133 @@ fn run_fsck(args: &[String]) -> ! {
     }
 }
 
+/// `repro inspect [SPEC] [--policy P] [--slacks S] [--epochs N]
+/// [--curves]` — watches one workload epoch by epoch (see the crate docs).
+fn run_inspect(args: &[String]) {
+    let mut spec: Option<&str> = None;
+    let mut policy_name = resolve_policy("ucp");
+    let mut qos_slack = 0.10;
+    let mut epochs: u64 = 34;
+    let mut curves = false;
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--help" | "-h" => {
+                inspect_usage();
+                return;
+            }
+            "--policy" => policy_name = resolve_policy(flag_value(args, &mut i)),
+            "--slacks" => qos_slack = slack_list(flag_value(args, &mut i))[0],
+            "--epochs" => {
+                let v = flag_value(args, &mut i);
+                epochs = v.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("--epochs: '{v}' is not an epoch count"))
+                });
+            }
+            "--curves" => curves = true,
+            other if !other.starts_with('-') && spec.is_none() => spec = Some(other),
+            other => usage_error(&format!("inspect: unexpected argument '{other}'")),
+        }
+        i += 1;
+    }
+    let workload = workload_registry()
+        .resolve(spec.unwrap_or("G2-1"))
+        .unwrap_or_else(|e| usage_error(&e.to_string()));
+    println!("{} under {}", workload, policy_name);
+    let mut sys = System::builder()
+        .workload_resolved(workload.clone())
+        .policy(policy_name)
+        .qos_slack(qos_slack)
+        .scale(SimScale {
+            name: "inspect",
+            warmup_instrs: 0,
+            instrs_per_app: u64::MAX,
+            epoch_cycles: INSPECT_EPOCH_CYCLES,
+            max_cycles: u64::MAX,
+        })
+        .build();
+    if policy_name == "cpe" {
+        // Without a solo profile the CPE policy never repartitions; feed it
+        // the quick-scale profile so the watched epochs actually move.
+        println!("profiling solo runs for the Dynamic CPE profile...");
+        let solo_llc = solo::solo_llc(workload.cores());
+        sys.set_cpe_profile(solo::cpe_profile_for(
+            &workload,
+            solo_llc,
+            SimScale::quick(),
+        ));
+    }
+    if epochs == 0 {
+        return;
+    }
+    let nominal_ghz = VfTable::paper_45nm().nominal().freq_ghz;
+    let mut last_retired = vec![0u64; workload.cores()];
+    let mut announced = false;
+    sys.run_observed(|view| {
+        let (e, obs, llc) = (view.index, view.observations, view.llc);
+        let hints = &view.decision.hints;
+        if curves {
+            for (name, c) in workload.member_names().iter().zip(&obs.curves) {
+                let m: Vec<String> = (0..=obs.total_ways)
+                    .map(|w| format!("{:.0}", c.misses(w)))
+                    .collect();
+                println!("e{e} {:8} curve: {}", name, m.join(" "));
+            }
+        }
+        let ipcs: Vec<String> = obs
+            .retired
+            .iter()
+            .zip(&mut last_retired)
+            .map(|(&r, last)| {
+                let d = r - *last;
+                *last = r;
+                format!("{:.2}", d as f64 / INSPECT_EPOCH_CYCLES as f64)
+            })
+            .collect();
+        // The first decision that hints other resources names them.
+        let axes: Vec<&str> = [
+            (hints.clock_ratios.is_some(), "DVFS"),
+            (hints.bandwidth_shares.is_some(), "bandwidth"),
+            (hints.prefetch_slots.is_some(), "prefetch"),
+        ]
+        .into_iter()
+        .filter_map(|(on, axis)| on.then_some(axis))
+        .collect();
+        if !announced && !axes.is_empty() {
+            let axes = axes.join("+");
+            println!("coordinated {axes} enabled, QoS slack {qos_slack:.2}");
+            announced = true;
+        }
+        let mut line = format!(
+            "e{e} quotas={:?} alloc={:?} on={} ipc={:?}",
+            llc.ucp_quotas(),
+            llc.current_allocation(),
+            llc.ways_on(),
+            ipcs
+        );
+        if let Some(ratios) = &hints.clock_ratios {
+            let ghz: Vec<String> = ratios
+                .iter()
+                .map(|r| format!("{:.1}", nominal_ghz / r))
+                .collect();
+            line += &format!(" ghz={ghz:?}");
+        }
+        if let Some(shares) = &hints.bandwidth_shares {
+            let bw: Vec<String> = shares.iter().map(|s| format!("{s:.2}")).collect();
+            line += &format!(" bw={bw:?}");
+        }
+        if let Some(slots) = &hints.prefetch_slots {
+            line += &format!(" pf={slots:?}");
+        }
+        println!("{line}");
+        if e + 1 < epochs {
+            EpochControl::Continue
+        } else {
+            EpochControl::Stop
+        }
+    });
+}
+
 /// Satellite of fleet mode: a plain `--json` run of a fleet-capable
 /// target writes the same manifest a fleet run would, gated by the same
 /// compatibility check against whatever is already in the directory.
@@ -391,6 +537,31 @@ fn flag_value<'a>(args: &'a [String], i: &mut usize) -> &'a str {
     }
 }
 
+/// The canonical registry name of policy `name`; an unknown name prints
+/// the registered policies on one line and exits 2.
+fn resolve_policy(name: &str) -> &'static str {
+    let registry = policy_registry();
+    registry.resolve(name).unwrap_or_else(|| {
+        usage_error(
+            &coop_core::UnknownPolicy {
+                requested: name.to_string(),
+                known: registry.names(),
+            }
+            .to_string(),
+        )
+    })
+}
+
+/// A comma-separated `--slacks` list; a value outside [0, 1] exits 2.
+fn slack_list(list: &str) -> Vec<f64> {
+    list.split(',')
+        .map(|v| match v.trim().parse::<f64>() {
+            Ok(s) if (0.0..=1.0).contains(&s) => s,
+            _ => usage_error(&format!("--slacks: '{v}' is not a fraction in [0, 1]")),
+        })
+        .collect()
+}
+
 /// The positive integer after the flag at `args[*i]`, advancing `i`.
 fn positive(args: &[String], i: &mut usize) -> u64 {
     let v = flag_value(args, i);
@@ -413,14 +584,10 @@ fn memo_figures(
 ) -> Vec<Experiment> {
     let policies = fleet_run::target_policies(policies, false);
     let figures = fleet_run::sweep_figures(layout, groups, |cores| {
-        let sweep = experiments::cached_sweep_filtered(cores, scale, &policies, groups);
-        if sweep.is_none() {
-            eprintln!("# note: --group filter leaves no {cores}-core groups; sweep skipped");
-        }
-        Ok(sweep.map(|s| {
-            let perf = s.perf();
-            (s, perf)
-        }))
+        let sweep = experiments::cached_sweep_filtered(cores, scale, &policies, groups)
+            .expect("sweep_figures skips core counts without groups");
+        let perf = sweep.perf();
+        Ok((sweep, perf))
     });
     figures.unwrap_or_else(|e| panic!("{e}"))
 }
@@ -539,7 +706,21 @@ fn usage() {
          \x20            (repro fsck [--repair] DIR); --repair quarantines corrupt\n\
          \x20            cells and rebuilds the journal so --resume can finish\n\
          sample:      Monte Carlo 1-8-core mixes (--sample N draws, --seed S);\n\
-         \x20            distributional report with QoS-violation tails (first --slacks value)",
+         \x20            distributional report with QoS-violation tails (first --slacks value)\n\
+         inspect:     watch one workload epoch by epoch (repro inspect --help)",
+        policy_registry().names().join(", ")
+    );
+}
+
+fn inspect_usage() {
+    eprintln!(
+        "usage: repro inspect [SPEC] [--policy P] [--slacks S] [--epochs N] [--curves]\n\
+         SPEC:      workload spec (default G2-1): a group like G2-1/G4-3/G8-2, a mix\n\
+         \x20          like 'soplex,namd', or 'trace:path.ctrace'\n\
+         --policy:  the policy to watch (default ucp; one of: {})\n\
+         --slacks:  QoS slack for dvfs/cbp, the first value of the list (default 0.10)\n\
+         --epochs:  epochs to watch (default 34)\n\
+         --curves:  print each epoch's UMON miss curves",
         policy_registry().names().join(", ")
     );
 }

@@ -65,7 +65,7 @@ pub fn figure(scale: SimScale) -> Experiment {
             u / c.max(1.0),
             scale.name
         ),
-        _ => "no completed transfers at this scale; increase COOP_SCALE".to_string(),
+        _ => "no completed transfers at this scale; increase --scale".to_string(),
     };
     Experiment {
         id: "Figure 15".to_string(),

@@ -7,8 +7,7 @@
 use simkit::geometric_mean;
 use simkit::table::Table;
 
-use crate::experiments::{cached_sweep, Experiment, Sweep};
-use crate::scale::SimScale;
+use crate::experiments::{Experiment, Sweep};
 
 /// Which quantity a figure plots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,13 +35,6 @@ impl Metric {
             Metric::StaticEnergy => sweep.static_normalized(g, policy),
         }
     }
-}
-
-/// Builds one of Figures 5-10 (or an 8-core extension figure) over the
-/// five paper policies.
-pub fn figure(cores: usize, metric: Metric, scale: SimScale) -> Experiment {
-    let sweep = cached_sweep(cores, scale);
-    figure_from(&sweep, cores, metric, &[], sweep.perf())
 }
 
 /// Builds one sweep figure from an already-computed [`Sweep`] — the one

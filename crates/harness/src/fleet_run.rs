@@ -326,7 +326,7 @@ pub fn policies_with_fair(policies: &[&'static str]) -> Vec<&'static str> {
 
 /// The groups of one core count that a filter keeps (case-insensitive
 /// label match; an empty filter keeps all), in registry order.
-pub(crate) fn filtered_groups(cores: usize, group_filter: &[String]) -> Vec<ResolvedWorkload> {
+pub fn filtered_groups(cores: usize, group_filter: &[String]) -> Vec<ResolvedWorkload> {
     experiments::groups_for_cores(cores)
         .into_iter()
         .filter(|g| {
@@ -865,47 +865,29 @@ fn salvage_partial(
             .map(|(_, payload)| payload)
             .map_err(|e| e.to_string())
     };
-    let mut experiments = Vec::new();
+    let mut covered: Vec<String> = Vec::new();
     let mut omitted: Vec<String> = Vec::new();
-    for &(cores, metrics) in targets {
-        let groups = filtered_groups(cores, group_filter);
-        let covered: Vec<String> = groups
-            .iter()
-            .filter(|g| {
-                pol_fair
-                    .iter()
-                    .all(|p| done.contains(&CellSpec::sweep(&g.label, p, cores, scale.name).id()))
-                    && g.member_names()
-                        .iter()
-                        .all(|m| done.contains(&CellSpec::solo(m, cores, scale.name).id()))
-            })
-            .map(|g| g.label.clone())
-            .collect();
-        omitted.extend(
-            groups
+    for &(cores, _) in targets {
+        for g in filtered_groups(cores, group_filter) {
+            let complete = pol_fair
                 .iter()
-                .filter(|g| !covered.contains(&g.label))
-                .map(|g| format!("{}@{cores}", g.label)),
-        );
-        if covered.is_empty() {
-            continue;
-        }
-        let sweep = merge_sweep(
-            &lookup,
-            cores,
-            scale,
-            &pol,
-            &covered,
-            perf.wall_seconds,
-            perf.sim_accesses,
-        )?;
-        for &m in metrics {
-            experiments.push(figure_from(&sweep, cores, m, &covered, perf));
+                .all(|p| done.contains(&CellSpec::sweep(&g.label, p, cores, scale.name).id()))
+                && g.member_names()
+                    .iter()
+                    .all(|m| done.contains(&CellSpec::solo(m, cores, scale.name).id()));
+            if complete {
+                covered.push(g.label);
+            } else {
+                omitted.push(format!("{}@{cores}", g.label));
+            }
         }
     }
-    if experiments.is_empty() {
+    // An empty filter keeps every group, so nothing covered must stop here.
+    if covered.is_empty() {
         return Ok(None);
     }
+    let mut experiments =
+        merge_target_experiments(&lookup, what, scale, policies, &covered, None, perf)?;
     let coverage = format!("{durable}/{total} cells, partial");
     let note = format!(
         "{coverage} — incomplete groups omitted ({}); rerun with --resume to finish",
@@ -928,22 +910,24 @@ fn salvage_partial(
 /// Renders a sweep layout's figures: per core count, every metric the
 /// layout names, from one [`Sweep`]. `sweep_for(cores)` supplies that
 /// sweep with the cost its perf lines report — the process memo for an
-/// in-process run, a results store for a fleet run — or `None` to skip
-/// the core count.
+/// in-process run, a results store for a fleet run. A core count that the
+/// group filter leaves without groups is skipped.
 pub fn sweep_figures<S: Borrow<Sweep>>(
     layout: &[(usize, &[Metric])],
     group_filter: &[String],
-    mut sweep_for: impl FnMut(usize) -> Result<Option<(S, ExperimentPerf)>, String>,
+    mut sweep_for: impl FnMut(usize) -> Result<(S, ExperimentPerf), String>,
 ) -> Result<Vec<Experiment>, String> {
     let mut out = Vec::new();
     for &(cores, metrics) in layout {
-        if let Some((sweep, perf)) = sweep_for(cores)? {
-            out.extend(
-                metrics
-                    .iter()
-                    .map(|&m| figure_from(sweep.borrow(), cores, m, group_filter, perf)),
-            );
+        if filtered_groups(cores, group_filter).is_empty() {
+            continue;
         }
+        let (sweep, perf) = sweep_for(cores)?;
+        out.extend(
+            metrics
+                .iter()
+                .map(|&m| figure_from(sweep.borrow(), cores, m, group_filter, perf)),
+        );
     }
     Ok(out)
 }
@@ -986,7 +970,7 @@ pub fn merge_target_experiments(
             perf.wall_seconds,
             perf.sim_accesses,
         )?;
-        Ok(Some((sweep, perf)))
+        Ok((sweep, perf))
     })
 }
 

@@ -8,15 +8,16 @@
 //! * [`solo`] — per-benchmark solo baselines (IPC-alone for weighted
 //!   speedup, solo MPKI for Table 3, per-epoch miss curves as the Dynamic
 //!   CPE profile), memoized process-wide;
-//! * [`metrics`] — weighted speedup and normalization helpers;
+//! * [`metrics`] — the weighted-speedup metric;
 //! * [`scale::SimScale`] — reduced-scale presets (the paper runs 1 B
 //!   instructions per app with 5 M-cycle epochs; the default reproduction
-//!   scale divides both by ~100, overridable via `COOP_SCALE`);
+//!   scale divides both by ~100; `repro --scale` picks another preset);
 //! * [`experiments`] — one module per paper table/figure, each returning a
 //!   printable table plus raw series.
 //!
-//! The `repro` binary drives everything:
-//! `repro all`, `repro fig5`, `repro table3 --scale medium`, ...
+//! The `repro` binary is the one front end and its flags are the only
+//! configuration: `repro all`, `repro fig5`, `repro table3 --scale medium`,
+//! `repro inspect G2-6 --policy cp` (one workload epoch by epoch), ...
 
 pub mod experiments;
 pub mod fleet_run;
@@ -33,7 +34,7 @@ pub use system::{drive_epoch, BuildError, EpochView, RunResult, System, SystemBu
 /// The harness workload registry: the 19 synthetic benchmark models plus
 /// the named groups (G2-1..G2-14, G4-1..G4-14, G8-1..G8-6). Mirrors
 /// [`policy_registry`] — a downstream crate with its own workload kind
-/// registers it here and `repro`, `inspect`, the sweeps and the
+/// registers it here and `repro`, `repro inspect`, the sweeps and the
 /// [`SystemBuilder`] pick it up by spec string.
 pub fn workload_registry() -> workloads::WorkloadRegistry {
     workloads::WorkloadRegistry::standard()

@@ -17,13 +17,6 @@ pub fn weighted_speedup(ipc_shared: &[f64], ipc_alone: &[f64]) -> f64 {
         .sum()
 }
 
-/// Normalizes each value to its Fair Share counterpart (the paper
-/// normalizes every figure to the Fair Share scheme).
-pub fn normalize_to(values: &[f64], baseline: f64) -> Vec<f64> {
-    assert!(baseline > 0.0, "baseline must be positive");
-    values.iter().map(|v| v / baseline).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -32,11 +25,6 @@ mod tests {
     fn weighted_speedup_sums_ratios() {
         let ws = weighted_speedup(&[0.5, 1.0], &[1.0, 2.0]);
         assert!((ws - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_divides() {
-        assert_eq!(normalize_to(&[2.0, 4.0], 2.0), vec![1.0, 2.0]);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use coop_core::PolicyRegistry;
 /// The full registry: the five paper schemes (`coop-core`) plus the two
 /// presets of the coordinated controller (`coop-dvfs`): `"dvfs"`
 /// (ways × frequency) and `"cbp"` (ways × bandwidth × prefetch). A new policy
-/// crate plugs in by adding one `register` call here — `repro`, `inspect`,
+/// crate plugs in by adding one `register` call here — `repro`, `repro inspect`,
 /// the sweeps and the property tests pick it up by name.
 pub fn policy_registry() -> PolicyRegistry {
     let mut reg = PolicyRegistry::core();

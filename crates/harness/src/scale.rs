@@ -39,7 +39,7 @@ impl SimScale {
         }
     }
 
-    /// Quick preset for CI and `cargo bench` smoke runs (~1/2000 of paper).
+    /// The examples' preset (~1/2000 of paper).
     ///
     /// Warm-up is proportionally *longer* than the paper's 5 M cycles / 1 B
     /// instructions: at reduced scale cold misses would otherwise dominate
@@ -99,19 +99,6 @@ impl SimScale {
             "medium" => Some(SimScale::medium()),
             "paper" => Some(SimScale::paper()),
             _ => None,
-        }
-    }
-
-    /// Reads `COOP_SCALE` from the environment, falling back to `default`
-    /// when it is unset. An unknown preset name is an error whose one-line
-    /// message names the variable and the presets.
-    pub fn from_env_or(default: SimScale) -> Result<SimScale, String> {
-        match std::env::var("COOP_SCALE") {
-            Ok(v) => SimScale::by_name(&v).ok_or_else(|| {
-                let names = SimScale::NAMES.join(", ");
-                format!("COOP_SCALE: unknown preset '{v}' ({names})")
-            }),
-            Err(_) => Ok(default),
         }
     }
 }

@@ -179,3 +179,42 @@ fn killed_fleet_resumes_bit_identical_to_single_process() {
         std::fs::remove_dir_all(d).ok();
     }
 }
+
+/// A `--group` filter that leaves one core count of the sweep without
+/// groups: the fleet skips that core count as the single-process run
+/// does, exits 0, and writes the same figures byte for byte.
+#[test]
+fn fleet_skips_a_core_count_the_group_filter_empties() {
+    let single_dir = tmp("g2_1_single");
+    let fleet_dir = tmp("g2_1_fleet");
+    let run = |dir: &Path, extra: &[&str]| {
+        let out = Command::new(REPRO)
+            .args(["fig5_10", "--scale", "quick", "--group", "G2-1"])
+            .args(extra)
+            .args(["--json", dir.to_str().unwrap()])
+            .env_remove("FLEET_CHAOS")
+            .output()
+            .expect("repro runs");
+        assert!(
+            out.status.success(),
+            "{extra:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    run(&single_dir, &[]);
+    run(&fleet_dir, &["--workers", "2"]);
+    for f in ["figure5.json", "figure6.json", "figure7.json"] {
+        let read = |dir: &Path| {
+            std::fs::read_to_string(dir.join(f))
+                .unwrap_or_else(|e| panic!("{f} missing in {}: {e}", dir.display()))
+        };
+        assert_eq!(read(&fleet_dir), read(&single_dir), "{f} diverged");
+    }
+    for dir in [&single_dir, &fleet_dir] {
+        assert!(
+            !dir.join("figure8.json").exists(),
+            "the four-core sweep is skipped"
+        );
+        std::fs::remove_dir_all(dir).ok();
+    }
+}

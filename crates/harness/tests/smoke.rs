@@ -1,16 +1,22 @@
-//! Smoke tests: the three harness binaries compile (guaranteed by cargo
-//! building them for `CARGO_BIN_EXE_*`), answer `--help`, and complete a
-//! tiny-scale real run with exit status 0.
+//! Smoke tests: the `repro` binary compiles (guaranteed by cargo building
+//! it for `CARGO_BIN_EXE_repro`), answers `--help`, and completes real
+//! runs — its experiments and its `inspect` subcommand — with exit
+//! status 0, while bad input exits 2 with one line.
 
 use std::process::{Command, Output};
 
-fn run(exe: &str, args: &[&str], envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(exe);
-    cmd.args(args);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    cmd.output().unwrap_or_else(|e| panic!("spawn {exe}: {e}"))
+fn run(exe: &str, args: &[&str]) -> Output {
+    Command::new(exe)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("spawn {exe}: {e}"))
+}
+
+/// `repro inspect` with `args`.
+fn inspect(args: &[&str]) -> Output {
+    let mut all = vec!["inspect"];
+    all.extend_from_slice(args);
+    run(env!("CARGO_BIN_EXE_repro"), &all)
 }
 
 fn assert_ok(what: &str, out: &Output) {
@@ -25,7 +31,7 @@ fn assert_ok(what: &str, out: &Output) {
 
 #[test]
 fn repro_help_exits_zero() {
-    let out = run(env!("CARGO_BIN_EXE_repro"), &["--help"], &[]);
+    let out = run(env!("CARGO_BIN_EXE_repro"), &["--help"]);
     assert_ok("repro --help", &out);
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("usage"), "help text missing: {text}");
@@ -36,7 +42,7 @@ fn repro_renders_the_static_tables() {
     // table1 (hardware overhead) and table4 (workload groups) are computed
     // from configuration alone, so this is an instant real run.
     for table in ["table1", "table4"] {
-        let out = run(env!("CARGO_BIN_EXE_repro"), &[table], &[]);
+        let out = run(env!("CARGO_BIN_EXE_repro"), &[table]);
         assert_ok(&format!("repro {table}"), &out);
         let text = String::from_utf8_lossy(&out.stdout);
         assert!(!text.trim().is_empty(), "repro {table} printed nothing");
@@ -45,30 +51,20 @@ fn repro_renders_the_static_tables() {
 
 #[test]
 fn repro_rejects_unknown_experiments() {
-    let out = run(env!("CARGO_BIN_EXE_repro"), &["figNaN"], &[]);
+    let out = run(env!("CARGO_BIN_EXE_repro"), &["figNaN"]);
     assert!(!out.status.success(), "unknown experiment must not exit 0");
 }
 
 #[test]
-fn calibrate_help_exits_zero() {
-    let out = run(env!("CARGO_BIN_EXE_calibrate"), &["--help"], &[]);
-    assert_ok("calibrate --help", &out);
-}
-
-#[test]
 fn inspect_help_exits_zero() {
-    let out = run(env!("CARGO_BIN_EXE_inspect"), &["--help"], &[]);
-    assert_ok("inspect --help", &out);
+    let out = inspect(&["--help"]);
+    assert_ok("repro inspect --help", &out);
 }
 
 #[test]
 fn inspect_two_epoch_run_exits_zero() {
-    let out = run(
-        env!("CARGO_BIN_EXE_inspect"),
-        &[],
-        &[("EPOCHS", "2"), ("SCHEME", "cp")],
-    );
-    assert_ok("inspect (EPOCHS=2)", &out);
+    let out = inspect(&["--epochs", "2", "--policy", "cp"]);
+    assert_ok("repro inspect --epochs 2", &out);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
         text.contains("e0") && text.contains("alloc="),
@@ -78,23 +74,21 @@ fn inspect_two_epoch_run_exits_zero() {
 
 #[test]
 fn inspect_prints_curves_only_when_asked() {
-    for (curves, printed) in [("0", false), ("1", true)] {
-        let envs = [("EPOCHS", "1"), ("CURVES", curves)];
-        let out = run(env!("CARGO_BIN_EXE_inspect"), &[], &envs);
-        assert_ok(&format!("inspect (CURVES={curves})"), &out);
+    for (args, printed) in [
+        (&["--epochs", "1"][..], false),
+        (&["--epochs", "1", "--curves"], true),
+    ] {
+        let out = inspect(args);
+        assert_ok(&format!("repro inspect {}", args.join(" ")), &out);
         let text = String::from_utf8_lossy(&out.stdout);
-        assert_eq!(text.contains("curve:"), printed, "CURVES={curves}: {text}");
+        assert_eq!(text.contains("curve:"), printed, "{args:?}: {text}");
     }
 }
 
 #[test]
 fn inspect_dvfs_run_reports_frequencies() {
-    let out = run(
-        env!("CARGO_BIN_EXE_inspect"),
-        &[],
-        &[("EPOCHS", "3"), ("SCHEME", "dvfs"), ("QOS_SLACK", "0.15")],
-    );
-    assert_ok("inspect (SCHEME=dvfs)", &out);
+    let out = inspect(&["--epochs", "3", "--policy", "dvfs", "--slacks", "0.15"]);
+    assert_ok("repro inspect --policy dvfs", &out);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
         text.contains("coordinated DVFS enabled, QoS slack 0.15"),
@@ -115,12 +109,8 @@ fn fixture_spec() -> String {
 
 #[test]
 fn inspect_trace_workload_run_exits_zero() {
-    let out = run(
-        env!("CARGO_BIN_EXE_inspect"),
-        &[],
-        &[("EPOCHS", "2"), ("WORKLOAD", &fixture_spec())],
-    );
-    assert_ok("inspect (WORKLOAD=trace:...)", &out);
+    let out = inspect(&[&fixture_spec(), "--epochs", "2"]);
+    assert_ok("repro inspect trace:...", &out);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
         text.contains("stream_hot.ctrace") && text.contains("e0"),
@@ -130,11 +120,7 @@ fn inspect_trace_workload_run_exits_zero() {
 
 #[test]
 fn inspect_rejects_unknown_workloads_listing_registered_specs() {
-    let out = run(
-        env!("CARGO_BIN_EXE_inspect"),
-        &[],
-        &[("WORKLOAD", "not-a-workload")],
-    );
+    let out = inspect(&["not-a-workload"]);
     assert!(!out.status.success(), "unknown workload must not exit 0");
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -145,11 +131,7 @@ fn inspect_rejects_unknown_workloads_listing_registered_specs() {
 
 #[test]
 fn repro_rejects_unknown_groups_listing_registered_ones() {
-    let out = run(
-        env!("CARGO_BIN_EXE_repro"),
-        &["fig5", "--group", "G9-1"],
-        &[],
-    );
+    let out = run(env!("CARGO_BIN_EXE_repro"), &["fig5", "--group", "G9-1"]);
     assert!(!out.status.success(), "unknown group must not exit 0");
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -165,7 +147,6 @@ fn repro_json_writes_machine_readable_tables() {
     let out = run(
         env!("CARGO_BIN_EXE_repro"),
         &["table4", "--json", dir_s, "--csv", dir_s],
-        &[],
     );
     assert_ok("repro table4 --json", &out);
     let json = std::fs::read_to_string(dir.join("table4.json")).expect("json written");
@@ -184,7 +165,6 @@ fn repro_rejects_bad_slacks() {
     let out = run(
         env!("CARGO_BIN_EXE_repro"),
         &["dvfs_energy", "--slacks", "1.5"],
-        &[],
     );
     assert_eq!(out.status.code(), Some(2), "slack > 1 must be rejected");
 }
@@ -208,8 +188,9 @@ fn repro_rejects_bad_flag_values_with_exit_2() {
         &["sample", "--seed", "-1"],
         &["dvfs_energy", "--slacks", "0.1,abc"],
         &["fig5", "--scale"],
+        &["fig8", "--group", "G2-1"],
     ] {
-        let out = run(env!("CARGO_BIN_EXE_repro"), args, &[]);
+        let out = run(env!("CARGO_BIN_EXE_repro"), args);
         assert_usage_error(&args.join(" "), &out);
     }
 }
@@ -226,7 +207,6 @@ fn repro_rejects_an_uncreatable_output_dir_before_running() {
         let out = run(
             env!("CARGO_BIN_EXE_repro"),
             &["fig5", "--scale", "quick", flag, dir],
-            &[],
         );
         assert_usage_error(&format!("repro fig5 {flag} <file>/out"), &out);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -238,34 +218,17 @@ fn repro_rejects_an_uncreatable_output_dir_before_running() {
     std::fs::remove_file(&file).ok();
 }
 
-/// Asserts the one-line usage error for `COOP_SCALE=bogus`, naming the
-/// variable and the presets.
-fn assert_rejects_bogus_coop_scale(exe: &str, args: &[&str]) {
-    let out = run(exe, args, &[("COOP_SCALE", "bogus")]);
-    assert_usage_error(&format!("COOP_SCALE=bogus {exe}"), &out);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("COOP_SCALE") && stderr.contains("bogus") && stderr.contains("quick"),
-        "{stderr}"
-    );
-}
-
-#[test]
-fn repro_rejects_an_unknown_coop_scale() {
-    assert_rejects_bogus_coop_scale(env!("CARGO_BIN_EXE_repro"), &["table1"]);
-}
-
-#[test]
-fn calibrate_rejects_an_unknown_coop_scale() {
-    assert_rejects_bogus_coop_scale(env!("CARGO_BIN_EXE_calibrate"), &[]);
-}
-
 #[test]
 fn inspect_rejects_malformed_epochs_and_slack() {
-    for env in [("EPOCHS", "many"), ("QOS_SLACK", "ten%"), ("CURVES", "yes")] {
-        let out = run(env!("CARGO_BIN_EXE_inspect"), &[], &[env]);
-        assert_usage_error(&format!("{}={}", env.0, env.1), &out);
+    // `--curves` takes no value, so a value glued to it is an unknown flag.
+    for (args, flag, value) in [
+        (&["--epochs", "many"][..], "--epochs", "many"),
+        (&["--slacks", "ten%"], "--slacks", "ten%"),
+        (&["--curves=yes"], "--curves", "yes"),
+    ] {
+        let out = inspect(args);
+        assert_usage_error(&format!("repro inspect {}", args.join(" ")), &out);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(env.0) && stderr.contains(env.1), "{stderr}");
+        assert!(stderr.contains(flag) && stderr.contains(value), "{stderr}");
     }
 }

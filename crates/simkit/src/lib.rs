@@ -2,7 +2,7 @@
 //!
 //! Foundation types shared by every crate in the Cooperative Partitioning
 //! reproduction: strongly-typed cycles and core identifiers, deterministic
-//! seeded random-number streams, statistics primitives (counters, histograms,
+//! seeded random-number streams, statistics primitives (counters,
 //! bucketed time series), plain-text table rendering used by the
 //! experiment harness, and the one JSON layer ([`json`]: objects in
 //! insertion order, numbers as lossless raw tokens) that every
@@ -27,5 +27,5 @@ pub mod table;
 pub mod types;
 
 pub use rng::{DetRng, UniformBelow, WeightedIndex};
-pub use stats::{geometric_mean, quantile, Counter, Histogram, TimeSeries};
+pub use stats::{geometric_mean, quantile, Counter, TimeSeries};
 pub use types::{CoreId, Cycle};

@@ -1,4 +1,4 @@
-//! Statistics primitives: counters, histograms and bucketed time series.
+//! Statistics primitives: counters and bucketed time series.
 //!
 //! These are deliberately simple value types; every simulator component owns
 //! its own statistics and the harness aggregates them after a run.
@@ -49,71 +49,6 @@ impl fmt::Display for Counter {
     }
 }
 
-/// Fixed-bucket histogram over `u64` samples.
-///
-/// Bucket `i` covers `[i * width, (i+1) * width)`; samples beyond the last
-/// bucket are clamped into it so nothing is lost.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    width: u64,
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n_buckets` buckets of `width` each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0` or `n_buckets == 0`.
-    pub fn new(width: u64, n_buckets: usize) -> Histogram {
-        assert!(width > 0 && n_buckets > 0);
-        Histogram {
-            width,
-            buckets: vec![0; n_buckets],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: u64) {
-        let idx = ((sample / self.width) as usize).min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += sample;
-        self.max = self.max.max(sample);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of all samples, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// Largest sample seen.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Bucket contents (index = bucket number).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Width of each bucket.
-    pub fn bucket_width(&self) -> u64 {
-        self.width
-    }
-}
-
 /// A time series of values bucketed by simulated time.
 ///
 /// Used for the paper's Figure 16 (flushed lines per interval after a
@@ -157,32 +92,6 @@ impl TimeSeries {
     /// Bucket width in cycles.
     pub fn bucket_cycles(&self) -> u64 {
         self.bucket_cycles
-    }
-
-    /// Element-wise accumulation of another series with identical bucket
-    /// width (used to average the flush profile over many decisions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if bucket widths differ.
-    pub fn merge(&mut self, other: &TimeSeries) {
-        assert_eq!(self.bucket_cycles, other.bucket_cycles);
-        if other.values.len() > self.values.len() {
-            self.values.resize(other.values.len(), 0.0);
-        }
-        for (a, b) in self.values.iter_mut().zip(other.values.iter()) {
-            *a += *b;
-        }
-    }
-
-    /// Divides every bucket by `n` (no-op when `n == 0`).
-    pub fn scale_down(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        for v in &mut self.values {
-            *v /= n as f64;
-        }
     }
 
     /// Sum over all buckets.
@@ -247,27 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_clamps() {
-        let mut h = Histogram::new(10, 3);
-        h.record(0);
-        h.record(9);
-        h.record(10);
-        h.record(25);
-        h.record(1000); // clamped into last bucket
-        assert_eq!(h.buckets(), &[2, 1, 2]);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.max(), 1000);
-        let mean = h.mean().unwrap();
-        assert!((mean - (9 + 10 + 25 + 1000) as f64 / 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_empty_mean_is_none() {
-        let h = Histogram::new(1, 1);
-        assert_eq!(h.mean(), None);
-    }
-
-    #[test]
     fn time_series_accumulates_and_grows() {
         let mut ts = TimeSeries::new(100, 2);
         ts.add_at(0, 1.0);
@@ -278,26 +166,6 @@ mod tests {
         assert_eq!(ts.values()[1], 5.0);
         assert_eq!(ts.values()[9], 2.0);
         assert_eq!(ts.total(), 9.0);
-    }
-
-    #[test]
-    fn time_series_merge_and_scale() {
-        let mut a = TimeSeries::new(10, 2);
-        let mut b = TimeSeries::new(10, 4);
-        a.add_at(0, 2.0);
-        b.add_at(35, 4.0);
-        a.merge(&b);
-        a.scale_down(2);
-        assert_eq!(a.values()[0], 1.0);
-        assert_eq!(a.values()[3], 2.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn time_series_merge_rejects_mismatched_widths() {
-        let mut a = TimeSeries::new(10, 1);
-        let b = TimeSeries::new(20, 1);
-        a.merge(&b);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! String-keyed workload registry and the workload spec grammar.
 //!
 //! Mirrors the policy registry (`coop_core::registry`): experiments,
-//! `repro`, `inspect` and the `SystemBuilder` name *what runs on the
+//! `repro`, `repro inspect` and the `SystemBuilder` name *what runs on the
 //! cores* by spec string instead of passing benchmark enums around. A
 //! spec resolves to a [`ResolvedWorkload`] — an ordered list of
 //! [`WorkloadFactory`] handles, one per core — in one of three forms:

@@ -14,7 +14,7 @@ fn main() {
     // cache-friendly one (bzip2): the canonical case where way partitioning
     // pays off.
     let benchmarks = vec![Benchmark::Lbm, Benchmark::Bzip2];
-    let scale = SimScale::from_env_or(SimScale::tiny()).unwrap_or_else(|e| panic!("{e}"));
+    let scale = SimScale::tiny();
     println!(
         "running {:?} at scale '{}' ({} instructions per app)...",
         benchmarks.iter().map(|b| b.name()).collect::<Vec<_>>(),

@@ -18,7 +18,7 @@ fn main() {
         .into_iter()
         .find(|g| g.name == group_name)
         .unwrap_or_else(|| panic!("unknown two-core group '{group_name}'"));
-    let scale = SimScale::from_env_or(SimScale::tiny()).unwrap_or_else(|e| panic!("{e}"));
+    let scale = SimScale::tiny();
     println!("threshold sweep on {group} at scale '{}'\n", scale.name);
 
     let workload = ResolvedWorkload::from_benchmarks(&group.benchmarks);

@@ -1,6 +1,7 @@
-//! Inspects the 19 synthetic SPEC CPU2006 models: solo IPC/MPKI (Table 3
-//! classification) and the UMON miss curve each one presents to the
-//! partitioning algorithms.
+//! Inspects the 19 synthetic SPEC CPU2006 models: solo IPC, LLC MPKI
+//! against the paper's (Table 3 classification) and APKI — the numbers the
+//! models in `workloads::spec` are calibrated against — and the UMON miss
+//! curve each one presents to the partitioning algorithms.
 //!
 //! ```text
 //! cargo run --release --example workload_studio [-- <benchmark>]
@@ -13,7 +14,7 @@ use coop_partitioning::simkit::table::Table;
 use coop_partitioning::workloads::{classify_mpki, Benchmark, SyntheticWorkload, WorkloadFactory};
 
 fn main() {
-    let scale = SimScale::from_env_or(SimScale::tiny()).unwrap_or_else(|e| panic!("{e}"));
+    let scale = SimScale::tiny();
     let llc = solo::solo_llc(2);
     let filter = std::env::args().nth(1);
 
@@ -23,6 +24,7 @@ fn main() {
         "MPKI(paper)".into(),
         "MPKI(measured)".into(),
         "IPC solo".into(),
+        "APKI".into(),
         "miss curve (0..8 ways, % of accesses)".into(),
     ]);
     for b in Benchmark::ALL {
@@ -50,6 +52,7 @@ fn main() {
             format!("{:.2}", b.paper_mpki()),
             format!("{:.2}", r.mpki),
             format!("{:.2}", r.ipc),
+            format!("{:.1}", r.apki),
             curve,
         ]);
     }

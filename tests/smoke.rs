@@ -26,10 +26,7 @@ fn quickstart_example_runs_at_tiny_scale() {
         "{} not built; cargo builds examples before running tests",
         bin.display()
     );
-    let out = Command::new(&bin)
-        .env("COOP_SCALE", "tiny")
-        .output()
-        .expect("spawn quickstart");
+    let out = Command::new(&bin).output().expect("spawn quickstart");
     assert!(
         out.status.success(),
         "quickstart exited with {:?}\nstdout:\n{}\nstderr:\n{}",
