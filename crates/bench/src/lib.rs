@@ -1,4 +1,4 @@
-//! Criterion bench crate — the benches in `benches/` time the simulator's
-//! kernels (allocation, takeover, policy decisions, DVFS minimizers, the
-//! LLC hot path and small whole-system runs). `repro` renders the paper's
-//! tables and figures.
+//! Criterion bench crate — `benches/kernels.rs` times the simulator's
+//! per-access and per-epoch kernels (the LLC hot path, allocation, UMON,
+//! takeover, policy decisions and the DVFS/CBP minimizers). perfbench
+//! times whole runs; `repro` renders the paper's tables and figures.

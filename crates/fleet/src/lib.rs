@@ -42,15 +42,9 @@ pub use store::{
 pub use worker::{serve, CellRunner};
 
 /// The version stamped into run manifests, used to refuse resuming onto
-/// partial results produced by a different build. Sources, in order:
-/// `FLEET_VERSION` (CI pins it), `git describe --always --dirty --tags`
-/// (developer checkouts), else the crate version.
+/// partial results produced by a different build: `git describe --always
+/// --dirty --tags` (developer checkouts), else the crate version.
 pub fn version_string() -> String {
-    if let Ok(v) = std::env::var("FLEET_VERSION") {
-        if !v.trim().is_empty() {
-            return v.trim().to_string();
-        }
-    }
     if let Ok(out) = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty", "--tags"])
         .output()
@@ -65,10 +59,71 @@ pub fn version_string() -> String {
     format!("v{}", env!("CARGO_PKG_VERSION"))
 }
 
+/// Parses one numeric `FLEET_*` knob from its raw value (`None` when the
+/// variable is unset, which yields `default`). A value that is not an
+/// unsigned integer, or is below `min`, is rejected with a line naming it,
+/// and the caller runs with `default`: a typo'd `FLEET_HEARTBEAT_MS=25ms`
+/// must be named, never quietly swallowed.
+pub(crate) fn parse_knob(
+    key: &str,
+    raw: Option<&str>,
+    default: u64,
+    min: u64,
+) -> Result<u64, String> {
+    let Some(v) = raw else {
+        return Ok(default);
+    };
+    let why = match v.trim().parse::<u64>() {
+        Ok(n) if n >= min => return Ok(n),
+        Ok(_) => format!("below the minimum {min}"),
+        Err(_) => "not an unsigned integer".to_string(),
+    };
+    Err(format!(
+        "# fleet: ignoring {key}='{v}' ({why}); using default {default}"
+    ))
+}
+
+/// [`parse_knob`] over the process environment; a rejected value is named
+/// on stderr.
+pub(crate) fn env_knob(key: &str, default: u64, min: u64) -> u64 {
+    let raw = std::env::var(key).ok();
+    parse_knob(key, raw.as_deref(), default, min).unwrap_or_else(|line| {
+        eprintln!("{line}");
+        default
+    })
+}
+
 #[cfg(test)]
 mod tests {
+    use super::parse_knob;
+
     #[test]
     fn version_string_is_nonempty() {
         assert!(!super::version_string().is_empty());
+    }
+
+    #[test]
+    fn knobs_parse_or_name_the_rejected_value() {
+        let heartbeat = |raw| parse_knob("FLEET_HEARTBEAT_MS", raw, 100, 1);
+        assert_eq!(heartbeat(None), Ok(100));
+        assert_eq!(heartbeat(Some("25")), Ok(25));
+        assert_eq!(
+            heartbeat(Some("25ms")),
+            Err(
+                "# fleet: ignoring FLEET_HEARTBEAT_MS='25ms' (not an unsigned integer); \
+                 using default 100"
+                    .to_string()
+            )
+        );
+        assert_eq!(
+            heartbeat(Some("0")),
+            Err(
+                "# fleet: ignoring FLEET_HEARTBEAT_MS='0' (below the minimum 1); \
+                 using default 100"
+                    .to_string()
+            )
+        );
+        // Knobs without a minimum take 0 (e.g. "no run deadline").
+        assert_eq!(parse_knob("FLEET_RUN_DEADLINE_MS", Some("0"), 0, 0), Ok(0));
     }
 }

@@ -24,15 +24,20 @@ use std::time::{Duration, Instant};
 
 use crate::cell::CellSpec;
 use crate::chaos::{ChaosEngine, Site};
+use crate::env_knob;
 use crate::protocol::{FromWorker, ToWorker};
 use crate::shard::{plan_shards, Shard};
 use crate::store::{JournalEntry, ResultsStore, StoreError};
 use crate::worker::CellRunner;
 
+/// Hard cap on one shard attempt, end to end.
+const SHARD_TIMEOUT: Duration = Duration::from_secs(600);
+/// Period of the fleet status summary on stderr.
+const STATUS_EVERY: Duration = Duration::from_secs(5);
+
 /// Orchestration knobs. `new(worker_cmd, workers)` gives production
-/// defaults; every timeout has an env override (`FLEET_SHARD_TIMEOUT_MS`,
-/// `FLEET_STALL_TIMEOUT_MS`, `FLEET_RETRIES`, `FLEET_BACKOFF_MS`,
-/// `FLEET_STATUS_MS`, `FLEET_RUN_DEADLINE_MS`) so tests can compress time
+/// defaults with env overrides (`FLEET_STALL_TIMEOUT_MS`, `FLEET_RETRIES`,
+/// `FLEET_BACKOFF_MS`, `FLEET_RUN_DEADLINE_MS`) so tests can compress time
 /// without plumbing flags.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -43,42 +48,20 @@ pub struct FleetConfig {
     /// Shard count; `None` plans 4 shards per worker (cheap insurance:
     /// smaller retry units, better tail balancing).
     pub shards: Option<usize>,
-    /// Hard cap on one shard attempt, end to end.
-    pub shard_timeout: Duration,
     /// Max silence (no heartbeat, no result) from a busy worker.
     pub stall_timeout: Duration,
     /// Retries per shard beyond the first attempt.
     pub max_retries: usize,
     /// Base requeue delay; doubles each attempt.
     pub backoff: Duration,
-    /// Period of the fleet status summary on stderr.
-    pub status_every: Duration,
     /// Global wall-clock budget for the whole run: on expiry, in-flight
     /// shards are abandoned and the caller salvages whatever cells are
     /// already durable (`None` = no deadline).
     pub run_deadline: Option<Duration>,
 }
 
-/// Env-overridable number with a loud fallback: a value that does not
-/// parse is *named and ignored*, never silently swallowed — a typo'd
-/// `FLEET_SHARD_TIMEOUT_MS=5m` must not quietly run with ten minutes.
-fn env_u64(key: &str, default: u64) -> u64 {
-    match std::env::var(key) {
-        Err(_) => default,
-        Ok(v) => match v.trim().parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!(
-                    "# fleet: ignoring {key}='{v}' (not an unsigned integer); using default {default}"
-                );
-                default
-            }
-        },
-    }
-}
-
 fn env_ms(key: &str, default_ms: u64) -> Duration {
-    Duration::from_millis(env_u64(key, default_ms))
+    Duration::from_millis(env_knob(key, default_ms, 0))
 }
 
 impl FleetConfig {
@@ -88,12 +71,10 @@ impl FleetConfig {
             worker_cmd,
             workers: workers.max(1),
             shards: None,
-            shard_timeout: env_ms("FLEET_SHARD_TIMEOUT_MS", 600_000),
             stall_timeout: env_ms("FLEET_STALL_TIMEOUT_MS", 10_000),
-            max_retries: env_u64("FLEET_RETRIES", 2) as usize,
+            max_retries: env_knob("FLEET_RETRIES", 2, 0) as usize,
             backoff: env_ms("FLEET_BACKOFF_MS", 250),
-            status_every: env_ms("FLEET_STATUS_MS", 5_000),
-            run_deadline: match env_u64("FLEET_RUN_DEADLINE_MS", 0) {
+            run_deadline: match env_knob("FLEET_RUN_DEADLINE_MS", 0, 0) {
                 0 => None,
                 ms => Some(Duration::from_millis(ms)),
             },
@@ -204,16 +185,15 @@ struct ShardState {
 /// skipped, which is both the `--resume` path and the mid-shard-crash
 /// recovery path.
 ///
-/// `fallback` is the graceful-degradation path for total spawn failure:
+/// `runner` is the graceful-degradation path for total spawn failure:
 /// when no worker process can be started at all (bad binary path, fork
 /// limits, chaos), the remaining cells are executed in-process through it
 /// — slower, single-process, but the run completes instead of dying.
-/// `None` keeps the old fail-the-run behaviour.
 pub fn run_fleet(
     cells: &[CellSpec],
     store: &ResultsStore,
     cfg: &FleetConfig,
-    fallback: Option<&dyn CellRunner>,
+    runner: &dyn CellRunner,
 ) -> Result<FleetReport, StoreError> {
     let t0 = Instant::now();
     let chaos = ChaosEngine::from_env();
@@ -413,33 +393,16 @@ pub fn run_fleet(
                 std::thread::sleep(Duration::from_millis(50));
                 continue;
             }
-            if let Some(runner) = fallback {
-                // Total spawn failure with a fallback runner: execute the
-                // remaining cells in this process. Slower and serial, but
-                // the run completes instead of dying.
-                eprintln!(
-                    "# fleet: cannot spawn workers after {spawn_strikes} attempts; \
-                     falling back to in-process execution"
-                );
-                report.ran_inprocess = true;
-                run_inprocess(runner, &mut states, store, &specs_by_id, &mut report)?;
-                continue; // loop top sees everything done/failed
-            }
-            // Nothing spawnable and no fallback — fail every open shard
-            // so the run terminates with a report instead of spinning.
-            for i in 0..states.len() {
-                if !states[i].done && !states[i].failed {
-                    states[i].attempts = cfg.max_retries + 1;
-                    fail_attempt(
-                        &mut states,
-                        &mut queue,
-                        &mut report,
-                        i,
-                        "cannot spawn workers",
-                    );
-                }
-            }
-            continue;
+            // Total spawn failure: execute the remaining cells in this
+            // process. Slower and serial, but the run completes instead of
+            // dying.
+            eprintln!(
+                "# fleet: cannot spawn workers after {spawn_strikes} attempts; \
+                 falling back to in-process execution"
+            );
+            report.ran_inprocess = true;
+            run_inprocess(runner, &mut states, store, &specs_by_id, &mut report)?;
+            continue; // loop top sees everything done/failed
         }
         if !workers.is_empty() {
             spawn_strikes = 0;
@@ -610,14 +573,14 @@ pub fn run_fleet(
                 WorkerState::Busy { shard_ix, started } => {
                     if now.duration_since(w.last_seen) > cfg.stall_timeout {
                         Some((*uid, shard_ix, "worker stalled (no heartbeat)".to_string()))
-                    } else if now.duration_since(started) > cfg.shard_timeout {
+                    } else if now.duration_since(started) > SHARD_TIMEOUT {
                         Some((*uid, shard_ix, "shard timeout".to_string()))
                     } else {
                         None
                     }
                 }
                 WorkerState::Starting => {
-                    if now.duration_since(w.last_seen) > cfg.shard_timeout {
+                    if now.duration_since(w.last_seen) > SHARD_TIMEOUT {
                         Some((*uid, usize::MAX, "worker never became ready".to_string()))
                     } else {
                         None
@@ -638,7 +601,7 @@ pub fn run_fleet(
         }
 
         // Periodic status summary.
-        if last_status.elapsed() >= cfg.status_every {
+        if last_status.elapsed() >= STATUS_EVERY {
             last_status = Instant::now();
             let done_cells = report.cells_prior + report.cells_completed;
             let busy = workers

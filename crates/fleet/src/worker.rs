@@ -73,12 +73,8 @@ fn send(out: &Mutex<std::io::Stdout>, msg: &FromWorker) {
 /// cells computed (mainly for tests; the process usually just exits).
 pub fn serve(runner: &dyn CellRunner) -> usize {
     let chaos = ChaosEngine::from_env();
-    let heartbeat_every = Duration::from_millis(
-        std::env::var("FLEET_HEARTBEAT_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(100),
-    );
+    // A zero period would spin the heartbeat thread on the stdout lock.
+    let heartbeat_every = Duration::from_millis(crate::env_knob("FLEET_HEARTBEAT_MS", 100, 1));
     let out = Arc::new(Mutex::new(std::io::stdout()));
     let stdin = std::io::stdin();
     send(

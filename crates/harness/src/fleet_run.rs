@@ -732,10 +732,10 @@ pub fn run_fleet_target(
         opts.workers,
     );
     cfg.shards = opts.shards;
-    // The fallback runner lets the orchestrator finish in-process when no
-    // worker can be spawned at all (bad binary, fork limits, chaos).
-    let mut report = fleet::run_fleet(&cells, &store, &cfg, Some(&HarnessCellRunner))
-        .map_err(|e| e.to_string())?;
+    // The runner lets the orchestrator finish in-process when no worker
+    // can be spawned at all (bad binary, fork limits, chaos).
+    let mut report =
+        fleet::run_fleet(&cells, &store, &cfg, &HarnessCellRunner).map_err(|e| e.to_string())?;
 
     // Post-run integrity pass: a torn write (chaos or a real media fault)
     // can leave a journaled cell whose file no longer verifies — the
@@ -763,7 +763,7 @@ pub fn run_fleet_target(
             "# fleet: {} corrupt cell(s) quarantined; recomputing (integrity pass {integrity_passes})",
             bad.len()
         );
-        let again = fleet::run_fleet(&cells, &store, &cfg, Some(&HarnessCellRunner))
+        let again = fleet::run_fleet(&cells, &store, &cfg, &HarnessCellRunner)
             .map_err(|e| e.to_string())?;
         fold_report(&mut report, again);
     }

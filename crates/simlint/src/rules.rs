@@ -27,7 +27,8 @@ pub struct CrateRule {
 /// `energy`) never list the policy crates (`coop-core`, `coop-dvfs`);
 /// `fleet` lists only `simkit`, for its JSON layer and hash (no mechanism,
 /// policy or harness crate, so it is harness-independent by
-/// construction); only `harness` and the umbrella crate see everything.
+/// construction); `bench` times kernels, so it sees the simulator crates
+/// but not `harness`; only `harness` and the umbrella crate see everything.
 pub const CRATES: &[CrateRule] = &[
     CrateRule {
         package: "simkit",
@@ -109,7 +110,6 @@ pub const CRATES: &[CrateRule] = &[
             "coop-core",
             "coop-dvfs",
             "cpusim",
-            "harness",
             "memsim",
             "simkit",
             "workloads",
