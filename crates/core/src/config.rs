@@ -124,8 +124,8 @@ pub struct LlcConfig {
     /// Takeover threshold `T` of Algorithm 1. The paper operates at its
     /// Figure-11 knee (0.05); our synthetic workloads carry serialized
     /// (pointer-chase) misses on their marginal ways, which shifts the
-    /// lossless knee to ~0.02-0.03 — the default is 0.03. Figures 11-13 sweep the
-    /// full range either way.
+    /// lossless knee to ~0.02-0.03 — the default is 0.03 (DESIGN.md,
+    /// entry 2). Figures 11-13 sweep the full range either way.
     pub threshold: f64,
     /// UMON set-sampling: one in `2^umon_shift` sets carries shadow tags.
     pub umon_shift: u32,
@@ -134,7 +134,7 @@ pub struct LlcConfig {
     pub seed: u64,
     /// Force-complete transitions still pending after this many epochs
     /// (bounds staleness when a donor never touches some sets; see
-    /// DESIGN.md).
+    /// DESIGN.md, entry 3).
     pub transition_timeout_epochs: u32,
 }
 
@@ -167,7 +167,8 @@ impl LlcConfig {
 
     /// Configuration for an `n`-core system: the paper geometries for up to
     /// four cores, and a proportionally grown 8 MB / 32-way geometry for the
-    /// 5-8 core systems the takeover structures already support.
+    /// 5-8 core systems the takeover structures already support (DESIGN.md,
+    /// entry 4).
     ///
     /// # Panics
     ///

@@ -14,7 +14,8 @@
 //! UCP"); `T = 1` never grants ways beyond the per-core minimum ("no ways
 //! were ever allocated to any core"). The paper's printed pseudo-code
 //! compares against `prev_max_mu * T` from `prev_max_mu = 0`, which can
-//! never fire; we implement the semantics its prose defines — see DESIGN.md.
+//! never fire; we implement the semantics its prose defines — see
+//! DESIGN.md, entry 1.
 //!
 //! Every live core keeps at least one way: a zero-way core could not cache
 //! at all, and the paper's "ways not allocated to any core" are the leftovers

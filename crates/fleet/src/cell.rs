@@ -126,7 +126,7 @@ impl CellSpec {
 /// canonical render. The JSON layer keeps object keys in the order they
 /// were written (or parsed) and numbers as raw tokens, so parse → render
 /// is byte-stable and a checksum taken at write time verifies bit-exactly
-/// at read time. Used by the store (cell files, journal lines) and the
+/// at read time. Used by the store (cell files) and the
 /// protocol (`cell_done` payloads).
 pub fn content_sum(v: &Value) -> String {
     format!("{:016x}", fnv1a(v.render().as_bytes()))

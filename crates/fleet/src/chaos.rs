@@ -2,8 +2,8 @@
 //!
 //! `FLEET_CHAOS=<seed>:<profile>` arms an injection plane at every I/O
 //! boundary of the fleet — worker kill/hang/slow at chosen protocol
-//! states, NDJSON corruption and truncation, torn store writes, journal
-//! tail damage, spawn failure — driven by a *reproducible schedule*:
+//! states, NDJSON corruption and truncation, torn cell-file writes, spawn
+//! failure — driven by a *reproducible schedule*:
 //! every decision is a pure function of `(seed, site, stable key)` where
 //! the key is content-derived (shard ID + attempt, cell ID + per-cell
 //! occurrence count), never wall-clock or interleaving. The same seed and
@@ -18,7 +18,7 @@
 //! | `off`     | nothing (explicit no-op)                              |
 //! | `kill`    | worker exit/hang on assign, death after one cell, slow cells |
 //! | `corrupt` | NDJSON byte flips, mid-line truncation + death, cell panics |
-//! | `torn`    | short cell-file writes, journal tail damage           |
+//! | `torn`    | short cell-file writes                                |
 //! | `spawn`   | worker spawn failures (exercises in-process fallback) |
 //! | `mixed`   | all of the above at moderated rates                   |
 //!
@@ -52,8 +52,6 @@ pub enum Site {
     TruncateMessage,
     /// The store writes a short (torn) cell file.
     TornCellWrite,
-    /// The store damages the journal tail after an append.
-    JournalDamage,
     /// The orchestrator fails to spawn a worker process.
     SpawnFail,
 }
@@ -69,7 +67,6 @@ impl Site {
             Site::CorruptMessage => "msg.corrupt",
             Site::TruncateMessage => "msg.truncate",
             Site::TornCellWrite => "store.torn_write",
-            Site::JournalDamage => "store.journal_damage",
             Site::SpawnFail => "orchestrator.spawn_fail",
         }
     }
@@ -86,7 +83,6 @@ pub struct Rates {
     corrupt: f64,
     truncate: f64,
     torn_write: f64,
-    journal_damage: f64,
     spawn_fail: f64,
 }
 
@@ -101,7 +97,6 @@ impl Rates {
             Site::CorruptMessage => self.corrupt,
             Site::TruncateMessage => self.truncate,
             Site::TornCellWrite => self.torn_write,
-            Site::JournalDamage => self.journal_damage,
             Site::SpawnFail => self.spawn_fail,
         }
     }
@@ -124,7 +119,6 @@ impl Rates {
             },
             "torn" => Rates {
                 torn_write: 0.20,
-                journal_damage: 0.20,
                 ..Rates::default()
             },
             "spawn" => Rates {
@@ -140,7 +134,6 @@ impl Rates {
                 corrupt: 0.08,
                 truncate: 0.04,
                 torn_write: 0.08,
-                journal_damage: 0.08,
                 spawn_fail: 0.05,
             },
             _ => return None,

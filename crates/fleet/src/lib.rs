@@ -6,11 +6,12 @@
 //! [`cell::CellSpec`]s (content-hash-addressed units of work), dealt into
 //! [`shard::Shard`]s, executed by worker processes speaking the NDJSON
 //! [`protocol`] over stdin/stdout, and persisted cell-by-cell into a
-//! [`store::ResultsStore`] whose manifest + journal make runs resumable
-//! and guard against mixing incompatible partial results. The harness
-//! plugs in at exactly two points: a [`worker::CellRunner`] that knows
-//! how to execute one cell, and code that merges stored payloads back
-//! into its own result tables.
+//! [`store::ResultsStore`]: each finished cell is one checksummed file,
+//! the only record that it finished, so a run resumes by verifying them,
+//! and the manifest guards against mixing incompatible partial results.
+//! The harness plugs in at exactly two points: a [`worker::CellRunner`]
+//! that knows how to execute one cell, and code that merges stored
+//! payloads back into its own result tables.
 //!
 //! Layering: the only internal dependency is `simkit`, for its JSON layer
 //! ([`simkit::json`]) and its FNV-1a hash; nothing here depends on the
@@ -19,7 +20,7 @@
 //! ```text
 //! harness (repro bin) ──> fleet::orchestrator ── NDJSON ──> repro worker
 //!        │                        │                              │
-//!        │ merge payloads         │ journal + manifest           │ CellRunner
+//!        │ merge payloads         │ cell files + manifest        │ CellRunner
 //!        └──── fleet::store <─────┘                              ▼
 //!                                                       harness::fleet_run
 //! ```
@@ -36,9 +37,7 @@ pub use cell::{content_sum, CellKind, CellSpec};
 pub use chaos::ChaosEngine;
 pub use orchestrator::{run_fleet, FleetConfig, FleetReport};
 pub use shard::{plan_shards, Shard};
-pub use store::{
-    fsck, CellHealth, FsckReport, JournalEntry, Manifest, ResultsStore, StoreError, STORE_FORMAT,
-};
+pub use store::{fsck, CellHealth, FsckReport, Manifest, ResultsStore, StoreError, STORE_FORMAT};
 pub use worker::{serve, CellRunner};
 
 /// The version stamped into run manifests, used to refuse resuming onto

@@ -27,7 +27,7 @@ use crate::chaos::{ChaosEngine, Site};
 use crate::env_knob;
 use crate::protocol::{FromWorker, ToWorker};
 use crate::shard::{plan_shards, Shard};
-use crate::store::{JournalEntry, ResultsStore, StoreError};
+use crate::store::{ResultsStore, StoreError};
 use crate::worker::CellRunner;
 
 /// Hard cap on one shard attempt, end to end.
@@ -181,9 +181,9 @@ struct ShardState {
 }
 
 /// Runs `cells` across a worker fleet, persisting results into `store`.
-/// Already-durable cells (per the store's journal, checksum-verified) are
-/// skipped, which is both the `--resume` path and the mid-shard-crash
-/// recovery path.
+/// Already-durable cells (those whose cell files verify) are skipped,
+/// which is both the `--resume` path and the mid-shard-crash recovery
+/// path.
 ///
 /// `runner` is the graceful-degradation path for total spawn failure:
 /// when no worker process can be started at all (bad binary path, fork
@@ -197,7 +197,8 @@ pub fn run_fleet(
 ) -> Result<FleetReport, StoreError> {
     let t0 = Instant::now();
     let chaos = ChaosEngine::from_env();
-    let done_prior = store.done_cell_ids()?;
+    let ids: Vec<String> = cells.iter().map(CellSpec::id).collect();
+    let done_prior = store.verify_cells(&ids)?.valid;
     let mut report = FleetReport {
         cells_total: cells.len(),
         cells_prior: cells
@@ -482,7 +483,6 @@ pub fn run_fleet(
                     FromWorker::Heartbeat { .. } => {}
                     FromWorker::CellDone {
                         cell_id,
-                        wall_ms,
                         accesses,
                         payload,
                         shard_id,
@@ -493,16 +493,7 @@ pub fn run_fleet(
                             );
                             continue;
                         };
-                        store.write_cell(
-                            spec,
-                            &payload,
-                            &crate::store::JournalEntry {
-                                cell_id: cell_id.clone(),
-                                shard_id: shard_id.clone(),
-                                wall_ms,
-                                accesses,
-                            },
-                        )?;
+                        store.write_cell(spec, &payload)?;
                         report.cells_completed += 1;
                         report.sim_accesses += accesses;
                         if let WorkerState::Busy { shard_ix, .. } = w.state {
@@ -690,21 +681,11 @@ fn run_inprocess(
             let Some(spec) = specs_by_id.get(&id) else {
                 continue;
             };
-            let started = Instant::now();
             let outcome =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner.run_cell(spec)));
             match outcome {
                 Ok(Ok((payload, accesses))) => {
-                    store.write_cell(
-                        spec,
-                        &payload,
-                        &JournalEntry {
-                            cell_id: id.clone(),
-                            shard_id: st.shard.id.clone(),
-                            wall_ms: started.elapsed().as_millis() as u64,
-                            accesses,
-                        },
-                    )?;
+                    store.write_cell(spec, &payload)?;
                     st.remaining.remove(&id);
                     report.cells_completed += 1;
                     report.sim_accesses += accesses;

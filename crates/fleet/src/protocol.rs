@@ -17,7 +17,7 @@
 //! |--------------|-----------------------------------------------|----------------------------|
 //! | `ready`      | `pid`                                         | idle, send work            |
 //! | `heartbeat`  | `shard_id`                                    | still computing            |
-//! | `cell_done`  | `shard_id`, `cell_id`, `wall_ms`, `accesses`, `payload`, `sum` | one finished cell |
+//! | `cell_done`  | `shard_id`, `cell_id`, `accesses`, `payload`, `sum` | one finished cell |
 //! | `cell_error` | `shard_id`, `cell_id`, `message`              | cell failed (not retried on this worker) |
 //! | `shard_done` | `shard_id`                                    | shard finished, idle again |
 //!
@@ -121,8 +121,6 @@ pub enum FromWorker {
         shard_id: String,
         /// Content-hashed cell ID.
         cell_id: String,
-        /// Wall-clock the cell took on the worker, in milliseconds.
-        wall_ms: u64,
         /// LLC demand accesses the cell simulated (aggregate-throughput
         /// accounting).
         accesses: u64,
@@ -161,14 +159,12 @@ impl FromWorker {
             FromWorker::CellDone {
                 shard_id,
                 cell_id,
-                wall_ms,
                 accesses,
                 payload,
             } => json::obj(vec![
                 ("type", json::str("cell_done")),
                 ("shard_id", json::str(shard_id)),
                 ("cell_id", json::str(cell_id)),
-                ("wall_ms", json::num_u64(*wall_ms)),
                 ("accesses", json::num_u64(*accesses)),
                 ("payload", payload.clone()),
                 ("sum", json::str(content_sum(payload))),
@@ -215,7 +211,6 @@ impl FromWorker {
                 Ok(FromWorker::CellDone {
                     shard_id: v.req("shard_id")?,
                     cell_id: v.req("cell_id")?,
-                    wall_ms: v.req("wall_ms")?,
                     accesses: v.req("accesses")?,
                     payload: payload.clone(),
                 })
@@ -285,7 +280,6 @@ mod tests {
             FromWorker::CellDone {
                 shard_id: "s".to_string(),
                 cell_id: "c".to_string(),
-                wall_ms: 1234,
                 accesses: 99_000,
                 payload: json::obj(vec![("ipc", json::arr_f64(&[1.5, 0.25]))]),
             },
@@ -320,7 +314,6 @@ mod tests {
         let msg = FromWorker::CellDone {
             shard_id: "s".to_string(),
             cell_id: "c".to_string(),
-            wall_ms: 10,
             accesses: 1000,
             payload: json::obj(vec![("ipc", json::arr_f64(&[1.5, 0.25]))]),
         };

@@ -6,32 +6,27 @@
 //! DIR/manifest.json          run manifest: what/scale/filters/version + cell IDs
 //! DIR/cells/<id>.json        one finished cell: {"payload": ..., "spec": ..., "sum": ...}
 //! DIR/cells/quarantine/      cell files that failed verification (kept for forensics)
-//! DIR/journal.jsonl          append-only journal, one line per finished cell
 //! DIR/<experiment>.json      merged experiment outputs (written by repro)
 //! ```
 //!
-//! The per-cell file is the durable unit (PR 4's JSON output format carried
-//! over): a crash after N cells keeps N results. The journal is the fast
-//! resume index — `--resume` diffs the manifest's cell set against the
-//! journal and re-runs only what is missing — and the manifest is the
-//! compatibility gate: a resumed run refuses to mix partial results from a
-//! different scale, filter set, sample plan or code version instead of
-//! silently merging them.
+//! The per-cell file is the durable unit and the only record that a cell
+//! finished: a crash after N cells keeps N results, and `--resume`
+//! verifies the file of every manifest cell and re-runs only the ones
+//! that are missing or fail. The manifest is the compatibility gate: a
+//! resumed run refuses to mix partial results from a different scale,
+//! filter set, sample plan or code version instead of silently merging
+//! them.
 //!
-//! Every cell file and journal line embeds a `"sum"`: the FNV-1a content
-//! checksum of its own canonical render minus that field (see
-//! [`crate::cell::content_sum`]; the JSON layer keeps keys in document
-//! order and numbers as raw tokens, so parse → render is byte-stable and a
-//! checksum taken at write time verifies bit-exactly at read time).
-//! Verification runs on every resume/merge read: a corrupt cell is
-//! **quarantined** to `cells/quarantine/` and recomputed, never silently
-//! merged; a damaged journal line is skipped, which simply makes its cell
-//! look not-done.
-//! [`fsck`] audits manifest ↔ journal ↔ cell-file consistency offline and
-//! (with repair) quarantines bad cells and rebuilds the journal from the
-//! cell files that still verify.
+//! Every cell file embeds a `"sum"`: the FNV-1a content checksum of its
+//! own canonical render minus that field (see [`crate::cell::content_sum`];
+//! the JSON layer keeps keys in document order and numbers as raw tokens,
+//! so parse → render is byte-stable and a checksum taken at write time
+//! verifies bit-exactly at read time). Verification runs on every
+//! resume/merge read: a corrupt cell is **quarantined** to
+//! `cells/quarantine/` and recomputed, never silently merged.
+//! [`fsck`] audits manifest ↔ cell-file consistency offline and (with
+//! repair) quarantines bad cells and removes torn temp files.
 
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -41,13 +36,15 @@ use crate::cell::{content_sum, CellSpec};
 use crate::chaos::{ChaosEngine, Site};
 
 /// Results-store format version (bump when the cell payload layout
-/// changes incompatibly). Format 2 added content checksums to cell files
-/// and journal lines; format-1 stores are refused (their cells carry no
-/// integrity information, so resuming onto them would reintroduce the
-/// blind-trust hole this format closed). Format 3 writes object keys in
-/// insertion order where format 2 sorted them, so the bytes each checksum
-/// covers changed; format-2 files still verify (their checksums cover
-/// their own key order), but a resume refuses to mix the two.
+/// changes incompatibly). Format 2 added content checksums to cell files;
+/// format-1 stores are refused (their cells carry no integrity
+/// information, so resuming onto them would reintroduce the blind-trust
+/// hole this format closed). Format 3 writes object keys in insertion
+/// order where format 2 sorted them, so the bytes each checksum covers
+/// changed; format-2 files still verify (their checksums cover their own
+/// key order), but a resume refuses to mix the two. Stores of formats 2
+/// and 3 written before the cell file became the only completion record
+/// also hold a completion journal; nothing reads it.
 pub const STORE_FORMAT: u64 = 3;
 
 /// The run manifest: everything that must match for partial results to be
@@ -196,26 +193,13 @@ impl Manifest {
     }
 }
 
-/// One journal line: what finished, where, and what it cost.
-#[derive(Debug, Clone)]
-pub struct JournalEntry {
-    /// Finished cell ID.
-    pub cell_id: String,
-    /// Shard that computed it.
-    pub shard_id: String,
-    /// Worker wall-clock in milliseconds.
-    pub wall_ms: u64,
-    /// LLC demand accesses the cell simulated.
-    pub accesses: u64,
-}
-
 /// The on-disk store rooted at one `--json DIR`.
 #[derive(Debug, Clone)]
 pub struct ResultsStore {
     dir: PathBuf,
-    /// Armed chaos engine: write paths consult it to inject torn cell
-    /// files and journal damage (deterministically, keyed by cell ID and
-    /// per-cell write count). `None` in production.
+    /// Armed chaos engine: the cell write path consults it to inject torn
+    /// cell files (deterministically, keyed by cell ID and per-cell write
+    /// count). `None` in production.
     chaos: Option<Arc<ChaosEngine>>,
 }
 
@@ -266,10 +250,6 @@ impl ResultsStore {
         self.dir.join("manifest.json")
     }
 
-    fn journal_path(&self) -> PathBuf {
-        self.dir.join("journal.jsonl")
-    }
-
     fn cell_path(&self, cell_id: &str) -> PathBuf {
         self.dir.join("cells").join(format!("{cell_id}.json"))
     }
@@ -301,100 +281,31 @@ impl ResultsStore {
     }
 
     /// Persists one finished cell (spec + opaque payload + content
-    /// checksum) and appends its checksummed journal line. The cell file
-    /// is written atomically (tmp + rename) so a crash mid-write never
-    /// leaves a torn result that a resume would trust.
-    pub fn write_cell(
-        &self,
-        spec: &CellSpec,
-        payload: &Value,
-        entry: &JournalEntry,
-    ) -> Result<(), StoreError> {
+    /// checksum). The file is written atomically (tmp + rename) so a crash
+    /// mid-write never leaves a torn result that a resume would trust;
+    /// once it verifies, the cell counts as finished.
+    pub fn write_cell(&self, spec: &CellSpec, payload: &Value) -> Result<(), StoreError> {
+        let id = spec.id();
         let doc = seal(json::obj(vec![
             ("spec", spec.to_value()),
             ("payload", payload.clone()),
         ]));
-        let path = self.cell_path(&entry.cell_id);
+        let path = self.cell_path(&id);
         let mut text = doc.render();
         text.push('\n');
         if let Some(ch) = &self.chaos {
-            if ch.fires_counted(Site::TornCellWrite, &entry.cell_id) {
+            if ch.fires_counted(Site::TornCellWrite, &id) {
                 // A torn write lands directly at the final path —
                 // modelling media/kernel faults the tmp+rename dance
                 // cannot see — and is what verification must catch.
                 let cut = (text.len() / 2).max(1);
-                std::fs::write(&path, &text.as_bytes()[..cut])
-                    .map_err(|e| store_err(&path, "write", e))?;
-                self.append_journal_line(entry)?;
-                return Ok(());
+                return std::fs::write(&path, &text.as_bytes()[..cut])
+                    .map_err(|e| store_err(&path, "write", e));
             }
         }
         let tmp = path.with_extension("json.tmp");
         std::fs::write(&tmp, text).map_err(|e| store_err(&tmp, "write", e))?;
-        std::fs::rename(&tmp, &path).map_err(|e| store_err(&path, "rename", e))?;
-        self.append_journal_line(entry)
-    }
-
-    fn append_journal_line(&self, entry: &JournalEntry) -> Result<(), StoreError> {
-        let line = seal(journal_value(entry));
-        let jpath = self.journal_path();
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&jpath)
-            .map_err(|e| store_err(&jpath, "open", e))?;
-        writeln!(f, "{}", line.render()).map_err(|e| store_err(&jpath, "append", e))?;
-        if let Some(ch) = &self.chaos {
-            if ch.fires_counted(Site::JournalDamage, &entry.cell_id) {
-                // Tear the tail: a half-written junk line after the real
-                // one, as a crash mid-append would leave.
-                let rendered = line.render();
-                let torn = &rendered[..rendered.len() / 2];
-                write!(f, "{torn}").map_err(|e| store_err(&jpath, "append", e))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Journal entries in append order. Unparseable lines are skipped (a
-    /// torn final line after a crash must not poison the resume), and so
-    /// are lines whose embedded checksum does not verify — a damaged
-    /// entry simply makes its cell look not-done, which re-runs it.
-    pub fn read_journal(&self) -> Result<Vec<JournalEntry>, StoreError> {
-        let path = self.journal_path();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(store_err(&path, "read", e)),
-        };
-        Ok(text
-            .lines()
-            .filter_map(|line| parse_journal_line(line).ok())
-            .collect())
-    }
-
-    /// IDs of cells that are durably finished: journaled AND whose cell
-    /// file exists *and verifies* (the file is the durable unit; the
-    /// journal alone does not count). A journaled cell whose file fails
-    /// verification is quarantined here — the resume path — so it gets
-    /// transparently recomputed instead of silently merged.
-    pub fn done_cell_ids(&self) -> Result<Vec<String>, StoreError> {
-        let mut out = Vec::new();
-        let mut seen = Vec::new();
-        for e in self.read_journal()? {
-            if seen.contains(&e.cell_id) {
-                continue;
-            }
-            seen.push(e.cell_id.clone());
-            match self.verify_cell(&e.cell_id) {
-                CellHealth::Valid => out.push(e.cell_id),
-                CellHealth::Missing => {}
-                CellHealth::Corrupt(why) => {
-                    let _ = self.quarantine_cell(&e.cell_id, &why)?;
-                }
-            }
-        }
-        Ok(out)
+        std::fs::rename(&tmp, &path).map_err(|e| store_err(&path, "rename", e))
     }
 
     /// Integrity state of one cell file.
@@ -426,21 +337,23 @@ impl ResultsStore {
         Ok(to)
     }
 
-    /// Verifies every cell in `cell_ids`, quarantining the corrupt ones.
-    /// Returns `(cell_id, reason)` for each quarantined cell — the set a
-    /// fleet run must recompute before its results are trustworthy.
-    pub fn quarantine_corrupt(
-        &self,
-        cell_ids: &[String],
-    ) -> Result<Vec<(String, String)>, StoreError> {
-        let mut bad = Vec::new();
+    /// Verifies the file of every cell in `cell_ids`, quarantining the
+    /// corrupt ones. A cell whose file verifies is finished: resume, the
+    /// fleet's skip set and the post-run integrity pass all ask this one
+    /// question.
+    pub fn verify_cells(&self, cell_ids: &[String]) -> Result<CellAudit, StoreError> {
+        let mut audit = CellAudit::default();
         for id in cell_ids {
-            if let CellHealth::Corrupt(why) = self.verify_cell(id) {
-                let _ = self.quarantine_cell(id, &why)?;
-                bad.push((id.clone(), why));
+            match self.verify_cell(id) {
+                CellHealth::Valid => audit.valid.push(id.clone()),
+                CellHealth::Missing => {}
+                CellHealth::Corrupt(why) => {
+                    self.quarantine_cell(id, &why)?;
+                    audit.quarantined.push((id.clone(), why));
+                }
             }
         }
-        Ok(bad)
+        Ok(audit)
     }
 
     /// Loads one finished cell's payload, verifying its checksum — a
@@ -450,6 +363,15 @@ impl ResultsStore {
         let text = std::fs::read_to_string(&path).map_err(|e| store_err(&path, "read", e))?;
         check_cell_text(cell_id, &text).map_err(|e| store_err(&path, "verify", e))
     }
+}
+
+/// What [`ResultsStore::verify_cells`] found, in input order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CellAudit {
+    /// IDs of the cells whose files verify: the finished cells.
+    pub valid: Vec<String>,
+    /// `(cell_id, reason)` for each cell quarantined as corrupt.
+    pub quarantined: Vec<(String, String)>,
 }
 
 /// Integrity state of one cell file.
@@ -516,38 +438,10 @@ fn check_cell_text(cell_id: &str, text: &str) -> Result<(CellSpec, Value), Strin
     Ok((spec, payload.clone()))
 }
 
-/// The journal line for an entry, before sealing.
-fn journal_value(entry: &JournalEntry) -> Value {
-    json::obj(vec![
-        ("cell", json::str(&entry.cell_id)),
-        ("shard", json::str(&entry.shard_id)),
-        ("wall_ms", json::num_u64(entry.wall_ms)),
-        ("accesses", json::num_u64(entry.accesses)),
-    ])
-}
-
-/// Parses and verifies one journal line.
-fn parse_journal_line(line: &str) -> Result<JournalEntry, String> {
-    let v = json::parse(line).map_err(|e| format!("parse: {e}"))?;
-    let (content, claimed) = unseal(v)?;
-    let actual = content_sum(&content);
-    if claimed != actual {
-        return Err(format!(
-            "checksum mismatch (line says {claimed}, content is {actual})"
-        ));
-    }
-    Ok(JournalEntry {
-        cell_id: content.req("cell")?,
-        shard_id: content.req("shard")?,
-        wall_ms: content.req("wall_ms")?,
-        accesses: content.req("accesses")?,
-    })
-}
-
 /// One inconsistency `fsck` found.
 #[derive(Debug, Clone)]
 pub struct FsckIssue {
-    /// Issue class: `manifest`, `cell`, `journal`, `tmp`.
+    /// Issue class: `manifest`, `cell`, `tmp`.
     pub kind: &'static str,
     /// Human-readable description naming the file/line involved.
     pub detail: String,
@@ -602,15 +496,11 @@ impl FsckReport {
     }
 }
 
-/// Audits manifest ↔ journal ↔ cell-file consistency of the store at
-/// `dir`: every cell file must parse, verify its checksum, hash to its
-/// filename and appear in the manifest; every journal line must parse,
-/// verify, and point at a manifest cell whose file is (still) valid; torn
-/// `.json.tmp` leftovers are flagged. With `repair`, corrupt or unknown
-/// cell files are quarantined, tmp files removed, and the journal is
-/// rebuilt from exactly the cell files that verify (synthesized entries
-/// carry shard `"fsck"` and zero wall/access accounting — those fields
-/// are throughput accounting only), leaving a store `--resume` completes.
+/// Audits manifest ↔ cell-file consistency of the store at `dir`: every
+/// cell file must parse, verify its checksum, hash to its filename and
+/// appear in the manifest, and torn `.json.tmp` leftovers are flagged.
+/// With `repair`, corrupt or unknown cell files are quarantined and tmp
+/// files removed, leaving a store `--resume` completes.
 pub fn fsck(dir: &Path, repair: bool) -> Result<FsckReport, StoreError> {
     let store = ResultsStore::open(dir)?;
     let mut r = FsckReport::default();
@@ -698,95 +588,6 @@ pub fn fsck(dir: &Path, repair: bool) -> Result<FsckReport, StoreError> {
         .filter(|id| !valid_ids.contains(id))
         .count();
 
-    // Journal: parse + verify every raw line against the valid cell set.
-    let jpath = dir.join("journal.jsonl");
-    let mut journal_ok: Vec<JournalEntry> = Vec::new();
-    let mut journal_bad = false;
-    let jtext = match std::fs::read_to_string(&jpath) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(store_err(&jpath, "read", e)),
-    };
-    for (n, line) in jtext.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_journal_line(line) {
-            Err(why) => {
-                r.issues.push(FsckIssue {
-                    kind: "journal",
-                    detail: format!("journal.jsonl line {}: {why}", n + 1),
-                });
-                journal_bad = true;
-            }
-            Ok(e) => {
-                if !manifest.cell_ids.contains(&e.cell_id) {
-                    r.issues.push(FsckIssue {
-                        kind: "journal",
-                        detail: format!(
-                            "journal.jsonl line {}: names cell {} outside the manifest",
-                            n + 1,
-                            e.cell_id
-                        ),
-                    });
-                    journal_bad = true;
-                } else if !valid_ids.contains(&e.cell_id) {
-                    r.issues.push(FsckIssue {
-                        kind: "journal",
-                        detail: format!(
-                            "journal.jsonl line {}: cell {} journaled but its file is missing or invalid",
-                            n + 1,
-                            e.cell_id
-                        ),
-                    });
-                    journal_bad = true;
-                } else if journal_ok.iter().any(|j| j.cell_id == e.cell_id) {
-                    // Duplicate of a valid entry: harmless, drop on repair.
-                    journal_bad = true;
-                } else {
-                    journal_ok.push(e);
-                }
-            }
-        }
-    }
-    // Valid cell files the journal never recorded (crash between the
-    // rename and the append) look not-done to resume; surface them.
-    for id in &valid_ids {
-        if !journal_ok.iter().any(|j| &j.cell_id == id) {
-            r.issues.push(FsckIssue {
-                kind: "journal",
-                detail: format!("cell {id} has a valid file but no journal entry"),
-            });
-            journal_bad = true;
-        }
-    }
-
-    if repair && journal_bad {
-        // Rebuild the journal from exactly the cell files that verify.
-        for id in &valid_ids {
-            if !journal_ok.iter().any(|j| &j.cell_id == id) {
-                journal_ok.push(JournalEntry {
-                    cell_id: id.clone(),
-                    shard_id: "fsck".to_string(),
-                    wall_ms: 0,
-                    accesses: 0,
-                });
-            }
-        }
-        let mut text = String::new();
-        for e in &journal_ok {
-            text.push_str(&seal(journal_value(e)).render());
-            text.push('\n');
-        }
-        let tmp = jpath.with_extension("jsonl.tmp");
-        std::fs::write(&tmp, text).map_err(|e| store_err(&tmp, "write", e))?;
-        std::fs::rename(&tmp, &jpath).map_err(|e| store_err(&jpath, "rename", e))?;
-        r.repairs.push(format!(
-            "rebuilt journal.jsonl with {} verified entries",
-            journal_ok.len()
-        ));
-    }
-
     let qdir = cells_dir.join("quarantine");
     r.quarantined = std::fs::read_dir(&qdir)
         .map(|it| it.filter_map(|e| e.ok()).count())
@@ -857,27 +658,22 @@ mod tests {
         assert!(m.compatible_with(&m.clone()).is_ok());
     }
 
+    fn ids(specs: &[&CellSpec]) -> Vec<String> {
+        specs.iter().map(|s| s.id()).collect()
+    }
+
     #[test]
-    fn cells_and_journal_survive_reopen() {
-        let dir = tmpdir("journal");
+    fn cells_survive_reopen() {
+        let dir = tmpdir("reopen");
         let store = ResultsStore::open(&dir).expect("open");
         let spec = CellSpec::sweep("G2-1", "ucp", 2, "quick");
         let payload = json::obj(vec![("ipc", json::arr_f64(&[1.25, 0.5]))]);
-        store
-            .write_cell(
-                &spec,
-                &payload,
-                &JournalEntry {
-                    cell_id: spec.id(),
-                    shard_id: "shard0".to_string(),
-                    wall_ms: 10,
-                    accesses: 1000,
-                },
-            )
-            .expect("write");
+        store.write_cell(&spec, &payload).expect("write");
         // Reopen as a resume would.
         let store = ResultsStore::open(&dir).expect("reopen");
-        assert_eq!(store.done_cell_ids().expect("done"), vec![spec.id()]);
+        let audit = store.verify_cells(&ids(&[&spec])).expect("verify");
+        assert_eq!(audit.valid, vec![spec.id()]);
+        assert!(audit.quarantined.is_empty());
         let (back_spec, back_payload) = store.read_cell(&spec.id()).expect("read");
         assert_eq!(back_spec, spec);
         assert_eq!(back_payload, payload);
@@ -885,35 +681,28 @@ mod tests {
     }
 
     #[test]
-    fn torn_journal_lines_are_skipped() {
-        let dir = tmpdir("torn");
+    fn a_verified_file_is_the_only_completion_record() {
+        let dir = tmpdir("record");
         let store = ResultsStore::open(&dir).expect("open");
-        let spec = CellSpec::sweep("G2-2", "ucp", 2, "quick");
-        store
-            .write_cell(
-                &spec,
-                &json::obj(vec![]),
-                &JournalEntry {
-                    cell_id: spec.id(),
-                    shard_id: "s".to_string(),
-                    wall_ms: 1,
-                    accesses: 1,
-                },
-            )
-            .expect("write");
-        // Simulate a crash mid-append.
-        let jpath = dir.join("journal.jsonl");
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&jpath)
-            .expect("open journal");
-        write!(f, "{{\"cell\":\"deadbeef").expect("torn write");
-        drop(f);
-        assert_eq!(store.done_cell_ids().expect("done"), vec![spec.id()]);
-        // A journaled cell whose file vanished is not durable.
-        std::fs::remove_file(dir.join("cells").join(format!("{}.json", spec.id())))
+        let a = CellSpec::sweep("G2-1", "ucp", 2, "quick");
+        let b = CellSpec::sweep("G2-2", "ucp", 2, "quick");
+        let c = CellSpec::sweep("G2-3", "ucp", 2, "quick");
+        for s in [&a, &b, &c] {
+            write_one(&store, s);
+        }
+        let files = std::fs::read_dir(&dir).expect("store dir").count();
+        assert_eq!(files, 1, "cell files are the only completion record");
+        // Corrupt b, remove c's file: answers come back in input order.
+        let b_path = dir.join("cells").join(format!("{}.json", b.id()));
+        let text = std::fs::read_to_string(&b_path).expect("read");
+        std::fs::write(&b_path, text.replace("1.25", "1.35")).expect("flip");
+        std::fs::remove_file(dir.join("cells").join(format!("{}.json", c.id())))
             .expect("remove cell file");
-        assert!(store.done_cell_ids().expect("done").is_empty());
+        let audit = store.verify_cells(&ids(&[&c, &b, &a])).expect("verify");
+        assert_eq!(audit.valid, vec![a.id()]);
+        assert_eq!(audit.quarantined.len(), 1);
+        assert_eq!(audit.quarantined[0].0, b.id());
+        assert!(audit.quarantined[0].1.contains("checksum"), "{audit:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -929,16 +718,7 @@ mod tests {
 
     fn write_one(store: &ResultsStore, spec: &CellSpec) {
         store
-            .write_cell(
-                spec,
-                &json::obj(vec![("ipc", json::arr_f64(&[1.25, 0.5]))]),
-                &JournalEntry {
-                    cell_id: spec.id(),
-                    shard_id: "s0".to_string(),
-                    wall_ms: 10,
-                    accesses: 1000,
-                },
-            )
+            .write_cell(spec, &json::obj(vec![("ipc", json::arr_f64(&[1.25, 0.5]))]))
             .expect("write");
     }
 
@@ -967,7 +747,9 @@ mod tests {
         );
 
         // The resume path quarantines it and reports the cell not done.
-        assert!(store.done_cell_ids().expect("done").is_empty());
+        let audit = store.verify_cells(&ids(&[&spec])).expect("verify");
+        assert!(audit.valid.is_empty());
+        assert_eq!(audit.quarantined.len(), 1);
         assert_eq!(store.verify_cell(&spec.id()), CellHealth::Missing);
         assert!(dir
             .join("cells")
@@ -998,22 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn damaged_journal_checksums_hide_the_entry() {
-        let dir = tmpdir("jsum");
-        let store = ResultsStore::open(&dir).expect("open");
-        let spec = CellSpec::sweep("G2-1", "ucp", 2, "quick");
-        write_one(&store, &spec);
-        // Corrupt the journal line's accounting: parses, checksum fails,
-        // so the entry is skipped and the cell looks not-done.
-        let jpath = dir.join("journal.jsonl");
-        let text = std::fs::read_to_string(&jpath).expect("read");
-        std::fs::write(&jpath, text.replace("\"wall_ms\":10", "\"wall_ms\":99")).expect("write");
-        assert!(store.read_journal().expect("journal").is_empty());
-        assert!(store.done_cell_ids().expect("done").is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn fsck_reports_and_repairs_a_three_way_corruption() {
         let dir = tmpdir("fsck");
         let store = ResultsStore::open(&dir).expect("open");
@@ -1030,42 +796,41 @@ mod tests {
         assert!(report.clean(), "{}", report.render());
         assert_eq!(report.cells_valid, 3);
 
-        // Acceptance scenario: a truncated cell, a torn journal tail, and
-        // a bit-flipped cell — all three must be reported.
+        // Acceptance scenario: a truncated cell, a bit-flipped cell and a
+        // torn temp file left by a crash mid-write — all three reported.
         let a_path = dir.join("cells").join(format!("{}.json", a.id()));
         let text = std::fs::read_to_string(&a_path).expect("read");
         std::fs::write(&a_path, &text.as_bytes()[..text.len() / 2]).expect("truncate");
         let b_path = dir.join("cells").join(format!("{}.json", b.id()));
         let text = std::fs::read_to_string(&b_path).expect("read");
         std::fs::write(&b_path, text.replace("1.25", "1.35")).expect("flip");
-        let jpath = dir.join("journal.jsonl");
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&jpath)
-            .expect("open journal");
-        write!(f, "{{\"cell\":\"dead").expect("tear");
-        drop(f);
+        std::fs::write(
+            dir.join("cells").join(format!("{}.json.tmp", a.id())),
+            b"{\"sp",
+        )
+        .expect("tmp");
 
         let report = fsck(&dir, false).expect("fsck");
         assert!(!report.clean());
-        let kinds: Vec<&str> = report.issues.iter().map(|i| i.kind).collect();
-        assert!(kinds.contains(&"cell"), "{:?}", report.issues);
-        assert!(kinds.contains(&"journal"), "{:?}", report.issues);
-        // Both damaged cells show up, plus their now-dangling journal
-        // entries, plus the torn tail line.
-        assert!(report.issues.len() >= 5, "{}", report.render());
+        let mut kinds: Vec<&str> = report.issues.iter().map(|i| i.kind).collect();
+        kinds.sort_unstable();
+        assert_eq!(kinds, ["cell", "cell", "tmp"], "{}", report.render());
         assert!(report.repairs.is_empty(), "audit mode must not write");
 
-        // Repair: quarantine the two bad cells, rebuild the journal.
+        // Repair: quarantine the two bad cells, remove the temp file.
         let report = fsck(&dir, true).expect("fsck --repair");
-        assert!(!report.repairs.is_empty());
+        assert_eq!(report.repairs.len(), 3, "{}", report.render());
         let report = fsck(&dir, false).expect("fsck after repair");
         assert!(report.clean(), "{}", report.render());
         assert_eq!(report.cells_valid, 1);
         assert_eq!(report.cells_missing, 2);
         assert_eq!(report.quarantined, 2);
         // The repaired store is resumable: exactly c is done.
-        assert_eq!(store.done_cell_ids().expect("done"), vec![c.id()]);
+        let done = store
+            .verify_cells(&ids(&[&a, &b, &c]))
+            .expect("verify")
+            .valid;
+        assert_eq!(done, vec![c.id()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1095,10 +860,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Format 2 rendered every object with sorted keys, so its journal
-    /// lines carry `"sum"` between `"shard"` and `"wall_ms"`. Both files
-    /// below are verbatim format-2 output; they must still verify, since
-    /// `fsck` and salvage read whatever a store holds.
+    /// Format 2 rendered every object with sorted keys. The cell below is
+    /// verbatim format-2 output; it must still verify, since `fsck` and
+    /// salvage read whatever a store holds.
     #[test]
     fn format_2_sorted_key_files_still_verify() {
         let dir = tmpdir("format2");
@@ -1108,31 +872,17 @@ mod tests {
             .write_manifest(&manifest(std::slice::from_ref(&spec)))
             .expect("manifest");
         let cell = r#"{"payload":{"counts":{"data_reads":12,"total_cycles":80000},"ipc":[1.25,0.5],"policy":"ucp"},"spec":{"cores":2,"kind":"sweep","policy":"ucp","scale":"quick","workload":"G2-1"},"sum":"2c82a33daa59c42b"}"#;
-        let line = r#"{"accesses":1000,"cell":"fbfbb21172a6a52b","shard":"s0","sum":"97f72b96fc509d47","wall_ms":10}"#;
         assert_eq!(spec.id(), "fbfbb21172a6a52b");
         std::fs::write(dir.join("cells").join(format!("{}.json", spec.id())), cell).expect("cell");
-        std::fs::write(dir.join("journal.jsonl"), format!("{line}\n")).expect("journal");
 
-        let entry = parse_journal_line(line).expect("format-2 journal line verifies");
-        assert_eq!((entry.wall_ms, entry.accesses), (10, 1000));
         let (back, payload) = store.read_cell(&spec.id()).expect("format-2 cell verifies");
         assert_eq!(back, spec);
         assert_eq!(payload.req::<Vec<f64>>("ipc"), Ok(vec![1.25, 0.5]));
-        assert_eq!(store.done_cell_ids().expect("done"), vec![spec.id()]);
+        let done = store.verify_cells(&ids(&[&spec])).expect("verify").valid;
+        assert_eq!(done, vec![spec.id()]);
         let report = fsck(&dir, false).expect("fsck");
         assert!(report.clean(), "{}", report.render());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn journal_accounting_fields_are_required() {
-        let content = json::obj(vec![
-            ("cell", json::str("c")),
-            ("shard", json::str("s")),
-            ("wall_ms", json::num_u64(1)),
-        ]);
-        let err = parse_journal_line(&seal(content).render()).expect_err("no accesses");
-        assert!(err.contains("accesses"), "{err}");
     }
 
     #[test]
@@ -1151,12 +901,17 @@ mod tests {
             write_one(&store, s);
         }
         let clean = ResultsStore::open(&dir).expect("reopen");
-        let done = clean.done_cell_ids().expect("done");
+        let all: Vec<String> = specs.iter().map(|s| s.id()).collect();
+        let CellAudit {
+            valid: done,
+            quarantined,
+        } = clean.verify_cells(&all).expect("verify");
         assert!(
             done.len() < specs.len(),
             "the torn profile tore something in 24 writes"
         );
         assert!(!done.is_empty(), "and not everything");
+        assert_eq!(done.len() + quarantined.len(), specs.len());
         for id in &done {
             assert!(clean.read_cell(id).is_ok());
         }

@@ -29,7 +29,7 @@
 use std::io::{BufRead as _, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use simkit::json::Value;
 
@@ -205,7 +205,6 @@ fn run_shard(
                 std::thread::sleep(Duration::from_millis(ch.slow_ms()));
             }
         }
-        let started = Instant::now();
         // A model panic must cost one cell, not the worker and the rest
         // of its shard: catch it and report a cell_error instead.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -222,7 +221,6 @@ fn run_shard(
                 let msg = FromWorker::CellDone {
                     shard_id: shard_id.to_string(),
                     cell_id: cell.id(),
-                    wall_ms: started.elapsed().as_millis() as u64,
                     accesses,
                     payload,
                 };

@@ -31,10 +31,10 @@
 //! `--workers N` runs a sweep figure (or `sample`) as a fleet: the cells
 //! are sharded over N `repro worker` child processes and streamed into
 //! the `--json` directory (required), which doubles as a durable results
-//! store (`manifest.json`, `cells/`, `journal.jsonl`). A killed or
-//! partially failed run resumes with `--resume` — only missing cells
-//! rerun, and the merged figures are bit-identical to a single-process
-//! run. `sample` draws `--sample N` random 1-8-core mixes (seeded with
+//! store (`manifest.json`, plus one checksummed file per finished cell in
+//! `cells/`). A killed or partially failed run resumes with `--resume` —
+//! only cells without a verified file rerun, and the merged figures are
+//! bit-identical to a single-process run. `sample` draws `--sample N` random 1-8-core mixes (seeded with
 //! `--seed`) and reports distributional results; without `--workers` it
 //! runs in-process.
 //!
@@ -312,8 +312,8 @@ fn main() {
     }
 }
 
-/// `repro fsck [--repair] DIR` — audit a results store's manifest /
-/// journal / cell-file consistency. Exit 0 when the store is clean (or
+/// `repro fsck [--repair] DIR` — audit a results store's manifest, cell
+/// files and leftover temp files. Exit 0 when the store is clean (or
 /// `--repair` restored it to a resumable state), 1 when issues remain,
 /// 2 on usage errors.
 fn run_fsck(args: &[String]) -> ! {
@@ -702,9 +702,9 @@ fn usage() {
          --workers:   fleet mode — shard a sweep figure (or 'sample') over N worker\n\
          \x20            processes streaming into --json DIR; --resume continues a\n\
          \x20            killed or partially failed run from the same DIR\n\
-         fsck:        audit a results store's manifest/journal/cell checksums\n\
+         fsck:        audit a results store's manifest and cell checksums\n\
          \x20            (repro fsck [--repair] DIR); --repair quarantines corrupt\n\
-         \x20            cells and rebuilds the journal so --resume can finish\n\
+         \x20            cells and removes torn temp files so --resume can finish\n\
          sample:      Monte Carlo 1-8-core mixes (--sample N draws, --seed S);\n\
          \x20            distributional report with QoS-violation tails (first --slacks value)\n\
          inspect:     watch one workload epoch by epoch (repro inspect --help)",

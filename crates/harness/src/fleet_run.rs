@@ -697,19 +697,22 @@ pub fn run_fleet_target(
     }
 
     // The orchestrating process arms the same chaos engine the workers
-    // read from `FLEET_CHAOS`, so store-side faults (torn cell writes,
-    // journal damage) inject deterministically alongside the worker-side
-    // ones.
+    // read from `FLEET_CHAOS`, so torn cell writes inject
+    // deterministically alongside the worker-side faults.
     let store = ResultsStore::open(dir)
         .map_err(|e| e.to_string())?
         .with_chaos(fleet::ChaosEngine::from_env().map(Arc::new));
     let manifest = manifest_for(what, scale, policies, group_filter, sample, &cells);
+    let all_ids: Vec<String> = cells.iter().map(CellSpec::id).collect();
     match store.read_manifest().map_err(|e| e.to_string())? {
         Some(existing) => {
             manifest.compatible_with(&existing).map_err(|e| {
                 format!("{e}\nuse a fresh --json directory, or rerun the original configuration")
             })?;
-            let done = store.done_cell_ids().map_err(|e| e.to_string())?;
+            let done = store
+                .verify_cells(&all_ids)
+                .map_err(|e| e.to_string())?
+                .valid;
             if !opts.resume && !done.is_empty() {
                 return Err(format!(
                     "results dir already holds {} finished cells; pass --resume to continue it or choose a fresh --json directory",
@@ -738,16 +741,16 @@ pub fn run_fleet_target(
         fleet::run_fleet(&cells, &store, &cfg, &HarnessCellRunner).map_err(|e| e.to_string())?;
 
     // Post-run integrity pass: a torn write (chaos or a real media fault)
-    // can leave a journaled cell whose file no longer verifies — the
-    // orchestrator counted it done, but the bytes are not trustworthy.
+    // can leave a cell file that no longer verifies — the orchestrator
+    // counted the cell done, but the bytes are not trustworthy.
     // Quarantine such cells and recompute them before merging; bounded
     // passes so persistent corruption fails loudly instead of looping.
-    let all_ids: Vec<String> = cells.iter().map(|c| c.id()).collect();
     let mut integrity_passes = 0usize;
     while report.complete() {
         let bad = store
-            .quarantine_corrupt(&all_ids)
-            .map_err(|e| e.to_string())?;
+            .verify_cells(&all_ids)
+            .map_err(|e| e.to_string())?
+            .quarantined;
         if bad.is_empty() {
             break;
         }
@@ -784,7 +787,7 @@ pub fn run_fleet_target(
             policies,
             group_filter,
             sample,
-            &cells,
+            &all_ids,
             report.clone(),
             perf,
         )? {
@@ -840,7 +843,7 @@ fn salvage_partial(
     policies: &[&'static str],
     group_filter: &[String],
     sample: Option<&SamplePlan>,
-    cells: &[CellSpec],
+    cell_ids: &[String],
     report: FleetReport,
     perf: ExperimentPerf,
 ) -> Result<Option<FleetOutcome>, String> {
@@ -850,13 +853,13 @@ fn salvage_partial(
     let Some(targets) = sweep_targets(what) else {
         return Ok(None);
     };
-    let done: BTreeSet<String> = store
-        .done_cell_ids()
+    let valid = store
+        .verify_cells(cell_ids)
         .map_err(|e| e.to_string())?
-        .into_iter()
-        .collect();
-    let durable = cells.iter().filter(|c| done.contains(&c.id())).count();
-    let total = cells.len();
+        .valid;
+    let durable = valid.len();
+    let done: BTreeSet<String> = valid.into_iter().collect();
+    let total = cell_ids.len();
     let pol = target_policies(policies, false);
     let pol_fair = policies_with_fair(&pol);
     let lookup = |cell: &CellSpec| -> Result<Value, String> {

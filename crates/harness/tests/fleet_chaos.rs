@@ -1,7 +1,7 @@
 //! Chaos-engine end-to-end property: under *any* seeded fault schedule
-//! (worker kills, hangs, NDJSON corruption, torn store writes, journal
-//! damage), a fleet run either completes with figures bit-identical to
-//! the single-process golden, or fails leaving a store that a chaos-free
+//! (worker kills, hangs, NDJSON corruption, torn cell-file writes), a
+//! fleet run either completes with figures bit-identical to the
+//! single-process golden, or fails leaving a store that a chaos-free
 //! `--resume` completes bit-identically — and `repro fsck` can always
 //! audit (and `--repair` restore) the store to a resumable state.
 //!
@@ -177,7 +177,7 @@ fn any_chaos_schedule_completes_or_resumes_bit_identically() {
             "chaos {spec} diverged from the single-process figure"
         );
 
-        // Chaos may have left journal scars (torn tails, duplicates);
+        // Chaos may have left scars (quarantined cells, torn temp files);
         // the audit must either pass outright or be repairable.
         let audit = repro(&["fsck", dir_s], &[]);
         if !audit.status.success() {
@@ -195,7 +195,7 @@ fn any_chaos_schedule_completes_or_resumes_bit_identically() {
 
 /// Hand-corrupted cells: a truncated cell file is quarantined on resume
 /// and transparently recomputed (bit-identical figures), and a three-way
-/// corruption (truncated cell + bit-flipped cell + torn journal tail) is
+/// corruption (truncated cell + bit-flipped cell + torn temp file) is
 /// reported by `fsck` and restored to a resumable store by `--repair`.
 #[test]
 fn corrupt_cells_are_quarantined_and_fsck_repairs_the_store() {
@@ -247,7 +247,7 @@ fn corrupt_cells_are_quarantined_and_fsck_repairs_the_store() {
     );
 
     // Three-way corruption: truncate one cell, flip a byte in another,
-    // tear the journal tail.
+    // leave a torn temp file as a crash mid-write would.
     let victims = cell_files(&dir);
     let text = std::fs::read_to_string(&victims[0]).unwrap();
     std::fs::write(&victims[0], &text[..text.len() / 2]).unwrap();
@@ -258,10 +258,7 @@ fn corrupt_cells_are_quarantined_and_fsck_repairs_the_store() {
         .expect("an alphanumeric byte to flip");
     bytes[flip] ^= 0x02;
     std::fs::write(&victims[1], &bytes).unwrap();
-    let journal = dir.join("journal.jsonl");
-    let mut jtext = std::fs::read_to_string(&journal).unwrap();
-    jtext.push_str("{\"cell_id\":\"torn");
-    std::fs::write(&journal, &jtext).unwrap();
+    std::fs::write(victims[2].with_extension("json.tmp"), "{\"spec").unwrap();
 
     let audit = repro(&["fsck", dir_s], &[]);
     assert!(
@@ -270,7 +267,7 @@ fn corrupt_cells_are_quarantined_and_fsck_repairs_the_store() {
     );
     let stdout = String::from_utf8_lossy(&audit.stdout);
     assert!(
-        stdout.contains("issue"),
+        stdout.contains("issue") && stdout.contains("[cell]") && stdout.contains("[tmp]"),
         "audit names the inconsistencies:\n{stdout}"
     );
 

@@ -1,10 +1,10 @@
-//! Fleet determinism property: any partition of a sweep's cell set into
-//! shards, written to a results store in any order — including a kill
-//! partway through followed by a resume into a second store session —
-//! merges into figures *bit-identical* to the single-process sweep.
+//! Fleet determinism property: a sweep's cells written to a results store
+//! in any order — including a kill partway through followed by a resume
+//! into a second store session — merge into figures *bit-identical* to
+//! the single-process sweep.
 //!
 //! The simulations run once (in-process, via the fleet cell runner); each
-//! proptest case then replays a random sharding/ordering/kill-point
+//! proptest case then replays a random write order and kill point
 //! through real [`fleet::ResultsStore`] sessions and compares the merged
 //! render against the golden in-process render, byte for byte.
 
@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use fleet::{CellSpec, JournalEntry, ResultsStore};
+use fleet::{CellSpec, ResultsStore};
 use harness::experiments::fig5_10::{figure_from, Metric};
 use harness::experiments::{cached_sweep_filtered, ExperimentPerf};
 use harness::fleet_run;
@@ -109,20 +109,17 @@ fn fresh_store_dir() -> std::path::PathBuf {
 
 proptest! {
     #[test]
-    fn any_sharding_order_and_kill_point_merges_bit_identically(
-        shard_count in 1usize..6,
+    fn any_write_order_and_kill_point_merges_bit_identically(
         order_keys in proptest::collection::vec(any::<u64>(), 32),
-        assign_keys in proptest::collection::vec(any::<u64>(), 32),
         kill_at in 0usize..32,
     ) {
         let base = baseline();
         let n = base.cells.len();
         prop_assert!(n <= 32, "strategy vectors must cover every cell");
 
-        // Random shard assignment and write order from the generated keys.
+        // Random write order from the generated keys.
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| order_keys[i]);
-        let shard_of = |i: usize| format!("shard-{}", assign_keys[i] % shard_count as u64);
         let kill_at = kill_at % n;
 
         let dir = fresh_store_dir();
@@ -132,18 +129,21 @@ proptest! {
             let store = ResultsStore::open(dir.to_str().expect("utf8 dir")).expect("open");
             for &i in order.iter().take(kill_at) {
                 let cell = &base.cells[i];
-                write_cell(&store, cell, &shard_of(i), &base.payloads);
+                write_cell(&store, cell, &base.payloads);
             }
         }
         // Session 2 (the resume): a fresh store handle sees exactly the
         // durable cells and completes the remainder.
         let store = ResultsStore::open(dir.to_str().expect("utf8 dir")).expect("reopen");
-        let done = store.done_cell_ids().expect("journal reads");
+        let ids: Vec<String> = base.cells.iter().map(CellSpec::id).collect();
+        let audit = store.verify_cells(&ids).expect("cells verify");
+        prop_assert!(audit.quarantined.is_empty());
+        let done = audit.valid;
         prop_assert_eq!(done.len(), kill_at, "every pre-kill cell is durable");
         for &i in order.iter().skip(kill_at) {
             let cell = &base.cells[i];
-            prop_assert!(!done.contains(&cell.id()), "remainder was not journaled");
-            write_cell(&store, cell, &shard_of(i), &base.payloads);
+            prop_assert!(!done.contains(&cell.id()), "remainder was not written");
+            write_cell(&store, cell, &base.payloads);
         }
 
         // Merge through the store — the exact fleet read path — and
@@ -175,10 +175,9 @@ proptest! {
                 prop_assert_eq!(
                     sans_perf(&merged),
                     sans_perf(want),
-                    "{}-core {:?} diverged (shards={}, kill_at={})",
+                    "{}-core {:?} diverged (kill_at={})",
                     case.cores,
                     m,
-                    shard_count,
                     kill_at
                 );
             }
@@ -187,24 +186,8 @@ proptest! {
     }
 }
 
-fn write_cell(
-    store: &ResultsStore,
-    cell: &CellSpec,
-    shard_id: &str,
-    payloads: &BTreeMap<String, String>,
-) {
+fn write_cell(store: &ResultsStore, cell: &CellSpec, payloads: &BTreeMap<String, String>) {
     let text = payloads.get(&cell.id()).expect("payload computed");
     let payload = json::parse(text).expect("payload parses");
-    store
-        .write_cell(
-            cell,
-            &payload,
-            &JournalEntry {
-                cell_id: cell.id(),
-                shard_id: shard_id.to_string(),
-                wall_ms: 1,
-                accesses: 0,
-            },
-        )
-        .expect("cell writes");
+    store.write_cell(cell, &payload).expect("cell writes");
 }

@@ -2,8 +2,9 @@
 //! worker fleet, kill a worker with the fault-injection hook, resume, and
 //! require the merged figures to be byte-identical to a single-process
 //! run. Also pins the bounded-retry path (a fault that fires once must
-//! not fail the run) and the refusal paths (incompatible manifest, done
-//! results without `--resume`).
+//! not fail the run), the refusal paths (incompatible manifest, done
+//! results without `--resume`), and that a verified cell file alone marks
+//! its cell finished.
 //!
 //! The sweeps are restricted to G2-1/G4-1 so the whole file stays fast in
 //! debug CI; `scripts/fleet_smoke.sh` runs the unrestricted release
@@ -87,10 +88,12 @@ fn killed_fleet_resumes_bit_identical_to_single_process() {
         stderr.contains("FAILED") && stderr.contains("--resume"),
         "failure report names the failed cells and the resume path:\n{stderr}"
     );
-    assert!(
-        fleet_dir.join("journal.jsonl").exists(),
-        "finished cells were journaled before the failure"
-    );
+    let stored = std::fs::read_dir(fleet_dir.join("cells"))
+        .expect("cells dir")
+        .filter_map(Result::ok)
+        .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
+        .count();
+    assert!(stored > 0, "finished cells were stored before the failure");
 
     // Rerunning without --resume refuses: the directory holds results.
     let refused = repro(
@@ -217,4 +220,59 @@ fn fleet_skips_a_core_count_the_group_filter_empties() {
         );
         std::fs::remove_dir_all(dir).ok();
     }
+}
+
+/// A verified cell file is the one record that its cell finished: with
+/// any other completion record gone, or damaged as a crash would leave
+/// it, `--resume` skips every cell and recomputes none.
+#[test]
+fn verified_cells_without_a_completion_record_count_as_done() {
+    let dir = tmp("record");
+    let dir_s = dir.to_str().unwrap();
+    let run = |extra: &[&str]| {
+        let out = Command::new(REPRO)
+            .args(["fig5_10", "--scale", "quick", "--group", "G2-1"])
+            .args(["--workers", "2"])
+            .args(extra)
+            .args(["--json", dir_s])
+            .env_remove("FLEET_CHAOS")
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(out.status.success(), "{extra:?} failed:\n{stderr}");
+        stderr
+    };
+    run(&[]);
+    let figure = std::fs::read_to_string(dir.join("figure5.json")).expect("figure5");
+    let cells = std::fs::read_dir(dir.join("cells"))
+        .expect("cells dir")
+        .filter_map(Result::ok)
+        .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
+        .count();
+    assert!(cells > 0, "the run stored its cells");
+    let all_resumed = format!("{cells}/{cells} cells done ({cells} resumed, 0 computed)");
+
+    // Stores written before the cell file became the only record also
+    // kept a journal of completions; removing it loses nothing.
+    let journal = dir.join("journal.jsonl");
+    std::fs::remove_file(&journal).ok();
+    let stderr = run(&["--resume"]);
+    assert!(
+        stderr.contains(&all_resumed),
+        "want '{all_resumed}':\n{stderr}"
+    );
+
+    // A torn journal left beside the cells is ignored just the same.
+    std::fs::write(&journal, "{\"cell\":\"torn").expect("journal");
+    let stderr = run(&["--resume"]);
+    assert!(
+        stderr.contains(&all_resumed),
+        "want '{all_resumed}':\n{stderr}"
+    );
+    assert_eq!(
+        std::fs::read_to_string(dir.join("figure5.json")).expect("figure5"),
+        figure,
+        "a resume over stored cells rewrites the same figure"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

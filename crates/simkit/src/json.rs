@@ -3,7 +3,7 @@
 //!
 //! Every machine-readable artifact goes through it: the experiment JSON
 //! files `repro --json` writes, the fleet's worker protocol, and its
-//! results store (cell files, journal lines, manifests).
+//! results store (cell files, manifests).
 //!
 //! Objects keep their keys in insertion order: [`render`](Value::render)
 //! writes them in the order they were built, and [`parse`] keeps the
