@@ -40,22 +40,25 @@ pub use shard::{plan_shards, Shard};
 pub use store::{fsck, CellHealth, FsckReport, Manifest, ResultsStore, StoreError, STORE_FORMAT};
 pub use worker::{serve, CellRunner};
 
+use std::sync::OnceLock;
+
 /// The version stamped into run manifests, used to refuse resuming onto
-/// partial results produced by a different build: `git describe --always
-/// --dirty --tags` (developer checkouts), else the crate version.
+/// partial results produced by a different build:
+/// `v{crate version}+{FNV-1a of the running executable's bytes, 16 hex}`,
+/// or `v{crate version}` when the executable cannot be read. It names the
+/// binary, not the directory it was launched from, and is computed once
+/// per process.
 pub fn version_string() -> String {
-    if let Ok(out) = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--tags"])
-        .output()
-    {
-        if out.status.success() {
-            let desc = String::from_utf8_lossy(&out.stdout).trim().to_string();
-            if !desc.is_empty() {
-                return desc;
+    static VERSION: OnceLock<String> = OnceLock::new();
+    VERSION
+        .get_or_init(|| {
+            let version = format!("v{}", env!("CARGO_PKG_VERSION"));
+            match std::env::current_exe().and_then(std::fs::read) {
+                Ok(exe) => format!("{version}+{:016x}", simkit::rng::fnv1a(&exe)),
+                Err(_) => version,
             }
-        }
-    }
-    format!("v{}", env!("CARGO_PKG_VERSION"))
+        })
+        .clone()
 }
 
 /// Parses one numeric `FLEET_*` knob from its raw value (`None` when the
@@ -97,8 +100,15 @@ mod tests {
     use super::parse_knob;
 
     #[test]
-    fn version_string_is_nonempty() {
-        assert!(!super::version_string().is_empty());
+    fn version_string_names_the_crate_version_and_the_binary() {
+        let v = super::version_string();
+        let hash = v
+            .strip_prefix(concat!("v", env!("CARGO_PKG_VERSION"), "+"))
+            .unwrap_or_else(|| panic!("{v}"));
+        assert!(
+            hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()),
+            "{v}"
+        );
     }
 
     #[test]

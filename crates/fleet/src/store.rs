@@ -61,7 +61,8 @@ pub struct Manifest {
     pub groups: Vec<String>,
     /// Monte Carlo plan, when sampling: (mix count, RNG seed).
     pub sample: Option<(u64, u64)>,
-    /// Code version (git-describe-ish; see [`crate::version_string`]).
+    /// Code version: crate version plus a hash of the binary (see
+    /// [`crate::version_string`]).
     pub version: String,
     /// Sorted IDs of every cell the run needs.
     pub cell_ids: Vec<String>,
@@ -325,15 +326,21 @@ impl ResultsStore {
     /// Moves a corrupt cell file to `cells/quarantine/` (kept for
     /// forensics; its absence from `cells/` is what triggers recompute).
     pub fn quarantine_cell(&self, cell_id: &str, why: &str) -> Result<PathBuf, StoreError> {
-        let qdir = self.quarantine_dir();
-        std::fs::create_dir_all(&qdir).map_err(|e| store_err(&qdir, "create", e))?;
-        let from = self.cell_path(cell_id);
-        let to = qdir.join(format!("{cell_id}.json"));
-        std::fs::rename(&from, &to).map_err(|e| store_err(&from, "quarantine", e))?;
+        let to = self.quarantine_file(&format!("{cell_id}.json"))?;
         eprintln!(
             "# store: quarantined corrupt cell {cell_id} ({why}) → {}",
             to.display()
         );
+        Ok(to)
+    }
+
+    /// Moves `cells/<name>` into `cells/quarantine/`, bytes unchanged.
+    fn quarantine_file(&self, name: &str) -> Result<PathBuf, StoreError> {
+        let qdir = self.quarantine_dir();
+        std::fs::create_dir_all(&qdir).map_err(|e| store_err(&qdir, "create", e))?;
+        let from = self.dir.join("cells").join(name);
+        let to = qdir.join(name);
+        std::fs::rename(&from, &to).map_err(|e| store_err(&from, "quarantine", e))?;
         Ok(to)
     }
 
@@ -499,7 +506,7 @@ impl FsckReport {
 /// Audits manifest ↔ cell-file consistency of the store at `dir`: every
 /// cell file must parse, verify its checksum, hash to its filename and
 /// appear in the manifest, and torn `.json.tmp` leftovers are flagged.
-/// With `repair`, corrupt or unknown cell files are quarantined and tmp
+/// With `repair`, corrupt, unknown and stray files are quarantined and tmp
 /// files removed, leaving a store `--resume` completes.
 pub fn fsck(dir: &Path, repair: bool) -> Result<FsckReport, StoreError> {
     let store = ResultsStore::open(dir)?;
@@ -558,6 +565,11 @@ pub fn fsck(dir: &Path, repair: bool) -> Result<FsckReport, StoreError> {
                 kind: "cell",
                 detail: format!("stray file cells/{name}"),
             });
+            if repair {
+                let to = store.quarantine_file(&name)?;
+                r.repairs
+                    .push(format!("quarantined cells/{name} → {}", to.display()));
+            }
             continue;
         };
         let problem = match store.verify_cell(id) {
@@ -843,10 +855,11 @@ mod tests {
             .write_manifest(&manifest(std::slice::from_ref(&a)))
             .expect("manifest");
         write_one(&store, &a);
-        // A torn temp file and a valid-but-foreign cell file.
+        // A torn temp file, a valid-but-foreign cell file and a stray file.
         std::fs::write(dir.join("cells").join("deadbeef.json.tmp"), b"{\"par").expect("tmp");
         let foreign = CellSpec::sweep("G4-1", "ucp", 4, "quick");
         write_one(&store, &foreign);
+        std::fs::write(dir.join("cells").join("notes.txt"), b"scratch").expect("stray");
         let report = fsck(&dir, false).expect("fsck");
         assert!(!report.clean());
         assert!(report.issues.iter().any(|i| i.kind == "tmp"));
@@ -854,9 +867,18 @@ mod tests {
             .issues
             .iter()
             .any(|i| i.kind == "cell" && i.detail.contains("not in the manifest")));
+        assert!(report
+            .issues
+            .iter()
+            .any(|i| i.kind == "cell" && i.detail.contains("stray file cells/notes.txt")));
         let report = fsck(&dir, true).expect("repair");
-        assert!(!report.repairs.is_empty());
-        assert!(fsck(&dir, false).expect("recheck").clean());
+        assert_eq!(report.repairs.len(), 3, "{}", report.render());
+        let recheck = fsck(&dir, false).expect("recheck");
+        assert!(recheck.clean(), "{}", recheck.render());
+        // The stray file is kept, bytes unchanged, beside the foreign cell.
+        let kept = dir.join("cells").join("quarantine").join("notes.txt");
+        assert_eq!(std::fs::read(kept).expect("kept"), b"scratch");
+        assert_eq!(recheck.quarantined, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

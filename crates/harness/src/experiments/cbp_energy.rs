@@ -23,7 +23,9 @@
 use simkit::geometric_mean;
 use simkit::table::Table;
 
-use crate::experiments::{groups_for_cores, run_grid, slacks_or_default, Experiment};
+use crate::experiments::{
+    cached_coordinator_sweep, groups_for_cores, slacks_or_default, Experiment,
+};
 use crate::scale::SimScale;
 
 /// Builds the experiment over `slacks` (falls back to
@@ -32,15 +34,8 @@ pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
     let slacks = slacks_or_default(slacks);
     let groups = groups_for_cores(2);
 
-    // Column layout per group: [coop baseline, then per slack (dvfs, cbp)].
-    let (runs, perf) = run_grid(&groups, 1 + 2 * slacks.len(), scale, |b, j| {
-        if j == 0 {
-            b.policy("cooperative")
-        } else {
-            let policy = if (j - 1) % 2 == 0 { "dvfs" } else { "cbp" };
-            b.policy(policy).qos_slack(slacks[(j - 1) / 2])
-        }
-    });
+    // The grid `dvfs_energy` reads too, so `repro all` simulates it once.
+    let sweep = cached_coordinator_sweep(scale, &slacks);
 
     let mut table = Table::new(
         [
@@ -57,10 +52,10 @@ pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
     let mut cbp_wins: Vec<usize> = vec![0; slacks.len()];
     let mut qos_violations = 0usize;
     for (g, group) in groups.iter().enumerate() {
-        let base = &runs[g][0];
+        let base = sweep.baseline(g);
         for (si, &slack) in slacks.iter().enumerate() {
-            let dvfs = &runs[g][1 + 2 * si];
-            let cbp = &runs[g][2 + 2 * si];
+            let dvfs = sweep.dvfs(g, si);
+            let cbp = sweep.cbp(g, si);
             let e_cbp = cbp.total_energy_nj() / base.total_energy_nj();
             let e_dvfs = dvfs.total_energy_nj() / base.total_energy_nj();
             let ed2p_cbp = cbp.ed2p() / base.ed2p();
@@ -129,6 +124,6 @@ pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
             .to_string(),
         table,
         notes,
-        perf: Some(perf),
+        perf: Some(sweep.perf),
     }
 }

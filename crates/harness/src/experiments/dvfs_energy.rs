@@ -20,7 +20,9 @@ use coop_dvfs::DvfsConfig;
 use simkit::geometric_mean;
 use simkit::table::Table;
 
-use crate::experiments::{groups_for_cores, run_grid, slacks_or_default, Experiment};
+use crate::experiments::{
+    cached_coordinator_sweep, groups_for_cores, slacks_or_default, Experiment,
+};
 use crate::scale::SimScale;
 
 /// Builds the experiment over `slacks` (falls back to
@@ -33,14 +35,9 @@ pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
     // printed frequencies are by construction the ones the cores ran at.
     let template = DvfsConfig::paper_default(0.0);
 
-    // One baseline + one run per slack, for every group, all in parallel.
-    let (runs, perf) = run_grid(&groups, slacks.len() + 1, scale, |b, j| {
-        if j > 0 {
-            b.policy("dvfs").qos_slack(slacks[j - 1])
-        } else {
-            b.policy("cooperative")
-        }
-    });
+    // The grid `cbp_energy` reads too; this figure reads its baseline and
+    // `dvfs` columns.
+    let sweep = cached_coordinator_sweep(scale, &slacks);
 
     let mut table = Table::new(
         [
@@ -65,9 +62,9 @@ pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
     let mut per_slack_ratios: Vec<Vec<f64>> = vec![Vec::new(); slacks.len()];
     let mut per_slack_wins: Vec<usize> = vec![0; slacks.len()];
     for (g, group) in groups.iter().enumerate() {
-        let base = &runs[g][0];
+        let base = sweep.baseline(g);
         for (si, &slack) in slacks.iter().enumerate() {
-            let r = &runs[g][si + 1];
+            let r = sweep.dvfs(g, si);
             let e_ratio = r.total_energy_nj() / base.total_energy_nj();
             let ed2p_ratio = r.ed2p() / base.ed2p();
             let slow: Vec<f64> = base
@@ -131,7 +128,7 @@ pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
         title: "Coordinated DVFS + partitioning vs Cooperative alone (two-core)".to_string(),
         table,
         notes,
-        perf: Some(perf),
+        perf: Some(sweep.perf),
     }
 }
 

@@ -9,9 +9,9 @@
 //! the same way. A single-process sweep is the fleet's own cells run on
 //! local threads ([`cached_sweep_filtered`]), so it and a `--workers` run
 //! are one engine. The threshold and coordinator sweeps run a plain
-//! group × configuration grid (`run_grid`). Every experiment returns an
-//! [`Experiment`] holding a rendered table plus free-form notes comparing
-//! against the paper's reported numbers.
+//! group × configuration grid (`run_grid`), memoized the same way. Every
+//! experiment returns an [`Experiment`] holding a rendered table plus
+//! free-form notes comparing against the paper's reported numbers.
 
 // The perf lines (`perf:` wall/throughput reporting) read wall time;
 // allowlisted here and in simlint's path allowlist.
@@ -421,5 +421,55 @@ pub fn cached_threshold_sweep(scale: SimScale) -> Arc<ThresholdSweep> {
             b.policy("cooperative").threshold(thresholds[t])
         });
         ThresholdSweep { runs, perf }
+    })
+}
+
+/// The coordinator grid behind `dvfs_energy` and `cbp_energy` over the
+/// two-core groups: per group, the Cooperative baseline, `dvfs` at each
+/// slack, then `cbp` at each slack.
+#[derive(Debug)]
+pub(crate) struct CoordinatorSweep {
+    /// `runs[group_idx][column]`, columns as above.
+    runs: Vec<Vec<RunResult>>,
+    /// Number of slack levels.
+    slacks: usize,
+    /// Simulation cost of computing the grid.
+    pub perf: ExperimentPerf,
+}
+
+impl CoordinatorSweep {
+    /// The Cooperative baseline of group `g`.
+    pub fn baseline(&self, g: usize) -> &RunResult {
+        &self.runs[g][0]
+    }
+
+    /// The `dvfs` run of group `g` at slack index `si`.
+    pub fn dvfs(&self, g: usize, si: usize) -> &RunResult {
+        &self.runs[g][1 + si]
+    }
+
+    /// The `cbp` run of group `g` at slack index `si`.
+    pub fn cbp(&self, g: usize, si: usize) -> &RunResult {
+        &self.runs[g][1 + self.slacks + si]
+    }
+}
+
+/// Memoized coordinator grid for (scale, slacks), shared by `dvfs_energy`
+/// and `cbp_energy`.
+pub(crate) fn cached_coordinator_sweep(scale: SimScale, slacks: &[f64]) -> Arc<CoordinatorSweep> {
+    static MEMO: OnceLock<Memo<(&'static str, Vec<f64>), CoordinatorSweep>> = OnceLock::new();
+    let key = (scale.name, slacks.to_vec());
+    memoized(MEMO.get_or_init(Default::default), key, || {
+        let n = slacks.len();
+        let (runs, perf) = run_grid(&groups_for_cores(2), 1 + 2 * n, scale, |b, j| match j {
+            0 => b.policy("cooperative"),
+            j if j <= n => b.policy("dvfs").qos_slack(slacks[j - 1]),
+            j => b.policy("cbp").qos_slack(slacks[j - 1 - n]),
+        });
+        CoordinatorSweep {
+            runs,
+            slacks: n,
+            perf,
+        }
     })
 }

@@ -3,8 +3,8 @@
 //! require the merged figures to be byte-identical to a single-process
 //! run. Also pins the bounded-retry path (a fault that fires once must
 //! not fail the run), the refusal paths (incompatible manifest, done
-//! results without `--resume`), and that a verified cell file alone marks
-//! its cell finished.
+//! results without `--resume`), that a verified cell file alone marks
+//! its cell finished, and that a store resumes from any launch directory.
 //!
 //! The sweeps are restricted to G2-1/G4-1 so the whole file stays fast in
 //! debug CI; `scripts/fleet_smoke.sh` runs the unrestricted release
@@ -275,4 +275,36 @@ fn verified_cells_without_a_completion_record_count_as_done() {
         "a resume over stored cells rewrites the same figure"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The manifest's code version names the binary, not the directory it was
+/// launched from: a store written from inside the checkout resumes under
+/// the same binary launched from anywhere else.
+#[test]
+fn resume_from_outside_the_checkout_accepts_its_own_store() {
+    let dir = tmp("cwd");
+    let elsewhere = tmp("cwd_elsewhere");
+    std::fs::create_dir_all(&elsewhere).expect("elsewhere");
+    let run = |cwd: &Path, extra: &[&str]| {
+        let out = Command::new(REPRO)
+            .args(["fig5", "--scale", "quick", "--group", "G2-1"])
+            .args(["--workers", "2"])
+            .args(extra)
+            .args(["--json", dir.to_str().unwrap()])
+            .current_dir(cwd)
+            .env_remove("FLEET_CHAOS")
+            .output()
+            .expect("repro runs");
+        assert!(
+            out.status.success(),
+            "{extra:?} from {} failed:\n{}",
+            cwd.display(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    run(Path::new(env!("CARGO_MANIFEST_DIR")), &[]);
+    run(&elsewhere, &["--resume"]);
+    for d in [&dir, &elsewhere] {
+        std::fs::remove_dir_all(d).ok();
+    }
 }

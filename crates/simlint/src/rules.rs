@@ -141,9 +141,10 @@ pub const CRATES: &[CrateRule] = &[
     },
 ];
 
-/// Vendored external crates, allowed as a dependency of any crate (they
-/// are offline stand-ins; see `vendor/README.md`).
-pub const EXTERNAL_DEPS: &[&str] = &["criterion", "proptest", "rand"];
+/// Vendored external crates, allowed as a dev-dependency of any crate and
+/// as nothing else (they are offline stand-ins for test tools; see
+/// `vendor/README.md`), so no stand-in can decide a simulation result.
+pub const EXTERNAL_DEPS: &[&str] = &["criterion", "proptest"];
 
 /// Library identifiers of every first-party crate — the set the `use`/path
 /// layering check matches against.

@@ -110,20 +110,27 @@ fn lint_crate(root: &Path, dir: &str, report: &mut Report) {
     }
 }
 
-/// Every `Cargo.toml` dependency must be either a vendored external or a
-/// first-party package allowed by the crate's table row — the manifest
-/// side of the same contract the `use`-path check enforces in code.
+/// Every `Cargo.toml` dependency must be either a vendored external under
+/// `[dev-dependencies]` or a first-party package allowed by the crate's
+/// table row — the manifest side of the same contract the `use`-path check
+/// enforces in code.
 fn check_manifest_deps(
     manifest_rel: &str,
     m: &manifest::CrateManifest,
     rule: &CrateRule,
     report: &mut Report,
 ) {
-    for (name, line) in m.deps.iter().chain(m.dev_deps.iter()) {
-        if EXTERNAL_DEPS.contains(&name.as_str()) {
-            continue;
-        }
+    let deps = m.deps.iter().map(|d| (d, false));
+    let dev_deps = m.dev_deps.iter().map(|d| (d, true));
+    for ((name, line), dev) in deps.chain(dev_deps) {
+        let vendored = EXTERNAL_DEPS.contains(&name.as_str());
         let message = match crate_for_package(name) {
+            _ if vendored && dev => continue,
+            _ if vendored => format!(
+                "crate '{}' depends on vendored '{name}' outside [dev-dependencies]; \
+                 a stand-in may serve tests and benches only",
+                rule.package
+            ),
             Some(_) if rule.deps.contains(&name.as_str()) => continue,
             Some(_) => format!(
                 "crate '{}' depends on first-party '{name}' but the layering table \
@@ -189,14 +196,26 @@ mod tests {
     }
 
     #[test]
-    fn vendored_externals_are_allowed_everywhere() {
-        let m = manifest::parse(
+    fn vendored_externals_are_allowed_as_dev_dependencies_only() {
+        let rule = crate_for_package("memsim").expect("memsim in table");
+        let lint = |text: &str| {
+            let mut report = Report::default();
+            check_manifest_deps(
+                "crates/memsim/Cargo.toml",
+                &manifest::parse(text),
+                rule,
+                &mut report,
+            );
+            report.diagnostics
+        };
+        let dev = lint(
             "[package]\nname = \"memsim\"\n[dependencies]\nsimkit = {}\n\
              [dev-dependencies]\nproptest = {}\ncriterion = {}\n",
         );
-        let rule = crate_for_package("memsim").expect("memsim in table");
-        let mut report = Report::default();
-        check_manifest_deps("crates/memsim/Cargo.toml", &m, rule, &mut report);
-        assert!(report.diagnostics.is_empty());
+        assert!(dev.is_empty(), "{dev:?}");
+        let normal = lint("[package]\nname = \"memsim\"\n[dependencies]\nproptest = {}\n");
+        assert_eq!(normal.len(), 1, "{normal:?}");
+        assert_eq!(normal[0].rule, "layering");
+        assert_eq!(normal[0].line, 4);
     }
 }
