@@ -1,8 +1,8 @@
 //! Sweep cells: the independent unit of fleet work.
 //!
 //! A cell names one simulation the harness knows how to run — a
-//! (workload, policy, scale) combination, or a solo baseline — without
-//! referencing any harness type, so the fleet layer stays a pure
+//! (workload, policy setting, scale) combination, or a solo baseline —
+//! without referencing any harness type, so the fleet layer stays a pure
 //! orchestration substrate. Cells carry *stable content-hashed IDs*: the
 //! same cell always hashes to the same ID across processes, machines and
 //! runs, which is what makes resume (diff the manifest against the done
@@ -46,8 +46,10 @@ pub struct CellSpec {
     /// Workload spec (group name, ad-hoc mix, `trace:` path) for sweep
     /// cells; the single member name for solo cells.
     pub workload: String,
-    /// Policy registry name (sweep cells; solo baselines run the fixed
-    /// solo configuration and keep this empty).
+    /// Policy setting (sweep cells): a registry name, optionally with one
+    /// `@KEY=VALUE` knob such as `cooperative@t=0.05`, which the harness
+    /// parses. Solo baselines run the fixed solo configuration and keep
+    /// this empty.
     pub policy: String,
     /// System core count: the workload's arity for sweep cells, and the
     /// LLC-geometry selector for solo cells.

@@ -259,7 +259,7 @@ fn main() {
             eprintln!("--resume needs --workers: resuming is a fleet-mode operation");
             std::process::exit(2);
         }
-        let list = if let Some(plan) = &plan {
+        if let Some(plan) = &plan {
             match fleet_run::run_sample_inprocess(scale, &policies, plan) {
                 Ok(list) => list,
                 Err(e) => {
@@ -269,20 +269,7 @@ fn main() {
             }
         } else {
             select(&what, scale, &slacks, &policies, &groups)
-        };
-        // Single-process runs of fleet-capable targets still record a
-        // manifest beside their JSON output, so a later fleet `--resume`
-        // (or a human) can tell exactly what configuration produced the
-        // directory — and refuse an incompatible one.
-        if let Some(dir) = &json_dir {
-            if let Err(e) =
-                write_single_process_manifest(&what, scale, &policies, &groups, plan.as_ref(), dir)
-            {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
         }
-        list
     };
 
     if list.is_empty() {
@@ -494,34 +481,6 @@ fn run_inspect(args: &[String]) {
     });
 }
 
-/// Satellite of fleet mode: a plain `--json` run of a fleet-capable
-/// target writes the same manifest a fleet run would, gated by the same
-/// compatibility check against whatever is already in the directory.
-fn write_single_process_manifest(
-    what: &str,
-    scale: SimScale,
-    policies: &[&'static str],
-    groups: &[String],
-    plan: Option<&SamplePlan>,
-    dir: &str,
-) -> Result<(), String> {
-    let Some(cells) = fleet_run::cells_for_target(what, scale, policies, groups, plan) else {
-        return Ok(()); // not fleet-capable; nothing to record
-    };
-    let cells = cells?;
-    if cells.is_empty() {
-        return Ok(());
-    }
-    let store = fleet::ResultsStore::open(dir).map_err(|e| e.to_string())?;
-    let manifest = fleet_run::manifest_for(what, scale, policies, groups, plan, &cells);
-    if let Some(existing) = store.read_manifest().map_err(|e| e.to_string())? {
-        manifest.compatible_with(&existing).map_err(|e| {
-            format!("{e}\nthis --json directory belongs to a different run configuration; use a fresh one")
-        })?;
-    }
-    store.write_manifest(&manifest).map_err(|e| e.to_string())
-}
-
 /// Prints a one-line usage error and exits 2.
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -584,10 +543,9 @@ fn memo_figures(
 ) -> Vec<Experiment> {
     let policies = fleet_run::target_policies(policies, false);
     let figures = fleet_run::sweep_figures(layout, groups, |cores| {
-        let sweep = experiments::cached_sweep_filtered(cores, scale, &policies, groups)
-            .expect("sweep_figures skips core counts without groups");
-        let perf = sweep.perf();
-        Ok((sweep, perf))
+        let grid = fleet_run::Grid::sweep(cores, scale, &policies, groups);
+        Ok(experiments::cached_sweep_filtered(&grid)
+            .expect("sweep_figures skips core counts without groups"))
     });
     figures.unwrap_or_else(|e| panic!("{e}"))
 }

@@ -23,19 +23,18 @@
 use simkit::geometric_mean;
 use simkit::table::Table;
 
-use crate::experiments::{
-    cached_coordinator_sweep, groups_for_cores, slacks_or_default, Experiment,
-};
+use crate::experiments::{cached_sweep_filtered, coordinator_grid, slacks_or_default, Experiment};
+use crate::policies::Knob;
 use crate::scale::SimScale;
 
 /// Builds the experiment over `slacks` (falls back to
 /// [`DEFAULT_SLACKS`](crate::experiments::DEFAULT_SLACKS) when empty).
 pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
     let slacks = slacks_or_default(slacks);
-    let groups = groups_for_cores(2);
 
     // The grid `dvfs_energy` reads too, so `repro all` simulates it once.
-    let sweep = cached_coordinator_sweep(scale, &slacks);
+    let sweep = cached_sweep_filtered(&coordinator_grid(scale, &slacks))
+        .expect("the registry has two-core groups");
 
     let mut table = Table::new(
         [
@@ -51,11 +50,11 @@ pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
     let mut dvfs_ratios: Vec<Vec<f64>> = vec![Vec::new(); slacks.len()];
     let mut cbp_wins: Vec<usize> = vec![0; slacks.len()];
     let mut qos_violations = 0usize;
-    for (g, group) in groups.iter().enumerate() {
-        let base = sweep.baseline(g);
+    for (g, group) in sweep.groups.iter().enumerate() {
+        let base = sweep.run(g, "cooperative");
         for (si, &slack) in slacks.iter().enumerate() {
-            let dvfs = sweep.dvfs(g, si);
-            let cbp = sweep.cbp(g, si);
+            let dvfs = sweep.run(g, &Knob::QosSlack(slack).setting("dvfs"));
+            let cbp = sweep.run(g, &Knob::QosSlack(slack).setting("cbp"));
             let e_cbp = cbp.total_energy_nj() / base.total_energy_nj();
             let e_dvfs = dvfs.total_energy_nj() / base.total_energy_nj();
             let ed2p_cbp = cbp.ed2p() / base.ed2p();
@@ -107,7 +106,7 @@ pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
         notes.push(format!(
             "slack {slack:.2}: {} of {} groups are CBP wins (lower energy, every core within 1+slack); geomean E/base cbp {avg_cbp:.3} vs dvfs {avg_dvfs:.3}",
             cbp_wins[si],
-            groups.len()
+            sweep.groups.len()
         ));
     }
     notes.push(format!(

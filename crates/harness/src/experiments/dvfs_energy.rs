@@ -20,16 +20,14 @@ use coop_dvfs::DvfsConfig;
 use simkit::geometric_mean;
 use simkit::table::Table;
 
-use crate::experiments::{
-    cached_coordinator_sweep, groups_for_cores, slacks_or_default, Experiment,
-};
+use crate::experiments::{cached_sweep_filtered, coordinator_grid, slacks_or_default, Experiment};
+use crate::policies::Knob;
 use crate::scale::SimScale;
 
 /// Builds the experiment over `slacks` (falls back to
 /// [`DEFAULT_SLACKS`](crate::experiments::DEFAULT_SLACKS) when empty).
 pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
     let slacks = slacks_or_default(slacks);
-    let groups = groups_for_cores(2);
     // One controller configuration template: the runs derive from it (per
     // slack) and the residency column labels read its V/f table, so the
     // printed frequencies are by construction the ones the cores ran at.
@@ -37,7 +35,8 @@ pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
 
     // The grid `cbp_energy` reads too; this figure reads its baseline and
     // `dvfs` columns.
-    let sweep = cached_coordinator_sweep(scale, &slacks);
+    let sweep = cached_sweep_filtered(&coordinator_grid(scale, &slacks))
+        .expect("the registry has two-core groups");
 
     let mut table = Table::new(
         [
@@ -61,10 +60,10 @@ pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
     let mut notes = Vec::new();
     let mut per_slack_ratios: Vec<Vec<f64>> = vec![Vec::new(); slacks.len()];
     let mut per_slack_wins: Vec<usize> = vec![0; slacks.len()];
-    for (g, group) in groups.iter().enumerate() {
-        let base = sweep.baseline(g);
+    for (g, group) in sweep.groups.iter().enumerate() {
+        let base = sweep.run(g, "cooperative");
         for (si, &slack) in slacks.iter().enumerate() {
-            let r = sweep.dvfs(g, si);
+            let r = sweep.run(g, &Knob::QosSlack(slack).setting("dvfs"));
             let e_ratio = r.total_energy_nj() / base.total_energy_nj();
             let ed2p_ratio = r.ed2p() / base.ed2p();
             let slow: Vec<f64> = base
@@ -111,7 +110,7 @@ pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
         notes.push(format!(
             "slack {slack:.2}: {} of {} groups win (lower energy, every core within 1+slack); geomean E/base {avg:.3}",
             per_slack_wins[si],
-            groups.len()
+            sweep.groups.len()
         ));
     }
     notes.push(

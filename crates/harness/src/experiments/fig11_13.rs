@@ -5,7 +5,9 @@
 use simkit::geometric_mean;
 use simkit::table::Table;
 
-use crate::experiments::{cached_threshold_sweep, groups_for_cores, Experiment};
+use crate::experiments::{cached_sweep_filtered, Experiment};
+use crate::fleet_run::Grid;
+use crate::policies::Knob;
 use crate::scale::SimScale;
 
 /// The threshold values the paper sweeps (Section 5.1).
@@ -22,11 +24,25 @@ pub enum ThresholdMetric {
     StaticEnergy,
 }
 
+/// The threshold grid: the two-core groups under Cooperative at each of
+/// [`THRESHOLDS`], plus their solo baselines.
+pub fn threshold_grid(scale: SimScale) -> Grid {
+    Grid {
+        cores: 2,
+        scale,
+        settings: THRESHOLDS
+            .iter()
+            .map(|&t| Knob::Threshold(t).setting("cooperative"))
+            .collect(),
+        group_filter: Vec::new(),
+        solo: true,
+    }
+}
+
 /// Builds Figure 11, 12 or 13.
 pub fn figure(metric: ThresholdMetric, scale: SimScale) -> Experiment {
-    let sweep = cached_threshold_sweep(scale);
-    let groups = groups_for_cores(2);
-    let llc = crate::solo::solo_llc(2);
+    let grid = threshold_grid(scale);
+    let sweep = cached_sweep_filtered(&grid).expect("the registry has two-core groups");
     let (id, title) = match metric {
         ThresholdMetric::Performance => (
             "Figure 11",
@@ -47,12 +63,11 @@ pub fn figure(metric: ThresholdMetric, scale: SimScale) -> Experiment {
     let mut table = Table::new(headers);
     let mut per_threshold: Vec<Vec<f64>> = vec![Vec::new(); THRESHOLDS.len()];
 
-    for (g, group) in groups.iter().enumerate() {
-        let ipc_alone = crate::solo::ipc_alone_for(group, llc, scale);
+    for (g, group) in sweep.groups.iter().enumerate() {
         let value = |t: usize| -> f64 {
-            let r = &sweep.runs[g][t];
+            let r = sweep.run(g, &grid.settings[t]);
             match metric {
-                ThresholdMetric::Performance => r.weighted_speedup(&ipc_alone),
+                ThresholdMetric::Performance => r.weighted_speedup(&sweep.ipc_alone[g]),
                 ThresholdMetric::DynamicEnergy => r.energy.dynamic_nj,
                 ThresholdMetric::StaticEnergy => r.energy.static_nj,
             }

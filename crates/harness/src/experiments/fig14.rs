@@ -16,8 +16,8 @@ pub fn figure(scale: SimScale) -> Experiment {
 
     let mut totals = [0u64; 4];
     let mut donor_hit_plus_recipient_miss = Vec::new();
-    for (g, run) in sweep.policy_runs("cooperative").enumerate() {
-        let ev = run.takeover_events;
+    for g in 0..sweep.groups.len() {
+        let ev = sweep.run(g, "cooperative").takeover_events;
         let total: u64 = ev.iter().sum();
         for (t, &e) in totals.iter_mut().zip(ev.iter()) {
             *t += e;
@@ -64,6 +64,6 @@ pub fn figure(scale: SimScale) -> Experiment {
         notes: vec![format!(
             "paper: donor hits + recipient misses are ~2/3 of events in most groups; measured average {two_thirds:.2}"
         )],
-        perf: Some(sweep.perf()),
+        perf: Some(sweep.perf),
     }
 }

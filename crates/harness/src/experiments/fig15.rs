@@ -72,6 +72,6 @@ pub fn figure(scale: SimScale) -> Experiment {
         title: "Cycles taken to transfer a way".to_string(),
         table,
         notes: vec![note],
-        perf: Some(sweep.perf()),
+        perf: Some(sweep.perf),
     }
 }

@@ -69,7 +69,7 @@ pub fn figure(scale: SimScale) -> Experiment {
                 scale.name, cp_lines, ucp_lines
             ),
         ],
-        perf: Some(sweep.perf()),
+        perf: Some(sweep.perf),
     }
 }
 

@@ -28,12 +28,17 @@ impl Metric {
         Metric::StaticEnergy,
     ];
 
+    /// The metric of group `g` under `policy`, normalized to Fair Share.
     fn of(self, sweep: &Sweep, g: usize, policy: &str) -> f64 {
-        match self {
-            Metric::WeightedSpeedup => sweep.ws_normalized(g, policy),
-            Metric::DynamicEnergy => sweep.dynamic_normalized(g, policy),
-            Metric::StaticEnergy => sweep.static_normalized(g, policy),
-        }
+        let value = |p: &str| {
+            let r = sweep.run(g, p);
+            match self {
+                Metric::WeightedSpeedup => r.weighted_speedup(&sweep.ipc_alone[g]),
+                Metric::DynamicEnergy => r.energy.dynamic_nj,
+                Metric::StaticEnergy => r.energy.static_nj,
+            }
+        };
+        value(policy) / value("fair")
     }
 }
 
@@ -100,7 +105,7 @@ pub fn figure_from(
         sweep
             .policies
             .iter()
-            .position(|&p| p == name)
+            .position(|p| p == name)
             .map(|i| avgs[i])
     };
     // Paper-comparison notes only apply to the paper's 2-/4-core sweeps.

@@ -1,17 +1,17 @@
 //! One module per paper table/figure, plus shared sweep machinery.
 //!
-//! The sweeps enumerate *policies by registry name* (see
-//! [`crate::policies::policy_registry`]) and *workload groups by registry
-//! resolution* (see [`crate::workload_registry`]): Figures 5-7 (and 8-10,
-//! and the 8-core extension) all read from the same group × policy sweep,
-//! so sweeps are memoized process-wide by (core count, scale, policy
-//! list, group list); the threshold sweep behind Figures 11-13 is cached
-//! the same way. A single-process sweep is the fleet's own cells run on
-//! local threads ([`cached_sweep_filtered`]), so it and a `--workers` run
-//! are one engine. The threshold and coordinator sweeps run a plain
-//! group × configuration grid (`run_grid`), memoized the same way. Every
-//! experiment returns an [`Experiment`] holding a rendered table plus
-//! free-form notes comparing against the paper's reported numbers.
+//! The sweeps enumerate *policy settings* (a registry name from
+//! [`crate::policies::policy_registry`], optionally with one builder knob:
+//! see [`PolicySetting`]) and *workload groups by registry resolution*
+//! (see [`crate::workload_registry`]). Every simulated figure reads a
+//! [`Sweep`] of one [`Grid`]: Figures 5-10 and the 8-core extension the
+//! group × policy grids, Figures 11-13 the Cooperative threshold grid, and
+//! `dvfs_energy`/`cbp_energy` the coordinator slack grid. A sweep is the
+//! fleet's own cells run on local threads ([`cached_sweep_filtered`]), so
+//! it and a `--workers` run are one engine, and it is memoized
+//! process-wide per grid. Table 3 runs its solo cells on the same engine.
+//! Every experiment returns an [`Experiment`] holding a rendered table
+//! plus free-form notes comparing against the paper's reported numbers.
 
 // The perf lines (`perf:` wall/throughput reporting) read wall time;
 // allowlisted here and in simlint's path allowlist.
@@ -30,16 +30,17 @@ pub mod table3;
 pub mod table4;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use coop_core::PAPER_POLICIES;
 use simkit::table::Table;
 use workloads::ResolvedWorkload;
 
-use crate::fleet_run;
+use crate::fleet_run::{self, Grid};
+use crate::policies::{Knob, PolicySetting};
 use crate::scale::SimScale;
 use crate::solo;
-use crate::system::{RunResult, System, SystemBuilder};
+use crate::system::{RunResult, System};
 
 /// Simulation cost behind one experiment: the wall-clock its backing runs
 /// took and how many LLC demand accesses they simulated. This is the
@@ -145,36 +146,25 @@ impl Experiment {
     }
 }
 
-/// All runs of one core-count sweep: `runs[group][policy]`, with policies
-/// enumerated by registry name and groups resolved through the workload
-/// registry.
+/// All runs of one [`Grid`]: `runs[group][policy]`, with policies named by
+/// setting and groups resolved through the workload registry.
 #[derive(Debug)]
 pub struct Sweep {
-    /// 2, 4 or 8.
-    pub cores: usize,
-    /// Canonical policy names, in run order (the columns of `runs`).
-    pub policies: Vec<&'static str>,
+    /// Canonical policy setting names, in run order (the columns of
+    /// `runs`).
+    pub policies: Vec<String>,
     /// The resolved workload groups, in registry order.
     pub groups: Vec<ResolvedWorkload>,
     /// `runs[group_idx][policy_idx]`.
     pub runs: Vec<Vec<RunResult>>,
-    /// Solo IPCs per group (aligned with group member order).
+    /// Solo IPCs per group (aligned with group member order; empty when
+    /// the grid has no solo baselines).
     pub ipc_alone: Vec<Vec<f64>>,
-    /// Wall-clock seconds the sweep took to compute (solo baselines
-    /// included; 0 once memoized).
-    pub wall_seconds: f64,
-    /// LLC demand accesses simulated *while computing this sweep*: every
-    /// (group, policy) cell plus the solo baselines this call ran itself
-    /// (baselines served from the process-wide cache are excluded, so
-    /// accesses-per-second never counts work the wall-clock did not pay).
-    pub sim_accesses: u64,
-}
-
-impl Sweep {
-    /// The sweep's simulation cost as an [`ExperimentPerf`].
-    pub fn perf(&self) -> ExperimentPerf {
-        ExperimentPerf::local(self.wall_seconds, self.sim_accesses)
-    }
+    /// The cost of computing the sweep: its wall-clock, and the LLC demand
+    /// accesses of every cell it ran, counting no solo baseline the
+    /// process already held (so accesses-per-second never counts work the
+    /// wall-clock did not pay).
+    pub perf: ExperimentPerf,
 }
 
 impl Sweep {
@@ -186,38 +176,19 @@ impl Sweep {
     pub fn policy_idx(&self, name: &str) -> usize {
         self.policies
             .iter()
-            .position(|&p| p == name)
+            .position(|p| p == name)
             .unwrap_or_else(|| panic!("policy '{name}' not in this sweep: {:?}", self.policies))
+    }
+
+    /// The run of group `g` under `policy` (a setting name; panics when
+    /// the policy was not part of the sweep).
+    pub fn run(&self, g: usize, policy: &str) -> &RunResult {
+        &self.runs[g][self.policy_idx(policy)]
     }
 
     /// Display label of the policy at `idx`.
     pub fn label(&self, idx: usize) -> &str {
         &self.runs[0][idx].label
-    }
-
-    /// Weighted speedup of `(group, policy)` normalized to Fair Share.
-    pub fn ws_normalized(&self, g: usize, policy: &str) -> f64 {
-        let fair = self.runs[g][self.policy_idx("fair")].weighted_speedup(&self.ipc_alone[g]);
-        let this = self.runs[g][self.policy_idx(policy)].weighted_speedup(&self.ipc_alone[g]);
-        this / fair
-    }
-
-    /// Dynamic energy normalized to Fair Share.
-    pub fn dynamic_normalized(&self, g: usize, policy: &str) -> f64 {
-        let fair = self.runs[g][self.policy_idx("fair")].energy.dynamic_nj;
-        self.runs[g][self.policy_idx(policy)].energy.dynamic_nj / fair
-    }
-
-    /// Static energy normalized to Fair Share.
-    pub fn static_normalized(&self, g: usize, policy: &str) -> f64 {
-        let fair = self.runs[g][self.policy_idx("fair")].energy.static_nj;
-        self.runs[g][self.policy_idx(policy)].energy.static_nj / fair
-    }
-
-    /// All runs for one policy.
-    pub fn policy_runs(&self, policy: &str) -> impl Iterator<Item = &RunResult> {
-        let idx = self.policy_idx(policy);
-        self.runs.iter().map(move |per_group| &per_group[idx])
     }
 }
 
@@ -241,17 +212,24 @@ pub fn groups_for_cores(cores: usize) -> Vec<ResolvedWorkload> {
         .collect()
 }
 
-/// Runs one (workload, policy) cell; `policy` is a registry name.
+/// Runs one (workload, policy setting) cell; panics on a malformed setting.
 pub fn run_group(workload: &ResolvedWorkload, policy: &str, scale: SimScale) -> RunResult {
-    let canonical = crate::policies::policy_registry()
-        .resolve(policy)
-        .unwrap_or_else(|| panic!("unknown policy '{policy}'"));
-    let mut sys = System::builder()
+    let setting = PolicySetting::parse(policy).unwrap_or_else(|e| panic!("{e}"));
+    run_setting(workload, &setting, scale)
+}
+
+/// Runs one (workload, policy setting) cell: the one place a sweep cell's
+/// system is assembled.
+pub fn run_setting(
+    workload: &ResolvedWorkload,
+    setting: &PolicySetting,
+    scale: SimScale,
+) -> RunResult {
+    let builder = System::builder()
         .workload_resolved(workload.clone())
-        .policy(canonical)
-        .scale(scale)
-        .build();
-    if canonical == "cpe" {
+        .scale(scale);
+    let mut sys = setting.configure(builder).build();
+    if setting.policy == "cpe" {
         sys.set_cpe_profile(solo::cpe_profile_for(
             workload,
             solo::solo_llc(workload.cores()),
@@ -291,36 +269,6 @@ pub(crate) fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + 
         .collect()
 }
 
-/// Runs `width` configurations of every group on the local thread pool:
-/// `runs[g][j]` is configuration `j` of `groups[g]`, where `configure`
-/// finishes a builder that already holds the group and the scale. Returns
-/// the runs with their cost.
-pub(crate) fn run_grid(
-    groups: &[ResolvedWorkload],
-    width: usize,
-    scale: SimScale,
-    configure: impl Fn(SystemBuilder, usize) -> SystemBuilder + Sync,
-) -> (Vec<Vec<RunResult>>, ExperimentPerf) {
-    let started = std::time::Instant::now();
-    let jobs: Vec<(usize, usize)> = (0..groups.len())
-        .flat_map(|g| (0..width).map(move |j| (g, j)))
-        .collect();
-    let flat = parallel_map(&jobs, |&(g, j)| {
-        let builder = System::builder()
-            .workload_resolved(groups[g].clone())
-            .scale(scale);
-        configure(builder, j).build().run()
-    });
-    let sim_accesses = flat.iter().flat_map(|r| r.accesses.iter()).sum();
-    let mut flat = flat.into_iter();
-    let runs = groups
-        .iter()
-        .map(|_| flat.by_ref().take(width).collect())
-        .collect();
-    let perf = ExperimentPerf::local(started.elapsed().as_secs_f64(), sim_accesses);
-    (runs, perf)
-}
-
 /// Default QoS slack sweep of the coordinator experiments (fractional
 /// allowed slowdown per core).
 pub const DEFAULT_SLACKS: [f64; 3] = [0.05, 0.10, 0.20];
@@ -334,142 +282,54 @@ pub(crate) fn slacks_or_default(slacks: &[f64]) -> Vec<f64> {
     }
 }
 
-/// A process-wide memo: entries computed once per key and shared.
-type Memo<K, V> = Mutex<Vec<(K, Arc<V>)>>;
-
-/// The memo's entry for `key`, computing it on a miss. The lock is not held
-/// while computing, so independent entries compute concurrently.
-fn memoized<K: PartialEq, V>(memo: &Memo<K, V>, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
-    if let Some((_, hit)) = memo.lock().expect("memo").iter().find(|(k, _)| *k == key) {
-        return Arc::clone(hit);
-    }
-    let value = Arc::new(compute());
-    memo.lock().expect("memo").push((key, Arc::clone(&value)));
-    value
-}
-
 /// Memoized sweep for (cores, scale) over the five paper policies.
 pub fn cached_sweep(cores: usize, scale: SimScale) -> Arc<Sweep> {
-    cached_sweep_filtered(cores, scale, &PAPER_POLICIES, &[])
+    cached_sweep_filtered(&Grid::sweep(cores, scale, &PAPER_POLICIES, &[]))
         .expect("the registry always has groups for 2/4/8 cores")
 }
 
-/// Memoized sweep for (cores, scale) over an explicit policy list
-/// (canonical registry names; the Fair Share baseline is added when
-/// missing, since every figure normalizes to it), restricted to the named
-/// groups (canonical registry group names; an empty filter keeps every
-/// group of the core count). Returns `None` when the filter leaves no
-/// group at this core count.
+/// The memoized sweep of a grid, or `None` when its group filter leaves
+/// no group. Memoized per grid, not per cell: experiments that read one
+/// grid share its runs and report its cost, and a grid computed once in
+/// a process is never recomputed.
 ///
-/// The sweep runs the fleet's own cells ([`fleet_run::sweep_cells`]) on
-/// the local thread pool and folds their payloads with
+/// The sweep runs the grid's cells ([`Grid::cells`]) on the local thread
+/// pool with the fleet's own cell runner and folds their payloads with
 /// [`fleet_run::merge_sweep`], so a single-process sweep and a fleet run
-/// are one engine. `scale` must be a named preset: cells resolve their
-/// scale by name.
-pub fn cached_sweep_filtered(
-    cores: usize,
-    scale: SimScale,
-    policies: &[&'static str],
-    group_filter: &[String],
-) -> Option<Arc<Sweep>> {
-    /// Keyed by `(cores, scale name, policies with Fair Share, group labels)`.
-    type SweepKey = (usize, &'static str, Vec<&'static str>, Vec<String>);
-    static MEMO: OnceLock<Memo<SweepKey, Sweep>> = OnceLock::new();
-    let groups = fleet_run::filtered_groups(cores, group_filter);
-    if groups.is_empty() {
+/// are one engine. The grid's scale must be a named preset: cells resolve
+/// their scale by name.
+pub fn cached_sweep_filtered(grid: &Grid) -> Option<Arc<Sweep>> {
+    static MEMO: Mutex<Vec<(Grid, Arc<Sweep>)>> = Mutex::new(Vec::new());
+    if fleet_run::filtered_groups(grid.cores, &grid.group_filter).is_empty() {
         return None;
     }
-    let key: SweepKey = (
-        cores,
-        scale.name,
-        fleet_run::policies_with_fair(policies),
-        groups.iter().map(|g| g.label.clone()).collect(),
-    );
-    Some(memoized(MEMO.get_or_init(Default::default), key, || {
-        let cells = fleet_run::sweep_cells(&[cores], scale, policies, group_filter);
-        let run = fleet_run::run_cells_local(&cells).unwrap_or_else(|e| panic!("{e}"));
-        fleet_run::merge_sweep(
-            &|cell| run.lookup(cell),
-            cores,
-            scale,
-            policies,
-            group_filter,
-            run.perf.wall_seconds,
-            run.perf.sim_accesses,
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-    }))
-}
-
-/// The Cooperative-scheme threshold sweep behind Figures 11-13:
-/// `runs[group][threshold]` plus its simulation cost.
-#[derive(Debug)]
-pub struct ThresholdSweep {
-    /// `runs[group_idx][threshold_idx]` for [`fig11_13::THRESHOLDS`].
-    pub runs: Vec<Vec<RunResult>>,
-    /// Simulation cost of computing the sweep.
-    pub perf: ExperimentPerf,
-}
-
-/// Memoized Cooperative-scheme threshold sweep over the two-core groups
-/// (Figures 11-13).
-pub fn cached_threshold_sweep(scale: SimScale) -> Arc<ThresholdSweep> {
-    static MEMO: OnceLock<Memo<&'static str, ThresholdSweep>> = OnceLock::new();
-    memoized(MEMO.get_or_init(Default::default), scale.name, || {
-        let thresholds = fig11_13::THRESHOLDS;
-        let (runs, perf) = run_grid(&groups_for_cores(2), thresholds.len(), scale, |b, t| {
-            b.policy("cooperative").threshold(thresholds[t])
-        });
-        ThresholdSweep { runs, perf }
-    })
-}
-
-/// The coordinator grid behind `dvfs_energy` and `cbp_energy` over the
-/// two-core groups: per group, the Cooperative baseline, `dvfs` at each
-/// slack, then `cbp` at each slack.
-#[derive(Debug)]
-pub(crate) struct CoordinatorSweep {
-    /// `runs[group_idx][column]`, columns as above.
-    runs: Vec<Vec<RunResult>>,
-    /// Number of slack levels.
-    slacks: usize,
-    /// Simulation cost of computing the grid.
-    pub perf: ExperimentPerf,
-}
-
-impl CoordinatorSweep {
-    /// The Cooperative baseline of group `g`.
-    pub fn baseline(&self, g: usize) -> &RunResult {
-        &self.runs[g][0]
+    if let Some((_, hit)) = MEMO.lock().expect("memo").iter().find(|(g, _)| g == grid) {
+        return Some(Arc::clone(hit));
     }
-
-    /// The `dvfs` run of group `g` at slack index `si`.
-    pub fn dvfs(&self, g: usize, si: usize) -> &RunResult {
-        &self.runs[g][1 + si]
-    }
-
-    /// The `cbp` run of group `g` at slack index `si`.
-    pub fn cbp(&self, g: usize, si: usize) -> &RunResult {
-        &self.runs[g][1 + self.slacks + si]
-    }
+    // The lock is not held while computing, so independent grids compute
+    // concurrently.
+    let run = fleet_run::run_cells_local(&grid.cells()).unwrap_or_else(|e| panic!("{e}"));
+    let sweep = fleet_run::merge_sweep(&|cell| run.lookup(cell), grid, run.perf);
+    let sweep = Arc::new(sweep.unwrap_or_else(|e| panic!("{e}")));
+    MEMO.lock()
+        .expect("memo")
+        .push((grid.clone(), Arc::clone(&sweep)));
+    Some(sweep)
 }
 
-/// Memoized coordinator grid for (scale, slacks), shared by `dvfs_energy`
-/// and `cbp_energy`.
-pub(crate) fn cached_coordinator_sweep(scale: SimScale, slacks: &[f64]) -> Arc<CoordinatorSweep> {
-    static MEMO: OnceLock<Memo<(&'static str, Vec<f64>), CoordinatorSweep>> = OnceLock::new();
-    let key = (scale.name, slacks.to_vec());
-    memoized(MEMO.get_or_init(Default::default), key, || {
-        let n = slacks.len();
-        let (runs, perf) = run_grid(&groups_for_cores(2), 1 + 2 * n, scale, |b, j| match j {
-            0 => b.policy("cooperative"),
-            j if j <= n => b.policy("dvfs").qos_slack(slacks[j - 1]),
-            j => b.policy("cbp").qos_slack(slacks[j - 1 - n]),
-        });
-        CoordinatorSweep {
-            runs,
-            slacks: n,
-            perf,
-        }
-    })
+/// The coordinator grid behind `dvfs_energy` and `cbp_energy`: the
+/// two-core groups under the Cooperative baseline, `dvfs` at each slack
+/// and `cbp` at each slack, with no solo baselines and no Fair Share.
+pub fn coordinator_grid(scale: SimScale, slacks: &[f64]) -> Grid {
+    let mut settings = vec!["cooperative".to_string()];
+    for policy in ["dvfs", "cbp"] {
+        settings.extend(slacks.iter().map(|&s| Knob::QosSlack(s).setting(policy)));
+    }
+    Grid {
+        cores: 2,
+        scale,
+        settings,
+        group_filter: Vec::new(),
+        solo: false,
+    }
 }

@@ -1,19 +1,22 @@
 //! Table 3: solo LLC MPKI classification of the 19 benchmark models,
 //! measured against the paper's published values.
 
-use std::sync::Arc;
-
+use fleet::CellSpec;
 use simkit::table::Table;
-use workloads::{classify_mpki, Benchmark, SyntheticWorkload, WorkloadFactory};
+use workloads::{classify_mpki, Benchmark};
 
 use crate::experiments::Experiment;
+use crate::fleet_run;
 use crate::scale::SimScale;
-use crate::solo;
 
-/// Builds Table 3 by running every benchmark solo in the two-core LLC.
+/// Builds Table 3 from every benchmark's solo cell in the two-core LLC,
+/// run on the local thread pool.
 pub fn table(scale: SimScale) -> Experiment {
-    let started = std::time::Instant::now();
-    let llc = solo::solo_llc(2);
+    let cells: Vec<CellSpec> = Benchmark::ALL
+        .iter()
+        .map(|b| CellSpec::solo(b.name(), 2, scale.name))
+        .collect();
+    let run = fleet_run::run_cells_local(&cells).unwrap_or_else(|e| panic!("{e}"));
     let mut t = Table::new(vec![
         "Benchmark".to_string(),
         "MPKI (paper)".to_string(),
@@ -23,15 +26,11 @@ pub fn table(scale: SimScale) -> Experiment {
         "Match".to_string(),
     ]);
     let mut matches = 0;
-    let mut sim_accesses = 0u64;
-    for b in Benchmark::ALL {
-        let factory: Arc<dyn WorkloadFactory> = Arc::new(SyntheticWorkload::new(b));
-        let (r, computed) = solo::solo_result_tracked(&factory, llc, scale);
-        if computed {
-            // Cached baselines cost this table no time; counting their
-            // accesses would inflate the perf line's throughput.
-            sim_accesses += r.accesses;
-        }
+    for (b, cell) in Benchmark::ALL.into_iter().zip(&cells) {
+        let r = run
+            .lookup(cell)
+            .and_then(|v| fleet_run::solo_from_value(&v))
+            .unwrap_or_else(|e| panic!("{e}"));
         let paper_class = classify_mpki(b.paper_mpki());
         let measured_class = classify_mpki(r.mpki);
         let ok = paper_class == measured_class;
@@ -54,9 +53,6 @@ pub fn table(scale: SimScale) -> Experiment {
             Benchmark::ALL.len(),
             scale.name
         )],
-        perf: Some(crate::experiments::ExperimentPerf::local(
-            started.elapsed().as_secs_f64(),
-            sim_accesses,
-        )),
+        perf: Some(run.perf),
     }
 }

@@ -1,15 +1,15 @@
 //! Harness side of fleet orchestration, and the one sweep engine: the
 //! [`fleet::CellRunner`] that executes one sweep cell, bit-exact
 //! serialization of [`RunResult`] / solo baselines through
-//! [`simkit::json`], cell enumeration for the sweep targets, and the merge
+//! [`simkit::json`], cell enumeration for the sweep grids, and the merge
 //! that folds finished cells back into a [`Sweep`].
 //!
 //! A single-process sweep is the same cells run on local threads:
-//! [`experiments::cached_sweep_filtered`] enumerates [`sweep_cells`], runs
-//! them with [`run_cells_local`] and folds the payloads with
+//! [`experiments::cached_sweep_filtered`] enumerates a [`Grid`]'s cells,
+//! runs them with [`run_cells_local`] and folds the payloads with
 //! [`merge_sweep`], exactly as a fleet run folds its results store. So
 //! [`merge_sweep`] is the only code that assembles a [`Sweep`], and
-//! [`sweep_targets`] is the only table of sweep targets.
+//! [`sweep_targets`] is the only table of fleet-capable sweep targets.
 //!
 //! Bit-identity is the contract: every `f64` crosses the worker protocol
 //! and the results store via Rust's shortest-roundtrip formatting and
@@ -36,6 +36,7 @@ use workloads::ResolvedWorkload;
 use crate::experiments::fig5_10::{figure_from, Metric};
 use crate::experiments::sample::{self, SampleOutcome};
 use crate::experiments::{self, Experiment, ExperimentPerf, Sweep};
+use crate::policies::PolicySetting;
 use crate::scale::SimScale;
 use crate::solo;
 use crate::system::RunResult;
@@ -229,10 +230,12 @@ fn scale_by_name(name: &str) -> Result<SimScale, String> {
     SimScale::by_name(name).ok_or_else(|| format!("unknown scale '{name}'"))
 }
 
-/// Executes fleet cells with the harness simulator. One instance serves a
-/// whole worker process (or the local thread pool of a single-process
-/// sweep), so the process-wide solo cache deduplicates baseline work
-/// across every cell it runs. The access count it reports with a payload
+/// Executes fleet cells with the harness simulator. A sweep cell's policy
+/// is a setting ([`PolicySetting`]); a malformed one is the cell's `Err`,
+/// since cells also arrive from stores and worker pipes. One instance
+/// serves a whole worker process (or the local thread pool of a
+/// single-process sweep), so the process-wide solo cache deduplicates
+/// baseline work across every cell it runs. The access count it reports with a payload
 /// is the work the cell simulated: 0 for a baseline already cached.
 pub struct HarnessCellRunner;
 
@@ -252,10 +255,8 @@ impl fleet::CellRunner for HarnessCellRunner {
                         workload.cores()
                     ));
                 }
-                let policy = crate::policy_registry()
-                    .resolve(&cell.policy)
-                    .ok_or_else(|| format!("unknown policy '{}'", cell.policy))?;
-                let r = experiments::run_group(&workload, policy, scale);
+                let setting = PolicySetting::parse(&cell.policy)?;
+                let r = experiments::run_setting(&workload, &setting, scale);
                 let accesses = r.accesses.iter().sum();
                 Ok((run_result_to_value(&r), accesses))
             }
@@ -338,37 +339,68 @@ pub fn filtered_groups(cores: usize, group_filter: &[String]) -> Vec<ResolvedWor
         .collect()
 }
 
-/// Cells for the given sweep core counts: solo baselines first (shared
-/// by every policy cell of their group), then one sweep cell per
-/// (group, policy). Deterministic order — the cell list (and thus every
-/// shard plan and the manifest's cell set) is a pure function of the
-/// request.
-pub fn sweep_cells(
-    core_counts: &[usize],
-    scale: SimScale,
-    policies: &[&'static str],
-    group_filter: &[String],
-) -> Vec<CellSpec> {
-    let policies = policies_with_fair(policies);
-    let mut cells = Vec::new();
-    for &cores in core_counts {
-        let groups = filtered_groups(cores, group_filter);
-        let mut seen_members: Vec<String> = Vec::new();
-        for g in &groups {
-            for m in g.member_names() {
-                if !seen_members.iter().any(|s| s == m) {
-                    seen_members.push(m.to_string());
-                    cells.push(CellSpec::solo(m, cores, scale.name));
+/// One sweep grid: the groups of one core count that a filter keeps, each
+/// run under every policy setting, plus their solo baselines when `solo`
+/// is set (the weighted-speedup figures read them).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Grid {
+    /// 2, 4 or 8.
+    pub cores: usize,
+    /// Scale preset (cells name it).
+    pub scale: SimScale,
+    /// Policy setting names: the columns.
+    pub settings: Vec<String>,
+    /// Canonical group names to keep (empty keeps every group).
+    pub group_filter: Vec<String>,
+    /// Whether the grid runs its groups' solo baselines.
+    pub solo: bool,
+}
+
+impl Grid {
+    /// A paper-sweep grid: `policies` with Fair Share joined, plus the
+    /// solo baselines.
+    pub fn sweep(
+        cores: usize,
+        scale: SimScale,
+        policies: &[&'static str],
+        group_filter: &[String],
+    ) -> Grid {
+        Grid {
+            cores,
+            scale,
+            settings: policies_with_fair(policies)
+                .iter()
+                .map(|p| p.to_string())
+                .collect(),
+            group_filter: group_filter.to_vec(),
+            solo: true,
+        }
+    }
+
+    /// The grid's cells: solo baselines first (each member once, shared by
+    /// every policy cell of its groups), then one sweep cell per (group,
+    /// setting). Deterministic order — the cell list (and thus every shard
+    /// plan and the manifest's cell set) is a pure function of the grid.
+    pub fn cells(&self) -> Vec<CellSpec> {
+        let groups = filtered_groups(self.cores, &self.group_filter);
+        let mut cells: Vec<CellSpec> = Vec::new();
+        if self.solo {
+            for g in &groups {
+                for m in g.member_names() {
+                    let cell = CellSpec::solo(m, self.cores, self.scale.name);
+                    if !cells.contains(&cell) {
+                        cells.push(cell);
+                    }
                 }
             }
         }
         for g in &groups {
-            for p in &policies {
-                cells.push(CellSpec::sweep(&g.label, p, cores, scale.name));
+            for p in &self.settings {
+                cells.push(CellSpec::sweep(&g.label, p, self.cores, self.scale.name));
             }
         }
+        cells
     }
-    cells
 }
 
 // ---------------------------------------------------------------------------
@@ -455,51 +487,45 @@ fn lookup_solo(lookup: CellLookup, cell: &CellSpec) -> Result<solo::SoloResult, 
         .map_err(|e| format!("cell {} ({}): {e}", cell.id(), cell.canonical()))
 }
 
-/// Folds stored cells back into a [`Sweep`] with exactly the shape
-/// [`experiments::cached_sweep_filtered`] computes in-process: groups in
-/// registry order, policies with Fair Share first, `ipc_alone` from the
-/// solo cells. `wall_seconds`/`sim_accesses` carry the orchestration's
-/// aggregate cost (they feed the perf line, never the tables).
-pub fn merge_sweep(
-    lookup: CellLookup,
-    cores: usize,
-    scale: SimScale,
-    policies: &[&'static str],
-    group_filter: &[String],
-    wall_seconds: f64,
-    sim_accesses: u64,
-) -> Result<Sweep, String> {
-    let policies = policies_with_fair(policies);
-    let groups = filtered_groups(cores, group_filter);
+/// Folds stored cells back into the [`Sweep`] of `grid`: groups in
+/// registry order, one column per setting, `ipc_alone` from the solo
+/// cells. This is the one code that assembles a [`Sweep`], in-process
+/// ([`experiments::cached_sweep_filtered`]) and from a fleet's store alike.
+/// `perf` carries the run's cost (it feeds the perf line, never the
+/// tables).
+pub fn merge_sweep(lookup: CellLookup, grid: &Grid, perf: ExperimentPerf) -> Result<Sweep, String> {
+    let (cores, scale) = (grid.cores, grid.scale.name);
+    let groups = filtered_groups(cores, &grid.group_filter);
     if groups.is_empty() {
         return Err(format!("no {cores}-core groups under the given filter"));
     }
     let mut runs = Vec::with_capacity(groups.len());
     let mut ipc_alone = Vec::with_capacity(groups.len());
     for g in &groups {
-        let mut row = Vec::with_capacity(policies.len());
-        for p in &policies {
-            row.push(lookup_run(
-                lookup,
-                &CellSpec::sweep(&g.label, p, cores, scale.name),
-            )?);
-        }
+        let row = grid
+            .settings
+            .iter()
+            .map(|p| lookup_run(lookup, &CellSpec::sweep(&g.label, p, cores, scale)))
+            .collect::<Result<Vec<_>, _>>()?;
         runs.push(row);
-        ipc_alone.push(
+        let members = if grid.solo {
             g.member_names()
+        } else {
+            Vec::new()
+        };
+        ipc_alone.push(
+            members
                 .iter()
-                .map(|m| lookup_solo(lookup, &CellSpec::solo(m, cores, scale.name)).map(|s| s.ipc))
+                .map(|m| lookup_solo(lookup, &CellSpec::solo(m, cores, scale)).map(|s| s.ipc))
                 .collect::<Result<Vec<_>, _>>()?,
         );
     }
     Ok(Sweep {
-        cores,
-        policies,
+        policies: grid.settings.clone(),
         groups,
         runs,
         ipc_alone,
-        wall_seconds,
-        sim_accesses,
+        perf,
     })
 }
 
@@ -632,8 +658,8 @@ pub struct FleetOutcome {
     pub partial: Option<String>,
 }
 
-/// Builds the manifest for a run (also written by single-process
-/// `--json` runs, so a later `--resume` can verify compatibility).
+/// Builds the manifest of a fleet run, so a later `--resume` can verify
+/// compatibility.
 pub fn manifest_for(
     what: &str,
     scale: SimScale,
@@ -670,8 +696,10 @@ pub fn cells_for_target(
     if let Some(plan) = sample {
         return Some(sample_cells(&sample_specs(plan), scale, &pol));
     }
-    let core_counts: Vec<usize> = sweep_targets(what)?.iter().map(|&(c, _)| c).collect();
-    Some(Ok(sweep_cells(&core_counts, scale, &pol, group_filter)))
+    let grids = sweep_targets(what)?
+        .iter()
+        .map(|&(cores, _)| Grid::sweep(cores, scale, &pol, group_filter));
+    Some(Ok(grids.flat_map(|grid| grid.cells()).collect()))
 }
 
 /// Opens the store, enforces manifest compatibility, runs the fleet, and
@@ -861,7 +889,6 @@ fn salvage_partial(
     let done: BTreeSet<String> = valid.into_iter().collect();
     let total = cell_ids.len();
     let pol = target_policies(policies, false);
-    let pol_fair = policies_with_fair(&pol);
     let lookup = |cell: &CellSpec| -> Result<Value, String> {
         store
             .read_cell(&cell.id())
@@ -872,12 +899,8 @@ fn salvage_partial(
     let mut omitted: Vec<String> = Vec::new();
     for &(cores, _) in targets {
         for g in filtered_groups(cores, group_filter) {
-            let complete = pol_fair
-                .iter()
-                .all(|p| done.contains(&CellSpec::sweep(&g.label, p, cores, scale.name).id()))
-                && g.member_names()
-                    .iter()
-                    .all(|m| done.contains(&CellSpec::solo(m, cores, scale.name).id()));
+            let group = Grid::sweep(cores, scale, &pol, std::slice::from_ref(&g.label));
+            let complete = group.cells().iter().all(|c| done.contains(&c.id()));
             if complete {
                 covered.push(g.label);
             } else {
@@ -912,24 +935,25 @@ fn salvage_partial(
 
 /// Renders a sweep layout's figures: per core count, every metric the
 /// layout names, from one [`Sweep`]. `sweep_for(cores)` supplies that
-/// sweep with the cost its perf lines report — the process memo for an
+/// sweep, whose perf the figures report — the process memo for an
 /// in-process run, a results store for a fleet run. A core count that the
 /// group filter leaves without groups is skipped.
 pub fn sweep_figures<S: Borrow<Sweep>>(
     layout: &[(usize, &[Metric])],
     group_filter: &[String],
-    mut sweep_for: impl FnMut(usize) -> Result<(S, ExperimentPerf), String>,
+    mut sweep_for: impl FnMut(usize) -> Result<S, String>,
 ) -> Result<Vec<Experiment>, String> {
     let mut out = Vec::new();
     for &(cores, metrics) in layout {
         if filtered_groups(cores, group_filter).is_empty() {
             continue;
         }
-        let (sweep, perf) = sweep_for(cores)?;
+        let sweep = sweep_for(cores)?;
+        let sweep = sweep.borrow();
         out.extend(
             metrics
                 .iter()
-                .map(|&m| figure_from(sweep.borrow(), cores, m, group_filter, perf)),
+                .map(|&m| figure_from(sweep, cores, m, group_filter, sweep.perf)),
         );
     }
     Ok(out)
@@ -964,16 +988,8 @@ pub fn merge_target_experiments(
     }
     let layout = sweep_targets(what).ok_or_else(|| format!("'{what}' has no sweep layout"))?;
     sweep_figures(layout, group_filter, |cores| {
-        let sweep = merge_sweep(
-            lookup,
-            cores,
-            scale,
-            &pol,
-            group_filter,
-            perf.wall_seconds,
-            perf.sim_accesses,
-        )?;
-        Ok((sweep, perf))
+        let grid = Grid::sweep(cores, scale, &pol, group_filter);
+        merge_sweep(lookup, &grid, perf)
     })
 }
 
@@ -1009,7 +1025,7 @@ mod tests {
 
     #[test]
     fn sweep_cells_cover_solos_and_all_policy_cells() {
-        let cells = sweep_cells(&[2], quick(), &["ucp"], &["G2-1".to_string()]);
+        let cells = Grid::sweep(2, quick(), &["ucp"], &["G2-1".to_string()]).cells();
         // G2-1 has 2 members → 2 solo cells + 2 policies (fair joins) × 1 group.
         let solos = cells.iter().filter(|c| c.kind == CellKind::Solo).count();
         let sweeps: Vec<_> = cells.iter().filter(|c| c.kind == CellKind::Sweep).collect();
@@ -1075,7 +1091,7 @@ mod tests {
         assert!(!s.epoch_curves.is_empty());
     }
 
-    /// `Sweep::sim_accesses` counts only work the call simulated: a second
+    /// A sweep's perf counts only work the call simulated: a second
     /// sweep over the same groups finds every baseline cached, so it counts
     /// its policy cells and nothing else.
     #[test]
@@ -1088,18 +1104,19 @@ mod tests {
                 .flat_map(|r| r.accesses.iter())
                 .sum()
         };
-        let first = experiments::cached_sweep_filtered(2, quick(), &["ucp"], &groups)
+        let first = experiments::cached_sweep_filtered(&Grid::sweep(2, quick(), &["ucp"], &groups))
             .expect("group exists");
-        assert!(first.sim_accesses >= cell_accesses(&first));
-        let second = experiments::cached_sweep_filtered(2, quick(), &["cooperative"], &groups)
-            .expect("group exists");
+        assert!(first.perf.sim_accesses >= cell_accesses(&first));
+        let second =
+            experiments::cached_sweep_filtered(&Grid::sweep(2, quick(), &["cooperative"], &groups))
+                .expect("group exists");
         assert_eq!(second.policies, ["fair", "cooperative"]);
-        assert_eq!(second.sim_accesses, cell_accesses(&second));
+        assert_eq!(second.perf.sim_accesses, cell_accesses(&second));
     }
 
     #[test]
     fn manifest_gates_incompatible_runs() {
-        let cells = sweep_cells(&[2], quick(), &["ucp"], &["G2-1".to_string()]);
+        let cells = Grid::sweep(2, quick(), &["ucp"], &["G2-1".to_string()]).cells();
         let a = manifest_for(
             "fig5",
             quick(),

@@ -60,18 +60,13 @@ fn baseline() -> &'static Baseline {
         let mut golden = Vec::new();
         for case in &CASES {
             let filter = vec![case.group.to_string()];
-            cells.extend(fleet_run::sweep_cells(
-                &[case.cores],
-                scale,
-                case.policies,
-                &filter,
-            ));
-            let sweep = cached_sweep_filtered(case.cores, scale, case.policies, &filter)
-                .expect("groups exist");
+            let grid = fleet_run::Grid::sweep(case.cores, scale, case.policies, &filter);
+            cells.extend(grid.cells());
+            let sweep = cached_sweep_filtered(&grid).expect("groups exist");
             golden.push(
                 Metric::ALL
                     .into_iter()
-                    .map(|m| figure_from(&sweep, case.cores, m, &filter, sweep.perf()).render())
+                    .map(|m| figure_from(&sweep, case.cores, m, &filter, sweep.perf).render())
                     .collect(),
             );
         }
@@ -157,16 +152,8 @@ proptest! {
         let perf = ExperimentPerf::local(0.0, 0);
         for (case, golden) in CASES.iter().zip(base.golden.iter()) {
             let filter = vec![case.group.to_string()];
-            let sweep = fleet_run::merge_sweep(
-                &lookup,
-                case.cores,
-                SimScale::quick(),
-                case.policies,
-                &filter,
-                0.0,
-                0,
-            )
-            .expect("merge");
+            let grid = fleet_run::Grid::sweep(case.cores, SimScale::quick(), case.policies, &filter);
+            let sweep = fleet_run::merge_sweep(&lookup, &grid, perf).expect("merge");
             for (m, want) in [Metric::WeightedSpeedup, Metric::DynamicEnergy, Metric::StaticEnergy]
                 .into_iter()
                 .zip(golden.iter())

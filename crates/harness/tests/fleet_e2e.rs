@@ -3,7 +3,8 @@
 //! require the merged figures to be byte-identical to a single-process
 //! run. Also pins the bounded-retry path (a fault that fires once must
 //! not fail the run), the refusal paths (incompatible manifest, done
-//! results without `--resume`), that a verified cell file alone marks
+//! results without `--resume`), that plain `--json` runs share a
+//! directory without making it a store, that a verified cell file alone marks
 //! its cell finished, and that a store resumes from any launch directory.
 //!
 //! The sweeps are restricted to G2-1/G4-1 so the whole file stays fast in
@@ -59,7 +60,7 @@ fn killed_fleet_resumes_bit_identical_to_single_process() {
     let fleet_dir = tmp("fleet");
     let once_dir = tmp("once");
 
-    // Golden: single-process run writing figures + manifest.
+    // Golden: single-process run writing figures and nothing else.
     let golden = repro(&["--json", golden_dir.to_str().unwrap()], &[]);
     assert!(
         golden.status.success(),
@@ -68,8 +69,8 @@ fn killed_fleet_resumes_bit_identical_to_single_process() {
     );
     let golden_figs = read_figures(&golden_dir);
     assert!(
-        golden_dir.join("manifest.json").exists(),
-        "single-process --json runs record a manifest"
+        !golden_dir.join("manifest.json").exists() && !golden_dir.join("cells").exists(),
+        "single-process --json runs record no manifest and no store"
     );
 
     // Fleet run with a persistent targeted fault killing every worker
@@ -220,6 +221,39 @@ fn fleet_skips_a_core_count_the_group_filter_empties() {
         );
         std::fs::remove_dir_all(dir).ok();
     }
+}
+
+/// A plain `--json` directory is only an output directory: another
+/// fleet-capable run writes into it beside the first, and a `--workers`
+/// run then makes it a store.
+#[test]
+fn plain_json_runs_share_a_directory() {
+    let dir = tmp("shared");
+    let run = |args: &[&str]| {
+        let out = Command::new(REPRO)
+            .args(args)
+            .args(["--scale", "quick", "--group", "G2-1"])
+            .args(["--json", dir.to_str().unwrap()])
+            .env_remove("FLEET_CHAOS")
+            .output()
+            .expect("repro runs");
+        assert!(
+            out.status.success(),
+            "{args:?} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    run(&["fig5"]);
+    run(&["fig6"]);
+    for f in ["figure5.json", "figure6.json"] {
+        assert!(dir.join(f).exists(), "{f} written");
+    }
+    run(&["fig5", "--workers", "2"]);
+    assert!(
+        dir.join("manifest.json").exists(),
+        "the fleet run made a store"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A verified cell file is the one record that its cell finished: with
