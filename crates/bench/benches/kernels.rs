@@ -26,6 +26,9 @@
 //! * `synthetic_gen_soplex` — a 1000-instruction block from the `soplex`
 //!   model's `SyntheticSource` (kind draw, weighted component draw, address
 //!   and PC generation);
+//! * `weighted_index_sample` — 1000 component draws from a
+//!   `simkit::WeightedIndex` over the `soplex` model's component weights,
+//!   the cut-table count behind the generator's component pick;
 //! * `trace_replay` — a 1000-instruction block replayed by a `TraceSource`
 //!   over 131,072 records recorded from the same model into a
 //!   `PackedTrace`, the shape of one `stream8` member in perfbench (so the
@@ -84,6 +87,7 @@ use cpusim::{
 use criterion::{criterion_group, criterion_main, Criterion};
 use memsim::{Cache, CacheGeometry, CacheSet, Dram, DramConfig, SetArena, WayMask};
 use simkit::types::{CoreId, Cycle, LineAddr};
+use simkit::{DetRng, WeightedIndex};
 use workloads::{Benchmark, SyntheticSource};
 
 fn lcg(state: &mut u64) -> u64 {
@@ -239,6 +243,26 @@ fn bench_hotpath(c: &mut Criterion) {
             for _ in 0..1000 {
                 let i = src.next_instr();
                 acc = acc.wrapping_add(i.pc() ^ i.addr() ^ i.taken() as u64);
+            }
+            acc
+        })
+    });
+
+    // Kernel 6a: the generator's component pick alone, 1000 draws per
+    // iteration.
+    c.bench_function("weighted_index_sample", |b| {
+        let weights: Vec<f64> = Benchmark::Soplex
+            .model()
+            .components
+            .iter()
+            .map(|c| c.weight)
+            .collect();
+        let pick = WeightedIndex::new(&weights);
+        let mut rng = DetRng::from_seed(0x5EED);
+        b.iter(|| {
+            let mut acc = 0usize;
+            for _ in 0..1000 {
+                acc = acc.wrapping_add(pick.sample(&mut rng));
             }
             acc
         })

@@ -55,7 +55,7 @@ pub struct Manifest {
     pub experiment: String,
     /// Scale preset name.
     pub scale: String,
-    /// Canonical policy filter (empty = paper default set).
+    /// The policies the run covers, Fair Share included.
     pub policies: Vec<String>,
     /// Canonical group filter (empty = all groups).
     pub groups: Vec<String>,

@@ -659,7 +659,8 @@ pub struct FleetOutcome {
 }
 
 /// Builds the manifest of a fleet run, so a later `--resume` can verify
-/// compatibility.
+/// compatibility. It records the policies the run's cells cover: the
+/// target's default set when `policies` is empty, and Fair Share always.
 pub fn manifest_for(
     what: &str,
     scale: SimScale,
@@ -668,10 +669,11 @@ pub fn manifest_for(
     sample: Option<&SamplePlan>,
     cells: &[CellSpec],
 ) -> Manifest {
-    let policy_names: Vec<String> = policies_with_fair(policies)
-        .iter()
-        .map(|p| p.to_string())
-        .collect();
+    let policy_names: Vec<String> =
+        policies_with_fair(&target_policies(policies, sample.is_some()))
+            .iter()
+            .map(|p| p.to_string())
+            .collect();
     Manifest::new(
         what,
         scale.name,
@@ -1112,6 +1114,59 @@ mod tests {
                 .expect("group exists");
         assert_eq!(second.policies, ["fair", "cooperative"]);
         assert_eq!(second.perf.sim_accesses, cell_accesses(&second));
+    }
+
+    #[test]
+    fn manifest_reads_back_the_policies_its_cells_cover() {
+        let groups = ["G2-1".to_string()];
+        let dir = std::env::temp_dir().join(format!("fleet-run-manifest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultsStore::open(&dir).expect("store opens");
+        let plan = SamplePlan {
+            n: 2,
+            seed: 7,
+            slack: 0.1,
+        };
+        for (what, policies, sample) in [
+            ("fig5", &[][..], None),
+            ("fig5", &["ucp"][..], None),
+            ("sample", &[][..], Some(&plan)),
+        ] {
+            let cells = cells_for_target(what, quick(), policies, &groups, sample)
+                .expect("a fleet target")
+                .expect("cells");
+            let written = manifest_for(what, quick(), policies, &groups, sample, &cells);
+            store.write_manifest(&written).expect("manifest written");
+            let read = store
+                .read_manifest()
+                .expect("manifest read")
+                .expect("present");
+            assert_eq!(read, written);
+            let covered: BTreeSet<&str> = cells
+                .iter()
+                .filter(|c| c.kind == CellKind::Sweep)
+                .map(|c| c.policy.as_str())
+                .collect();
+            let recorded: BTreeSet<&str> = read.policies.iter().map(String::as_str).collect();
+            assert_eq!(
+                recorded,
+                covered,
+                "{policies:?} sample {}",
+                sample.is_some()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        // A Fair-only resume onto an unfiltered store names the policies.
+        let manifest = |policies: &[&'static str]| {
+            let cells = cells_for_target("fig5", quick(), policies, &groups, None)
+                .expect("a fleet target")
+                .expect("cells");
+            manifest_for("fig5", quick(), policies, &groups, None, &cells)
+        };
+        let err = manifest(&["fair"])
+            .compatible_with(&manifest(&[]))
+            .expect_err("policies differ");
+        assert!(err.contains("policy filter"), "{err}");
     }
 
     #[test]

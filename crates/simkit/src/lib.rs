@@ -26,6 +26,6 @@ pub mod stats;
 pub mod table;
 pub mod types;
 
-pub use rng::{DetRng, UniformBelow, WeightedIndex};
+pub use rng::{Bernoulli, DetRng, UniformBelow, WeightedIndex};
 pub use stats::{geometric_mean, quantile, Counter, TimeSeries};
 pub use types::{CoreId, Cycle};

@@ -5,6 +5,26 @@
 //! [`DetRng`] stream derived from a root seed and a stable string label, so
 //! that adding a new consumer of randomness never perturbs existing streams
 //! and whole experiments replay bit-identically.
+//!
+//! # Decisions as integer cuts
+//!
+//! A unit draw is `u = k·2⁻⁵³` for the 53-bit integer `k =`
+//! [`DetRng::unit53`], and that product is exact. Any decision that is a
+//! monotone function of `u` is therefore a step function of `k`, and a
+//! table of the `k` where it steps reproduces it with integer compares, on
+//! the same draw and so on the same stream:
+//!
+//! - `u < c` holds exactly when `k < ⌈c·2⁵³⌉` ([`unit_cut`]), because
+//!   scaling by a power of two is exact too. [`Bernoulli`] is that cut.
+//! - The subtract walk behind a weighted pick (`x = u·total`, then
+//!   `x -= w` per weight) rounds every step to nearest, and rounding is
+//!   monotone, so every remainder it computes is non-decreasing in `k`.
+//!   Each test `x < w` flips from true to false at most once as `k` grows,
+//!   and the picked index never decreases. [`WeightedIndex`] stores the
+//!   first `k` past each index and counts the cuts at or below a draw.
+//!
+//! The float expressions survive only as the oracles that build the cuts
+//! and test them.
 
 /// A deterministic random-number generator stream.
 ///
@@ -86,23 +106,86 @@ impl DetRng {
         self.below(len as u64) as usize
     }
 
-    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
+    /// Uniform integer in `[0, 2⁵³)`: the top 53 bits of one raw draw, the
+    /// integer behind [`unit`](Self::unit).
     #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            false
-        } else if p >= 1.0 {
-            true
-        } else {
-            self.unit() < p
+    pub fn unit53(&mut self) -> u64 {
+        self.next_u64() >> 11
+    }
+
+    /// Uniform `f64` in `[0, 1)`: [`unit53`](Self::unit53) scaled by 2⁻⁵³,
+    /// which is exact.
+    #[inline]
+    pub fn unit(&mut self) -> f64 {
+        self.unit53() as f64 * (1.0 / UNIT53_END as f64)
+    }
+}
+
+/// One past the largest [`DetRng::unit53`] draw: 2⁵³.
+const UNIT53_END: u64 = 1 << 53;
+
+/// The cut on a 53-bit draw that decides `unit() < c`: for every
+/// `k < 2⁵³`, `k < unit_cut(c)` exactly when `k as f64 * 2⁻⁵³ < c`.
+///
+/// Both scalings by 2⁵³ are exact, so the comparison is `k < c·2⁵³`, and
+/// for an integer `k` that is `k < ⌈c·2⁵³⌉`. A `c` at or below zero (or
+/// NaN) cuts at 0, below every draw; a `c` of one or more cuts at 2⁵³,
+/// above every draw.
+pub fn unit_cut(c: f64) -> u64 {
+    let x = c * UNIT53_END as f64;
+    if x >= UNIT53_END as f64 {
+        UNIT53_END
+    } else if x > 0.0 {
+        // The ceiling without libm: truncation floors a positive `x`.
+        let floor = x as u64;
+        floor + ((floor as f64) < x) as u64
+    } else {
+        0
+    }
+}
+
+/// A precomputed Bernoulli draw with probability `p`.
+///
+/// A `p` at or below 0, or at or above 1, decides without a draw. Any other
+/// `p` takes one 53-bit draw `k` and returns `k < unit_cut(p)`, which is
+/// `unit() < p` exactly (see [`unit_cut`]).
+///
+/// ```
+/// use simkit::rng::{Bernoulli, DetRng};
+/// let mut r = DetRng::from_seed(1);
+/// assert!(Bernoulli::new(1.0).sample(&mut r));
+/// assert!(!Bernoulli::new(0.0).sample(&mut r));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bernoulli {
+    cut: u64,
+    draws: bool,
+}
+
+impl Bernoulli {
+    /// Precomputes the draw for probability `p`.
+    pub fn new(p: f64) -> Bernoulli {
+        Bernoulli {
+            cut: unit_cut(p),
+            // A NaN `p` draws, and loses, as `unit() < p` would.
+            draws: !(p <= 0.0 || p >= 1.0),
         }
     }
 
-    /// Uniform `f64` in `[0, 1)`: the top 53 bits of one raw draw, scaled
-    /// by 2^-53.
+    /// One draw from `rng`.
     #[inline]
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    pub fn sample(&self, rng: &mut DetRng) -> bool {
+        if self.draws {
+            self.hit(rng.unit53())
+        } else {
+            self.cut != 0
+        }
+    }
+
+    /// The outcome at the 53-bit draw `k`.
+    #[inline]
+    fn hit(&self, k: u64) -> bool {
+        k < self.cut
     }
 }
 
@@ -177,46 +260,117 @@ impl UniformBelow {
 
 /// A precomputed weighted index draw over non-negative weights.
 ///
-/// The total is summed once, in index order. A draw scales a unit draw by
-/// it and walks the weights subtracting each in order, exactly like the
-/// classic subtract loop (so the floats round identically), but without an
-/// early exit: it returns the lowest index whose weight exceeds the running
-/// remainder, or the last index if rounding leaves none.
-#[derive(Debug, Clone, PartialEq)]
+/// It picks what the classic subtract walk picks on the same draw: scale a
+/// unit draw by the total (summed once, in index order), subtract each
+/// weight in order, and take the lowest index whose weight exceeds the
+/// running remainder, or the last index if rounding leaves none. The
+/// walk's pick never decreases as the 53-bit draw `k` grows (see the
+/// [module docs](self)), so `cuts[i]`, the least `k` whose walk picks past
+/// `i` (2⁵³ if none does), reproduces it at every `k`: the pick is the
+/// number of cuts at or below `k`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightedIndex {
-    weights: Vec<f64>,
-    total: f64,
+    /// One cut per index but the last, non-decreasing.
+    cuts: Vec<u64>,
 }
 
 impl WeightedIndex {
     /// Precomputes the draw for `weights`.
     ///
+    /// Each cut starts from its cumulative-weight estimate, which rounding
+    /// misses by a few units of `k`, and gallops out from it with the walk
+    /// as the oracle until a bisection can close the bracket.
+    ///
     /// # Panics
     ///
     /// Panics if `weights` is empty or sums to zero.
-    pub fn new(weights: Vec<f64>) -> WeightedIndex {
+    pub fn new(weights: &[f64]) -> WeightedIndex {
         let total: f64 = weights.iter().sum();
         assert!(
             !weights.is_empty() && total > 0.0,
             "WeightedIndex requires positive total weight"
         );
-        WeightedIndex { weights, total }
+        let mut cuts = Vec::with_capacity(weights.len() - 1);
+        let mut cum = 0.0;
+        let mut floor = 0;
+        for (i, w) in weights[..weights.len() - 1].iter().enumerate() {
+            cum += w;
+            // The walk picks past `i` exactly when its first `i + 2`
+            // weights alone do: the tests after those cannot move a pick
+            // of `i` or below.
+            let prefix = &weights[..i + 2];
+            floor = first_past(floor, unit_cut(cum / total), |k| walk(prefix, total, k) > i);
+            cuts.push(floor);
+        }
+        WeightedIndex { cuts }
     }
 
     /// One weighted draw from `rng`.
     #[inline]
     pub fn sample(&self, rng: &mut DetRng) -> usize {
-        let mut x = rng.unit() * self.total;
-        let mut pick = self.weights.len() - 1;
-        let mut found = false;
-        for (i, &w) in self.weights.iter().enumerate() {
-            let hit = !found & (x < w);
-            pick = if hit { i } else { pick };
-            found |= hit;
-            x -= w;
-        }
-        pick
+        self.pick(rng.unit53())
     }
+
+    /// The index picked at the 53-bit draw `k`.
+    #[inline]
+    fn pick(&self, k: u64) -> usize {
+        self.cuts.iter().map(|&cut| (k >= cut) as usize).sum()
+    }
+}
+
+/// The subtract walk [`WeightedIndex`] reproduces, at the 53-bit draw `k`.
+fn walk(weights: &[f64], total: f64, k: u64) -> usize {
+    let mut x = k as f64 * (1.0 / UNIT53_END as f64) * total;
+    for (i, &w) in weights.iter().enumerate() {
+        if x < w {
+            return i;
+        }
+        x -= w;
+    }
+    weights.len() - 1
+}
+
+/// The least `k` in `[lo, 2⁵³]` with `past(k)`, for a `past` that flips
+/// from false to true at most once on `[lo, 2⁵³)` and is taken as true at
+/// 2⁵³. Steps out from `guess` by doubling strides until the flip is
+/// bracketed, then bisects the bracket.
+fn first_past(mut lo: u64, guess: u64, past: impl Fn(u64) -> bool) -> u64 {
+    let past = |k: u64| k >= UNIT53_END || past(k);
+    let mut hi = UNIT53_END;
+    let probe = guess.clamp(lo, hi);
+    let mut step = 1;
+    if past(probe) {
+        hi = probe;
+        while lo < hi {
+            let t = hi.saturating_sub(step).max(lo);
+            if !past(t) {
+                lo = t + 1;
+                break;
+            }
+            hi = t;
+            step *= 2;
+        }
+    } else {
+        lo = probe + 1;
+        while lo < hi {
+            let t = (probe + step).min(hi);
+            if past(t) {
+                hi = t;
+                break;
+            }
+            lo = t + 1;
+            step *= 2;
+        }
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if past(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 /// FNV-1a, the workspace's stable string hash: label-based stream
@@ -269,25 +423,44 @@ mod tests {
     }
 
     #[test]
-    fn chance_extremes() {
+    fn bernoulli_extremes_draw_nothing() {
         let mut r = DetRng::from_seed(2);
-        assert!(!r.chance(0.0));
-        assert!(r.chance(1.0));
-        assert!(!r.chance(-0.5));
-        assert!(r.chance(1.5));
+        let untouched = r.clone();
+        assert!(!Bernoulli::new(0.0).sample(&mut r));
+        assert!(Bernoulli::new(1.0).sample(&mut r));
+        assert!(!Bernoulli::new(-0.5).sample(&mut r));
+        assert!(Bernoulli::new(1.5).sample(&mut r));
+        assert_eq!(r.next_u64(), untouched.clone().next_u64(), "no draw taken");
+        let mut nan = untouched.clone();
+        assert!(!Bernoulli::new(f64::NAN).sample(&mut nan));
+        assert_eq!(nan.next_u64(), r.next_u64(), "a NaN takes one draw");
     }
 
     #[test]
-    fn chance_is_roughly_calibrated() {
+    fn bernoulli_is_roughly_calibrated() {
         let mut r = DetRng::from_seed(3);
-        let hits = (0..10_000).filter(|_| r.chance(0.3)).count();
+        let coin = Bernoulli::new(0.3);
+        let hits = (0..10_000).filter(|_| coin.sample(&mut r)).count();
         assert!((2_700..3_300).contains(&hits), "got {hits}");
+    }
+
+    #[test]
+    fn unit_cut_edges() {
+        assert_eq!(unit_cut(0.0), 0);
+        assert_eq!(unit_cut(-1.0), 0);
+        assert_eq!(unit_cut(f64::NAN), 0);
+        assert_eq!(unit_cut(f64::from_bits(1)), 1);
+        assert_eq!(unit_cut(0.5), 1 << 52);
+        assert_eq!(unit_cut(0.5 + f64::EPSILON / 2.0), (1 << 52) + 1);
+        assert_eq!(unit_cut(1.0 - f64::EPSILON / 2.0), UNIT53_END - 1);
+        assert_eq!(unit_cut(1.0), UNIT53_END);
+        assert_eq!(unit_cut(f64::INFINITY), UNIT53_END);
     }
 
     #[test]
     fn weighted_index_distribution() {
         let mut r = DetRng::from_seed(4);
-        let w = WeightedIndex::new(vec![1.0, 0.0, 3.0]);
+        let w = WeightedIndex::new(&[1.0, 0.0, 3.0]);
         let mut counts = [0usize; 3];
         for _ in 0..10_000 {
             counts[w.sample(&mut r)] += 1;
@@ -299,7 +472,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn weighted_index_rejects_zero_total() {
-        WeightedIndex::new(vec![0.0, 0.0]);
+        WeightedIndex::new(&[0.0, 0.0]);
     }
 
     #[test]
@@ -308,7 +481,18 @@ mod tests {
         UniformBelow::new(0);
     }
 
-    /// The subtract-loop weighted draw the branch-free one replaced.
+    /// The float decision `Bernoulli` replaced.
+    fn chance(rng: &mut DetRng, p: f64) -> bool {
+        if p <= 0.0 {
+            false
+        } else if p >= 1.0 {
+            true
+        } else {
+            rng.unit() < p
+        }
+    }
+
+    /// The subtract-loop weighted draw the cut table replaced.
     fn weighted_reference(rng: &mut DetRng, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().sum();
         let mut x = rng.unit() * total;
@@ -391,7 +575,7 @@ mod tests {
             // The same draws over the largest weight alone: one component.
             let single = vec![weights.iter().cloned().fold(0.0, f64::max)];
             for weights in [weights, single] {
-                let draw = WeightedIndex::new(weights.clone());
+                let draw = WeightedIndex::new(&weights);
                 let mut ours = DetRng::from_seed(seed);
                 let mut reference = DetRng::from_seed(seed);
                 for _ in 0..64 {
@@ -404,6 +588,87 @@ mod tests {
                 }
                 prop_assert_eq!(ours.next_u64(), reference.next_u64(), "stream position");
             }
+        }
+    }
+
+    /// Random weight vectors: one to eight weights, about a quarter of
+    /// them zero, the rest spread over twelve orders of magnitude.
+    fn weight_vectors() -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec((0u8..4, 0.0f64..1.0, 0.0f64..12.0), 1..9).prop_map(|raw| {
+            let mut weights: Vec<f64> = raw
+                .iter()
+                .map(|&(z, m, e)| if z == 0 { 0.0 } else { m * 10f64.powf(e) })
+                .collect();
+            if weights.iter().sum::<f64>() <= 0.0 {
+                *weights.last_mut().expect("non-empty") = 1.0;
+            }
+            weights
+        })
+    }
+
+    /// Checks every cut of `weights` against the walk on both sides, both
+    /// as a cut and as a pick, and `sample` against the walk at the draws
+    /// of `seed`.
+    fn check_cuts(weights: &[f64], seed: u64) -> Result<(), TestCaseError> {
+        let total: f64 = weights.iter().sum();
+        let draw = WeightedIndex::new(weights);
+        prop_assert_eq!(draw.cuts.len(), weights.len() - 1);
+        for (i, &cut) in draw.cuts.iter().enumerate() {
+            prop_assert!(cut <= UNIT53_END);
+            if cut > 0 {
+                let walked = walk(weights, total, cut - 1);
+                prop_assert!(walked <= i, "below cut {}: {:?}", i, weights);
+                prop_assert_eq!(draw.pick(cut - 1), walked, "{:?}", weights);
+            }
+            if cut < UNIT53_END {
+                let walked = walk(weights, total, cut);
+                prop_assert!(walked > i, "at cut {}: {:?}", i, weights);
+                prop_assert_eq!(draw.pick(cut), walked, "{:?}", weights);
+            }
+        }
+        let mut ours = DetRng::from_seed(seed);
+        let mut reference = DetRng::from_seed(seed);
+        for _ in 0..64 {
+            let k = reference.unit53();
+            prop_assert_eq!(
+                draw.sample(&mut ours),
+                walk(weights, total, k),
+                "{:?}",
+                weights
+            );
+        }
+        prop_assert_eq!(ours.next_u64(), reference.next_u64(), "stream position");
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn weighted_cuts_match_the_walk(seed in any::<u64>(), weights in weight_vectors()) {
+            check_cuts(&weights, seed)?;
+            // The same weights in the other order.
+            let reversed: Vec<f64> = weights.iter().rev().cloned().collect();
+            check_cuts(&reversed, seed)?;
+        }
+
+        #[test]
+        fn bernoulli_matches_chance_near_the_cut(
+            seed in any::<u64>(),
+            p in 0.0f64..1.0,
+            offset in 0u64..8,
+        ) {
+            let coin = Bernoulli::new(p);
+            // The draws on either side of the cut decide as `unit() < p`.
+            let k = (unit_cut(p) + offset).saturating_sub(4).min(UNIT53_END - 1);
+            let u = k as f64 * (1.0 / UNIT53_END as f64);
+            if p > 0.0 {
+                prop_assert_eq!(coin.hit(k), u < p, "p {:e} k {}", p, k);
+            }
+            let mut ours = DetRng::from_seed(seed);
+            let mut reference = DetRng::from_seed(seed);
+            for _ in 0..64 {
+                prop_assert_eq!(coin.sample(&mut ours), chance(&mut reference, p));
+            }
+            prop_assert_eq!(ours.next_u64(), reference.next_u64(), "stream position");
         }
     }
 

@@ -2,17 +2,25 @@
 //! stream.
 //!
 //! Everything a draw needs that does not change per instruction is
-//! precomputed: the kind thresholds, each phase's component weights and
-//! their total, and each component's address draw (a cursor for streams
+//! precomputed: the kind cuts, the branch outcome's cut, each phase's
+//! component cuts, and each component's address draw (a cursor for streams
 //! and loops, a [`UniformBelow`] for uniform regions). The per-instruction
 //! path then consumes exactly the random numbers it always did, in the same
-//! order and with the same float rounding, so streams stay bit-identical
-//! (`tests/stream_digest.rs` pins them). The one float function on the
-//! per-instruction path, the jump target's `u^6`, takes an exact fast path
-//! (`skewed_slot`) instead of libm's `pow`.
+//! order, and decides exactly as the float code did, so streams stay
+//! bit-identical (`tests/stream_digest.rs` pins them).
+//!
+//! Kind, branch outcome and component are integer compares on the 53-bit
+//! draw `k` behind `unit()`. Each float decision they replace (`u < cut`
+//! for the kind, `u < p` for the outcome, the weighted subtract walk for
+//! the component) is monotone in `u = k·2⁻⁵³`, which is exact, so it steps
+//! from one outcome to the next at fixed values of `k`. The cuts are those
+//! values, computed once from the same float sums (see [`simkit::rng`]).
+//! The one float function on the per-instruction path, the jump target's
+//! `u^6`, takes an exact fast path (`skewed_slot`) instead of libm's `pow`.
 
 use cpusim::{Instr, InstrSource};
-use simkit::{DetRng, UniformBelow, WeightedIndex};
+use simkit::rng::unit_cut;
+use simkit::{Bernoulli, DetRng, UniformBelow, WeightedIndex};
 
 use crate::model::{BenchmarkModel, Pattern};
 
@@ -24,6 +32,11 @@ const CODE_SKEW: f64 = 6.0;
 /// to `powf`: three orders of magnitude above the multiplies' error.
 const NEAR_INTEGER: f64 = 1e-12;
 
+/// 2⁵²: adding and then subtracting it rounds a float in `[0, 2⁵²)` to the
+/// nearest integer, with no libm call (baseline x86-64 has no rounding
+/// instruction, so `f64::round` is one).
+const ROUNDER: f64 = (1u64 << 52) as f64;
+
 /// The jump-target slot `⌊slots · u⁶⌋`, always equal to
 /// `(slots * u.powf(6.0)) as u64`.
 ///
@@ -33,11 +46,17 @@ const NEAR_INTEGER: f64 = 1e-12;
 /// it. Products that close to an integer take the `powf` path; all others
 /// floor the multiplied product. Underflow for tiny `u` leaves both
 /// products below one.
+///
+/// The nearest integer is `(x + 2⁵²) − 2⁵²`, exact for `0 ≤ x < 2⁵²`. It
+/// breaks ties to even where `round` breaks them away from zero, but a tie
+/// is 0.5 away either way. Above 2⁵² every float is an integer, and any
+/// rounding of the sum stays far inside the `NEAR_INTEGER` band, which only
+/// sends such an `x` to `powf`.
 #[inline]
 fn skewed_slot(slots: f64, u: f64) -> u64 {
     let u3 = u * u * u;
     let x = slots * (u3 * u3);
-    if (x - x.round()).abs() <= NEAR_INTEGER * x {
+    if (x - ((x + ROUNDER) - ROUNDER)).abs() <= NEAR_INTEGER * x {
         (slots * u.powf(CODE_SKEW)) as u64
     } else {
         x as u64
@@ -125,11 +144,16 @@ pub struct SyntheticSource {
     model: BenchmarkModel,
     rng: DetRng,
     components: Vec<ComponentDraw>,
-    /// Component weights of each phase (one entry for a stationary model).
+    /// Component draw of each phase (none for a stationary model).
     phase_weights: Vec<WeightedIndex>,
-    /// Kind thresholds on a unit draw: load below the first, store below
-    /// the second, branch below the third, ALU otherwise.
-    kind_cuts: [f64; 3],
+    /// The current phase's component draw, a copy of its `phase_weights`
+    /// entry kept inline: phases change rarely, components are drawn often.
+    weights: WeightedIndex,
+    /// Kind cuts on a 53-bit draw: load below the first, store below the
+    /// second, branch below the third, ALU otherwise.
+    kind_cuts: [u64; 3],
+    /// A branch's taken draw.
+    taken: Bernoulli,
     /// `code_bytes / 4` as a float, the jump-target scale.
     code_slots: f64,
     phase_idx: usize,
@@ -170,44 +194,44 @@ impl SyntheticSource {
             })
             .collect();
         let base: Vec<f64> = model.components.iter().map(|c| c.weight).collect();
-        let phase_weights = if model.phases.is_empty() {
-            vec![WeightedIndex::new(base)]
-        } else {
-            model
-                .phases
-                .iter()
-                .map(|p| {
-                    let scaled: Vec<f64> = base
-                        .iter()
-                        .zip(&p.weight_scale)
-                        .map(|(w, s)| w * s)
-                        .collect();
-                    // Guard against a phase that zeroes every component.
-                    if scaled.iter().sum::<f64>() <= 0.0 {
-                        WeightedIndex::new(base.clone())
-                    } else {
-                        WeightedIndex::new(scaled)
-                    }
-                })
-                .collect()
+        let phase_weights: Vec<WeightedIndex> = model
+            .phases
+            .iter()
+            .map(|p| {
+                let scaled: Vec<f64> = base
+                    .iter()
+                    .zip(&p.weight_scale)
+                    .map(|(w, s)| w * s)
+                    .collect();
+                // Guard against a phase that zeroes every component.
+                if scaled.iter().sum::<f64>() <= 0.0 {
+                    WeightedIndex::new(&base)
+                } else {
+                    WeightedIndex::new(&scaled)
+                }
+            })
+            .collect();
+        let weights = match phase_weights.first() {
+            Some(first) => first.clone(),
+            None => WeightedIndex::new(&base),
         };
         let load = model.load_frac;
         let store = load + model.store_frac;
-        let mut src = SyntheticSource {
+        SyntheticSource {
             components,
+            weights,
             phase_weights,
-            kind_cuts: [load, store, store + model.branch_frac],
+            kind_cuts: [load, store, store + model.branch_frac].map(unit_cut),
+            taken: Bernoulli::new(model.branch_bias),
             code_slots: (model.code_bytes / 4) as f64,
             phase_idx: 0,
-            phase_left: u64::MAX,
+            phase_left: model.phases.first().map_or(u64::MAX, |p| p.instrs),
             instrs_emitted: 0,
             pc_offset: 0,
             block_left: model.block_len,
             model,
             rng,
-        };
-        src.enter_phase(0);
-        src
+        }
     }
 
     /// The benchmark name this generator models.
@@ -220,23 +244,23 @@ impl SyntheticSource {
         self.instrs_emitted
     }
 
-    fn enter_phase(&mut self, idx: usize) {
-        if self.model.phases.is_empty() {
-            return;
+    /// Counts one instruction against the current phase and moves to the
+    /// next phase when it runs out. A stationary model's count starts at
+    /// `u64::MAX` and has no phase to move to.
+    #[inline]
+    fn advance_phase(&mut self) {
+        self.phase_left = self.phase_left.saturating_sub(1);
+        if self.phase_left == 0 && !self.phase_weights.is_empty() {
+            self.next_phase();
         }
-        self.phase_idx = idx % self.model.phases.len();
-        self.phase_left = self.model.phases[self.phase_idx].instrs;
     }
 
-    fn advance_phase(&mut self) {
-        if self.model.phases.is_empty() {
-            return;
-        }
-        self.phase_left = self.phase_left.saturating_sub(1);
-        if self.phase_left == 0 {
-            let next = self.phase_idx + 1;
-            self.enter_phase(next);
-        }
+    /// Enters the next phase, kept out of the per-instruction path.
+    #[cold]
+    fn next_phase(&mut self) {
+        self.phase_idx = (self.phase_idx + 1) % self.phase_weights.len();
+        self.phase_left = self.model.phases[self.phase_idx].instrs;
+        self.weights = self.phase_weights[self.phase_idx].clone();
     }
 
     fn next_pc(&mut self) -> u64 {
@@ -261,7 +285,7 @@ impl SyntheticSource {
     }
 
     fn gen_mem(&mut self) -> (u64, bool) {
-        let idx = self.phase_weights[self.phase_idx].sample(&mut self.rng);
+        let idx = self.weights.sample(&mut self.rng);
         let c = &mut self.components[idx];
         let (off, dep) = c.draw.next(&mut self.rng);
         (c.base + off, dep)
@@ -273,16 +297,16 @@ impl InstrSource for SyntheticSource {
     fn next_instr(&mut self) -> Instr {
         self.instrs_emitted += 1;
         let pc = self.next_pc();
-        let u = self.rng.unit();
+        let k = self.rng.unit53();
         let [load, store, branch] = self.kind_cuts;
-        let instr = if u < load {
+        let instr = if k < load {
             let (addr, dep) = self.gen_mem();
             Instr::load(pc, addr).with_dep_prev_load(dep)
-        } else if u < store {
+        } else if k < store {
             let (addr, _) = self.gen_mem();
             Instr::store(pc, addr)
-        } else if u < branch {
-            let taken = self.rng.chance(self.model.branch_bias);
+        } else if k < branch {
+            let taken = self.taken.sample(&mut self.rng);
             Instr::branch(pc, taken)
         } else {
             Instr::alu(pc)
