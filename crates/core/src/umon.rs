@@ -233,6 +233,55 @@ mod tests {
         assert_eq!(m.sampled_accesses(), 0.0);
     }
 
+    /// Before any aging, the monitor's hits at `w` ways equal the hits of
+    /// a private `w`-way LRU set per sampled set, for every `w` (Mattson's
+    /// stack property, which the whole miss curve rests on).
+    #[test]
+    fn hits_at_every_allocation_match_private_lru_sets() {
+        use memsim::{CacheSet, WayMask};
+        use simkit::{CoreId, DetRng};
+
+        for seed in 0..64u64 {
+            let mut rng = DetRng::from_seed(seed);
+            let ways = [1, 2, 4, 8, 16][rng.index(5)];
+            let shift = rng.below(4) as u32;
+            let tags = 1 + rng.below(3 * ways as u64);
+            let mut m = UtilityMonitor::new(64, ways, shift);
+            // Per sampled set, one private set of each size 1..=ways.
+            let mut private: Vec<Vec<CacheSet>> = (0..64)
+                .map(|_| (1..=ways).map(CacheSet::new).collect())
+                .collect();
+            let mut hits = vec![0u64; ways + 1];
+            for _ in 0..2_000 {
+                let (set, tag) = (rng.index(64), rng.below(tags));
+                if !m.observe(set, tag) {
+                    continue;
+                }
+                for (w, cache) in (1..=ways).zip(&mut private[set]) {
+                    let all = WayMask::all(w);
+                    match cache.find(tag, all) {
+                        Some(way) => {
+                            cache.touch(way);
+                            hits[w] += 1;
+                        }
+                        None => {
+                            let way = cache.victim(all).expect("a way to fill");
+                            cache.fill(way, tag, CoreId(0), false);
+                        }
+                    }
+                }
+            }
+            let curve = m.miss_curve();
+            for (w, &expected) in hits.iter().enumerate() {
+                let got = m.sampled_accesses() - curve.misses(w) / m.scale();
+                assert!(
+                    got == expected as f64,
+                    "umon exactness: seed {seed} ways {ways} shift {shift} w {w}: {got} vs {expected}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn atd_capacity_is_bounded() {
         let mut m = dense(2);

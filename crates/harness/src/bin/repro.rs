@@ -163,9 +163,11 @@ fn main() {
     }
 
     // The filters only drive the standalone sweep figures. Elsewhere they
-    // would either do nothing (fig11-16, tables, dvfs_energy) or *add* a
-    // second, differently-keyed sweep beside the full one that figs 14-16
-    // need anyway (two-core/all) — so ignore them loudly instead.
+    // would either do nothing (fig11-16, tables, dvfs_energy) or filter
+    // figs 5-10 beside the full two-core grid that figs 14-16 read
+    // (two-core/all). The filtered sweep would cost nothing, since its
+    // cells come from the memo, but one output would then mix group sets —
+    // so ignore them loudly instead.
     let sweep_aware = fleet_run::sweep_targets(&what).is_some();
     let sampling = what == "sample";
     if !sweep_aware && !sampling && !policies.is_empty() {

@@ -8,8 +8,10 @@
 //! group × policy grids, Figures 11-13 the Cooperative threshold grid, and
 //! `dvfs_energy`/`cbp_energy` the coordinator slack grid. A sweep is the
 //! fleet's own cells run on local threads ([`cached_sweep_filtered`]), so
-//! it and a `--workers` run are one engine, and it is memoized
-//! process-wide per grid. Table 3 runs its solo cells on the same engine.
+//! it and a `--workers` run are one engine. Each cell is memoized
+//! process-wide by its ID, so grids that share cells simulate them once,
+//! and a sweep is a merge over memoized cells. Table 3 runs its solo cells
+//! on the same engine.
 //! Every experiment returns an [`Experiment`] holding a rendered table
 //! plus free-form notes comparing against the paper's reported numbers.
 
@@ -30,7 +32,7 @@ pub mod table3;
 pub mod table4;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use coop_core::PAPER_POLICIES;
 use simkit::table::Table;
@@ -48,14 +50,18 @@ use crate::system::{RunResult, System};
 /// prints it, so a regression in simulator throughput is visible in the
 /// artifacts themselves, not just in the Criterion kernels.
 ///
-/// Sweeps are memoized process-wide, so experiments sharing a sweep report
-/// the *same* cost — the cost of computing the data they read, paid once.
+/// Cells are memoized process-wide, so a perf line counts only the cells
+/// its own call simulated, and names the cells it reused.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentPerf {
-    /// Seconds spent computing the backing runs (0 when they were cached).
+    /// Seconds spent computing the backing runs.
     pub wall_seconds: f64,
     /// LLC demand accesses simulated across those runs.
     pub sim_accesses: u64,
+    /// Cells the call looked up.
+    pub cells: usize,
+    /// Of those, cells the process had already run.
+    pub reused: usize,
     /// Processes that simulated the runs: 1 for in-process experiments,
     /// the fleet size for orchestrated sweeps. The perf line reports
     /// *aggregate* throughput either way — the wall-clock is the
@@ -65,11 +71,13 @@ pub struct ExperimentPerf {
 }
 
 impl ExperimentPerf {
-    /// Perf of an in-process run (one worker).
+    /// Perf of an in-process run (one worker) that reused no cell.
     pub fn local(wall_seconds: f64, sim_accesses: u64) -> ExperimentPerf {
         ExperimentPerf {
             wall_seconds,
             sim_accesses,
+            cells: 0,
+            reused: 0,
             workers: 1,
         }
     }
@@ -84,14 +92,19 @@ impl ExperimentPerf {
         }
     }
 
-    fn render_line(&self) -> String {
+    pub(crate) fn render_line(&self) -> String {
         let fleet = if self.workers > 1 {
             format!(" · {} workers", self.workers)
         } else {
             String::new()
         };
+        let reused = if self.reused > 0 {
+            format!(" · {} of {} cells reused", self.reused, self.cells)
+        } else {
+            String::new()
+        };
         format!(
-            "perf: {:.1}s simulate · {} LLC accesses · {}/s{fleet}\n",
+            "perf: {:.1}s simulate · {} LLC accesses · {}/s{fleet}{reused}\n",
             self.wall_seconds,
             fmt_count(self.sim_accesses),
             fmt_count(self.accesses_per_second() as u64),
@@ -161,8 +174,8 @@ pub struct Sweep {
     /// the grid has no solo baselines).
     pub ipc_alone: Vec<Vec<f64>>,
     /// The cost of computing the sweep: its wall-clock, and the LLC demand
-    /// accesses of every cell it ran, counting no solo baseline the
-    /// process already held (so accesses-per-second never counts work the
+    /// accesses of the cells it simulated, counting no cell the process
+    /// already held (so accesses-per-second never counts work the
     /// wall-clock did not pay).
     pub perf: ExperimentPerf,
 }
@@ -282,39 +295,28 @@ pub(crate) fn slacks_or_default(slacks: &[f64]) -> Vec<f64> {
     }
 }
 
-/// Memoized sweep for (cores, scale) over the five paper policies.
-pub fn cached_sweep(cores: usize, scale: SimScale) -> Arc<Sweep> {
+/// The sweep for (cores, scale) over the five paper policies.
+pub fn cached_sweep(cores: usize, scale: SimScale) -> Sweep {
     cached_sweep_filtered(&Grid::sweep(cores, scale, &PAPER_POLICIES, &[]))
         .expect("the registry always has groups for 2/4/8 cores")
 }
 
-/// The memoized sweep of a grid, or `None` when its group filter leaves
-/// no group. Memoized per grid, not per cell: experiments that read one
-/// grid share its runs and report its cost, and a grid computed once in
-/// a process is never recomputed.
+/// The sweep of a grid, or `None` when its group filter leaves no group:
+/// a merge over its cells, which come from the process-wide cell memo
+/// (the paper grid and the coordinator grid share `cooperative`).
 ///
-/// The sweep runs the grid's cells ([`Grid::cells`]) on the local thread
-/// pool with the fleet's own cell runner and folds their payloads with
+/// The sweep runs the grid's cells ([`Grid::cells`]) with
+/// [`fleet_run::run_cells_local`] and folds their payloads with
 /// [`fleet_run::merge_sweep`], so a single-process sweep and a fleet run
 /// are one engine. The grid's scale must be a named preset: cells resolve
 /// their scale by name.
-pub fn cached_sweep_filtered(grid: &Grid) -> Option<Arc<Sweep>> {
-    static MEMO: Mutex<Vec<(Grid, Arc<Sweep>)>> = Mutex::new(Vec::new());
+pub fn cached_sweep_filtered(grid: &Grid) -> Option<Sweep> {
     if fleet_run::filtered_groups(grid.cores, &grid.group_filter).is_empty() {
         return None;
     }
-    if let Some((_, hit)) = MEMO.lock().expect("memo").iter().find(|(g, _)| g == grid) {
-        return Some(Arc::clone(hit));
-    }
-    // The lock is not held while computing, so independent grids compute
-    // concurrently.
     let run = fleet_run::run_cells_local(&grid.cells()).unwrap_or_else(|e| panic!("{e}"));
     let sweep = fleet_run::merge_sweep(&|cell| run.lookup(cell), grid, run.perf);
-    let sweep = Arc::new(sweep.unwrap_or_else(|e| panic!("{e}")));
-    MEMO.lock()
-        .expect("memo")
-        .push((grid.clone(), Arc::clone(&sweep)));
-    Some(sweep)
+    Some(sweep.unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// The coordinator grid behind `dvfs_energy` and `cbp_energy`: the

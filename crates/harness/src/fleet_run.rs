@@ -6,10 +6,11 @@
 //!
 //! A single-process sweep is the same cells run on local threads:
 //! [`experiments::cached_sweep_filtered`] enumerates a [`Grid`]'s cells,
-//! runs them with [`run_cells_local`] and folds the payloads with
-//! [`merge_sweep`], exactly as a fleet run folds its results store. So
-//! [`merge_sweep`] is the only code that assembles a [`Sweep`], and
-//! [`sweep_targets`] is the only table of fleet-capable sweep targets.
+//! looks them up in the process-wide cell memo with [`run_cells_local`],
+//! which simulates only the cells no earlier call ran, and folds the
+//! payloads with [`merge_sweep`], exactly as a fleet run folds its results
+//! store. So [`merge_sweep`] is the only code that assembles a [`Sweep`],
+//! and [`sweep_targets`] is the only table of fleet-capable sweep targets.
 //!
 //! Bit-identity is the contract: every `f64` crosses the worker protocol
 //! and the results store via Rust's shortest-roundtrip formatting and
@@ -36,6 +37,7 @@ use workloads::ResolvedWorkload;
 use crate::experiments::fig5_10::{figure_from, Metric};
 use crate::experiments::sample::{self, SampleOutcome};
 use crate::experiments::{self, Experiment, ExperimentPerf, Sweep};
+use crate::memo;
 use crate::policies::PolicySetting;
 use crate::scale::SimScale;
 use crate::solo;
@@ -233,43 +235,53 @@ fn scale_by_name(name: &str) -> Result<SimScale, String> {
 /// Executes fleet cells with the harness simulator. A sweep cell's policy
 /// is a setting ([`PolicySetting`]); a malformed one is the cell's `Err`,
 /// since cells also arrive from stores and worker pipes. One instance
-/// serves a whole worker process (or the local thread pool of a
-/// single-process sweep), so the process-wide solo cache deduplicates
-/// baseline work across every cell it runs. The access count it reports with a payload
-/// is the work the cell simulated: 0 for a baseline already cached.
+/// serves a whole worker process, which shares its solo baselines through
+/// the process-wide cell memo but keeps no sweep payloads. The access
+/// count it reports with a payload is the work the cell simulated: 0 for a
+/// baseline the process already held.
 pub struct HarnessCellRunner;
 
 impl fleet::CellRunner for HarnessCellRunner {
     fn run_cell(&self, cell: &CellSpec) -> Result<(Value, u64), String> {
-        let scale = scale_by_name(&cell.scale)?;
-        match cell.kind {
-            CellKind::Sweep => {
-                let workload = crate::workload_registry()
-                    .resolve(&cell.workload)
-                    .map_err(|e| e.to_string())?;
-                if workload.cores() != cell.cores {
-                    return Err(format!(
-                        "cell says {} cores but '{}' resolves to {}",
-                        cell.cores,
-                        cell.workload,
-                        workload.cores()
-                    ));
-                }
-                let setting = PolicySetting::parse(&cell.policy)?;
-                let r = experiments::run_setting(&workload, &setting, scale);
-                let accesses = r.accesses.iter().sum();
-                Ok((run_result_to_value(&r), accesses))
+        run_cell_with(cell, false).map(|(payload, simulated)| (payload, simulated.unwrap_or(0)))
+    }
+}
+
+/// Runs one cell through the process-wide memo (a sweep cell only when
+/// `memo_sweeps` is set): its payload, and the LLC accesses this call
+/// simulated, `None` when the memo already held the cell.
+fn run_cell_with(cell: &CellSpec, memo_sweeps: bool) -> Result<(Value, Option<u64>), String> {
+    let scale = scale_by_name(&cell.scale)?;
+    match cell.kind {
+        CellKind::Sweep => {
+            let workload = crate::workload_registry()
+                .resolve(&cell.workload)
+                .map_err(|e| e.to_string())?;
+            if workload.cores() != cell.cores {
+                return Err(format!(
+                    "cell says {} cores but '{}' resolves to {}",
+                    cell.cores,
+                    cell.workload,
+                    workload.cores()
+                ));
             }
-            CellKind::Solo => {
-                let member = crate::workload_registry()
-                    .member(&cell.workload)
-                    .map_err(|e| e.to_string())?;
-                // A baseline this process already held costs the cell no
-                // simulation, so it reports no accesses.
-                let (s, computed) =
-                    solo::solo_result_tracked(&member, solo::solo_llc(cell.cores), scale);
-                Ok((solo_to_value(&s), if computed { s.accesses } else { 0 }))
-            }
+            let setting = PolicySetting::parse(&cell.policy)?;
+            let run = || experiments::run_setting(&workload, &setting, scale);
+            let (r, computed) = if memo_sweeps {
+                memo::fetch(memo::Key::Cell(cell.id()), run)
+            } else {
+                (Arc::new(run()), true)
+            };
+            let simulated = computed.then(|| r.accesses.iter().sum());
+            Ok((run_result_to_value(&r), simulated))
+        }
+        CellKind::Solo => {
+            let member = crate::workload_registry()
+                .member(&cell.workload)
+                .map_err(|e| e.to_string())?;
+            let (s, computed) =
+                solo::solo_result_tracked(&member, solo::solo_llc(cell.cores), scale);
+            Ok((solo_to_value(&s), computed.then_some(s.accesses)))
         }
     }
 }
@@ -342,7 +354,7 @@ pub fn filtered_groups(cores: usize, group_filter: &[String]) -> Vec<ResolvedWor
 /// One sweep grid: the groups of one core count that a filter keeps, each
 /// run under every policy setting, plus their solo baselines when `solo`
 /// is set (the weighted-speedup figures read them).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Grid {
     /// 2, 4 or 8.
     pub cores: usize,
@@ -574,7 +586,7 @@ pub fn sample_outcomes(
 }
 
 /// Payloads of cells run on the local thread pool, by cell ID, with the
-/// cost of running them.
+/// cost of simulating the ones the memo lacked.
 pub struct LocalRun {
     payloads: BTreeMap<String, Value>,
     /// Wall-clock of the run and the LLC accesses its cells reported.
@@ -591,25 +603,25 @@ impl LocalRun {
     }
 }
 
-/// Runs cells in-process with the fleet's own [`HarnessCellRunner`] on the
-/// local thread pool: every solo cell first, then the rest, so a CPE cell
-/// reads its profile from the solo cache and never simulates a baseline.
-/// The perf counts the accesses the runner reported, so a baseline the
-/// process already held counts nothing.
+/// Runs cells in-process on the local thread pool through the process-wide
+/// cell memo, so only cells no earlier call ran are simulated. Every solo
+/// cell goes first, so a CPE cell reads its profile from the memo and
+/// never simulates a baseline. The perf counts the accesses of the cells
+/// this call simulated, and the cells it reused.
 pub fn run_cells_local(cells: &[CellSpec]) -> Result<LocalRun, String> {
-    use fleet::CellRunner as _;
     let started = std::time::Instant::now();
     let (solos, rest): (Vec<&CellSpec>, Vec<&CellSpec>) =
         cells.iter().partition(|c| c.kind == CellKind::Solo);
     let mut payloads = BTreeMap::new();
-    let mut sim_accesses = 0;
+    let (mut sim_accesses, mut reused) = (0, 0);
     let mut errors = Vec::new();
     for phase in [solos, rest] {
-        let results = experiments::parallel_map(&phase, |cell| HarnessCellRunner.run_cell(cell));
+        let results = experiments::parallel_map(&phase, |cell| run_cell_with(cell, true));
         for (cell, result) in phase.into_iter().zip(results) {
             match result {
-                Ok((payload, accesses)) => {
-                    sim_accesses += accesses;
+                Ok((payload, simulated)) => {
+                    sim_accesses += simulated.unwrap_or(0);
+                    reused += usize::from(simulated.is_none());
                     payloads.insert(cell.id(), payload);
                 }
                 Err(e) => errors.push(format!("{}: {e}", cell.canonical())),
@@ -621,7 +633,11 @@ pub fn run_cells_local(cells: &[CellSpec]) -> Result<LocalRun, String> {
     }
     Ok(LocalRun {
         payloads,
-        perf: ExperimentPerf::local(started.elapsed().as_secs_f64(), sim_accesses),
+        perf: ExperimentPerf {
+            cells: cells.len(),
+            reused,
+            ..ExperimentPerf::local(started.elapsed().as_secs_f64(), sim_accesses)
+        },
     })
 }
 
@@ -802,9 +818,8 @@ pub fn run_fleet_target(
     }
 
     let perf = ExperimentPerf {
-        wall_seconds: report.wall_seconds,
-        sim_accesses: report.sim_accesses,
         workers: opts.workers,
+        ..ExperimentPerf::local(report.wall_seconds, report.sim_accesses)
     };
     if !report.complete() {
         // Salvage what the durable cells fully cover before giving up:
@@ -1094,26 +1109,52 @@ mod tests {
     }
 
     /// A sweep's perf counts only work the call simulated: a second
-    /// sweep over the same groups finds every baseline cached, so it counts
-    /// its policy cells and nothing else.
+    /// sweep over the same group finds Fair Share and both baselines in
+    /// the memo, so it counts its Cooperative cell and nothing else.
     #[test]
     fn repeated_sweep_counts_no_solo_accesses() {
+        // A group no other test in this binary sweeps.
         let groups = ["G2-3".to_string()];
-        let cell_accesses = |s: &Sweep| -> u64 {
-            s.runs
-                .iter()
-                .flatten()
-                .flat_map(|r| r.accesses.iter())
-                .sum()
-        };
+        let accesses = |r: &RunResult| -> u64 { r.accesses.iter().sum() };
         let first = experiments::cached_sweep_filtered(&Grid::sweep(2, quick(), &["ucp"], &groups))
             .expect("group exists");
-        assert!(first.perf.sim_accesses >= cell_accesses(&first));
+        assert!(first.perf.sim_accesses >= first.runs[0].iter().map(accesses).sum());
         let second =
             experiments::cached_sweep_filtered(&Grid::sweep(2, quick(), &["cooperative"], &groups))
                 .expect("group exists");
         assert_eq!(second.policies, ["fair", "cooperative"]);
-        assert_eq!(second.perf.sim_accesses, cell_accesses(&second));
+        assert_eq!((second.perf.reused, second.perf.cells), (3, 4));
+        assert_eq!(
+            second.perf.sim_accesses,
+            accesses(second.run(0, "cooperative"))
+        );
+    }
+
+    /// The paper grid and the coordinator grid share their `cooperative`
+    /// cell: the second grid reuses the first's run, and its perf line
+    /// says so.
+    #[test]
+    fn grids_sharing_a_cell_simulate_it_once() {
+        // A group no other test in this binary sweeps.
+        let groups = vec!["G2-1".to_string()];
+        let paper = Grid::sweep(2, quick(), &coop_core::PAPER_POLICIES, &groups);
+        let coordinator = Grid {
+            group_filter: groups,
+            ..experiments::coordinator_grid(quick(), &[0.1])
+        };
+        let first = experiments::cached_sweep_filtered(&paper).expect("group exists");
+        let second = experiments::cached_sweep_filtered(&coordinator).expect("group exists");
+        assert_eq!(
+            format!("{:?}", first.run(0, "cooperative")),
+            format!("{:?}", second.run(0, "cooperative"))
+        );
+        let simulated: u64 = ["dvfs@slack=0.1", "cbp@slack=0.1"]
+            .iter()
+            .map(|p| second.run(0, p).accesses.iter().sum::<u64>())
+            .sum();
+        assert_eq!(second.perf.sim_accesses, simulated, "cooperative ran once");
+        let line = second.perf.render_line();
+        assert!(line.ends_with(" · 1 of 3 cells reused\n"), "{line}");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!   fast-forwarding and periodic partitioning epochs;
 //! * [`solo`] — per-benchmark solo baselines (IPC-alone for weighted
 //!   speedup, solo MPKI for Table 3, per-epoch miss curves as the Dynamic
-//!   CPE profile), memoized process-wide;
+//!   CPE profile);
+//! * `memo` — the process-wide cell memo every in-process run is looked
+//!   up in, so grids that share cells simulate them once;
 //! * [`metrics`] — the weighted-speedup metric;
 //! * [`scale::SimScale`] — reduced-scale presets (the paper runs 1 B
 //!   instructions per app with 5 M-cycle epochs; the default reproduction
@@ -21,6 +23,7 @@
 
 pub mod experiments;
 pub mod fleet_run;
+mod memo;
 pub mod metrics;
 pub mod policies;
 pub mod scale;

@@ -3,17 +3,17 @@
 //! Weighted speedup needs `IPC_alone` (each application running alone in the
 //! full LLC); Table 3 needs solo MPKI; the Dynamic CPE scheme needs solo
 //! per-epoch miss curves as its profile. All three come from one solo run
-//! per (workload name, LLC geometry, scale), cached for the life of the
-//! process so the group sweeps don't re-run them. Any
-//! [`workloads::WorkloadFactory`] can be baselined — synthetic models and
-//! trace files go through the same path.
+//! per (workload name, LLC geometry, scale), held in the process-wide cell
+//! memo that the sweeps' solo cells read and fill too.
+//! Any [`workloads::WorkloadFactory`] can be baselined — synthetic models
+//! and trace files go through the same path.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use coop_core::{LlcConfig, MissCurve, SchemeKind};
 use workloads::{ResolvedWorkload, WorkloadFactory};
 
+use crate::memo;
 use crate::scale::SimScale;
 use crate::system::System;
 
@@ -32,17 +32,6 @@ pub struct SoloResult {
     pub epoch_curves: Vec<MissCurve>,
 }
 
-type Key = (String, u64, usize, &'static str);
-
-/// One baseline's cache slot: filled exactly once, however many threads
-/// ask for it at the same time.
-type Slot = Arc<OnceLock<Arc<SoloResult>>>;
-
-fn cache() -> &'static Mutex<BTreeMap<Key, Slot>> {
-    static CACHE: OnceLock<Mutex<BTreeMap<Key, Slot>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
 /// The solo LLC configuration for an `n`-core system's baselines: the
 /// system's own geometry, run under UCP so the utility monitor stays
 /// active (with one core the allocation is the whole cache, identical to
@@ -51,7 +40,7 @@ pub fn solo_llc(cores: usize) -> LlcConfig {
     LlcConfig::for_cores(cores, SchemeKind::Ucp)
 }
 
-/// Runs (or fetches from cache) the solo baseline for one workload
+/// Runs (or fetches from the memo) the solo baseline for one workload
 /// factory in the cache geometry of `llc` at `scale`.
 pub fn solo_result_for(
     factory: &Arc<dyn WorkloadFactory>,
@@ -62,7 +51,7 @@ pub fn solo_result_for(
 }
 
 /// Like [`solo_result_for`], but also reports whether the result was
-/// simulated by *this* call (`true`) or served from the process-wide cache
+/// simulated by *this* call (`true`) or served from the process-wide memo
 /// (`false`). The perf accounting uses the flag so accesses-per-second
 /// lines never count cached work whose compute time they did not pay.
 /// Concurrent calls for one baseline simulate it once: the others wait
@@ -72,22 +61,13 @@ pub fn solo_result_tracked(
     llc: LlcConfig,
     scale: SimScale,
 ) -> (Arc<SoloResult>, bool) {
-    let key: Key = (
+    let key = memo::Key::Solo(
         factory.name().to_string(),
         llc.geom.size_bytes(),
         llc.geom.ways(),
         scale.name,
     );
-    let slot = Arc::clone(
-        cache()
-            .lock()
-            .expect("poisoned solo cache")
-            .entry(key)
-            .or_default(),
-    );
-    let mut computed = false;
-    let result = slot.get_or_init(|| {
-        computed = true;
+    memo::fetch(key, || {
         let run = System::builder()
             .workload_resolved(ResolvedWorkload::single(Arc::clone(factory)))
             .policy("ucp")
@@ -95,15 +75,14 @@ pub fn solo_result_tracked(
             .scale(scale)
             .build()
             .run();
-        Arc::new(SoloResult {
+        SoloResult {
             ipc: run.ipc[0],
             mpki: run.mpki[0],
             apki: run.apki[0],
             accesses: run.accesses[0],
             epoch_curves: run.epoch_curves,
-        })
-    });
-    (Arc::clone(result), computed)
+        }
+    })
 }
 
 /// Solo IPCs for a whole workload (in member/core order).

@@ -1,83 +1,60 @@
 #!/usr/bin/env bash
-# Performance gate for the two fig5_10 sweeps, and the tool that records
-# the snapshots it gates against.
+# Performance gate for the two fig5_10 sweeps: this checkout against a
+# base commit, both built and run on the same host.
 #
-#   scripts/perf_gate.sh              gate the current build
-#   scripts/perf_gate.sh --record N   write BENCH_N.json from three runs
+#   scripts/perf_gate.sh [BASE]      BASE is a git revision (default HEAD~1)
 #
-# Both modes run `repro fig5_10 --scale quick` (release) three times. Each
-# run prints one `perf:` line per figure (e.g. `perf: 8.3s simulate · 1603k LLC
-# accesses · 193k/s`), each after its figure's `== Figure N — …,
-# two-core|four-core` header; every perf line is matched, in printed
-# order, to the sweep its header names. Counts use the harness's own
+# Builds `repro` from this checkout and from BASE, which is exported with
+# `git archive` into a temporary directory and built there with its own
+# target directory. Then runs `repro fig5_10 --scale quick` three times per
+# side, alternating which side goes first. Each run prints one `perf:` line
+# per figure (e.g. `perf: 8.3s simulate · 1603k LLC accesses · 193k/s`),
+# each after its figure's `== Figure N — …, two-core|four-core` header;
+# every perf line is matched, in printed order, to the sweep its header
+# names, and a run counts once per sweep. Counts use the harness's own
 # suffixes: plain integers, `NNNk`, or `N.NM`.
 #
-# The snapshot is the newest `BENCH_<N>.json` (highest N) whose
-# `fig5_10_quick.after` carries both `sweep_2core` and `sweep_4core`.
-#
-# A run counts once per sweep, and each sweep's figure is its median run
-# (by accesses/s): the gate compares the statistic the snapshot recorded,
-# so one noisy run on a shared host cannot fail it alone.
-#
-# Gate: fails if a sweep's median is below 80% of its own snapshot
-# `accesses_per_second`, or if a sweep printed no perf line at all.
-#
-# Record: writes `BENCH_N.json` with each sweep's median run and all
-# three rates. Floors only rise: it refuses to write a median below that
-# of the newest snapshot numbered below N.
+# Gate: fails if a sweep's median accesses/s on this checkout is below 80%
+# of the base's median, or if a sweep printed no perf line on either side.
+# Both sides share the host, so the gate holds whatever the host's speed
+# (a fixed snapshot floor recorded on a slower host let a 2x slowdown
+# pass), and the median of three keeps one noisy run from deciding it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RECORD=""
-case "${1:-}" in
-"") ;;
---record)
-    RECORD="${2:?--record needs a snapshot number N}"
-    [[ "${RECORD}" =~ ^[0-9]+$ ]] || {
-        echo "perf_gate: --record takes a number, got '${RECORD}'" >&2
-        exit 2
-    }
-    ;;
-*)
-    echo "usage: scripts/perf_gate.sh [--record N]" >&2
+BASE_REV="${1:-HEAD~1}"
+BASE=$(git rev-parse --verify --quiet "${BASE_REV}^{commit}") || {
+    echo "perf_gate: '${BASE_REV}' names no commit" >&2
     exit 2
-    ;;
-esac
+}
+
+TMP=$(mktemp -d)
+trap 'rm -rf "${TMP}"' EXIT
 
 cargo build --release -q -p harness --bin repro
+cp target/release/repro "${TMP}/repro-head"
+mkdir "${TMP}/base"
+git archive "${BASE}" | tar -x -C "${TMP}/base"
+cargo build --release -q -p harness --bin repro \
+    --manifest-path "${TMP}/base/Cargo.toml" --target-dir "${TMP}/base/target"
+cp "${TMP}/base/target/release/repro" "${TMP}/repro-base"
+
 OUT=""
-for _ in 1 2 3; do
-    OUT+="#run"$'\n'$(./target/release/repro fig5_10 --scale quick)$'\n'
+for round in 1 2 3; do
+    if ((round % 2)); then order="base head"; else order="head base"; fi
+    for side in ${order}; do
+        OUT+="#run ${side}"$'\n'$("${TMP}/repro-${side}" fig5_10 --scale quick)$'\n'
+    done
 done
 
-PERF_OUT="${OUT}" python3 - "${RECORD}" <<'PY'
-import datetime
-import glob
-import json
+PERF_OUT="${OUT}" python3 - "${BASE_REV}" <<'PY'
 import os
 import re
 import sys
 
-RECORD = sys.argv[1]
+BASE = sys.argv[1]
 SWEEPS = {"two-core": "sweep_2core", "four-core": "sweep_4core"}
 PCT = 80
-
-
-def snapshot():
-    """(file, after) of the newest BENCH_<N>.json carrying both sweeps; when
-    recording snapshot N, the newest one before N."""
-    found = []
-    for path in glob.glob("BENCH_*.json"):
-        m = re.fullmatch(r"BENCH_(\d+)\.json", path)
-        if not m or (RECORD and int(m.group(1)) >= int(RECORD)):
-            continue
-        after = json.load(open(path)).get("fig5_10_quick", {}).get("after", {})
-        if all(s in after for s in SWEEPS.values()):
-            found.append((int(m.group(1)), path, after))
-    if not found:
-        sys.exit("perf_gate: no BENCH_<N>.json carries fig5_10_quick.after.sweep_{2,4}core")
-    _, path, after = max(found)
-    return path, after
 
 
 def to_num(text):
@@ -87,81 +64,46 @@ def to_num(text):
 
 
 def perf_lines(lines):
-    """Yields (sweep, simulate_seconds, accesses, rate) per perf line, or
-    (None, ...) for a perf line outside a known sweep."""
+    """Yields (sweep, rate, line) per perf line, or (None, ...) for a perf
+    line outside a known sweep."""
     sweep = None
     for line in lines:
         if line.startswith("== "):
             sweep = next((s for tag, s in SWEEPS.items() if tag in line), None)
             continue
-        m = re.match(r"perf: ([0-9.]+)s simulate · ([0-9.]+[kM]?) LLC accesses · ([0-9.]+[kM]?)/s", line)
+        m = re.match(r"perf: [0-9.]+s simulate · [0-9.]+[kM]? LLC accesses · ([0-9.]+[kM]?)/s", line)
         if m:
-            yield sweep, float(m.group(1)), to_num(m.group(2)), to_num(m.group(3)), line
+            yield sweep, to_num(m.group(1)), line
 
 
-path, after = snapshot()
-floor = {s: after[s]["accesses_per_second"] * PCT // 100 for s in SWEEPS.values()}
-# Each run's figures print their sweep's perf line once per figure; a
-# run counts once per sweep.
-runs = {s: [] for s in floor}
+runs = {side: {s: [] for s in SWEEPS.values()} for side in ("base", "head")}
 failed = False
-for chunk in os.environ["PERF_OUT"].split("#run\n")[1:]:
+for chunk in os.environ["PERF_OUT"].split("#run ")[1:]:
+    side, _, body = chunk.partition("\n")
     seen = set()
-    for sweep, seconds, accesses, rate, line in perf_lines(chunk.splitlines()):
+    for sweep, rate, line in perf_lines(body.splitlines()):
         if sweep is None:
             print(f"perf_gate: perf line outside a known sweep: {line.strip()}")
             failed = True
-            continue
-        if sweep not in seen:
+        elif sweep not in seen:
             seen.add(sweep)
-            runs[sweep].append({"simulate_seconds": seconds, "sim_accesses": accesses,
-                                "accesses_per_second": rate})
-median = {}
-for s, got in runs.items():
-    if not got:
-        print(f"perf_gate: FAIL — no perf: line for {s}")
+            runs[side][sweep].append(rate)
+for s in SWEEPS.values():
+    base, head = runs["base"][s], runs["head"][s]
+    if not base or not head:
+        print(f"perf_gate: FAIL — no perf: line for {s} (base {len(base)} runs, checkout {len(head)})")
         failed = True
         continue
-    median[s] = sorted(got, key=lambda r: r["accesses_per_second"])[len(got) // 2]
-    if not RECORD:
-        rate = median[s]["accesses_per_second"]
-        verdict = "ok" if rate >= floor[s] else "FAIL"
-        rates = ", ".join(str(r["accesses_per_second"]) for r in got)
-        print(f"perf_gate: {s}: median {rate} accesses/s of runs [{rates}], "
-              f"floor {floor[s]} ({PCT}% of the {path} snapshot) — {verdict}")
-        failed |= rate < floor[s]
+    base_median = sorted(base)[len(base) // 2]
+    head_median = sorted(head)[len(head) // 2]
+    ok = head_median * 100 >= base_median * PCT
+    print(f"perf_gate: {s}: checkout median {head_median} accesses/s of {head}, "
+          f"base {BASE} median {base_median} of {base}: "
+          f"{head_median / base_median:.0%} — {'ok' if ok else 'FAIL'}")
+    failed |= not ok
 if failed:
-    print(f"perf_gate: FAIL — a sweep is more than {100 - PCT}% below its {path} "
-          "snapshot, or missing", file=sys.stderr)
+    print(f"perf_gate: FAIL — a sweep is more than {100 - PCT}% slower than at {BASE}, "
+          "or missing", file=sys.stderr)
     sys.exit(1)
-if not RECORD:
-    print("perf_gate: OK")
-    sys.exit(0)
-
-record = {}
-for s, got in runs.items():
-    rates = [r["accesses_per_second"] for r in got]
-    rate, old = median[s]["accesses_per_second"], after[s]["accesses_per_second"]
-    if rate < old:
-        sys.exit(f"perf_gate: refusing to record {s} at {rate} accesses/s, "
-                 f"below the {old} of {path}: floors only rise")
-    record[s] = dict(median[s], runs_accesses_per_second=rates)
-out = f"BENCH_{RECORD}.json"
-snap = json.dumps({
-    "pr": int(RECORD),
-    "title": "fig5_10 quick snapshot recorded by scripts/perf_gate.sh --record",
-    "methodology": {
-        "end_to_end": "repro fig5_10 --scale quick (release), run three times; "
-                      "per sweep, the run with the median accesses/s",
-        "gate": f"scripts/perf_gate.sh fails when a sweep's median of three runs "
-                f"is below {PCT}% of accesses_per_second",
-    },
-    "fig5_10_quick": {"after": record},
-    "environment": {"date": datetime.date.today().isoformat(), "cpus": os.cpu_count()},
-}, indent=2)
-with open(out, "w") as f:
-    f.write(snap + "\n")
-for s, r in record.items():
-    rate = r["accesses_per_second"]
-    print(f"perf_gate: {out}: {s} {rate} accesses/s, floor {rate * PCT // 100}")
+print("perf_gate: OK")
 PY
