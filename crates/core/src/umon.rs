@@ -233,9 +233,11 @@ mod tests {
         assert_eq!(m.sampled_accesses(), 0.0);
     }
 
-    /// Before any aging, the monitor's hits at `w` ways equal the hits of
-    /// a private `w`-way LRU set per sampled set, for every `w` (Mattson's
-    /// stack property, which the whole miss curve rests on).
+    /// The monitor's hits at `w` ways equal the hits of a private `w`-way
+    /// LRU set per sampled set, for every `w` (Mattson's stack property,
+    /// which the whole miss curve rests on), also across epoch aging: at
+    /// seeded points the monitor ages and the private hit counts halve,
+    /// which is exact in `f64` at these counts.
     #[test]
     fn hits_at_every_allocation_match_private_lru_sets() {
         use memsim::{CacheSet, WayMask};
@@ -251,8 +253,26 @@ mod tests {
             let mut private: Vec<Vec<CacheSet>> = (0..64)
                 .map(|_| (1..=ways).map(CacheSet::new).collect())
                 .collect();
-            let mut hits = vec![0u64; ways + 1];
-            for _ in 0..2_000 {
+            let mut hits = vec![0.0f64; ways + 1];
+            let check = |m: &UtilityMonitor, hits: &[f64], step: usize| {
+                let curve = m.miss_curve();
+                for (w, &expected) in hits.iter().enumerate() {
+                    let got = m.sampled_accesses() - curve.misses(w) / m.scale();
+                    assert!(
+                        got == expected,
+                        "umon exactness: seed {seed} ways {ways} shift {shift} step {step} w {w}: {got} vs {expected}"
+                    );
+                }
+            };
+            for step in 0..2_000 {
+                if rng.below(256) == 0 {
+                    check(&m, &hits, step);
+                    m.age();
+                    for h in &mut hits {
+                        *h /= 2.0;
+                    }
+                    check(&m, &hits, step);
+                }
                 let (set, tag) = (rng.index(64), rng.below(tags));
                 if !m.observe(set, tag) {
                     continue;
@@ -262,7 +282,7 @@ mod tests {
                     match cache.find(tag, all) {
                         Some(way) => {
                             cache.touch(way);
-                            hits[w] += 1;
+                            hits[w] += 1.0;
                         }
                         None => {
                             let way = cache.victim(all).expect("a way to fill");
@@ -271,14 +291,7 @@ mod tests {
                     }
                 }
             }
-            let curve = m.miss_curve();
-            for (w, &expected) in hits.iter().enumerate() {
-                let got = m.sampled_accesses() - curve.misses(w) / m.scale();
-                assert!(
-                    got == expected as f64,
-                    "umon exactness: seed {seed} ways {ways} shift {shift} w {w}: {got} vs {expected}"
-                );
-            }
+            check(&m, &hits, 2_000);
         }
     }
 

@@ -28,15 +28,19 @@
 //! from `--scale` alone (default `small`). `--csv` and `--json` write one
 //! machine-readable file per experiment.
 //!
-//! `--workers N` runs a sweep figure (or `sample`) as a fleet: the cells
-//! are sharded over N `repro worker` child processes and streamed into
-//! the `--json` directory (required), which doubles as a durable results
-//! store (`manifest.json`, plus one checksummed file per finished cell in
-//! `cells/`). A killed or partially failed run resumes with `--resume` —
-//! only cells without a verified file rerun, and the merged figures are
-//! bit-identical to a single-process run. `sample` draws `--sample N` random 1-8-core mixes (seeded with
-//! `--seed`) and reports distributional results; without `--workers` it
-//! runs in-process.
+//! Every target is one entry of the target table (`harness::targets`):
+//! its parts name the cells they read and render the experiments.
+//! `--workers N` runs any simulated target as a fleet: the union of its
+//! cells is sharded over N `repro worker` child processes and streamed
+//! into the `--json` directory (required), which doubles as a durable
+//! results store (`manifest.json`, plus one checksummed file per finished
+//! cell in `cells/`). A killed or partially failed run resumes with
+//! `--resume` — only cells without a verified file rerun, and the merged
+//! figures are bit-identical to a single-process run. A fleet reads the
+//! coordinator grid at the default slacks, so `--slacks` with `--workers`
+//! is refused for the targets that hold it (`dvfs_energy`, `cbp_energy`,
+//! `all`). `sample` draws `--sample N` random 1-8-core mixes (seeded with
+//! `--seed`) and reports distributional results.
 //!
 //! `inspect` watches one workload epoch by epoch: per-epoch UMON miss
 //! curves (`--curves`), UCP quotas / CP allocations, powered ways and
@@ -57,10 +61,9 @@
 #![allow(clippy::disallowed_methods)]
 
 use cpusim::{EpochControl, VfTable};
-use harness::experiments::fig11_13::ThresholdMetric;
-use harness::experiments::fig5_10::Metric;
-use harness::experiments::{self, Experiment};
+use harness::experiments::{Experiment, DEFAULT_SLACKS};
 use harness::fleet_run::{self, FleetOptions, SamplePlan};
+use harness::targets::{Target, TargetArgs};
 use harness::{policy_registry, solo, workload_registry, SimScale, System};
 use simkit::json;
 
@@ -91,7 +94,7 @@ fn main() {
     let mut scale = SimScale::small();
     let mut csv_dir: Option<String> = None;
     let mut json_dir: Option<String> = None;
-    let mut slacks: Vec<f64> = Vec::new();
+    let mut slacks: Option<Vec<f64>> = None;
     let mut policies: Vec<&'static str> = Vec::new();
     let mut groups: Vec<String> = Vec::new();
     let mut workers: Option<usize> = None;
@@ -138,7 +141,7 @@ fn main() {
                     }
                 }
             }
-            "--slacks" => slacks = slack_list(flag_value(&args, &mut i)),
+            "--slacks" => slacks = Some(slack_list(flag_value(&args, &mut i))),
             "--workers" => workers = Some(positive(&args, &mut i) as usize),
             "--shards" => shards = Some(positive(&args, &mut i) as usize),
             "--resume" => resume = true,
@@ -154,6 +157,26 @@ fn main() {
         }
         i += 1;
     }
+    let Some(target) = Target::find(&what) else {
+        usage();
+        usage_error(&format!("unknown experiment '{what}'"));
+    };
+    // The fleet flags are refused before anything runs when they cannot
+    // apply.
+    if workers.is_none() {
+        if resume {
+            usage_error("--resume needs --workers: resuming is a fleet-mode operation");
+        }
+        if shards.is_some() {
+            usage_error("--shards needs --workers: sharding is a fleet-mode operation");
+        }
+    } else if json_dir.is_none() {
+        usage_error("--workers needs --json DIR: the directory is the durable results store");
+    } else if target.reads_slacks() && slacks.is_some() {
+        usage_error(&format!(
+            "--slacks cannot go with --workers for '{what}': a fleet runs the coordinator grid at the default slacks {DEFAULT_SLACKS:?}"
+        ));
+    }
     // Output directories are created before anything runs, so a bad path
     // fails in milliseconds instead of after the whole simulation.
     for dir in [&csv_dir, &json_dir].into_iter().flatten() {
@@ -162,21 +185,21 @@ fn main() {
         }
     }
 
-    // The filters only drive the standalone sweep figures. Elsewhere they
-    // would either do nothing (fig11-16, tables, dvfs_energy) or filter
-    // figs 5-10 beside the full two-core grid that figs 14-16 read
-    // (two-core/all). The filtered sweep would cost nothing, since its
-    // cells come from the memo, but one output would then mix group sets —
-    // so ignore them loudly instead.
-    let sweep_aware = fleet_run::sweep_targets(&what).is_some();
-    let sampling = what == "sample";
-    if !sweep_aware && !sampling && !policies.is_empty() {
+    // The filters only drive the targets whose parts are all paper sweeps
+    // (and `--policy` the sample). Elsewhere they would either do nothing
+    // (fig11-16, tables, dvfs_energy) or filter figs 5-10 beside the full
+    // two-core grid that figs 14-16 read (two-core/all). The filtered
+    // sweep would cost nothing, since its cells come from the memo, but
+    // one output would then mix group sets — so ignore them loudly
+    // instead.
+    let sweep_cores = target.sweep_cores();
+    if sweep_cores.is_none() && !target.samples() && !policies.is_empty() {
         eprintln!(
             "# note: --policy only filters fig5..fig10/fig5_10/four-core/eight_core/sample; ignored for '{what}'"
         );
         policies.clear();
     }
-    if !sweep_aware && !groups.is_empty() {
+    if sweep_cores.is_none() && !groups.is_empty() {
         eprintln!(
             "# note: --group only filters fig5..fig10/fig5_10/four-core/eight_core; ignored for '{what}'"
         );
@@ -185,13 +208,13 @@ fn main() {
     // A core count that --group leaves without groups is skipped, in
     // process and in a fleet alike; a sweep left with nothing to run is
     // bad input, refused before anything runs.
-    if let Some(layout) = fleet_run::sweep_targets(&what) {
-        let skipped: Vec<usize> = layout
+    if let Some(cores) = &sweep_cores {
+        let skipped: Vec<usize> = cores
             .iter()
-            .map(|&(cores, _)| cores)
-            .filter(|&cores| fleet_run::filtered_groups(cores, &groups).is_empty())
+            .copied()
+            .filter(|&c| fleet_run::filtered_groups(c, &groups).is_empty())
             .collect();
-        if skipped.len() == layout.len() {
+        if skipped.len() == cores.len() {
             usage_error(&format!(
                 "'{what}' has no groups under --group {}",
                 groups.join(",")
@@ -201,15 +224,15 @@ fn main() {
             eprintln!("# note: --group filter leaves no {cores}-core groups; sweep skipped");
         }
     }
-    if !sampling && (sample_n.is_some() || seed != 0) {
+    if !target.samples() && (sample_n.is_some() || seed != 0) {
         eprintln!(
             "# note: --sample/--seed only apply to the 'sample' experiment; ignored for '{what}'"
         );
     }
-    let plan = sampling.then(|| SamplePlan {
+    let plan = target.samples().then(|| SamplePlan {
         n: sample_n.unwrap_or(64),
         seed,
-        slack: slacks.first().copied().unwrap_or(0.05),
+        slack: slacks.as_ref().map_or(0.05, |s| s[0]),
     });
 
     eprintln!(
@@ -219,60 +242,34 @@ fn main() {
     let start = std::time::Instant::now();
 
     let mut partial: Option<String> = None;
-    let list = if let Some(workers) = workers {
+    let list = match (workers, &json_dir) {
         // Fleet mode: shard the cells over worker processes, streaming
         // results into the --json directory (which doubles as the
         // durable store that --resume continues).
-        if !sweep_aware && !sampling {
-            eprintln!(
-                "--workers only applies to the sweep figures (fig5..fig10, fig5_10, four-core, eight_core) and 'sample'"
-            );
-            std::process::exit(2);
+        (Some(workers), Some(dir)) => {
+            let opts = FleetOptions {
+                workers,
+                shards,
+                resume,
+            };
+            fleet_run::run_fleet_target(&what, scale, &policies, &groups, plan.as_ref(), dir, &opts)
+                .map(|outcome| {
+                    partial = outcome.partial;
+                    outcome.experiments
+                })
         }
-        let Some(dir) = json_dir.clone() else {
-            eprintln!("--workers needs --json DIR: the directory is the durable results store");
-            std::process::exit(2);
-        };
-        let opts = FleetOptions {
-            workers,
-            shards,
-            resume,
-        };
-        match fleet_run::run_fleet_target(
-            &what,
+        _ => target.run_inprocess(&TargetArgs {
             scale,
-            &policies,
-            &groups,
-            plan.as_ref(),
-            &dir,
-            &opts,
-        ) {
-            Ok(outcome) => {
-                partial = outcome.partial;
-                outcome.experiments
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        if resume {
-            eprintln!("--resume needs --workers: resuming is a fleet-mode operation");
-            std::process::exit(2);
-        }
-        if let Some(plan) = &plan {
-            match fleet_run::run_sample_inprocess(scale, &policies, plan) {
-                Ok(list) => list,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                }
-            }
-        } else {
-            select(&what, scale, &slacks, &policies, &groups)
-        }
+            policies: &policies,
+            groups: &groups,
+            slacks: slacks.as_deref().unwrap_or(&DEFAULT_SLACKS),
+            sample: plan.as_ref(),
+        }),
     };
+    let list = list.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
 
     if list.is_empty() {
         // Only reachable via a policy filter that leaves nothing to report
@@ -535,93 +532,6 @@ fn positive(args: &[String], i: &mut usize) -> u64 {
     }
 }
 
-/// The in-process figures of a sweep layout, each core count's sweep from
-/// the process memo.
-fn memo_figures(
-    layout: &[(usize, &[Metric])],
-    scale: SimScale,
-    policies: &[&'static str],
-    groups: &[String],
-) -> Vec<Experiment> {
-    let policies = fleet_run::target_policies(policies, false);
-    let figures = fleet_run::sweep_figures(layout, groups, |cores| {
-        let grid = fleet_run::Grid::sweep(cores, scale, &policies, groups);
-        Ok(experiments::cached_sweep_filtered(&grid)
-            .expect("sweep_figures skips core counts without groups"))
-    });
-    figures.unwrap_or_else(|e| panic!("{e}"))
-}
-
-fn select(
-    what: &str,
-    scale: SimScale,
-    slacks: &[f64],
-    policies: &[&'static str],
-    groups: &[String],
-) -> Vec<Experiment> {
-    if let Some(layout) = fleet_run::sweep_targets(what) {
-        return memo_figures(layout, scale, policies, groups);
-    }
-    let fig14_16 = || {
-        vec![
-            experiments::fig14::figure(scale),
-            experiments::fig15::figure(scale),
-            experiments::fig16::figure(scale),
-        ]
-    };
-    match what {
-        "dvfs_energy" => vec![experiments::dvfs_energy::figure(scale, slacks)],
-        "cbp_energy" => vec![experiments::cbp_energy::figure(scale, slacks)],
-        "table1" => vec![experiments::table1::table()],
-        "table3" => vec![experiments::table3::table(scale)],
-        "table4" => vec![experiments::table4::table()],
-        "fig11" => vec![experiments::fig11_13::figure(
-            ThresholdMetric::Performance,
-            scale,
-        )],
-        "fig12" => vec![experiments::fig11_13::figure(
-            ThresholdMetric::DynamicEnergy,
-            scale,
-        )],
-        "fig13" => vec![experiments::fig11_13::figure(
-            ThresholdMetric::StaticEnergy,
-            scale,
-        )],
-        "fig14" => vec![experiments::fig14::figure(scale)],
-        "fig15" => vec![experiments::fig15::figure(scale)],
-        "fig16" => vec![experiments::fig16::figure(scale)],
-        "two-core" => {
-            let mut v = memo_figures(&[(2, &Metric::ALL)], scale, policies, groups);
-            v.extend(fig14_16());
-            v
-        }
-        "all" => {
-            let mut v = vec![
-                experiments::table1::table(),
-                experiments::table4::table(),
-                experiments::table3::table(scale),
-            ];
-            let fig5_10 = fleet_run::sweep_targets("fig5_10").expect("fig5_10 is a sweep target");
-            v.extend(memo_figures(fig5_10, scale, policies, groups));
-            for m in [
-                ThresholdMetric::Performance,
-                ThresholdMetric::DynamicEnergy,
-                ThresholdMetric::StaticEnergy,
-            ] {
-                v.push(experiments::fig11_13::figure(m, scale));
-            }
-            v.extend(fig14_16());
-            v.push(experiments::dvfs_energy::figure(scale, slacks));
-            v.push(experiments::cbp_energy::figure(scale, slacks));
-            v
-        }
-        other => {
-            usage();
-            usage_error(&format!("unknown experiment '{other}'"));
-        }
-    }
-}
-
 /// Writes one machine-readable rendering of `e` as `DIR/<id>.<ext>` (the
 /// id lowercased, spaces dropped). A failed write prints one line and
 /// exits 1.
@@ -659,9 +569,10 @@ fn usage() {
          eight_core:  G8 extension sweeps beyond the paper (8 MB / 32-way LLC)\n\
          dvfs_energy: coordinated DVFS + partitioning vs Cooperative alone; --slacks sets the QoS sweep\n\
          cbp_energy:  coordinated cache+bandwidth+prefetch vs Cooperative and DVFS; --slacks as above\n\
-         --workers:   fleet mode — shard a sweep figure (or 'sample') over N worker\n\
+         --workers:   fleet mode — shard any simulated target over N worker\n\
          \x20            processes streaming into --json DIR; --resume continues a\n\
-         \x20            killed or partially failed run from the same DIR\n\
+         \x20            killed or partially failed run from the same DIR; --slacks\n\
+         \x20            is refused with it for dvfs_energy, cbp_energy and all\n\
          fsck:        audit a results store's manifest and cell checksums\n\
          \x20            (repro fsck [--repair] DIR); --repair quarantines corrupt\n\
          \x20            cells and removes torn temp files so --resume can finish\n\

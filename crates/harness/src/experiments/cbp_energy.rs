@@ -23,19 +23,13 @@
 use simkit::geometric_mean;
 use simkit::table::Table;
 
-use crate::experiments::{cached_sweep_filtered, coordinator_grid, slacks_or_default, Experiment};
+use crate::experiments::{Experiment, Sweep};
 use crate::policies::Knob;
-use crate::scale::SimScale;
 
-/// Builds the experiment over `slacks` (falls back to
-/// [`DEFAULT_SLACKS`](crate::experiments::DEFAULT_SLACKS) when empty).
-pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
-    let slacks = slacks_or_default(slacks);
-
-    // The grid `dvfs_energy` reads too, so `repro all` simulates it once.
-    let sweep = cached_sweep_filtered(&coordinator_grid(scale, &slacks))
-        .expect("the registry has two-core groups");
-
+/// Builds the experiment at `slacks` from the sweep of the
+/// [`coordinator_grid`](crate::experiments::coordinator_grid) at those
+/// slacks, which `dvfs_energy` reads too.
+pub fn figure(sweep: &Sweep, slacks: &[f64]) -> Experiment {
     let mut table = Table::new(
         [
             "Group", "Slack", "E cbp", "E dvfs", "ED2P cbp", "Slow c0", "Slow c1", "BW c0",

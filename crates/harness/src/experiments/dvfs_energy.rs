@@ -20,23 +20,18 @@ use coop_dvfs::DvfsConfig;
 use simkit::geometric_mean;
 use simkit::table::Table;
 
-use crate::experiments::{cached_sweep_filtered, coordinator_grid, slacks_or_default, Experiment};
+use crate::experiments::{Experiment, Sweep};
 use crate::policies::Knob;
-use crate::scale::SimScale;
 
-/// Builds the experiment over `slacks` (falls back to
-/// [`DEFAULT_SLACKS`](crate::experiments::DEFAULT_SLACKS) when empty).
-pub fn figure(scale: SimScale, slacks: &[f64]) -> Experiment {
-    let slacks = slacks_or_default(slacks);
+/// Builds the experiment at `slacks` from the sweep of the
+/// [`coordinator_grid`](crate::experiments::coordinator_grid) at those
+/// slacks, which `cbp_energy` reads too; this figure reads its baseline
+/// and `dvfs` columns.
+pub fn figure(sweep: &Sweep, slacks: &[f64]) -> Experiment {
     // One controller configuration template: the runs derive from it (per
     // slack) and the residency column labels read its V/f table, so the
     // printed frequencies are by construction the ones the cores ran at.
     let template = DvfsConfig::paper_default(0.0);
-
-    // The grid `cbp_energy` reads too; this figure reads its baseline and
-    // `dvfs` columns.
-    let sweep = cached_sweep_filtered(&coordinator_grid(scale, &slacks))
-        .expect("the registry has two-core groups");
 
     let mut table = Table::new(
         [

@@ -5,7 +5,7 @@
 use simkit::geometric_mean;
 use simkit::table::Table;
 
-use crate::experiments::{cached_sweep_filtered, Experiment};
+use crate::experiments::{Experiment, Sweep};
 use crate::fleet_run::Grid;
 use crate::policies::Knob;
 use crate::scale::SimScale;
@@ -39,10 +39,8 @@ pub fn threshold_grid(scale: SimScale) -> Grid {
     }
 }
 
-/// Builds Figure 11, 12 or 13.
-pub fn figure(metric: ThresholdMetric, scale: SimScale) -> Experiment {
-    let grid = threshold_grid(scale);
-    let sweep = cached_sweep_filtered(&grid).expect("the registry has two-core groups");
+/// Builds Figure 11, 12 or 13 from the sweep of the [`threshold_grid`].
+pub fn figure(metric: ThresholdMetric, sweep: &Sweep) -> Experiment {
     let (id, title) = match metric {
         ThresholdMetric::Performance => (
             "Figure 11",
@@ -65,7 +63,7 @@ pub fn figure(metric: ThresholdMetric, scale: SimScale) -> Experiment {
 
     for (g, group) in sweep.groups.iter().enumerate() {
         let value = |t: usize| -> f64 {
-            let r = sweep.run(g, &grid.settings[t]);
+            let r = sweep.run(g, &Knob::Threshold(THRESHOLDS[t]).setting("cooperative"));
             match metric {
                 ThresholdMetric::Performance => r.weighted_speedup(&sweep.ipc_alone[g]),
                 ThresholdMetric::DynamicEnergy => r.energy.dynamic_nj,

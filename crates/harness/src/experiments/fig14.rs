@@ -4,12 +4,10 @@
 use coop_core::TakeoverEventKind;
 use simkit::table::Table;
 
-use crate::experiments::{cached_sweep, Experiment};
-use crate::scale::SimScale;
+use crate::experiments::{Experiment, Sweep};
 
-/// Builds Figure 14 from the two-core sweep's Cooperative runs.
-pub fn figure(scale: SimScale) -> Experiment {
-    let sweep = cached_sweep(2, scale);
+/// Builds Figure 14 from the Cooperative runs of the two-core paper sweep.
+pub fn figure(sweep: &Sweep) -> Experiment {
     let mut headers = vec!["Group".to_string()];
     headers.extend(TakeoverEventKind::ALL.iter().map(|k| k.label().to_string()));
     let mut table = Table::new(headers);

@@ -3,8 +3,7 @@
 
 use simkit::table::Table;
 
-use crate::experiments::{cached_sweep, Experiment};
-use crate::scale::SimScale;
+use crate::experiments::{Experiment, Sweep};
 
 fn mean(values: &[u64]) -> Option<f64> {
     if values.is_empty() {
@@ -14,9 +13,8 @@ fn mean(values: &[u64]) -> Option<f64> {
     }
 }
 
-/// Builds Figure 15 from the two-core sweep.
-pub fn figure(scale: SimScale) -> Experiment {
-    let sweep = cached_sweep(2, scale);
+/// Builds Figure 15 from the two-core paper sweep.
+pub fn figure(sweep: &Sweep) -> Experiment {
     let mut table = Table::new(vec![
         "Group".to_string(),
         "UCP (cycles)".to_string(),
@@ -63,7 +61,7 @@ pub fn figure(scale: SimScale) -> Experiment {
         (Some(u), Some(c)) => format!(
             "paper: CP transfers a way ~5x faster than UCP (10M vs 58M cycles at paper scale); measured {u:.0} vs {c:.0} cycles ({:.1}x) at scale '{}'",
             u / c.max(1.0),
-            scale.name
+            sweep.scale.name
         ),
         _ => "no completed transfers at this scale; increase --scale".to_string(),
     };

@@ -4,13 +4,12 @@
 
 use simkit::table::Table;
 
-use crate::experiments::{cached_sweep, Experiment};
-use crate::scale::SimScale;
+use crate::experiments::{Experiment, Sweep};
 
-/// Builds Figure 16 from the two-core sweep: the average flush time profile
-/// (lines per bucket, averaged over repartitioning decisions) and totals.
-pub fn figure(scale: SimScale) -> Experiment {
-    let sweep = cached_sweep(2, scale);
+/// Builds Figure 16 from the two-core paper sweep: the average flush time
+/// profile (lines per bucket, averaged over repartitioning decisions) and
+/// totals.
+pub fn figure(sweep: &Sweep) -> Experiment {
     let coop_idx = sweep.policy_idx("cooperative");
     let ucp_idx = sweep.policy_idx("ucp");
 
@@ -66,7 +65,7 @@ pub fn figure(scale: SimScale) -> Experiment {
             ),
             format!(
                 "measured (scale '{}'): CP {cp_per:.0} vs UCP {ucp_per:.0} lines per repartition; CP flushes {} lines total, UCP {}",
-                scale.name, cp_lines, ucp_lines
+                sweep.scale.name, cp_lines, ucp_lines
             ),
         ],
         perf: Some(sweep.perf),

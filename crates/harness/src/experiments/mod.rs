@@ -3,15 +3,14 @@
 //! The sweeps enumerate *policy settings* (a registry name from
 //! [`crate::policies::policy_registry`], optionally with one builder knob:
 //! see [`PolicySetting`]) and *workload groups by registry resolution*
-//! (see [`crate::workload_registry`]). Every simulated figure reads a
+//! (see [`crate::workload_registry`]). Every simulated figure renders a
 //! [`Sweep`] of one [`Grid`]: Figures 5-10 and the 8-core extension the
-//! group × policy grids, Figures 11-13 the Cooperative threshold grid, and
-//! `dvfs_energy`/`cbp_energy` the coordinator slack grid. A sweep is the
-//! fleet's own cells run on local threads ([`cached_sweep_filtered`]), so
-//! it and a `--workers` run are one engine. Each cell is memoized
-//! process-wide by its ID, so grids that share cells simulate them once,
-//! and a sweep is a merge over memoized cells. Table 3 runs its solo cells
-//! on the same engine.
+//! group × policy grids, Figures 14-16 the two-core paper grid, Figures
+//! 11-13 the Cooperative threshold grid, and `dvfs_energy`/`cbp_energy`
+//! the coordinator slack grid; Table 3 renders its solo cells. Which
+//! cells a `repro` target reads, and whether they run in process or as a
+//! fleet, is the target table's ([`crate::targets`]); a module only
+//! renders.
 //! Every experiment returns an [`Experiment`] holding a rendered table
 //! plus free-form notes comparing against the paper's reported numbers.
 
@@ -34,11 +33,10 @@ pub mod table4;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use coop_core::PAPER_POLICIES;
 use simkit::table::Table;
 use workloads::ResolvedWorkload;
 
-use crate::fleet_run::{self, Grid};
+use crate::fleet_run::Grid;
 use crate::policies::{Knob, PolicySetting};
 use crate::scale::SimScale;
 use crate::solo;
@@ -173,6 +171,8 @@ pub struct Sweep {
     /// Solo IPCs per group (aligned with group member order; empty when
     /// the grid has no solo baselines).
     pub ipc_alone: Vec<Vec<f64>>,
+    /// The scale the cells ran at.
+    pub scale: SimScale,
     /// The cost of computing the sweep: its wall-clock, and the LLC demand
     /// accesses of the cells it simulated, counting no cell the process
     /// already held (so accesses-per-second never counts work the
@@ -258,7 +258,7 @@ pub(crate) fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + 
     let n_workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
-        .min(items.len().max(1));
+        .min(items.len());
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -285,39 +285,6 @@ pub(crate) fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + 
 /// Default QoS slack sweep of the coordinator experiments (fractional
 /// allowed slowdown per core).
 pub const DEFAULT_SLACKS: [f64; 3] = [0.05, 0.10, 0.20];
-
-/// `slacks`, or [`DEFAULT_SLACKS`] when empty.
-pub(crate) fn slacks_or_default(slacks: &[f64]) -> Vec<f64> {
-    if slacks.is_empty() {
-        DEFAULT_SLACKS.to_vec()
-    } else {
-        slacks.to_vec()
-    }
-}
-
-/// The sweep for (cores, scale) over the five paper policies.
-pub fn cached_sweep(cores: usize, scale: SimScale) -> Sweep {
-    cached_sweep_filtered(&Grid::sweep(cores, scale, &PAPER_POLICIES, &[]))
-        .expect("the registry always has groups for 2/4/8 cores")
-}
-
-/// The sweep of a grid, or `None` when its group filter leaves no group:
-/// a merge over its cells, which come from the process-wide cell memo
-/// (the paper grid and the coordinator grid share `cooperative`).
-///
-/// The sweep runs the grid's cells ([`Grid::cells`]) with
-/// [`fleet_run::run_cells_local`] and folds their payloads with
-/// [`fleet_run::merge_sweep`], so a single-process sweep and a fleet run
-/// are one engine. The grid's scale must be a named preset: cells resolve
-/// their scale by name.
-pub fn cached_sweep_filtered(grid: &Grid) -> Option<Sweep> {
-    if fleet_run::filtered_groups(grid.cores, &grid.group_filter).is_empty() {
-        return None;
-    }
-    let run = fleet_run::run_cells_local(&grid.cells()).unwrap_or_else(|e| panic!("{e}"));
-    let sweep = fleet_run::merge_sweep(&|cell| run.lookup(cell), grid, run.perf);
-    Some(sweep.unwrap_or_else(|e| panic!("{e}")))
-}
 
 /// The coordinator grid behind `dvfs_energy` and `cbp_energy`: the
 /// two-core groups under the Cooperative baseline, `dvfs` at each slack

@@ -5,18 +5,25 @@ use fleet::CellSpec;
 use simkit::table::Table;
 use workloads::{classify_mpki, Benchmark};
 
-use crate::experiments::Experiment;
-use crate::fleet_run;
+use crate::experiments::{Experiment, ExperimentPerf};
+use crate::fleet_run::{self, CellLookup};
 use crate::scale::SimScale;
 
-/// Builds Table 3 from every benchmark's solo cell in the two-core LLC,
-/// run on the local thread pool.
-pub fn table(scale: SimScale) -> Experiment {
-    let cells: Vec<CellSpec> = Benchmark::ALL
+/// Every benchmark's solo cell in the two-core LLC, the cells Table 3
+/// reads.
+pub fn cells(scale: SimScale) -> Vec<CellSpec> {
+    Benchmark::ALL
         .iter()
         .map(|b| CellSpec::solo(b.name(), 2, scale.name))
-        .collect();
-    let run = fleet_run::run_cells_local(&cells).unwrap_or_else(|e| panic!("{e}"));
+        .collect()
+}
+
+/// Builds Table 3 from its [`cells`].
+pub fn table(
+    lookup: CellLookup,
+    scale: SimScale,
+    perf: ExperimentPerf,
+) -> Result<Experiment, String> {
     let mut t = Table::new(vec![
         "Benchmark".to_string(),
         "MPKI (paper)".to_string(),
@@ -26,11 +33,8 @@ pub fn table(scale: SimScale) -> Experiment {
         "Match".to_string(),
     ]);
     let mut matches = 0;
-    for (b, cell) in Benchmark::ALL.into_iter().zip(&cells) {
-        let r = run
-            .lookup(cell)
-            .and_then(|v| fleet_run::solo_from_value(&v))
-            .unwrap_or_else(|e| panic!("{e}"));
+    for (b, cell) in Benchmark::ALL.into_iter().zip(&cells(scale)) {
+        let r = fleet_run::lookup_solo(lookup, cell)?;
         let paper_class = classify_mpki(b.paper_mpki());
         let measured_class = classify_mpki(r.mpki);
         let ok = paper_class == measured_class;
@@ -44,7 +48,7 @@ pub fn table(scale: SimScale) -> Experiment {
             if ok { "yes" } else { "NO" }.to_string(),
         ]);
     }
-    Experiment {
+    Ok(Experiment {
         id: "Table 3".to_string(),
         title: "Workload classification by LLC MPKI".to_string(),
         table: t,
@@ -53,6 +57,6 @@ pub fn table(scale: SimScale) -> Experiment {
             Benchmark::ALL.len(),
             scale.name
         )],
-        perf: Some(run.perf),
-    }
+        perf: Some(perf),
+    })
 }

@@ -1,16 +1,18 @@
-//! Harness side of fleet orchestration, and the one sweep engine: the
-//! [`fleet::CellRunner`] that executes one sweep cell, bit-exact
-//! serialization of [`RunResult`] / solo baselines through
-//! [`simkit::json`], cell enumeration for the sweep grids, and the merge
-//! that folds finished cells back into a [`Sweep`].
+//! Harness side of fleet orchestration, and the one cell engine: the
+//! [`fleet::CellRunner`] that executes one cell, bit-exact serialization
+//! of [`RunResult`] / solo baselines through [`simkit::json`], cell
+//! enumeration for the sweep grids and the Monte Carlo sample, the merge
+//! that folds finished cells back into a [`Sweep`], and the `repro
+//! --workers` path.
 //!
-//! A single-process sweep is the same cells run on local threads:
-//! [`experiments::cached_sweep_filtered`] enumerates a [`Grid`]'s cells,
-//! looks them up in the process-wide cell memo with [`run_cells_local`],
-//! which simulates only the cells no earlier call ran, and folds the
-//! payloads with [`merge_sweep`], exactly as a fleet run folds its results
-//! store. So [`merge_sweep`] is the only code that assembles a [`Sweep`],
-//! and [`sweep_targets`] is the only table of fleet-capable sweep targets.
+//! Which cells a `repro` target reads, and what it renders from them, is
+//! the target table's ([`crate::targets`]); this module runs those cells.
+//! In process, [`run_cells_local`] looks each cell up in the process-wide
+//! cell memo, which simulates only the cells no earlier call ran. Under
+//! `--workers`, [`run_fleet_target`] runs the union of a target's cells
+//! once on worker processes streaming into a results store, and the
+//! target renders from the store. Both fold payloads with
+//! [`merge_sweep`], the only code that assembles a [`Sweep`].
 //!
 //! Bit-identity is the contract: every `f64` crosses the worker protocol
 //! and the results store via Rust's shortest-roundtrip formatting and
@@ -19,11 +21,10 @@
 //! cycles is byte-for-byte the table of the unsharded run (pinned by the
 //! `fleet_determinism` proptest and the `fleet_e2e` smoke).
 
-// The Monte Carlo sample loop reports wall time in its perf line;
-// allowlisted here and in simlint's path allowlist.
+// In-process cell runs report wall time in their perf line; allowlisted
+// here and in simlint's path allowlist.
 #![allow(clippy::disallowed_methods)]
 
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -34,7 +35,6 @@ use simkit::json::{self, Value};
 use simkit::DetRng;
 use workloads::ResolvedWorkload;
 
-use crate::experiments::fig5_10::{figure_from, Metric};
 use crate::experiments::sample::{self, SampleOutcome};
 use crate::experiments::{self, Experiment, ExperimentPerf, Sweep};
 use crate::memo;
@@ -42,6 +42,7 @@ use crate::policies::PolicySetting;
 use crate::scale::SimScale;
 use crate::solo;
 use crate::system::RunResult;
+use crate::targets::{Target, TargetArgs};
 
 // ---------------------------------------------------------------------------
 // Payload serialization (bit-exact)
@@ -295,40 +296,17 @@ pub fn worker_serve() {
 // ---------------------------------------------------------------------------
 // Cell enumeration
 
-/// The sweep layout behind a `repro` target: which core counts it runs
-/// and which metrics it renders per core count. `None` for targets that
-/// are not sweeps. This is the one table of fleet-capable sweep targets:
-/// `repro`'s in-process path, the fleet's cell enumeration and its merge
-/// all read it.
-pub fn sweep_targets(what: &str) -> Option<&'static [(usize, &'static [Metric])]> {
-    const ALL: &[Metric] = &Metric::ALL;
-    Some(match what {
-        "fig5" => &[(2, &[Metric::WeightedSpeedup])],
-        "fig6" => &[(2, &[Metric::DynamicEnergy])],
-        "fig7" => &[(2, &[Metric::StaticEnergy])],
-        "fig8" => &[(4, &[Metric::WeightedSpeedup])],
-        "fig9" => &[(4, &[Metric::DynamicEnergy])],
-        "fig10" => &[(4, &[Metric::StaticEnergy])],
-        "fig5_10" => &[(2, ALL), (4, ALL)],
-        "four-core" => &[(4, ALL)],
-        "eight_core" | "eight-core" => &[(8, ALL)],
-        _ => return None,
-    })
-}
-
-/// The policy list a target runs: `policies`, or when that is empty the
-/// target's default set — [`SAMPLE_POLICIES`] for a Monte Carlo run, the
-/// five paper policies for a sweep.
-pub fn target_policies(policies: &[&'static str], sample: bool) -> Vec<&'static str> {
-    match (policies.is_empty(), sample) {
-        (false, _) => policies.to_vec(),
-        (true, true) => SAMPLE_POLICIES.to_vec(),
-        (true, false) => coop_core::PAPER_POLICIES.to_vec(),
+/// A flag's list, or the target part's `default` when it was not given.
+fn or_default<'a, T>(given: &'a [T], default: &'a [T]) -> &'a [T] {
+    if given.is_empty() {
+        default
+    } else {
+        given
     }
 }
 
-/// Normalizes a sweep policy list: Fair Share joins at the front when
-/// missing (every figure normalizes to it).
+/// Normalizes a policy list: Fair Share joins at the front when missing
+/// (every figure normalizes to it).
 pub fn policies_with_fair(policies: &[&'static str]) -> Vec<&'static str> {
     let mut out = policies.to_vec();
     if !out.contains(&"fair") {
@@ -369,8 +347,8 @@ pub struct Grid {
 }
 
 impl Grid {
-    /// A paper-sweep grid: `policies` with Fair Share joined, plus the
-    /// solo baselines.
+    /// A paper-sweep grid: `policies` (empty: the five paper policies)
+    /// with Fair Share joined, plus the solo baselines.
     pub fn sweep(
         cores: usize,
         scale: SimScale,
@@ -380,7 +358,7 @@ impl Grid {
         Grid {
             cores,
             scale,
-            settings: policies_with_fair(policies)
+            settings: policies_with_fair(or_default(policies, &coop_core::PAPER_POLICIES))
                 .iter()
                 .map(|p| p.to_string())
                 .collect(),
@@ -444,39 +422,24 @@ pub fn sample_specs(plan: &SamplePlan) -> Vec<String> {
 /// Default Monte Carlo policy set when `--policy` is absent.
 pub const SAMPLE_POLICIES: [&str; 2] = ["fair", "cooperative"];
 
-/// Cells for a sampled mix list (deduplicated by cell ID; repeated draws
-/// run once and count many times).
+/// Cells for the sampled mixes, per mix its solo baselines and one cell
+/// per policy (empty: [`SAMPLE_POLICIES`]; Fair Share joined). A repeated draw repeats its cells; a
+/// target lists each cell once, so it runs once and counts many times.
 pub fn sample_cells(
-    specs: &[String],
+    plan: &SamplePlan,
     scale: SimScale,
     policies: &[&'static str],
 ) -> Result<Vec<CellSpec>, String> {
     let registry = crate::workload_registry();
-    let policies = policies_with_fair(policies);
+    let policies = policies_with_fair(or_default(policies, &SAMPLE_POLICIES));
     let mut cells: Vec<CellSpec> = Vec::new();
-    let mut seen: Vec<String> = Vec::new();
-    let push = |c: CellSpec, seen: &mut Vec<String>, cells: &mut Vec<CellSpec>| {
-        let id = c.id();
-        if !seen.contains(&id) {
-            seen.push(id);
-            cells.push(c);
-        }
-    };
-    for spec in specs {
-        let wl = registry.resolve(spec).map_err(|e| e.to_string())?;
+    for spec in sample_specs(plan) {
+        let wl = registry.resolve(&spec).map_err(|e| e.to_string())?;
         for m in wl.member_names() {
-            push(
-                CellSpec::solo(m, wl.cores(), scale.name),
-                &mut seen,
-                &mut cells,
-            );
+            cells.push(CellSpec::solo(m, wl.cores(), scale.name));
         }
         for p in &policies {
-            push(
-                CellSpec::sweep(&wl.label, p, wl.cores(), scale.name),
-                &mut seen,
-                &mut cells,
-            );
+            cells.push(CellSpec::sweep(&wl.label, p, wl.cores(), scale.name));
         }
     }
     Ok(cells)
@@ -494,15 +457,15 @@ fn lookup_run(lookup: CellLookup, cell: &CellSpec) -> Result<RunResult, String> 
         .map_err(|e| format!("cell {} ({}): {e}", cell.id(), cell.canonical()))
 }
 
-fn lookup_solo(lookup: CellLookup, cell: &CellSpec) -> Result<solo::SoloResult, String> {
+pub(crate) fn lookup_solo(lookup: CellLookup, cell: &CellSpec) -> Result<solo::SoloResult, String> {
     solo_from_value(&lookup(cell)?)
         .map_err(|e| format!("cell {} ({}): {e}", cell.id(), cell.canonical()))
 }
 
 /// Folds stored cells back into the [`Sweep`] of `grid`: groups in
 /// registry order, one column per setting, `ipc_alone` from the solo
-/// cells. This is the one code that assembles a [`Sweep`], in-process
-/// ([`experiments::cached_sweep_filtered`]) and from a fleet's store alike.
+/// cells. This is the one code that assembles a [`Sweep`], from the process
+/// memo and from a fleet's store alike.
 /// `perf` carries the run's cost (it feeds the perf line, never the
 /// tables).
 pub fn merge_sweep(lookup: CellLookup, grid: &Grid, perf: ExperimentPerf) -> Result<Sweep, String> {
@@ -537,52 +500,58 @@ pub fn merge_sweep(lookup: CellLookup, grid: &Grid, perf: ExperimentPerf) -> Res
         groups,
         runs,
         ipc_alone,
+        scale: grid.scale,
         perf,
     })
 }
 
-/// Per-sample distributional outcomes for one policy vs Fair Share.
-pub fn sample_outcomes(
+/// The Monte Carlo report from the sampled mixes' cells: per policy
+/// besides Fair Share (empty: [`SAMPLE_POLICIES`]), its distributional
+/// outcomes vs Fair Share.
+pub fn sample_figures(
     lookup: CellLookup,
-    specs: &[String],
+    plan: &SamplePlan,
     scale: SimScale,
-    policy: &'static str,
-    slack: f64,
-) -> Result<Vec<SampleOutcome>, String> {
+    policies: &[&'static str],
+    perf: ExperimentPerf,
+) -> Result<Vec<Experiment>, String> {
     let registry = crate::workload_registry();
-    let mut out = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let wl = registry.resolve(spec).map_err(|e| e.to_string())?;
-        let cores = wl.cores();
-        let ipc_alone: Vec<f64> = wl
-            .member_names()
-            .iter()
-            .map(|m| lookup_solo(lookup, &CellSpec::solo(m, cores, scale.name)).map(|s| s.ipc))
-            .collect::<Result<Vec<_>, _>>()?;
-        let fair = lookup_run(
-            lookup,
-            &CellSpec::sweep(&wl.label, "fair", cores, scale.name),
-        )?;
-        let run = lookup_run(
-            lookup,
-            &CellSpec::sweep(&wl.label, policy, cores, scale.name),
-        )?;
-        let violations = run
-            .ipc
-            .iter()
-            .zip(ipc_alone.iter())
-            .filter(|(ipc, alone)| *ipc / *alone < 1.0 - slack)
-            .count();
-        out.push(SampleOutcome {
-            spec: wl.label.clone(),
-            cores,
-            ws_norm: run.weighted_speedup(&ipc_alone) / fair.weighted_speedup(&ipc_alone),
-            dyn_norm: run.energy.dynamic_nj / fair.energy.dynamic_nj,
-            static_norm: run.energy.static_nj / fair.energy.static_nj,
-            qos_violation: violations as f64 / cores as f64,
-        });
+    let specs = sample_specs(plan);
+    let mut figures = Vec::new();
+    let policies = or_default(policies, &SAMPLE_POLICIES);
+    for &policy in policies.iter().filter(|&&p| p != "fair") {
+        let mut outcomes = Vec::with_capacity(specs.len());
+        for spec in &specs {
+            let wl = registry.resolve(spec).map_err(|e| e.to_string())?;
+            let cores = wl.cores();
+            let ipc_alone: Vec<f64> = wl
+                .member_names()
+                .iter()
+                .map(|m| lookup_solo(lookup, &CellSpec::solo(m, cores, scale.name)).map(|s| s.ipc))
+                .collect::<Result<Vec<_>, _>>()?;
+            let run_of =
+                |p: &str| lookup_run(lookup, &CellSpec::sweep(&wl.label, p, cores, scale.name));
+            let (fair, run) = (run_of("fair")?, run_of(policy)?);
+            let violations = run
+                .ipc
+                .iter()
+                .zip(ipc_alone.iter())
+                .filter(|(ipc, alone)| *ipc / *alone < 1.0 - plan.slack)
+                .count();
+            outcomes.push(SampleOutcome {
+                spec: wl.label.clone(),
+                cores,
+                ws_norm: run.weighted_speedup(&ipc_alone) / fair.weighted_speedup(&ipc_alone),
+                dyn_norm: run.energy.dynamic_nj / fair.energy.dynamic_nj,
+                static_norm: run.energy.static_nj / fair.energy.static_nj,
+                qos_violation: violations as f64 / cores as f64,
+            });
+        }
+        figures.push(sample::figure(
+            policy, &outcomes, plan.n, plan.seed, plan.slack, perf,
+        ));
     }
-    Ok(out)
+    Ok(figures)
 }
 
 /// Payloads of cells run on the local thread pool, by cell ID, with the
@@ -675,21 +644,21 @@ pub struct FleetOutcome {
 }
 
 /// Builds the manifest of a fleet run, so a later `--resume` can verify
-/// compatibility. It records the policies the run's cells cover: the
-/// target's default set when `policies` is empty, and Fair Share always.
+/// compatibility. It records the policy settings the run's cells hold,
+/// each once, in first-seen order.
 pub fn manifest_for(
     what: &str,
     scale: SimScale,
-    policies: &[&'static str],
     groups: &[String],
     sample: Option<&SamplePlan>,
     cells: &[CellSpec],
 ) -> Manifest {
-    let policy_names: Vec<String> =
-        policies_with_fair(&target_policies(policies, sample.is_some()))
-            .iter()
-            .map(|p| p.to_string())
-            .collect();
+    let mut policy_names: Vec<String> = Vec::new();
+    for cell in cells {
+        if !cell.policy.is_empty() && !policy_names.contains(&cell.policy) {
+            policy_names.push(cell.policy.clone());
+        }
+    }
     Manifest::new(
         what,
         scale.name,
@@ -701,8 +670,25 @@ pub fn manifest_for(
     )
 }
 
-/// Enumerates the cells a target needs (`None` when the target is not
-/// fleet-capable).
+/// The flags of a fleet run as target arguments. The fleet reads the
+/// coordinator grid at the default slacks.
+fn fleet_args<'a>(
+    scale: SimScale,
+    policies: &'a [&'static str],
+    groups: &'a [String],
+    sample: Option<&'a SamplePlan>,
+) -> TargetArgs<'a> {
+    TargetArgs {
+        scale,
+        policies,
+        groups,
+        slacks: &experiments::DEFAULT_SLACKS,
+        sample,
+    }
+}
+
+/// The cells target `what` reads, each once (`None` when `what` names no
+/// target).
 pub fn cells_for_target(
     what: &str,
     scale: SimScale,
@@ -710,14 +696,7 @@ pub fn cells_for_target(
     group_filter: &[String],
     sample: Option<&SamplePlan>,
 ) -> Option<Result<Vec<CellSpec>, String>> {
-    let pol = target_policies(policies, sample.is_some());
-    if let Some(plan) = sample {
-        return Some(sample_cells(&sample_specs(plan), scale, &pol));
-    }
-    let grids = sweep_targets(what)?
-        .iter()
-        .map(|&(cores, _)| Grid::sweep(cores, scale, &pol, group_filter));
-    Some(Ok(grids.flat_map(|grid| grid.cells()).collect()))
+    Some(Target::find(what)?.cells(&fleet_args(scale, policies, group_filter, sample)))
 }
 
 /// Opens the store, enforces manifest compatibility, runs the fleet, and
@@ -732,15 +711,9 @@ pub fn run_fleet_target(
     dir: &str,
     opts: &FleetOptions,
 ) -> Result<FleetOutcome, String> {
-    let cells =
-        cells_for_target(what, scale, policies, group_filter, sample).ok_or_else(|| {
-            format!("'{what}' is not a fleet-capable target (sweep figures and 'sample' are)")
-        })??;
-    if cells.is_empty() {
-        return Err(format!(
-            "'{what}' produced no cells under the given filters"
-        ));
-    }
+    let target = Target::find(what).ok_or_else(|| format!("unknown target '{what}'"))?;
+    let args = fleet_args(scale, policies, group_filter, sample);
+    let cells = target.cells(&args)?;
 
     // The orchestrating process arms the same chaos engine the workers
     // read from `FLEET_CHAOS`, so torn cell writes inject
@@ -748,7 +721,7 @@ pub fn run_fleet_target(
     let store = ResultsStore::open(dir)
         .map_err(|e| e.to_string())?
         .with_chaos(fleet::ChaosEngine::from_env().map(Arc::new));
-    let manifest = manifest_for(what, scale, policies, group_filter, sample, &cells);
+    let manifest = manifest_for(what, scale, group_filter, sample, &cells);
     let all_ids: Vec<String> = cells.iter().map(CellSpec::id).collect();
     match store.read_manifest().map_err(|e| e.to_string())? {
         Some(existing) => {
@@ -821,17 +794,21 @@ pub fn run_fleet_target(
         workers: opts.workers,
         ..ExperimentPerf::local(report.wall_seconds, report.sim_accesses)
     };
+    let lookup = |cell: &CellSpec| -> Result<Value, String> {
+        store
+            .read_cell(&cell.id())
+            .map(|(_, payload)| payload)
+            .map_err(|e| e.to_string())
+    };
     if !report.complete() {
         // Salvage what the durable cells fully cover before giving up:
         // figures built from complete groups only, stamped with explicit
         // partial coverage.
         if let Some(outcome) = salvage_partial(
             &store,
-            what,
-            scale,
-            policies,
-            group_filter,
-            sample,
+            &lookup,
+            target,
+            &args,
             &all_ids,
             report.clone(),
             perf,
@@ -844,14 +821,7 @@ pub fn run_fleet_target(
         ));
     }
 
-    let lookup = |cell: &CellSpec| -> Result<Value, String> {
-        store
-            .read_cell(&cell.id())
-            .map(|(_, payload)| payload)
-            .map_err(|e| e.to_string())
-    };
-    let experiments =
-        merge_target_experiments(&lookup, what, scale, policies, group_filter, sample, perf)?;
+    let experiments = target.render(&lookup, &args, perf)?;
     Ok(FleetOutcome {
         experiments,
         report,
@@ -876,26 +846,21 @@ fn fold_report(into: &mut FleetReport, next: FleetReport) {
 /// Builds partial-coverage experiments from an incomplete run: sweep
 /// groups whose cells (every policy, every solo baseline) are all durable
 /// and valid merge exactly as a complete run would; incomplete groups are
-/// omitted; every figure is stamped `N/M cells, partial`. Returns `None`
-/// when nothing is salvageable (no fully covered group, or a Monte Carlo
-/// run — distributional statistics over a partial draw set would silently
-/// be a different experiment).
-#[allow(clippy::too_many_arguments)]
+/// omitted; every figure is stamped `N/M cells, partial`. Only a target
+/// whose parts are all paper sweeps is salvaged: `None` for any other
+/// (a Monte Carlo run's statistics over a partial draw set, say, would
+/// silently be a different experiment), and when no group is fully
+/// covered.
 fn salvage_partial(
     store: &ResultsStore,
-    what: &str,
-    scale: SimScale,
-    policies: &[&'static str],
-    group_filter: &[String],
-    sample: Option<&SamplePlan>,
+    lookup: CellLookup,
+    target: Target,
+    args: &TargetArgs,
     cell_ids: &[String],
     report: FleetReport,
     perf: ExperimentPerf,
 ) -> Result<Option<FleetOutcome>, String> {
-    if sample.is_some() {
-        return Ok(None);
-    }
-    let Some(targets) = sweep_targets(what) else {
+    let Some(sweep_cores) = target.sweep_cores() else {
         return Ok(None);
     };
     let valid = store
@@ -905,18 +870,16 @@ fn salvage_partial(
     let durable = valid.len();
     let done: BTreeSet<String> = valid.into_iter().collect();
     let total = cell_ids.len();
-    let pol = target_policies(policies, false);
-    let lookup = |cell: &CellSpec| -> Result<Value, String> {
-        store
-            .read_cell(&cell.id())
-            .map(|(_, payload)| payload)
-            .map_err(|e| e.to_string())
-    };
     let mut covered: Vec<String> = Vec::new();
     let mut omitted: Vec<String> = Vec::new();
-    for &(cores, _) in targets {
-        for g in filtered_groups(cores, group_filter) {
-            let group = Grid::sweep(cores, scale, &pol, std::slice::from_ref(&g.label));
+    for cores in sweep_cores {
+        for g in filtered_groups(cores, args.groups) {
+            let group = Grid::sweep(
+                cores,
+                args.scale,
+                args.policies,
+                std::slice::from_ref(&g.label),
+            );
             let complete = group.cells().iter().all(|c| done.contains(&c.id()));
             if complete {
                 covered.push(g.label);
@@ -929,8 +892,11 @@ fn salvage_partial(
     if covered.is_empty() {
         return Ok(None);
     }
-    let mut experiments =
-        merge_target_experiments(&lookup, what, scale, policies, &covered, None, perf)?;
+    let covered = TargetArgs {
+        groups: &covered,
+        ..*args
+    };
+    let mut experiments = target.render(lookup, &covered, perf)?;
     let coverage = format!("{durable}/{total} cells, partial");
     let note = format!(
         "{coverage} — incomplete groups omitted ({}); rerun with --resume to finish",
@@ -950,35 +916,9 @@ fn salvage_partial(
     }))
 }
 
-/// Renders a sweep layout's figures: per core count, every metric the
-/// layout names, from one [`Sweep`]. `sweep_for(cores)` supplies that
-/// sweep, whose perf the figures report — the process memo for an
-/// in-process run, a results store for a fleet run. A core count that the
-/// group filter leaves without groups is skipped.
-pub fn sweep_figures<S: Borrow<Sweep>>(
-    layout: &[(usize, &[Metric])],
-    group_filter: &[String],
-    mut sweep_for: impl FnMut(usize) -> Result<S, String>,
-) -> Result<Vec<Experiment>, String> {
-    let mut out = Vec::new();
-    for &(cores, metrics) in layout {
-        if filtered_groups(cores, group_filter).is_empty() {
-            continue;
-        }
-        let sweep = sweep_for(cores)?;
-        let sweep = sweep.borrow();
-        out.extend(
-            metrics
-                .iter()
-                .map(|&m| figure_from(sweep, cores, m, group_filter, sweep.perf)),
-        );
-    }
-    Ok(out)
-}
-
-/// Builds the target's experiments from finished cells — shared by the
-/// fleet path (store lookup), the in-process Monte Carlo path and
-/// perfbench's in-process twin (map lookup).
+/// Builds the target's experiments from finished cells, every part with
+/// `perf`: the fleet path reads the results store, perfbench's in-process
+/// twin a map.
 pub fn merge_target_experiments(
     lookup: CellLookup,
     what: &str,
@@ -988,47 +928,11 @@ pub fn merge_target_experiments(
     sample: Option<&SamplePlan>,
     perf: ExperimentPerf,
 ) -> Result<Vec<Experiment>, String> {
-    let pol = target_policies(policies, sample.is_some());
-    if let Some(plan) = sample {
-        let specs = sample_specs(plan);
-        let mut out = Vec::new();
-        for p in policies_with_fair(&pol) {
-            if p == "fair" {
-                continue;
-            }
-            let outcomes = sample_outcomes(lookup, &specs, scale, p, plan.slack)?;
-            out.push(sample::figure(
-                p, &outcomes, plan.n, plan.seed, plan.slack, perf,
-            ));
-        }
-        return Ok(out);
-    }
-    let layout = sweep_targets(what).ok_or_else(|| format!("'{what}' has no sweep layout"))?;
-    sweep_figures(layout, group_filter, |cores| {
-        let grid = Grid::sweep(cores, scale, &pol, group_filter);
-        merge_sweep(lookup, &grid, perf)
-    })
-}
-
-/// The in-process Monte Carlo path (`repro sample` without `--workers`):
-/// run every cell on the local thread pool, then build the same
-/// distributional report the fleet path merges.
-pub fn run_sample_inprocess(
-    scale: SimScale,
-    policies: &[&'static str],
-    plan: &SamplePlan,
-) -> Result<Vec<Experiment>, String> {
-    let cells = cells_for_target("sample", scale, policies, &[], Some(plan))
-        .expect("sample is fleet-capable")?;
-    let run = run_cells_local(&cells)?;
-    merge_target_experiments(
-        &|cell| run.lookup(cell),
-        "sample",
-        scale,
-        policies,
-        &[],
-        Some(plan),
-        run.perf,
+    let target = Target::find(what).ok_or_else(|| format!("unknown target '{what}'"))?;
+    target.render(
+        lookup,
+        &fleet_args(scale, policies, group_filter, sample),
+        perf,
     )
 }
 
@@ -1053,6 +957,12 @@ mod tests {
         assert!(cells.iter().all(|c| c.scale == "quick"));
     }
 
+    /// One grid run in process, as a target part runs it.
+    fn sweep_of(grid: &Grid) -> Sweep {
+        let run = run_cells_local(&grid.cells()).expect("cells run");
+        merge_sweep(&|cell| run.lookup(cell), grid, run.perf).expect("cells merge")
+    }
+
     #[test]
     fn sample_cells_dedup_repeated_draws() {
         let plan = SamplePlan {
@@ -1063,7 +973,9 @@ mod tests {
         let specs = sample_specs(&plan);
         assert_eq!(specs.len(), 16);
         assert_eq!(specs, sample_specs(&plan), "seeded replay");
-        let cells = sample_cells(&specs, quick(), &SAMPLE_POLICIES).expect("cells");
+        let cells = cells_for_target("sample", quick(), &[], &[], Some(&plan))
+            .expect("a target")
+            .expect("cells");
         let mut ids: Vec<String> = cells.iter().map(|c| c.id()).collect();
         ids.sort();
         let n = ids.len();
@@ -1116,12 +1028,9 @@ mod tests {
         // A group no other test in this binary sweeps.
         let groups = ["G2-3".to_string()];
         let accesses = |r: &RunResult| -> u64 { r.accesses.iter().sum() };
-        let first = experiments::cached_sweep_filtered(&Grid::sweep(2, quick(), &["ucp"], &groups))
-            .expect("group exists");
+        let first = sweep_of(&Grid::sweep(2, quick(), &["ucp"], &groups));
         assert!(first.perf.sim_accesses >= first.runs[0].iter().map(accesses).sum());
-        let second =
-            experiments::cached_sweep_filtered(&Grid::sweep(2, quick(), &["cooperative"], &groups))
-                .expect("group exists");
+        let second = sweep_of(&Grid::sweep(2, quick(), &["cooperative"], &groups));
         assert_eq!(second.policies, ["fair", "cooperative"]);
         assert_eq!((second.perf.reused, second.perf.cells), (3, 4));
         assert_eq!(
@@ -1142,8 +1051,8 @@ mod tests {
             group_filter: groups,
             ..experiments::coordinator_grid(quick(), &[0.1])
         };
-        let first = experiments::cached_sweep_filtered(&paper).expect("group exists");
-        let second = experiments::cached_sweep_filtered(&coordinator).expect("group exists");
+        let first = sweep_of(&paper);
+        let second = sweep_of(&coordinator);
         assert_eq!(
             format!("{:?}", first.run(0, "cooperative")),
             format!("{:?}", second.run(0, "cooperative"))
@@ -1168,15 +1077,26 @@ mod tests {
             seed: 7,
             slack: 0.1,
         };
-        for (what, policies, sample) in [
-            ("fig5", &[][..], None),
-            ("fig5", &["ucp"][..], None),
-            ("sample", &[][..], Some(&plan)),
+        // In first-seen order: the paper sweeps and the sample record their
+        // policy list with Fair Share joined, Figure 11 its threshold
+        // settings.
+        let joined = |policies: &[&'static str]| -> Vec<String> {
+            policies_with_fair(policies)
+                .iter()
+                .map(|p| p.to_string())
+                .collect()
+        };
+        let thresholds = crate::experiments::fig11_13::threshold_grid(quick()).settings;
+        for (what, policies, sample, listed) in [
+            ("fig5", &[][..], None, joined(&coop_core::PAPER_POLICIES)),
+            ("fig5", &["ucp"][..], None, joined(&["ucp"])),
+            ("sample", &[][..], Some(&plan), joined(&SAMPLE_POLICIES)),
+            ("fig11", &[][..], None, thresholds),
         ] {
             let cells = cells_for_target(what, quick(), policies, &groups, sample)
-                .expect("a fleet target")
+                .expect("a target")
                 .expect("cells");
-            let written = manifest_for(what, quick(), policies, &groups, sample, &cells);
+            let written = manifest_for(what, quick(), &groups, sample, &cells);
             store.write_manifest(&written).expect("manifest written");
             let read = store
                 .read_manifest()
@@ -1189,20 +1109,16 @@ mod tests {
                 .map(|c| c.policy.as_str())
                 .collect();
             let recorded: BTreeSet<&str> = read.policies.iter().map(String::as_str).collect();
-            assert_eq!(
-                recorded,
-                covered,
-                "{policies:?} sample {}",
-                sample.is_some()
-            );
+            assert_eq!(recorded, covered, "{what} {policies:?}");
+            assert_eq!(read.policies, listed, "{what} {policies:?}");
         }
         let _ = std::fs::remove_dir_all(&dir);
         // A Fair-only resume onto an unfiltered store names the policies.
         let manifest = |policies: &[&'static str]| {
             let cells = cells_for_target("fig5", quick(), policies, &groups, None)
-                .expect("a fleet target")
+                .expect("a target")
                 .expect("cells");
-            manifest_for("fig5", quick(), policies, &groups, None, &cells)
+            manifest_for("fig5", quick(), &groups, None, &cells)
         };
         let err = manifest(&["fair"])
             .compatible_with(&manifest(&[]))
@@ -1213,22 +1129,9 @@ mod tests {
     #[test]
     fn manifest_gates_incompatible_runs() {
         let cells = Grid::sweep(2, quick(), &["ucp"], &["G2-1".to_string()]).cells();
-        let a = manifest_for(
-            "fig5",
-            quick(),
-            &["ucp"],
-            &["G2-1".to_string()],
-            None,
-            &cells,
-        );
-        let b = manifest_for(
-            "fig5",
-            SimScale::tiny(),
-            &["ucp"],
-            &["G2-1".to_string()],
-            None,
-            &cells,
-        );
+        let groups = ["G2-1".to_string()];
+        let a = manifest_for("fig5", quick(), &groups, None, &cells);
+        let b = manifest_for("fig5", SimScale::tiny(), &groups, None, &cells);
         assert!(a.compatible_with(&a).is_ok());
         let err = b.compatible_with(&a).expect_err("scale differs");
         assert!(err.contains("scale"), "{err}");

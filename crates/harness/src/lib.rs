@@ -14,8 +14,10 @@
 //! * [`scale::SimScale`] — reduced-scale presets (the paper runs 1 B
 //!   instructions per app with 5 M-cycle epochs; the default reproduction
 //!   scale divides both by ~100; `repro --scale` picks another preset);
-//! * [`experiments`] — one module per paper table/figure, each returning a
-//!   printable table plus raw series.
+//! * [`experiments`] — one module per paper table/figure, each rendering a
+//!   printable table from the cells it reads;
+//! * [`targets`] — the one table of `repro` targets: the cells each reads
+//!   and what it renders, in process or as a worker fleet ([`fleet_run`]).
 //!
 //! The `repro` binary is the one front end and its flags are the only
 //! configuration: `repro all`, `repro fig5`, `repro table3 --scale medium`,
@@ -29,6 +31,7 @@ pub mod policies;
 pub mod scale;
 pub mod solo;
 pub mod system;
+pub mod targets;
 
 pub use policies::policy_registry;
 pub use scale::SimScale;

@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 
 use fleet::{CellSpec, ResultsStore};
 use harness::experiments::fig5_10::{figure_from, Metric};
-use harness::experiments::{cached_sweep_filtered, ExperimentPerf};
+use harness::experiments::ExperimentPerf;
 use harness::fleet_run;
 use harness::SimScale;
 use proptest::prelude::*;
@@ -62,7 +62,9 @@ fn baseline() -> &'static Baseline {
             let filter = vec![case.group.to_string()];
             let grid = fleet_run::Grid::sweep(case.cores, scale, case.policies, &filter);
             cells.extend(grid.cells());
-            let sweep = cached_sweep_filtered(&grid).expect("groups exist");
+            let run = fleet_run::run_cells_local(&grid.cells()).expect("cells run");
+            let sweep = fleet_run::merge_sweep(&|cell| run.lookup(cell), &grid, run.perf)
+                .expect("groups exist");
             golden.push(
                 Metric::ALL
                     .into_iter()

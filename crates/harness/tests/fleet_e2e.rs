@@ -5,7 +5,9 @@
 //! not fail the run), the refusal paths (incompatible manifest, done
 //! results without `--resume`), that plain `--json` runs share a
 //! directory without making it a store, that a verified cell file alone marks
-//! its cell finished, and that a store resumes from any launch directory.
+//! its cell finished, that a store resumes from any launch directory, that
+//! a target beyond the paper sweeps (Table 3) runs as a fleet, and that
+//! `--slacks` is refused with `--workers` where a fleet would ignore it.
 //!
 //! The sweeps are restricted to G2-1/G4-1 so the whole file stays fast in
 //! debug CI; `scripts/fleet_smoke.sh` runs the unrestricted release
@@ -341,4 +343,50 @@ fn resume_from_outside_the_checkout_accepts_its_own_store() {
     for d in [&dir, &elsewhere] {
         std::fs::remove_dir_all(d).ok();
     }
+}
+
+/// Table 3 reads solo cells only; as a fleet it writes the recorded
+/// fixture byte for byte.
+#[test]
+fn table3_runs_as_a_fleet_byte_identical_to_the_fixture() {
+    let dir = tmp("table3");
+    let out = Command::new(REPRO)
+        .args(["table3", "--scale", "quick", "--workers", "2"])
+        .args(["--json", dir.to_str().unwrap()])
+        .env_remove("FLEET_CHAOS")
+        .output()
+        .expect("repro runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/table3.json");
+    assert_eq!(
+        std::fs::read(dir.join("table3.json")).expect("table3.json written"),
+        std::fs::read(fixture).expect("fixture"),
+        "table3.json diverged from the fixture"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A fleet runs the coordinator grid at the default slacks, so `--slacks`
+/// with `--workers` is refused before anything runs, with the reason.
+#[test]
+fn slacks_with_workers_is_refused_for_the_coordinator_grid() {
+    let dir = tmp("slacks");
+    let out = Command::new(REPRO)
+        .args(["dvfs_energy", "--scale", "quick", "--workers", "2"])
+        .args(["--slacks", "0.1", "--json", dir.to_str().unwrap()])
+        .env_remove("FLEET_CHAOS")
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--slacks") && stderr.contains("default slacks"),
+        "the refusal names its reason:\n{stderr}"
+    );
+    assert!(!dir.join("manifest.json").exists(), "nothing ran");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -189,6 +189,8 @@ fn repro_rejects_bad_flag_values_with_exit_2() {
         &["dvfs_energy", "--slacks", "0.1,abc"],
         &["fig5", "--scale"],
         &["fig8", "--group", "G2-1"],
+        &["table1", "--shards", "3"],
+        &["fig5", "--resume"],
     ] {
         let out = run(env!("CARGO_BIN_EXE_repro"), args);
         assert_usage_error(&args.join(" "), &out);

@@ -57,11 +57,6 @@ impl MshrFile {
         }
     }
 
-    /// Number of live (not yet completed) entries at `now`.
-    pub fn live(&self, now: Cycle) -> usize {
-        self.done.iter().filter(|&&c| c > now).count()
-    }
-
     /// Tries to track a miss on `line` at cycle `now`.
     pub fn begin(&mut self, now: Cycle, line: LineAddr) -> MshrOutcome {
         self.expire(now);
@@ -95,14 +90,6 @@ impl MshrFile {
     /// Completion cycle of an outstanding line, if any.
     pub fn completion_of(&self, line: LineAddr) -> Option<Cycle> {
         self.index_of(line).map(|i| self.done[i])
-    }
-
-    /// Earliest scheduled fill strictly after `now`, if any — the MSHR
-    /// file's contribution to a wake-list entry: a requester stalled on a
-    /// full file can next make progress when this fill lands. Pure (no
-    /// expiry side effects), so schedulers may poll it freely.
-    pub fn next_completion(&self, now: Cycle) -> Option<Cycle> {
-        self.done.iter().copied().filter(|&c| c > now).min()
     }
 
     fn index_of(&self, line: LineAddr) -> Option<usize> {
@@ -159,8 +146,7 @@ mod tests {
     }
 
     /// Random operation sequences agree with the reference model: every
-    /// outcome, every completion lookup, the earliest fill, the live count
-    /// and both counters. Time moves in small steps and fills take a few
+    /// outcome, every completion lookup and both counters. Time moves in small steps and fills take a few
     /// cycles, so operations often land exactly on a completion.
     #[test]
     fn matches_the_reference_model() {
@@ -196,11 +182,6 @@ mod tests {
                         reference.entries.get(&probe.raw()).copied(),
                         "{at}"
                     );
-                    let later = now + rng.below(8);
-                    let next = reference.entries.values().filter(|&&d| d > later).min();
-                    assert_eq!(file.next_completion(later), next.copied(), "{at}");
-                    let live = reference.entries.values().filter(|&&d| d > later).count();
-                    assert_eq!(file.live(later), live, "{at}");
                 }
                 assert_eq!((file.merges.get(), file.stalls.get()), (merges, stalls));
             }
@@ -239,7 +220,6 @@ mod tests {
         m.begin(Cycle(0), la(2));
         m.set_completion(la(2), Cycle(100));
         // At cycle 150 both retired; new allocations succeed.
-        assert_eq!(m.live(Cycle(150)), 0);
         assert_eq!(m.begin(Cycle(150), la(3)), MshrOutcome::Allocated);
         assert_eq!(m.begin(Cycle(150), la(4)), MshrOutcome::Allocated);
     }
@@ -251,41 +231,5 @@ mod tests {
         m.set_completion(la(1), Cycle(50));
         // After completion, a new miss to the same line allocates afresh.
         assert_eq!(m.begin(Cycle(60), la(1)), MshrOutcome::Allocated);
-    }
-
-    #[test]
-    fn next_completion_tracks_earliest_inflight_fill() {
-        let mut m = MshrFile::new(4);
-        assert_eq!(m.next_completion(Cycle(0)), None);
-        m.begin(Cycle(0), la(1));
-        m.set_completion(la(1), Cycle(300));
-        m.begin(Cycle(0), la(2));
-        m.set_completion(la(2), Cycle(120));
-        assert_eq!(m.next_completion(Cycle(0)), Some(Cycle(120)));
-        // Matches the Full() back-pressure hint for a stalled requester.
-        m.begin(Cycle(0), la(3));
-        m.set_completion(la(3), Cycle(500));
-        m.begin(Cycle(0), la(4));
-        m.set_completion(la(4), Cycle(501));
-        match m.begin(Cycle(10), la(5)) {
-            MshrOutcome::Full(hint) => {
-                assert_eq!(Some(hint), m.next_completion(Cycle(10)));
-            }
-            other => panic!("expected Full, got {other:?}"),
-        }
-        // Past the earliest fill, only later ones remain.
-        assert_eq!(m.next_completion(Cycle(120)), Some(Cycle(300)));
-        assert_eq!(m.next_completion(Cycle(501)), None);
-    }
-
-    #[test]
-    fn live_counts_only_inflight() {
-        let mut m = MshrFile::new(4);
-        m.begin(Cycle(0), la(1));
-        m.set_completion(la(1), Cycle(10));
-        m.begin(Cycle(0), la(2));
-        m.set_completion(la(2), Cycle(1000));
-        assert_eq!(m.live(Cycle(5)), 2);
-        assert_eq!(m.live(Cycle(500)), 1);
     }
 }
