@@ -5,8 +5,9 @@
 //! without referencing any harness type, so the fleet layer stays a pure
 //! orchestration substrate. Cells carry *stable content-hashed IDs*: the
 //! same cell always hashes to the same ID across processes, machines and
-//! runs, which is what makes resume (diff the manifest against the done
-//! set) and retry (re-issue the same cell) coherent.
+//! runs and targets, which is what makes reuse (a verified file under a
+//! cell's ID is that cell finished) and retry (re-issue the same cell)
+//! coherent.
 
 use simkit::json::{self, Value};
 use simkit::rng::fnv1a;

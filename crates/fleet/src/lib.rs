@@ -7,8 +7,10 @@
 //! [`shard::Shard`]s, executed by worker processes speaking the NDJSON
 //! [`protocol`] over stdin/stdout, and persisted cell-by-cell into a
 //! [`store::ResultsStore`]: each finished cell is one checksummed file,
-//! the only record that it finished, so a run resumes by verifying them,
-//! and the manifest guards against mixing incompatible partial results.
+//! the only record that it finished. Any run onto a store of the same
+//! format and code version verifies those files and computes only the
+//! cells without one, whichever target asked for them first; the manifest
+//! refuses a store written by another build.
 //! The harness plugs in at exactly two points: a [`worker::CellRunner`]
 //! that knows how to execute one cell, and code that merges stored
 //! payloads back into its own result tables.
@@ -42,8 +44,8 @@ pub use worker::{serve, CellRunner};
 
 use std::sync::OnceLock;
 
-/// The version stamped into run manifests, used to refuse resuming onto
-/// partial results produced by a different build:
+/// The version stamped into store manifests, used to refuse reusing the
+/// cells of a store produced by a different build:
 /// `v{crate version}+{FNV-1a of the running executable's bytes, 16 hex}`,
 /// or `v{crate version}` when the executable cannot be read. It names the
 /// binary, not the directory it was launched from, and is computed once
@@ -63,33 +65,23 @@ pub fn version_string() -> String {
 
 /// Parses one numeric `FLEET_*` knob from its raw value (`None` when the
 /// variable is unset, which yields `default`). A value that is not an
-/// unsigned integer, or is below `min`, is rejected with a line naming it,
-/// and the caller runs with `default`: a typo'd `FLEET_HEARTBEAT_MS=25ms`
-/// must be named, never quietly swallowed.
-pub(crate) fn parse_knob(
-    key: &str,
-    raw: Option<&str>,
-    default: u64,
-    min: u64,
-) -> Result<u64, String> {
+/// unsigned integer is rejected with a line naming it, and the caller runs
+/// with `default`: a typo'd `FLEET_BACKOFF_MS=25ms` must be named, never
+/// quietly swallowed.
+pub(crate) fn parse_knob(key: &str, raw: Option<&str>, default: u64) -> Result<u64, String> {
     let Some(v) = raw else {
         return Ok(default);
     };
-    let why = match v.trim().parse::<u64>() {
-        Ok(n) if n >= min => return Ok(n),
-        Ok(_) => format!("below the minimum {min}"),
-        Err(_) => "not an unsigned integer".to_string(),
-    };
-    Err(format!(
-        "# fleet: ignoring {key}='{v}' ({why}); using default {default}"
-    ))
+    v.trim().parse::<u64>().map_err(|_| {
+        format!("# fleet: ignoring {key}='{v}' (not an unsigned integer); using default {default}")
+    })
 }
 
 /// [`parse_knob`] over the process environment; a rejected value is named
 /// on stderr.
-pub(crate) fn env_knob(key: &str, default: u64, min: u64) -> u64 {
+pub(crate) fn env_knob(key: &str, default: u64) -> u64 {
     let raw = std::env::var(key).ok();
-    parse_knob(key, raw.as_deref(), default, min).unwrap_or_else(|line| {
+    parse_knob(key, raw.as_deref(), default).unwrap_or_else(|line| {
         eprintln!("{line}");
         default
     })
@@ -113,26 +105,17 @@ mod tests {
 
     #[test]
     fn knobs_parse_or_name_the_rejected_value() {
-        let heartbeat = |raw| parse_knob("FLEET_HEARTBEAT_MS", raw, 100, 1);
-        assert_eq!(heartbeat(None), Ok(100));
-        assert_eq!(heartbeat(Some("25")), Ok(25));
+        let backoff = |raw| parse_knob("FLEET_BACKOFF_MS", raw, 250);
+        assert_eq!(backoff(None), Ok(250));
+        assert_eq!(backoff(Some("25")), Ok(25));
+        assert_eq!(backoff(Some("0")), Ok(0));
         assert_eq!(
-            heartbeat(Some("25ms")),
+            backoff(Some("25ms")),
             Err(
-                "# fleet: ignoring FLEET_HEARTBEAT_MS='25ms' (not an unsigned integer); \
-                 using default 100"
+                "# fleet: ignoring FLEET_BACKOFF_MS='25ms' (not an unsigned integer); \
+                 using default 250"
                     .to_string()
             )
         );
-        assert_eq!(
-            heartbeat(Some("0")),
-            Err(
-                "# fleet: ignoring FLEET_HEARTBEAT_MS='0' (below the minimum 1); \
-                 using default 100"
-                    .to_string()
-            )
-        );
-        // Knobs without a minimum take 0 (e.g. "no run deadline").
-        assert_eq!(parse_knob("FLEET_RUN_DEADLINE_MS", Some("0"), 0, 0), Ok(0));
     }
 }

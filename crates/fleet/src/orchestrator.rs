@@ -34,9 +34,11 @@ use crate::worker::CellRunner;
 const SHARD_TIMEOUT: Duration = Duration::from_secs(600);
 /// Period of the fleet status summary on stderr.
 const STATUS_EVERY: Duration = Duration::from_secs(5);
+/// Retries per shard beyond its first attempt.
+const MAX_RETRIES: usize = 2;
 
 /// Orchestration knobs. `new(worker_cmd, workers)` gives production
-/// defaults with env overrides (`FLEET_STALL_TIMEOUT_MS`, `FLEET_RETRIES`,
+/// defaults with env overrides (`FLEET_STALL_TIMEOUT_MS`,
 /// `FLEET_BACKOFF_MS`, `FLEET_RUN_DEADLINE_MS`) so tests can compress time
 /// without plumbing flags.
 #[derive(Debug, Clone)]
@@ -50,8 +52,6 @@ pub struct FleetConfig {
     pub shards: Option<usize>,
     /// Max silence (no heartbeat, no result) from a busy worker.
     pub stall_timeout: Duration,
-    /// Retries per shard beyond the first attempt.
-    pub max_retries: usize,
     /// Base requeue delay; doubles each attempt.
     pub backoff: Duration,
     /// Global wall-clock budget for the whole run: on expiry, in-flight
@@ -61,7 +61,7 @@ pub struct FleetConfig {
 }
 
 fn env_ms(key: &str, default_ms: u64) -> Duration {
-    Duration::from_millis(env_knob(key, default_ms, 0))
+    Duration::from_millis(env_knob(key, default_ms))
 }
 
 impl FleetConfig {
@@ -72,9 +72,8 @@ impl FleetConfig {
             workers: workers.max(1),
             shards: None,
             stall_timeout: env_ms("FLEET_STALL_TIMEOUT_MS", 10_000),
-            max_retries: env_knob("FLEET_RETRIES", 2, 0) as usize,
             backoff: env_ms("FLEET_BACKOFF_MS", 250),
-            run_deadline: match env_knob("FLEET_RUN_DEADLINE_MS", 0, 0) {
+            run_deadline: match env_knob("FLEET_RUN_DEADLINE_MS", 0) {
                 0 => None,
                 ms => Some(Duration::from_millis(ms)),
             },
@@ -325,7 +324,7 @@ pub fn run_fleet(
             return;
         }
         st.last_error = reason.to_string();
-        if st.attempts <= cfg.max_retries {
+        if st.attempts <= MAX_RETRIES {
             let delay = cfg.backoff * 2u32.saturating_pow(st.attempts.saturating_sub(1) as u32);
             report.retries += 1;
             eprintln!(

@@ -3,19 +3,22 @@
 //! Layout:
 //!
 //! ```text
-//! DIR/manifest.json          run manifest: what/scale/filters/version + cell IDs
+//! DIR/manifest.json          store manifest: format, code version, cell IDs
 //! DIR/cells/<id>.json        one finished cell: {"payload": ..., "spec": ..., "sum": ...}
 //! DIR/cells/quarantine/      cell files that failed verification (kept for forensics)
 //! DIR/<experiment>.json      merged experiment outputs (written by repro)
 //! ```
 //!
 //! The per-cell file is the durable unit and the only record that a cell
-//! finished: a crash after N cells keeps N results, and `--resume`
-//! verifies the file of every manifest cell and re-runs only the ones
-//! that are missing or fail. The manifest is the compatibility gate: a
-//! resumed run refuses to mix partial results from a different scale,
-//! filter set, sample plan or code version instead of silently merging
-//! them.
+//! finished: a crash after N cells keeps N results, and a rerun verifies
+//! the file of every cell it needs and computes only the ones that are
+//! missing or fail. One rule decides reuse: a cell file that verifies, in
+//! a store whose manifest has this run's store format and code version,
+//! is finished for any target, since its cell ID already fixes the
+//! workload, policy setting, core count and scale. The manifest keeps the
+//! sorted union of the cell IDs of every run that used the store, so
+//! [`fsck`] can count expected and missing cells and flag a file no run
+//! asked for.
 //!
 //! Every cell file embeds a `"sum"`: the FNV-1a content checksum of its
 //! own canonical render minus that field (see [`crate::cell::content_sum`];
@@ -42,103 +45,77 @@ use crate::chaos::{ChaosEngine, Site};
 /// hole this format closed). Format 3 writes object keys in insertion
 /// order where format 2 sorted them, so the bytes each checksum covers
 /// changed; format-2 files still verify (their checksums cover their own
-/// key order), but a resume refuses to mix the two. Stores of formats 2
+/// key order), but a run refuses a format-2 store. Stores of formats 2
 /// and 3 written before the cell file became the only completion record
 /// also hold a completion journal; nothing reads it.
 pub const STORE_FORMAT: u64 = 3;
 
-/// The run manifest: everything that must match for partial results to be
-/// mergeable.
+/// The store manifest: what a cell file must match to be reused. A cell
+/// ID already fixes the workload, policy setting, core count and scale,
+/// so a verified cell file is finished for any target once the store's
+/// format and code version match this run's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
-    /// The repro target (e.g. `"fig5_10"`, `"sample"`).
-    pub experiment: String,
-    /// Scale preset name.
-    pub scale: String,
-    /// The policies the run covers, Fair Share included.
-    pub policies: Vec<String>,
-    /// Canonical group filter (empty = all groups).
-    pub groups: Vec<String>,
-    /// Monte Carlo plan, when sampling: (mix count, RNG seed).
-    pub sample: Option<(u64, u64)>,
+    /// Store format version.
+    pub format: u64,
     /// Code version: crate version plus a hash of the binary (see
     /// [`crate::version_string`]).
     pub version: String,
-    /// Sorted IDs of every cell the run needs.
+    /// Sorted IDs of every cell a run on this store asked for.
     pub cell_ids: Vec<String>,
-    /// Store format version.
-    pub format: u64,
 }
 
 impl Manifest {
-    /// Builds a manifest over `cells` (IDs are sorted for stability).
-    pub fn new(
-        experiment: &str,
-        scale: &str,
-        policies: &[String],
-        groups: &[String],
-        sample: Option<(u64, u64)>,
-        version: &str,
-        cells: &[CellSpec],
-    ) -> Manifest {
+    /// A manifest of this store format and `version` over `cells` (IDs are
+    /// sorted for stability).
+    pub fn new(version: &str, cells: &[CellSpec]) -> Manifest {
         let mut cell_ids: Vec<String> = cells.iter().map(|c| c.id()).collect();
         cell_ids.sort();
         cell_ids.dedup();
         Manifest {
-            experiment: experiment.to_string(),
-            scale: scale.to_string(),
-            policies: policies.to_vec(),
-            groups: groups.to_vec(),
-            sample,
+            format: STORE_FORMAT,
             version: version.to_string(),
             cell_ids,
-            format: STORE_FORMAT,
         }
+    }
+
+    /// Joins the manifest of the store this run found: refused when
+    /// [`Manifest::compatible_with`] refuses it, and otherwise adds its
+    /// cell IDs, so the manifest names every cell any run on the store
+    /// asked for (sorted, each once).
+    pub fn join(&mut self, earlier: &Manifest) -> Result<(), String> {
+        self.compatible_with(earlier)?;
+        self.cell_ids.extend(earlier.cell_ids.iter().cloned());
+        self.cell_ids.sort();
+        self.cell_ids.dedup();
+        Ok(())
     }
 
     /// Serializes the manifest.
     pub fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("experiment", json::str(&self.experiment)),
-            ("scale", json::str(&self.scale)),
-            ("policies", json::arr_str(&self.policies)),
-            ("groups", json::arr_str(&self.groups)),
+        json::obj(vec![
+            ("format", json::num_u64(self.format)),
             ("version", json::str(&self.version)),
             ("cells", json::arr_str(&self.cell_ids)),
-            ("format", json::num_u64(self.format)),
-        ];
-        if let Some((n, seed)) = self.sample {
-            fields.push((
-                "sample",
-                json::obj(vec![("n", json::num_u64(n)), ("seed", json::num_u64(seed))]),
-            ));
-        }
-        json::obj(fields)
+        ])
     }
 
-    /// Parses a manifest.
+    /// Parses a manifest. Keys it does not ask for are ignored, so the
+    /// manifests of earlier builds, which also recorded the target and
+    /// its filters, still parse.
     pub fn from_value(v: &Value) -> Result<Manifest, String> {
         let field = |e: String| format!("manifest: {e}");
-        let sample = match v.get("sample") {
-            None => None,
-            Some(s) => Some((s.req("n").map_err(field)?, s.req("seed").map_err(field)?)),
-        };
         Ok(Manifest {
-            experiment: v.req("experiment").map_err(field)?,
-            scale: v.req("scale").map_err(field)?,
-            policies: v.req("policies").map_err(field)?,
-            groups: v.req("groups").map_err(field)?,
-            sample,
+            format: v.req("format").map_err(field)?,
             version: v.req("version").map_err(field)?,
             cell_ids: v.req("cells").map_err(field)?,
-            format: v.req("format").map_err(field)?,
         })
     }
 
-    /// Checks that partial results written under `existing` can join this
-    /// run. Everything that changes simulation outputs must match; a
-    /// mismatch names the offending field so the user knows whether to
-    /// pick a fresh directory or rerun the old configuration.
+    /// Checks that the cell files of a store written under `existing` can
+    /// serve this run: the store format and the code version must match.
+    /// A mismatch names the field, so the user knows to pick a fresh
+    /// directory.
     pub fn compatible_with(&self, existing: &Manifest) -> Result<(), String> {
         let mismatch = |what: &str, old: &str, new: &str| {
             Err(format!(
@@ -154,41 +131,6 @@ impl Manifest {
         }
         if existing.version != self.version {
             return mismatch("code version", &existing.version, &self.version);
-        }
-        if existing.experiment != self.experiment {
-            return mismatch("experiment", &existing.experiment, &self.experiment);
-        }
-        if existing.scale != self.scale {
-            return mismatch("scale", &existing.scale, &self.scale);
-        }
-        if existing.policies != self.policies {
-            return mismatch(
-                "policy filter",
-                &existing.policies.join(","),
-                &self.policies.join(","),
-            );
-        }
-        if existing.groups != self.groups {
-            return mismatch(
-                "group filter",
-                &existing.groups.join(","),
-                &self.groups.join(","),
-            );
-        }
-        if existing.sample != self.sample {
-            return mismatch(
-                "sample plan",
-                &format!("{:?}", existing.sample),
-                &format!("{:?}", self.sample),
-            );
-        }
-        if existing.cell_ids != self.cell_ids {
-            return Err(format!(
-                "results dir was written by an incompatible run: cell set differs \
-                 ({} existing vs {} requested cells)",
-                existing.cell_ids.len(),
-                self.cell_ids.len()
-            ));
         }
         Ok(())
     }
@@ -242,11 +184,6 @@ impl ResultsStore {
         self
     }
 
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn manifest_path(&self) -> PathBuf {
         self.dir.join("manifest.json")
     }
@@ -259,12 +196,13 @@ impl ResultsStore {
         self.dir.join("cells").join("quarantine")
     }
 
-    /// Writes the run manifest (pretty single line + trailing newline).
+    /// Writes the manifest (one line and a newline) atomically, through a
+    /// temp file and a rename like a cell file, since every run onto the
+    /// store rewrites it.
     pub fn write_manifest(&self, m: &Manifest) -> Result<(), StoreError> {
-        let path = self.manifest_path();
         let mut text = m.to_value().render();
         text.push('\n');
-        std::fs::write(&path, text).map_err(|e| store_err(&path, "write", e))
+        write_atomic(&self.manifest_path(), &text)
     }
 
     /// Reads the manifest, if one exists.
@@ -304,9 +242,7 @@ impl ResultsStore {
                     .map_err(|e| store_err(&path, "write", e));
             }
         }
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, text).map_err(|e| store_err(&tmp, "write", e))?;
-        std::fs::rename(&tmp, &path).map_err(|e| store_err(&path, "rename", e))
+        write_atomic(&path, &text)
     }
 
     /// Integrity state of one cell file.
@@ -370,6 +306,14 @@ impl ResultsStore {
         let text = std::fs::read_to_string(&path).map_err(|e| store_err(&path, "read", e))?;
         check_cell_text(cell_id, &text).map_err(|e| store_err(&path, "verify", e))
     }
+}
+
+/// Writes `text` to `path` through `<path>.tmp` and a rename, so a crash
+/// mid-write never leaves a torn file at `path`.
+fn write_atomic(path: &Path, text: &str) -> Result<(), StoreError> {
+    let tmp = path.with_extension("json.tmp");
+    std::fs::write(&tmp, text).map_err(|e| store_err(&tmp, "write", e))?;
+    std::fs::rename(&tmp, path).map_err(|e| store_err(path, "rename", e))
 }
 
 /// What [`ResultsStore::verify_cells`] found, in input order.
@@ -619,15 +563,7 @@ mod tests {
     }
 
     fn manifest(cells: &[CellSpec]) -> Manifest {
-        Manifest::new(
-            "fig5_10",
-            "quick",
-            &["cooperative".to_string()],
-            &[],
-            None,
-            "v-test",
-            cells,
-        )
+        Manifest::new("v-test", cells)
     }
 
     #[test]
@@ -640,34 +576,59 @@ mod tests {
         let back = Manifest::from_value(&json::parse(&m.to_value().render()).expect("json"))
             .expect("manifest");
         assert_eq!(back, m);
-        let mut sampled = m.clone();
-        sampled.sample = Some((64, 7));
-        let back = Manifest::from_value(&json::parse(&sampled.to_value().render()).expect("json"))
-            .expect("manifest");
-        assert_eq!(back.sample, Some((64, 7)));
+        // An earlier build's manifest also named its target and filters.
+        let old = r#"{"experiment":"fig5","scale":"quick","policies":["fair"],"groups":[],"version":"v-test","cells":["ab"],"format":3}"#;
+        let back = Manifest::from_value(&json::parse(old).expect("json")).expect("manifest");
+        assert_eq!((back.format, back.cell_ids), (3, vec!["ab".to_string()]));
     }
 
     #[test]
     fn incompatible_manifests_name_the_field() {
-        let cells = vec![CellSpec::sweep("G2-1", "cooperative", 2, "quick")];
-        let m = manifest(&cells);
+        let m = manifest(&[CellSpec::sweep("G2-1", "cooperative", 2, "quick")]);
         let mut other = m.clone();
-        other.scale = "small".to_string();
-        let msg = m.compatible_with(&other).expect_err("scale differs");
-        assert!(msg.contains("scale"), "{msg}");
+        other.format = 2;
+        let msg = m.compatible_with(&other).expect_err("format differs");
+        assert!(msg.contains("store format was '2'"), "{msg}");
         let mut other = m.clone();
         other.version = "v-older".to_string();
-        assert!(m
-            .compatible_with(&other)
-            .expect_err("version differs")
-            .contains("version"));
-        let mut other = m.clone();
-        other.cell_ids.push("ffff".to_string());
-        assert!(m
-            .compatible_with(&other)
-            .expect_err("cells differ")
-            .contains("cell set"));
-        assert!(m.compatible_with(&m.clone()).is_ok());
+        let msg = m.compatible_with(&other).expect_err("version differs");
+        assert!(msg.contains("code version was 'v-older'"), "{msg}");
+        assert!(m.clone().join(&other).is_err(), "joining checks first");
+        // Another cell set is no reason to refuse: the IDs decide reuse.
+        let other = manifest(&[CellSpec::sweep("G4-1", "ucp", 4, "small")]);
+        assert!(m.compatible_with(&other).is_ok());
+    }
+
+    #[test]
+    fn runs_with_different_cells_leave_their_union() {
+        let dir = tmpdir("union");
+        let store = ResultsStore::open(&dir).expect("open");
+        let a = CellSpec::sweep("G2-1", "ucp", 2, "quick");
+        let b = CellSpec::sweep("G2-2", "ucp", 2, "quick");
+        let c = CellSpec::solo("namd", 2, "quick");
+        // Each run joins the manifest it finds, then writes its cells.
+        for run in [vec![a.clone(), b.clone()], vec![b.clone(), c.clone()]] {
+            let mut m = manifest(&run);
+            if let Some(earlier) = store.read_manifest().expect("read") {
+                m.join(&earlier).expect("same build");
+            }
+            store.write_manifest(&m).expect("write");
+            for s in &run {
+                write_one(&store, s);
+            }
+        }
+        let mut union = ids(&[&a, &b, &c]);
+        union.sort();
+        let m = store.read_manifest().expect("read").expect("present");
+        assert_eq!(m.cell_ids, union);
+        assert!(
+            !dir.join("manifest.json.tmp").exists(),
+            "renamed into place"
+        );
+        let report = fsck(&dir, false).expect("fsck");
+        assert!(report.clean(), "{}", report.render());
+        assert_eq!((report.cells_expected, report.cells_valid), (3, 3));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn ids(specs: &[&CellSpec]) -> Vec<String> {

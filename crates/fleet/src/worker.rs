@@ -37,6 +37,10 @@ use crate::cell::CellSpec;
 use crate::chaos::{ChaosEngine, Site, TargetedMode};
 use crate::protocol::{FromWorker, ToWorker};
 
+/// Period of a busy worker's heartbeats (the orchestrator's stall timeout
+/// spans many of them).
+const HEARTBEAT_EVERY: Duration = Duration::from_millis(100);
+
 /// Executes one cell; implemented by the harness.
 pub trait CellRunner {
     /// Runs `cell`, returning the opaque result payload plus the number
@@ -73,8 +77,6 @@ fn send(out: &Mutex<std::io::Stdout>, msg: &FromWorker) {
 /// cells computed (mainly for tests; the process usually just exits).
 pub fn serve(runner: &dyn CellRunner) -> usize {
     let chaos = ChaosEngine::from_env();
-    // A zero period would spin the heartbeat thread on the stdout lock.
-    let heartbeat_every = Duration::from_millis(crate::env_knob("FLEET_HEARTBEAT_MS", 100, 1));
     let out = Arc::new(Mutex::new(std::io::stdout()));
     let stdin = std::io::stdin();
     send(
@@ -142,7 +144,6 @@ pub fn serve(runner: &dyn CellRunner) -> usize {
                     &shard_id,
                     attempt,
                     &cells,
-                    heartbeat_every,
                     fail_after,
                     chaos.as_ref(),
                 );
@@ -168,14 +169,12 @@ fn hang_forever() -> ! {
 
 /// Runs one shard's cells, heartbeating from a side thread while each
 /// cell computes. Returns how many cells completed.
-#[allow(clippy::too_many_arguments)]
 fn run_shard(
     runner: &dyn CellRunner,
     out: &Arc<Mutex<std::io::Stdout>>,
     shard_id: &str,
     attempt: usize,
     cells: &[CellSpec],
-    heartbeat_every: Duration,
     fail_after: Option<usize>,
     chaos: Option<&ChaosEngine>,
 ) -> usize {
@@ -192,7 +191,7 @@ fn run_shard(
                         shard_id: shard_id.clone(),
                     },
                 );
-                std::thread::sleep(heartbeat_every);
+                std::thread::sleep(HEARTBEAT_EVERY);
             }
         })
     };

@@ -3,15 +3,15 @@
 //! Usage:
 //!
 //! ```text
-//! repro <experiment|all> [--scale quick|tiny|small|medium|paper]
+//! repro <target> [--scale quick|tiny|small|medium|paper]
 //!       [--csv DIR] [--json DIR] [--slacks 0.05,0.10,0.20]
 //!       [--policy name[,name...]] [--group name[,name...]]
 //!       [--workers N] [--shards K] [--resume]
 //!       [--sample N] [--seed S]
 //!
-//! experiments: table1 table3 table4 fig5 fig6 fig7 fig8 fig9 fig10
-//!              fig5_10 fig11 fig12 fig13 fig14 fig15 fig16 dvfs_energy
-//!              cbp_energy all two-core four-core eight_core sample
+//! targets: table1 table3 table4 fig5 fig6 fig7 fig8 fig9 fig10
+//!          fig5_10 fig11 fig12 fig13 fig14 fig15 fig16 dvfs_energy
+//!          cbp_energy two-core four-core eight_core all sample
 //! repro inspect [SPEC] [--policy P] [--slacks S] [--epochs N] [--curves]
 //! repro worker              # internal: fleet worker process (NDJSON on stdio)
 //! repro fsck [--repair] DIR # audit/repair a results store
@@ -34,9 +34,11 @@
 //! cells is sharded over N `repro worker` child processes and streamed
 //! into the `--json` directory (required), which doubles as a durable
 //! results store (`manifest.json`, plus one checksummed file per finished
-//! cell in `cells/`). A killed or partially failed run resumes with
-//! `--resume` — only cells without a verified file rerun, and the merged
-//! figures are bit-identical to a single-process run. A fleet reads the
+//! cell in `cells/`). Any later fleet run of the same binary into it, of
+//! any target, reuses every cell whose file verifies and computes the
+//! rest, so a killed run finishes by running again, bit-identical to a
+//! single-process run. A store of another format or code version is
+//! refused, as is `--resume` onto a directory with no store. A fleet reads the
 //! coordinator grid at the default slacks, so `--slacks` with `--workers`
 //! is refused for the targets that hold it (`dvfs_energy`, `cbp_energy`,
 //! `all`). `sample` draws `--sample N` random 1-8-core mixes (seeded with
@@ -192,23 +194,24 @@ fn main() {
     // sweep would cost nothing, since its cells come from the memo, but
     // one output would then mix group sets — so ignore them loudly
     // instead.
-    let sweep_cores = target.sweep_cores();
-    if sweep_cores.is_none() && !target.samples() && !policies.is_empty() {
+    if !target.takes_policy() && !policies.is_empty() {
         eprintln!(
-            "# note: --policy only filters fig5..fig10/fig5_10/four-core/eight_core/sample; ignored for '{what}'"
+            "# note: --policy only filters {}; ignored for '{what}'",
+            Target::names_where(Target::takes_policy).join("/")
         );
         policies.clear();
     }
-    if sweep_cores.is_none() && !groups.is_empty() {
+    if !target.takes_group() && !groups.is_empty() {
         eprintln!(
-            "# note: --group only filters fig5..fig10/fig5_10/four-core/eight_core; ignored for '{what}'"
+            "# note: --group only filters {}; ignored for '{what}'",
+            Target::names_where(Target::takes_group).join("/")
         );
         groups.clear();
     }
     // A core count that --group leaves without groups is skipped, in
     // process and in a fleet alike; a sweep left with nothing to run is
     // bad input, refused before anything runs.
-    if let Some(cores) = &sweep_cores {
+    if let Some(cores) = &target.sweep_cores() {
         let skipped: Vec<usize> = cores
             .iter()
             .copied()
@@ -559,27 +562,30 @@ fn json_document(e: &Experiment) -> String {
 
 fn usage() {
     eprintln!(
-        "usage: repro <experiment|all|two-core|four-core|eight_core|sample> [--scale quick|tiny|small|medium|paper]\n\
+        "usage: repro <target> [--scale quick|tiny|small|medium|paper]\n\
          \x20      [--csv DIR] [--json DIR] [--slacks 0.05,0.10,0.20]\n\
          \x20      [--policy name[,name...]] [--group name[,name...]]\n\
          \x20      [--workers N] [--shards K] [--resume] [--sample N] [--seed S]\n\
-         experiments: table1 table3 table4 fig5..fig16 fig5_10 dvfs_energy cbp_energy\n\
-         --policy:    restrict the sweep figures to these registry policies ({})\n\
-         --group:     restrict the sweep figures to these workload groups (G2-*, G4-*, G8-*)\n\
+         targets:     {}\n\
+         --policy:    restrict {} to these registry policies ({})\n\
+         --group:     restrict {} to these workload groups (G2-*, G4-*, G8-*)\n\
          eight_core:  G8 extension sweeps beyond the paper (8 MB / 32-way LLC)\n\
          dvfs_energy: coordinated DVFS + partitioning vs Cooperative alone; --slacks sets the QoS sweep\n\
          cbp_energy:  coordinated cache+bandwidth+prefetch vs Cooperative and DVFS; --slacks as above\n\
          --workers:   fleet mode — shard any simulated target over N worker\n\
-         \x20            processes streaming into --json DIR; --resume continues a\n\
-         \x20            killed or partially failed run from the same DIR; --slacks\n\
-         \x20            is refused with it for dvfs_energy, cbp_energy and all\n\
+         \x20            processes into --json DIR, a store whose verified cells later\n\
+         \x20            runs of this binary reuse (--resume: DIR must hold a store);\n\
+         \x20            --slacks is refused with it for dvfs_energy, cbp_energy and all\n\
          fsck:        audit a results store's manifest and cell checksums\n\
          \x20            (repro fsck [--repair] DIR); --repair quarantines corrupt\n\
-         \x20            cells and removes torn temp files so --resume can finish\n\
+         \x20            cells and removes torn temp files so a rerun can finish\n\
          sample:      Monte Carlo 1-8-core mixes (--sample N draws, --seed S);\n\
          \x20            distributional report with QoS-violation tails (first --slacks value)\n\
          inspect:     watch one workload epoch by epoch (repro inspect --help)",
-        policy_registry().names().join(", ")
+        Target::names_where(|_| true).join(" "),
+        Target::names_where(Target::takes_policy).join(" "),
+        policy_registry().names().join(", "),
+        Target::names_where(Target::takes_group).join(" "),
     );
 }
 

@@ -10,7 +10,8 @@
 //! In process, [`run_cells_local`] looks each cell up in the process-wide
 //! cell memo, which simulates only the cells no earlier call ran. Under
 //! `--workers`, [`run_fleet_target`] runs the union of a target's cells
-//! once on worker processes streaming into a results store, and the
+//! once on worker processes streaming into a results store, skipping the
+//! cells any earlier run of the same binary left verified there, and the
 //! target renders from the store. Both fold payloads with
 //! [`merge_sweep`], the only code that assembles a [`Sweep`].
 //!
@@ -626,7 +627,7 @@ pub struct FleetOptions {
     pub workers: usize,
     /// Shard count override (`--shards`).
     pub shards: Option<usize>,
-    /// Resume onto existing partial results (`--resume`).
+    /// `--resume`: refuse a directory that holds no store.
     pub resume: bool,
 }
 
@@ -641,33 +642,6 @@ pub struct FleetOutcome {
     /// experiments were salvaged from the durable subset — the caller
     /// should surface the coverage and exit nonzero so scripts notice.
     pub partial: Option<String>,
-}
-
-/// Builds the manifest of a fleet run, so a later `--resume` can verify
-/// compatibility. It records the policy settings the run's cells hold,
-/// each once, in first-seen order.
-pub fn manifest_for(
-    what: &str,
-    scale: SimScale,
-    groups: &[String],
-    sample: Option<&SamplePlan>,
-    cells: &[CellSpec],
-) -> Manifest {
-    let mut policy_names: Vec<String> = Vec::new();
-    for cell in cells {
-        if !cell.policy.is_empty() && !policy_names.contains(&cell.policy) {
-            policy_names.push(cell.policy.clone());
-        }
-    }
-    Manifest::new(
-        what,
-        scale.name,
-        &policy_names,
-        groups,
-        sample.map(|p| (p.n, p.seed)),
-        &fleet::version_string(),
-        cells,
-    )
 }
 
 /// The flags of a fleet run as target arguments. The fleet reads the
@@ -699,9 +673,10 @@ pub fn cells_for_target(
     Some(Target::find(what)?.cells(&fleet_args(scale, policies, group_filter, sample)))
 }
 
-/// Opens the store, enforces manifest compatibility, runs the fleet, and
-/// merges the finished cells into experiments. `Err` carries a
-/// user-facing message; partial results stay on disk for `--resume`.
+/// Opens the store, runs the fleet over the cells it does not hold
+/// verified yet, and merges the finished cells into experiments. Any
+/// store of this format and code version serves any target. `Err` carries
+/// a user-facing message; partial results stay on disk for a rerun.
 pub fn run_fleet_target(
     what: &str,
     scale: SimScale,
@@ -721,31 +696,16 @@ pub fn run_fleet_target(
     let store = ResultsStore::open(dir)
         .map_err(|e| e.to_string())?
         .with_chaos(fleet::ChaosEngine::from_env().map(Arc::new));
-    let manifest = manifest_for(what, scale, group_filter, sample, &cells);
-    let all_ids: Vec<String> = cells.iter().map(CellSpec::id).collect();
+    let mut manifest = Manifest::new(&fleet::version_string(), &cells);
     match store.read_manifest().map_err(|e| e.to_string())? {
-        Some(existing) => {
-            manifest.compatible_with(&existing).map_err(|e| {
-                format!("{e}\nuse a fresh --json directory, or rerun the original configuration")
-            })?;
-            let done = store
-                .verify_cells(&all_ids)
-                .map_err(|e| e.to_string())?
-                .valid;
-            if !opts.resume && !done.is_empty() {
-                return Err(format!(
-                    "results dir already holds {} finished cells; pass --resume to continue it or choose a fresh --json directory",
-                    done.len()
-                ));
-            }
-        }
-        None => {
-            if opts.resume {
-                return Err(format!("--resume: no manifest found in '{dir}'"));
-            }
-            store.write_manifest(&manifest).map_err(|e| e.to_string())?;
-        }
+        Some(existing) => manifest
+            .join(&existing)
+            .map_err(|e| format!("{e}\nuse a fresh --json directory"))?,
+        None if opts.resume => return Err(format!("--resume: no manifest found in '{dir}'")),
+        None => {}
     }
+    store.write_manifest(&manifest).map_err(|e| e.to_string())?;
+    let all_ids: Vec<String> = cells.iter().map(CellSpec::id).collect();
 
     let exe = std::env::current_exe()
         .map_err(|e| format!("cannot locate the repro binary for workers: {e}"))?;
@@ -791,6 +751,8 @@ pub fn run_fleet_target(
     }
 
     let perf = ExperimentPerf {
+        cells: cells.len(),
+        reused: report.cells_prior,
         workers: opts.workers,
         ..ExperimentPerf::local(report.wall_seconds, report.sim_accesses)
     };
@@ -800,32 +762,22 @@ pub fn run_fleet_target(
             .map(|(_, payload)| payload)
             .map_err(|e| e.to_string())
     };
-    if !report.complete() {
-        // Salvage what the durable cells fully cover before giving up:
-        // figures built from complete groups only, stamped with explicit
-        // partial coverage.
-        if let Some(outcome) = salvage_partial(
-            &store,
-            &lookup,
-            target,
-            &args,
-            &all_ids,
-            report.clone(),
-            perf,
-        )? {
-            return Ok(outcome);
-        }
-        return Err(format!(
-            "{} cells failed permanently (see the fleet log above); finished cells are saved — fix the cause and rerun with --resume",
-            report.failed_cells.len()
-        ));
+    if report.complete() {
+        let experiments = target.render(&lookup, &args, perf)?;
+        return Ok(FleetOutcome {
+            experiments,
+            report,
+            partial: None,
+        });
     }
-
-    let experiments = target.render(&lookup, &args, perf)?;
-    Ok(FleetOutcome {
-        experiments,
-        report,
-        partial: None,
+    // Salvage what the durable cells fully cover before giving up:
+    // figures built from complete groups only, stamped with explicit
+    // partial coverage.
+    let failed = report.failed_cells.len();
+    salvage_partial(&store, &lookup, target, &args, &all_ids, report, perf)?.ok_or_else(|| {
+        format!(
+            "{failed} cells failed permanently (see the fleet log above); finished cells are saved — fix the cause and rerun with --resume"
+        )
     })
 }
 
@@ -916,9 +868,9 @@ fn salvage_partial(
     }))
 }
 
-/// Builds the target's experiments from finished cells, every part with
-/// `perf`: the fleet path reads the results store, perfbench's in-process
-/// twin a map.
+/// Builds the target's experiments from the finished cells of one run
+/// that cost `perf`: the fleet path reads the results store, perfbench's
+/// in-process twin a map.
 pub fn merge_target_experiments(
     lookup: CellLookup,
     what: &str,
@@ -1066,74 +1018,55 @@ mod tests {
         assert!(line.ends_with(" · 1 of 3 cells reused\n"), "{line}");
     }
 
-    #[test]
-    fn manifest_reads_back_the_policies_its_cells_cover() {
-        let groups = ["G2-1".to_string()];
-        let dir = std::env::temp_dir().join(format!("fleet-run-manifest-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ResultsStore::open(&dir).expect("store opens");
-        let plan = SamplePlan {
-            n: 2,
-            seed: 7,
-            slack: 0.1,
-        };
-        // In first-seen order: the paper sweeps and the sample record their
-        // policy list with Fair Share joined, Figure 11 its threshold
-        // settings.
-        let joined = |policies: &[&'static str]| -> Vec<String> {
-            policies_with_fair(policies)
-                .iter()
-                .map(|p| p.to_string())
-                .collect()
-        };
-        let thresholds = crate::experiments::fig11_13::threshold_grid(quick()).settings;
-        for (what, policies, sample, listed) in [
-            ("fig5", &[][..], None, joined(&coop_core::PAPER_POLICIES)),
-            ("fig5", &["ucp"][..], None, joined(&["ucp"])),
-            ("sample", &[][..], Some(&plan), joined(&SAMPLE_POLICIES)),
-            ("fig11", &[][..], None, thresholds),
-        ] {
-            let cells = cells_for_target(what, quick(), policies, &groups, sample)
-                .expect("a target")
-                .expect("cells");
-            let written = manifest_for(what, quick(), &groups, sample, &cells);
-            store.write_manifest(&written).expect("manifest written");
-            let read = store
-                .read_manifest()
-                .expect("manifest read")
-                .expect("present");
-            assert_eq!(read, written);
-            let covered: BTreeSet<&str> = cells
-                .iter()
-                .filter(|c| c.kind == CellKind::Sweep)
-                .map(|c| c.policy.as_str())
-                .collect();
-            let recorded: BTreeSet<&str> = read.policies.iter().map(String::as_str).collect();
-            assert_eq!(recorded, covered, "{what} {policies:?}");
-            assert_eq!(read.policies, listed, "{what} {policies:?}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        // A Fair-only resume onto an unfiltered store names the policies.
-        let manifest = |policies: &[&'static str]| {
-            let cells = cells_for_target("fig5", quick(), policies, &groups, None)
-                .expect("a target")
-                .expect("cells");
-            manifest_for("fig5", quick(), &groups, None, &cells)
-        };
-        let err = manifest(&["fair"])
-            .compatible_with(&manifest(&[]))
-            .expect_err("policies differ");
-        assert!(err.contains("policy filter"), "{err}");
-    }
-
+    /// The store gate refuses another store format or code version, and
+    /// `--resume` a directory with no manifest, before any cell runs.
     #[test]
     fn manifest_gates_incompatible_runs() {
-        let cells = Grid::sweep(2, quick(), &["ucp"], &["G2-1".to_string()]).cells();
+        let dir = std::env::temp_dir().join(format!("fleet-run-gate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_s = dir.to_str().expect("utf-8 path");
         let groups = ["G2-1".to_string()];
-        let a = manifest_for("fig5", quick(), &groups, None, &cells);
-        let b = manifest_for("fig5", SimScale::tiny(), &groups, None, &cells);
-        assert!(a.compatible_with(&a).is_ok());
-        let err = b.compatible_with(&a).expect_err("scale differs");
-        assert!(err.contains("scale"), "{err}");
+        let run = |resume| {
+            let opts = FleetOptions {
+                workers: 1,
+                shards: None,
+                resume,
+            };
+            match run_fleet_target("fig5", quick(), &[], &groups, None, dir_s, &opts) {
+                Ok(_) => panic!("the gate let the run start"),
+                Err(e) => e,
+            }
+        };
+        let err = run(true);
+        assert!(err.contains("--resume: no manifest"), "{err}");
+        let store = ResultsStore::open(&dir).expect("store opens");
+        let ours = Manifest::new(&fleet::version_string(), &[]);
+        for (field, tampered) in [
+            (
+                "store format",
+                Manifest {
+                    format: 2,
+                    ..ours.clone()
+                },
+            ),
+            (
+                "code version",
+                Manifest {
+                    version: "v0.0.0".to_string(),
+                    ..ours.clone()
+                },
+            ),
+        ] {
+            store.write_manifest(&tampered).expect("manifest written");
+            for resume in [false, true] {
+                let err = run(resume);
+                assert!(err.contains(&format!("{field} was")), "{err}");
+            }
+        }
+        assert_eq!(
+            std::fs::read_dir(dir.join("cells")).expect("cells").count(),
+            0
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,11 +1,12 @@
-//! The `repro` targets: one table, [`Target::find`], lists every target
-//! as an ordered list of parts. A part names the cells it reads (a [`Grid`],
-//! Table 3's solo cells, the sampled mixes, or none for Tables 1 and 4)
-//! and renders [`Experiment`]s from a cell lookup and a perf. In process
-//! ([`Target::run_inprocess`]) each part runs its own cells and renders
-//! from that run; under `--workers` ([`fleet_run::run_fleet_target`]) the
-//! fleet runs the target's deduplicated cells once and every part renders
-//! from the store.
+//! The `repro` targets: one table lists every target by name as an
+//! ordered list of parts, which [`Target::find`] looks up. A part names
+//! the cells it reads (a [`Grid`], Table 3's solo cells, the sampled
+//! mixes, or none for Tables 1 and 4) and renders [`Experiment`]s from a
+//! cell lookup and a perf. In process ([`Target::run_inprocess`]) each
+//! part runs its own cells and renders from that run; under `--workers`
+//! ([`fleet_run::run_fleet_target`]) the fleet runs the target's
+//! deduplicated cells once, reusing those its store already holds, and
+//! every part renders from the store.
 
 use std::collections::BTreeSet;
 
@@ -134,38 +135,61 @@ const CBP_E: Part = Part::Coordinator(cbp_energy::figure);
 const TABLE1: Part = Part::Static(table1::table);
 const TABLE4: Part = Part::Static(table4::table);
 
+/// The table of targets: each name `repro` takes and its parts, in the
+/// order `repro --help` lists them.
+const TARGETS: [(&str, &[Part]); 23] = [
+    ("table1", &[TABLE1]),
+    ("table3", &[TABLE3]),
+    ("table4", &[TABLE4]),
+    ("fig5", &[Part::Sweep(2, &[Metric::WeightedSpeedup])]),
+    ("fig6", &[Part::Sweep(2, &[Metric::DynamicEnergy])]),
+    ("fig7", &[Part::Sweep(2, &[Metric::StaticEnergy])]),
+    ("fig8", &[Part::Sweep(4, &[Metric::WeightedSpeedup])]),
+    ("fig9", &[Part::Sweep(4, &[Metric::DynamicEnergy])]),
+    ("fig10", &[Part::Sweep(4, &[Metric::StaticEnergy])]),
+    ("fig5_10", &[SWEEP2, SWEEP4]),
+    ("fig11", &[FIG11]),
+    ("fig12", &[FIG12]),
+    ("fig13", &[FIG13]),
+    ("fig14", &[FIG14]),
+    ("fig15", &[FIG15]),
+    ("fig16", &[FIG16]),
+    ("dvfs_energy", &[DVFS_E]),
+    ("cbp_energy", &[CBP_E]),
+    ("two-core", &[SWEEP2, FIG14, FIG15, FIG16]),
+    ("four-core", &[SWEEP4]),
+    ("eight_core", &[Part::Sweep(8, &Metric::ALL)]),
+    (
+        "all",
+        &[
+            TABLE1, TABLE4, TABLE3, SWEEP2, SWEEP4, FIG11, FIG12, FIG13, FIG14, FIG15, FIG16,
+            DVFS_E, CBP_E,
+        ],
+    ),
+    ("sample", &[Part::Sample]),
+];
+
 impl Target {
-    /// The target `repro` calls `what`, if any: the table of targets.
+    /// The target `repro` calls `what`, if any (`eight-core` is
+    /// `eight_core`).
     pub fn find(what: &str) -> Option<Target> {
-        Some(Target(match what {
-            "table1" => &[TABLE1],
-            "table3" => &[TABLE3],
-            "table4" => &[TABLE4],
-            "fig5" => &[Part::Sweep(2, &[Metric::WeightedSpeedup])],
-            "fig6" => &[Part::Sweep(2, &[Metric::DynamicEnergy])],
-            "fig7" => &[Part::Sweep(2, &[Metric::StaticEnergy])],
-            "fig8" => &[Part::Sweep(4, &[Metric::WeightedSpeedup])],
-            "fig9" => &[Part::Sweep(4, &[Metric::DynamicEnergy])],
-            "fig10" => &[Part::Sweep(4, &[Metric::StaticEnergy])],
-            "fig5_10" => &[SWEEP2, SWEEP4],
-            "fig11" => &[FIG11],
-            "fig12" => &[FIG12],
-            "fig13" => &[FIG13],
-            "fig14" => &[FIG14],
-            "fig15" => &[FIG15],
-            "fig16" => &[FIG16],
-            "dvfs_energy" => &[DVFS_E],
-            "cbp_energy" => &[CBP_E],
-            "two-core" => &[SWEEP2, FIG14, FIG15, FIG16],
-            "four-core" => &[SWEEP4],
-            "eight_core" | "eight-core" => &[Part::Sweep(8, &Metric::ALL)],
-            "all" => &[
-                TABLE1, TABLE4, TABLE3, SWEEP2, SWEEP4, FIG11, FIG12, FIG13, FIG14, FIG15, FIG16,
-                DVFS_E, CBP_E,
-            ],
-            "sample" => &[Part::Sample],
-            _ => return None,
-        }))
+        let what = match what {
+            "eight-core" => "eight_core",
+            other => other,
+        };
+        TARGETS
+            .iter()
+            .find(|(name, _)| *name == what)
+            .map(|&(_, parts)| Target(parts))
+    }
+
+    /// The names of the targets `keep` holds for, in table order.
+    pub fn names_where(keep: fn(Target) -> bool) -> Vec<&'static str> {
+        TARGETS
+            .iter()
+            .filter(|&&(_, parts)| keep(Target(parts)))
+            .map(|&(name, _)| name)
+            .collect()
     }
 
     /// The core counts of its paper sweeps when every part is one: such a
@@ -186,6 +210,16 @@ impl Target {
         self.0.iter().any(|p| matches!(p, Part::Sample))
     }
 
+    /// Whether `--group` filters it: every part is a paper sweep.
+    pub fn takes_group(self) -> bool {
+        self.sweep_cores().is_some()
+    }
+
+    /// Whether `--policy` filters it: the paper sweeps and the sample.
+    pub fn takes_policy(self) -> bool {
+        self.takes_group() || self.samples()
+    }
+
     /// Whether it reads the coordinator grid, whose slacks `--slacks` sets.
     pub fn reads_slacks(self) -> bool {
         self.0.iter().any(|p| matches!(p, Part::Coordinator(_)))
@@ -197,7 +231,9 @@ impl Target {
         Ok(unique(parts.collect::<Result<Vec<_>, _>>()?.concat()))
     }
 
-    /// Renders every part from finished cells, each with `perf`.
+    /// Renders every part from the finished cells of one run, whose `perf`
+    /// goes on the first experiment that reports one: one run, one perf
+    /// line.
     pub(crate) fn render(
         self,
         lookup: CellLookup,
@@ -207,6 +243,9 @@ impl Target {
         let mut out = Vec::new();
         for part in self.0 {
             out.extend(part.render(lookup, a, perf)?);
+        }
+        for e in out.iter_mut().filter(|e| e.perf.is_some()).skip(1) {
+            e.perf = None;
         }
         Ok(out)
     }
@@ -220,5 +259,36 @@ impl Target {
             out.extend(part.render(&|cell| run.lookup(cell), a, run.perf)?);
         }
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_name_is_a_target_and_the_filters_take_the_sweeps() {
+        let names = Target::names_where(|_| true);
+        assert_eq!(names.len(), 23);
+        for name in names {
+            assert!(Target::find(name).is_some(), "{name}");
+        }
+        assert!(Target::find("eight-core").is_some());
+        let sweeps = [
+            "fig5",
+            "fig6",
+            "fig7",
+            "fig8",
+            "fig9",
+            "fig10",
+            "fig5_10",
+            "four-core",
+            "eight_core",
+        ];
+        assert_eq!(Target::names_where(Target::takes_group), sweeps);
+        assert_eq!(
+            Target::names_where(Target::takes_policy),
+            [&sweeps[..], &["sample"]].concat()
+        );
     }
 }

@@ -62,11 +62,11 @@ fn repro(args: &[&str], envs: &[(&str, &str)]) -> std::process::Output {
     cmd.args(args);
     // Chaos must reach exactly the invocations that ask for it, whatever
     // the ambient environment; timeouts are compressed so injected hangs
-    // cost seconds, not the production stall budget.
+    // cost seconds, not the production stall budget (2 s still spans 20
+    // of a worker's 100 ms heartbeats).
     cmd.env_remove("FLEET_CHAOS")
         .env_remove("FLEET_RUN_DEADLINE_MS");
     cmd.env("FLEET_BACKOFF_MS", "10")
-        .env("FLEET_HEARTBEAT_MS", "25")
         .env("FLEET_STALL_TIMEOUT_MS", "2000");
     for (k, v) in envs {
         cmd.env(k, v);
@@ -372,7 +372,7 @@ fn run_deadline_abandons_cleanly_and_resume_completes() {
 
     let run = repro(
         &[&SMALL[..], &["--workers", "2", "--json", dir_s]].concat(),
-        &[("FLEET_RUN_DEADLINE_MS", "1"), ("FLEET_RETRIES", "two")],
+        &[("FLEET_RUN_DEADLINE_MS", "1"), ("FLEET_BACKOFF_MS", "ten")],
     );
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert!(!run.status.success(), "an expired deadline fails the run");
@@ -381,7 +381,7 @@ fn run_deadline_abandons_cleanly_and_resume_completes() {
         "the deadline is named as the cause:\n{stderr}"
     );
     assert!(
-        stderr.contains("ignoring FLEET_RETRIES='two'"),
+        stderr.contains("ignoring FLEET_BACKOFF_MS='ten'"),
         "a malformed env override is named and ignored:\n{stderr}"
     );
 

@@ -2,12 +2,15 @@
 //! worker fleet, kill a worker with the fault-injection hook, resume, and
 //! require the merged figures to be byte-identical to a single-process
 //! run. Also pins the bounded-retry path (a fault that fires once must
-//! not fail the run), the refusal paths (incompatible manifest, done
-//! results without `--resume`), that plain `--json` runs share a
-//! directory without making it a store, that a verified cell file alone marks
-//! its cell finished, that a store resumes from any launch directory, that
-//! a target beyond the paper sweeps (Table 3) runs as a fleet, and that
-//! `--slacks` is refused with `--workers` where a fleet would ignore it.
+//! not fail the run), that a rerun with or without `--resume` computes
+//! only the missing cells and that another target reuses the cells it
+//! shares, that a store of another code version is refused, that one
+//! fleet run prints one perf line, that plain `--json` runs share a
+//! directory without making it a store, that a verified cell file alone
+//! marks its cell finished, that a store resumes from any launch
+//! directory, that a target beyond the paper sweeps (Table 3) runs as a
+//! fleet, and that `--slacks` is refused with `--workers` where a fleet
+//! would ignore it.
 //!
 //! The sweeps are restricted to G2-1/G4-1 so the whole file stays fast in
 //! debug CI; `scripts/fleet_smoke.sh` runs the unrestricted release
@@ -98,63 +101,49 @@ fn killed_fleet_resumes_bit_identical_to_single_process() {
         .count();
     assert!(stored > 0, "finished cells were stored before the failure");
 
-    // Rerunning without --resume refuses: the directory holds results.
-    let refused = repro(
+    // A rerun without --resume reuses every stored cell and computes only
+    // the missing ones; the merged figures match the single-process run
+    // byte for byte.
+    let rerun = repro(
         &["--workers", "2", "--json", fleet_dir.to_str().unwrap()],
         &[],
     );
-    assert!(!refused.status.success());
+    let stderr = String::from_utf8_lossy(&rerun.stderr);
+    assert!(rerun.status.success(), "rerun failed:\n{stderr}");
     assert!(
-        String::from_utf8_lossy(&refused.stderr).contains("--resume"),
-        "refusal explains how to continue"
-    );
-
-    // A different configuration refuses against the stored manifest.
-    let incompatible = Command::new(REPRO)
-        .args(["fig5_10", "--scale", "tiny", "--group", "G2-1,G4-1"])
-        .args([
-            "--workers",
-            "2",
-            "--resume",
-            "--json",
-            fleet_dir.to_str().unwrap(),
-        ])
-        .env_remove("FLEET_CHAOS")
-        .output()
-        .expect("repro runs");
-    assert!(!incompatible.status.success());
-    assert!(
-        String::from_utf8_lossy(&incompatible.stderr).contains("incompatible"),
-        "manifest mismatch is reported"
-    );
-
-    // Resume without the fault: only the missing cells rerun, and the
-    // merged figures match the single-process run byte for byte.
-    let resumed = repro(
-        &[
-            "--workers",
-            "2",
-            "--resume",
-            "--json",
-            fleet_dir.to_str().unwrap(),
-        ],
-        &[],
-    );
-    assert!(
-        resumed.status.success(),
-        "resume failed: {}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&resumed.stderr);
-    assert!(
-        stderr.contains("resumed"),
-        "resume reports the prior cells it skipped:\n{stderr}"
+        stderr.contains(&format!("({stored} resumed, ")) && !stderr.contains(" 0 computed)"),
+        "the rerun reuses the {stored} stored cells and computes the rest:\n{stderr}"
     );
     assert_eq!(
         read_figures(&fleet_dir),
         golden_figs,
-        "killed+resumed fleet output diverged from the single-process run"
+        "killed+rerun fleet output diverged from the single-process run"
     );
+
+    // A store written by another build is refused, with or without
+    // --resume, and the refusal names the code version.
+    let manifest = fleet_dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).expect("manifest");
+    let tampered = text.replace("\"version\":\"", "\"version\":\"other-build-");
+    assert_ne!(tampered, text, "the manifest records a version");
+    std::fs::write(&manifest, tampered).expect("tamper");
+    for extra in [&[][..], &["--resume"][..]] {
+        let refused = repro(
+            &[
+                &["--workers", "2", "--json", fleet_dir.to_str().unwrap()],
+                extra,
+            ]
+            .concat(),
+            &[],
+        );
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert!(!refused.status.success(), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains("incompatible") && stderr.contains("code version"),
+            "{extra:?}: the refusal names the code version:\n{stderr}"
+        );
+    }
+    std::fs::write(&manifest, text).expect("restore");
 
     // A fault that fires exactly once is absorbed by the retry budget:
     // one invocation, nonzero worker deaths, still bit-identical.
@@ -179,6 +168,34 @@ fn killed_fleet_resumes_bit_identical_to_single_process() {
         read_figures(&once_dir),
         golden_figs,
         "mid-shard worker death changed the merged output"
+    );
+    // One fleet run prints one perf line, not one per figure.
+    let perf_lines = |out: &std::process::Output| -> Vec<String> {
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| l.starts_with("perf:"))
+            .map(str::to_string)
+            .collect()
+    };
+    assert_eq!(perf_lines(&once).len(), 1, "{:?}", perf_lines(&once));
+
+    // A rerun onto the completed store reuses every cell and says so.
+    let warm = repro(
+        &["--workers", "2", "--json", once_dir.to_str().unwrap()],
+        &[],
+    );
+    let stderr = String::from_utf8_lossy(&warm.stderr);
+    assert!(warm.status.success(), "{stderr}");
+    let cells = std::fs::read_dir(once_dir.join("cells"))
+        .expect("cells dir")
+        .filter_map(Result::ok)
+        .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
+        .count();
+    let lines = perf_lines(&warm);
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(
+        lines[0].ends_with(&format!(" · {cells} of {cells} cells reused")),
+        "{lines:?}"
     );
 
     for d in [&golden_dir, &fleet_dir, &once_dir] {
@@ -389,4 +406,46 @@ fn slacks_with_workers_is_refused_for_the_coordinator_grid() {
     );
     assert!(!dir.join("manifest.json").exists(), "nothing ran");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A store serves any target of the same binary: Figure 6 read from the
+/// store Figure 5 filled computes nothing, without `--resume`, and writes
+/// the figure a single-process run writes.
+#[test]
+fn another_target_reuses_the_cells_it_shares() {
+    let dir = tmp("cross");
+    let single = tmp("cross_single");
+    let run = |what: &str, extra: &[&str], dir: &Path| {
+        let out = Command::new(REPRO)
+            .args([what, "--scale", "quick", "--group", "G2-1"])
+            .args(extra)
+            .args(["--json", dir.to_str().unwrap()])
+            .env_remove("FLEET_CHAOS")
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(out.status.success(), "{what} {extra:?} failed:\n{stderr}");
+        stderr
+    };
+    run("fig5", &["--workers", "2"], &dir);
+    let stderr = run("fig6", &["--workers", "2"], &dir);
+    let cells = std::fs::read_dir(dir.join("cells"))
+        .expect("cells dir")
+        .filter_map(Result::ok)
+        .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
+        .count();
+    let all_reused = format!("{cells}/{cells} cells done ({cells} resumed, 0 computed)");
+    assert!(
+        stderr.contains(&all_reused),
+        "want '{all_reused}':\n{stderr}"
+    );
+    run("fig6", &[], &single);
+    assert_eq!(
+        std::fs::read(dir.join("figure6.json")).expect("fleet figure6"),
+        std::fs::read(single.join("figure6.json")).expect("single figure6"),
+        "figure6.json from reused cells diverged from the single-process run"
+    );
+    for d in [&dir, &single] {
+        std::fs::remove_dir_all(d).ok();
+    }
 }
