@@ -20,7 +20,11 @@
 //! at which progress is possible so the loop can fast-forward. The precise
 //! wake-list contract lives on [`StepOutcome`]; both the reference stepper
 //! (every core, every visited cycle) and the event-driven stepper (due cores
-//! only) in [`crate::stepper`] rely on it for bit-identical results.
+//! only) in [`crate::stepper`] rely on it for bit-identical results. The
+//! event-driven stepper also lets a core skip the ticks of a front-end or
+//! MSHR stall on which it could only retire: the core owes their
+//! retirement and settles it tick by tick at its next step (the
+//! owed-retirement window, described on [`StepOutcome`]).
 //!
 //! Hot-path rules:
 //!
@@ -127,10 +131,6 @@ pub struct CoreStats {
     pub stores: Counter,
     /// Cycles the front end spent redirected by mispredictions.
     pub redirect_cycles: Counter,
-    /// Dispatch stalls due to a full ROB (sampled per attempt).
-    pub rob_stalls: Counter,
-    /// Dispatch stalls due to a full LSQ.
-    pub lsq_stalls: Counter,
     /// Prefetch lines issued to the memory system.
     pub prefetches: Counter,
     /// Prefetched lines later touched by a demand access (first touch).
@@ -156,9 +156,7 @@ pub struct CoreStats {
 ///   at nominal frequency, further out when down-clocked);
 /// * if `!progressed`, no call to [`Core::step`] at any cycle in
 ///   `(now, next_event)` can retire or dispatch an instruction, touch a
-///   cache, or access the LLC — such calls are observable no-ops (only the
-///   `rob_stalls`/`lsq_stalls` attempt counters, which sample per *attempt*,
-///   may differ between per-cycle and wake-list driving);
+///   cache, or access the LLC — such calls are observable no-ops;
 /// * the estimate is exact, not conservative: at `next_event` itself the
 ///   core either progresses or a new blocking condition is discovered and
 ///   re-advertised (it never spins reporting `now + 1` while stalled on a
@@ -171,6 +169,23 @@ pub struct CoreStats {
 ///
 /// [`Core::wake_hint`] recomputes the same bound without stepping, for
 /// refreshing stored wakes after a DVFS ratio change.
+///
+/// # Owed-retirement windows
+///
+/// The event-driven [`crate::SystemStepper`] steps through a crate-private
+/// variant of [`Core::step`] that may advertise a later wake after a
+/// progressing step: when dispatch stays blocked past the next tick (a
+/// branch redirect, an L1-I miss or a full MSHR file), every tick until
+/// the stall ends can only retire, so the core records the first tick
+/// whose retirement it owes and advertises the stall's end, capped at a
+/// horizon the stepper passes (the next epoch boundary or the cycle cap).
+/// Its next step first retires every owed tick below `now` exactly as
+/// per-tick stepping would have. Retirement is observable — the epoch
+/// callback, the finish check and a caller between two runs read
+/// [`Core::retired`] — so the stepper opens windows only while every core
+/// is at nominal clock, never lets one cross an epoch boundary or reach a
+/// core's unfinished retire target, and settles every open window before
+/// it returns. The public [`Core::step`] never opens one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepOutcome {
     /// Whether any instruction was retired or dispatched this cycle.
@@ -288,6 +303,9 @@ pub struct Core<S: InstrSource = Box<dyn InstrSource + Send>> {
     /// Whether the last executed core cycle made progress (a fresh core is
     /// runnable); drives [`Core::wake_hint`].
     runnable: bool,
+    /// First tick of an open owed-retirement window (see [`StepOutcome`]):
+    /// the ticks from here up to the next step retired nothing yet.
+    owed: Option<Cycle>,
     stats: CoreStats,
 }
 
@@ -331,6 +349,7 @@ impl<S: InstrSource> Core<S> {
             bp_penalty: clock.scaled(cfg.mispredict_penalty),
             clock,
             runnable: true,
+            owed: None,
             stats: CoreStats::default(),
         }
     }
@@ -403,6 +422,23 @@ impl<S: InstrSource> Core<S> {
     /// (stepping only at advertised wakes) observe bit-identical behaviour
     /// to callers stepping every cycle.
     pub fn step(&mut self, now: Cycle, llc: &mut dyn LlcPort) -> StepOutcome {
+        self.step_until(now, llc, Cycle::ZERO, 0)
+    }
+
+    /// [`Core::step`], which may open an owed-retirement window (see
+    /// [`StepOutcome`]) ending no later than `horizon`, provided the ROB
+    /// cannot retire the core up to `guard` instructions inside it (pass
+    /// the retire target, or `u64::MAX` once it is met). The caller must
+    /// keep every core at nominal clock while a window is open and settle
+    /// it with [`Core::settle`] before anything else reads the core.
+    pub(crate) fn step_until(
+        &mut self,
+        now: Cycle,
+        llc: &mut dyn LlcPort,
+        horizon: Cycle,
+        guard: u64,
+    ) -> StepOutcome {
+        self.retire_owed(now);
         // DVFS gate: a down-clocked core only executes core cycles on its
         // tick schedule; between ticks it reports its wake hint so that
         // recomputing a stalled core's wake at any intermediate cycle
@@ -419,9 +455,56 @@ impl<S: InstrSource> Core<S> {
         let progressed = retired > 0 || dispatched > 0;
         self.runnable = progressed;
         self.clock.advance(now);
+        // Dispatch stays blocked below `stall_end`, so until then a tick can
+        // only retire; the window skips those ticks when the ROB cannot
+        // carry the core to `guard`.
+        let stall_end = self.fetch_stall_until.max(self.mshr_stall_until);
+        let window_end = stall_end.min(horizon);
+        if progressed && window_end > now + 1 && self.retired() + (self.rob.len() as u64) < guard {
+            self.owed = Some(now + 1);
+            return StepOutcome {
+                progressed,
+                next_event: window_end,
+            };
+        }
         StepOutcome {
             progressed,
             next_event: self.wake_hint(now),
+        }
+    }
+
+    /// Closes an open owed-retirement window at `end`: retires its ticks
+    /// below `end` and leaves the core as per-tick stepping through
+    /// `end - 1` would have, returning the wake that stepping would have
+    /// advertised. `None` when no window is open.
+    pub(crate) fn settle(&mut self, end: Cycle) -> Option<Cycle> {
+        self.owed?;
+        self.retire_owed(end);
+        Some(self.wake_hint(Cycle(end.raw() - 1)))
+    }
+
+    /// Retires the owed ticks below `end`, tick by tick as
+    /// [`RobRing::pop_done`] would have (at most `retire_width` a tick,
+    /// jumping to the head's completion while the head is not done), and
+    /// closes the window. When the window covered a tick, `runnable`
+    /// records whether its last one, `end - 1`, retired anything.
+    fn retire_owed(&mut self, end: Cycle) {
+        let Some(mut t) = self.owed else {
+            return;
+        };
+        self.owed = None;
+        debug_assert!(t <= end, "owed ticks from {t:?} settled at {end:?}");
+        if t < end {
+            self.runnable = false;
+        }
+        while let Some(done) = self.rob.front_done() {
+            t = t.max(done);
+            if t >= end {
+                break;
+            }
+            self.retire(t);
+            self.runnable = t + 1 == end;
+            t += 1;
         }
     }
 
@@ -432,6 +515,7 @@ impl<S: InstrSource> Core<S> {
     /// clock grid; with an unchanged clock it returns exactly the stored
     /// wake, so an unconditional refresh is behaviour-preserving.
     pub fn wake_hint(&self, now: Cycle) -> Cycle {
+        debug_assert!(self.owed.is_none(), "wake of a core that owes retirement");
         if self.runnable {
             // Last real step made progress: the core is due on its very next
             // tick regardless of in-flight completions.
@@ -458,7 +542,6 @@ impl<S: InstrSource> Core<S> {
         let mut n = 0;
         while n < self.cfg.issue_width {
             if self.rob.len() >= self.cfg.rob_entries {
-                self.stats.rob_stalls.inc();
                 break;
             }
             let instr = match self.pending.take() {
@@ -502,7 +585,6 @@ impl<S: InstrSource> Core<S> {
                 }
                 InstrKind::Load => {
                     if self.lsq_count >= self.cfg.lsq_entries {
-                        self.stats.lsq_stalls.inc();
                         self.pending = Some(instr);
                         break;
                     }
@@ -560,7 +642,6 @@ impl<S: InstrSource> Core<S> {
                 }
                 InstrKind::Store => {
                     if self.lsq_count >= self.cfg.lsq_entries {
-                        self.stats.lsq_stalls.inc();
                         self.pending = Some(instr);
                         break;
                     }

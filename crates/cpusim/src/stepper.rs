@@ -18,6 +18,29 @@
 //! (`cpusim/tests/stepper_reference.rs`, `harness/tests/equivalence.rs`)
 //! pin the equivalence across workloads, core counts and DVFS dilation.
 //!
+//! The event-driven stepper also skips the ticks on which a core can only
+//! retire: after a progressing step leaves dispatch blocked (a branch
+//! redirect, an L1-I miss, a full MSHR file), the core owes the retirement
+//! of the ticks until the stall ends and settles it, tick by tick, at its
+//! next step (the owed-retirement window on [`crate::StepOutcome`]). Three
+//! rules keep that invisible:
+//!
+//! * **all-nominal gate** — windows open only while every core's clock
+//!   ratio is exactly 1, checked at [`SystemStepper::run`] entry and after
+//!   every epoch callback. A core's finish cycle is the next cycle the
+//!   stepper visits after its crossing step; at nominal clock that is
+//!   always the crossing cycle + 1, but a dilated core's can be a
+//!   co-runner's wake, which a window would move;
+//! * **epoch horizon** — a window ends by `min(next epoch, max_cycles)`,
+//!   so the core steps at the boundary, before the callback reads its
+//!   retired count or retunes its clock, and no window spans a callback;
+//!   none opens near an unfinished core's retire target either;
+//! * **settle on return** — every return closes the open windows as if
+//!   their cores had been stepped on every tick before `now`, and moves
+//!   `now` to the cycle per-tick stepping would have visited next, so a caller between two runs (the warm-up
+//!   snapshot of `harness::System::run_observed`) and the next run see
+//!   the timeline the reference stepper leaves.
+//!
 //! Cores are stepped in ascending index order within a cycle; LLC/DRAM state
 //! therefore evolves identically under both steppers.
 
@@ -100,7 +123,9 @@ impl SystemStepper {
     /// cores (partitioning, DVFS ratios); the stepper refreshes its wake
     /// list afterwards via [`Core::wake_hint`]. Returning
     /// [`EpochControl::Stop`] exits immediately (cores already stepped at
-    /// the boundary cycle; time has not advanced past it).
+    /// the boundary cycle; time has not advanced past it). Every return
+    /// leaves each core's retirement settled as per-tick stepping would
+    /// (see the module docs).
     ///
     /// # Panics
     ///
@@ -135,9 +160,17 @@ impl SystemStepper {
             }
         }
 
+        let mut windows = self.opens_windows(cores);
         while remaining > 0 && self.now < max_cycles {
             let now = self.now;
             let epoch_due = now >= self.next_epoch;
+            // A window ends by the next epoch boundary, where the core steps
+            // before the callback reads it (none opens at the boundary).
+            let horizon = if windows {
+                self.next_epoch.min(max_cycles)
+            } else {
+                Cycle::ZERO
+            };
             // Bit `i` = core `i` steps at `now`.
             let due = match self.kind {
                 StepperKind::Reference => u64::MAX >> (64 - n),
@@ -156,7 +189,12 @@ impl SystemStepper {
                 }
                 let mut t = now;
                 loop {
-                    let out = cores[i].step(t, port);
+                    let guard = if finish[i].is_some() {
+                        u64::MAX
+                    } else {
+                        targets[i]
+                    };
+                    let out = cores[i].step_until(t, port, horizon, guard);
                     let w = out.next_event.max(t + 1);
                     let advanced = w.min(barrier);
                     if finish[i].is_none() && cores[i].retired() >= targets[i] {
@@ -179,7 +217,12 @@ impl SystemStepper {
             while pending != 0 {
                 let i = pending.trailing_zeros() as usize;
                 pending &= pending - 1;
-                let out = cores[i].step(now, port);
+                let guard = if finish[i].is_some() {
+                    u64::MAX
+                } else {
+                    targets[i]
+                };
+                let out = cores[i].step_until(now, port, horizon, guard);
                 self.wakes[i] = out.next_event.max(now + 1);
             }
 
@@ -192,8 +235,9 @@ impl SystemStepper {
                 for (i, core) in cores.iter().enumerate() {
                     self.wakes[i] = core.wake_hint(now);
                 }
+                windows = self.opens_windows(cores);
                 if control == EpochControl::Stop {
-                    return finish;
+                    break;
                 }
             }
 
@@ -214,7 +258,33 @@ impl SystemStepper {
                 }
             }
         }
+        self.settle(cores);
         finish
+    }
+
+    /// Whether owed-retirement windows may open: only event-driven, and
+    /// only while every core runs at nominal clock (ratio exactly 1), since
+    /// a dilated core's finish is the next cycle any core is stepped at,
+    /// which a window moves.
+    fn opens_windows<S: InstrSource>(&self, cores: &[Core<S>]) -> bool {
+        self.kind == StepperKind::EventDriven && cores.iter().all(|c| c.clock_ratio() == 1.0)
+    }
+
+    /// Closes every open owed-retirement window as if its core had been
+    /// stepped on every tick below `now`, and moves `now` to the first
+    /// cycle that stepping would have visited next: a caller between two
+    /// runs, and the next run, see the timeline per-tick stepping leaves.
+    fn settle<S: InstrSource>(&mut self, cores: &mut [Core<S>]) {
+        let mut closed = false;
+        for (wake, core) in self.wakes.iter_mut().zip(cores.iter_mut()) {
+            if let Some(w) = core.settle(self.now) {
+                *wake = w;
+                closed = true;
+            }
+        }
+        if closed {
+            self.now = self.wakes.iter().fold(self.next_epoch, |m, &w| m.min(w));
+        }
     }
 
     /// Bitmask of the cores whose stored wake has arrived at `now`.

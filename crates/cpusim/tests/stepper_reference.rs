@@ -5,13 +5,16 @@
 //! streams, same (order-sensitive) LLC double — and drives one with
 //! [`StepperKind::Reference`] and one with [`StepperKind::EventDriven`],
 //! then compares the complete observable state: retired counts, per-core
-//! stats (minus the per-*attempt* `rob_stalls`/`lsq_stalls` samplers the
-//! wake-list contract explicitly excludes), L1 and branch-predictor stats,
-//! the full LLC access and writeback sequences, the finish cycles, the
-//! epoch-callback cycles and the final simulation time. Covered axes:
-//! 1/2/4/8 cores, five synthetic stream flavours, `.ctrace` replay via
-//! [`TraceSource`], nominal clocks, per-epoch DVFS dilation and per-epoch
-//! prefetch-degree rotation (the full CBP throttle range).
+//! stats, L1 and branch-predictor stats, the full LLC access and writeback
+//! sequences, the finish cycles, the epoch-callback cycles with every
+//! core's retired count at each callback, and the final simulation time.
+//! Covered axes: 1/2/4/8 cores, five synthetic stream flavours, `.ctrace`
+//! replay via [`TraceSource`], nominal clocks, per-core and uniform
+//! per-epoch DVFS dilation, and per-epoch prefetch-degree rotation (the
+//! full CBP throttle range). The retired counts at each callback pin the
+//! event-driven stepper's owed-retirement windows: a window that crossed
+//! an epoch boundary, or stayed open while a core ran dilated, would show
+//! there first.
 //!
 //! The suite also pins the two halves of the contract the equivalence
 //! rests on: the [`cpusim::StepOutcome`] wake-list guarantees (progress or
@@ -31,6 +34,18 @@ use simkit::types::{CoreId, Cycle, LineAddr};
 /// DVFS dilation ratios rotated through by the epoch callback (all from
 /// the paper's 45 nm V/f table shape: nominal down to 0.6×).
 const RATIOS: [f64; 4] = [1.0, 1.25, 1.6, 2.0];
+
+/// How the epoch callback sets the cores' clocks.
+#[derive(Debug, Clone, Copy)]
+enum Clocks {
+    /// Every core stays at nominal clock.
+    Nominal,
+    /// Core `i` runs at `RATIOS[(i + k) % 4]` after the `k`-th callback.
+    PerCore,
+    /// Every core runs at `RATIOS[k % 4]` after the `k`-th callback, so an
+    /// all-nominal epoch comes right before a dilated one.
+    Uniform,
+}
 
 fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s << 13;
@@ -129,6 +144,8 @@ struct Snapshot {
     branches: Vec<(u64, u64)>,
     finish: Vec<Option<u64>>,
     epochs: Vec<u64>,
+    /// Every core's retired count at each epoch callback.
+    epoch_retired: Vec<Vec<u64>>,
     end: u64,
     prefetch: Vec<(u64, u64, u64, u64)>,
     llc_log: Vec<(u64, u8, u64, bool)>,
@@ -144,7 +161,7 @@ fn run_snapshot(
     kind: StepperKind,
     n: usize,
     mk: &dyn Fn(usize) -> Box<dyn InstrSource + Send>,
-    dvfs: bool,
+    clocks: Clocks,
     prefetch: bool,
 ) -> Snapshot {
     let mut cores: Vec<Core> = (0..n)
@@ -160,12 +177,16 @@ fn run_snapshot(
     let mut stepper = SystemStepper::new(kind, EPOCH);
     let targets = vec![TARGET; n];
     let mut epochs: Vec<u64> = Vec::new();
+    let mut epoch_retired: Vec<Vec<u64>> = Vec::new();
     let finish = stepper.run(&mut cores, &mut llc, &targets, MAX, |now, cores, _| {
         epochs.push(now.raw());
+        epoch_retired.push(cores.iter().map(|c| c.retired()).collect());
         let k = epochs.len();
-        if dvfs {
-            for (i, c) in cores.iter_mut().enumerate() {
-                c.set_clock_ratio(now, RATIOS[(i + k) % RATIOS.len()]);
+        for (i, c) in cores.iter_mut().enumerate() {
+            match clocks {
+                Clocks::Nominal => {}
+                Clocks::PerCore => c.set_clock_ratio(now, RATIOS[(i + k) % RATIOS.len()]),
+                Clocks::Uniform => c.set_clock_ratio(now, RATIOS[k % RATIOS.len()]),
             }
         }
         if prefetch {
@@ -206,6 +227,7 @@ fn run_snapshot(
             .collect(),
         finish: finish.iter().map(|f| f.map(Cycle::raw)).collect(),
         epochs,
+        epoch_retired,
         end: stepper.now().raw(),
         prefetch: cores
             .iter()
@@ -248,6 +270,7 @@ fn first_diff(a: &Snapshot, b: &Snapshot) -> String {
     check!(branches);
     check!(finish);
     check!(epochs);
+    check!(epoch_retired);
     check!(end);
     check!(prefetch);
     for (seq, aa, bb) in [
@@ -290,8 +313,8 @@ proptest! {
         let mk = |i: usize| -> Box<dyn InstrSource + Send> {
             Box::new(SynthSource::new(seed, i, flavor))
         };
-        let a = run_snapshot(StepperKind::Reference, n, &mk, false, false);
-        let b = run_snapshot(StepperKind::EventDriven, n, &mk, false, false);
+        let a = run_snapshot(StepperKind::Reference, n, &mk, Clocks::Nominal, false);
+        let b = run_snapshot(StepperKind::EventDriven, n, &mk, Clocks::Nominal, false);
         prop_assert!(
             a == b,
             "n={n} flavor={flavor}: {}", first_diff(&a, &b)
@@ -308,11 +331,32 @@ proptest! {
         let mk = |i: usize| -> Box<dyn InstrSource + Send> {
             Box::new(SynthSource::new(seed, i, flavor))
         };
-        let a = run_snapshot(StepperKind::Reference, n, &mk, true, false);
-        let b = run_snapshot(StepperKind::EventDriven, n, &mk, true, false);
+        let a = run_snapshot(StepperKind::Reference, n, &mk, Clocks::PerCore, false);
+        let b = run_snapshot(StepperKind::EventDriven, n, &mk, Clocks::PerCore, false);
         prop_assert!(
             a == b,
             "n={n} flavor={flavor} dvfs: {}", first_diff(&a, &b)
+        );
+    }
+
+    /// Every core shares one ratio per epoch, nominal every fourth: the
+    /// event-driven stepper opens owed-retirement windows in the nominal
+    /// epochs and must leave none open into the dilated epoch after.
+    #[test]
+    fn event_driven_matches_reference_under_uniform_dvfs(
+        seed in any::<u64>(),
+        sel in 0usize..4,
+        flavor in 0u8..5,
+    ) {
+        let n = CORE_COUNTS[sel];
+        let mk = |i: usize| -> Box<dyn InstrSource + Send> {
+            Box::new(SynthSource::new(seed, i, flavor))
+        };
+        let a = run_snapshot(StepperKind::Reference, n, &mk, Clocks::Uniform, false);
+        let b = run_snapshot(StepperKind::EventDriven, n, &mk, Clocks::Uniform, false);
+        prop_assert!(
+            a == b,
+            "n={n} flavor={flavor} uniform dvfs: {}", first_diff(&a, &b)
         );
     }
 
@@ -331,8 +375,9 @@ proptest! {
         let mk = |i: usize| -> Box<dyn InstrSource + Send> {
             Box::new(SynthSource::new(seed, i, flavor))
         };
-        let a = run_snapshot(StepperKind::Reference, n, &mk, dvfs, true);
-        let b = run_snapshot(StepperKind::EventDriven, n, &mk, dvfs, true);
+        let clocks = if dvfs { Clocks::PerCore } else { Clocks::Nominal };
+        let a = run_snapshot(StepperKind::Reference, n, &mk, clocks, true);
+        let b = run_snapshot(StepperKind::EventDriven, n, &mk, clocks, true);
         prop_assert!(
             a == b,
             "n={n} flavor={flavor} dvfs={dvfs} prefetch: {}", first_diff(&a, &b)
@@ -350,8 +395,8 @@ proptest! {
             let trace = gen_trace(seed ^ ((i as u64 + 1) << 40), len).into_iter().collect();
             Box::new(TraceSource::new(Arc::new(trace)).expect("non-empty trace"))
         };
-        let a = run_snapshot(StepperKind::Reference, n, &mk, true, true);
-        let b = run_snapshot(StepperKind::EventDriven, n, &mk, true, true);
+        let a = run_snapshot(StepperKind::Reference, n, &mk, Clocks::PerCore, true);
+        let b = run_snapshot(StepperKind::EventDriven, n, &mk, Clocks::PerCore, true);
         prop_assert!(
             a == b,
             "n={n} len={len} trace: {}", first_diff(&a, &b)

@@ -244,22 +244,30 @@ impl Target {
         for part in self.0 {
             out.extend(part.render(lookup, a, perf)?);
         }
-        for e in out.iter_mut().filter(|e| e.perf.is_some()).skip(1) {
-            e.perf = None;
-        }
-        Ok(out)
+        Ok(one_perf(out))
     }
 
     /// Runs it in process: each part runs its cells through the process
-    /// cell memo and renders from that run, with that run's perf.
+    /// cell memo and renders from that run, whose perf goes on the part's
+    /// first experiment that reports one: one run, one perf line.
     pub fn run_inprocess(self, a: &TargetArgs) -> Result<Vec<Experiment>, String> {
         let mut out = Vec::new();
         for part in self.0 {
             let run = fleet_run::run_cells_local(&part.cells(a)?)?;
-            out.extend(part.render(&|cell| run.lookup(cell), a, run.perf)?);
+            let rendered = part.render(&|cell| run.lookup(cell), a, run.perf)?;
+            out.extend(one_perf(rendered));
         }
         Ok(out)
     }
+}
+
+/// `experiments` rendered from one run, with that run's perf kept only on
+/// the first that reports one.
+fn one_perf(mut experiments: Vec<Experiment>) -> Vec<Experiment> {
+    for e in experiments.iter_mut().filter(|e| e.perf.is_some()).skip(1) {
+        e.perf = None;
+    }
+    experiments
 }
 
 #[cfg(test)]

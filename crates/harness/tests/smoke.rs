@@ -140,6 +140,20 @@ fn repro_rejects_unknown_groups_listing_registered_ones() {
     );
 }
 
+/// In process, each sweep part is one run and prints one `perf:` line,
+/// on its first figure, however many figures it renders.
+#[test]
+fn repro_prints_one_perf_line_per_sweep_part() {
+    let out = run(
+        env!("CARGO_BIN_EXE_repro"),
+        &["fig5_10", "--scale", "tiny", "--group", "G2-1,G4-1"],
+    );
+    assert_ok("repro fig5_10 --group G2-1,G4-1", &out);
+    let text = String::from_utf8_lossy(&out.stdout);
+    let perf: Vec<&str> = text.lines().filter(|l| l.starts_with("perf:")).collect();
+    assert_eq!(perf.len(), 2, "one perf line per core count:\n{text}");
+}
+
 #[test]
 fn repro_json_writes_machine_readable_tables() {
     let dir = std::env::temp_dir().join(format!("repro-json-{}", std::process::id()));

@@ -1,21 +1,25 @@
 #!/usr/bin/env bash
-# Performance gate for the two fig5_10 sweeps: this checkout against a
-# base commit, both built and run on the same host.
+# Performance gate for the three paper sweeps (fig5_10's two-core and
+# four-core, eight_core's eight-core): this checkout against a base commit,
+# both built and run on the same host.
 #
 #   scripts/perf_gate.sh [BASE]      BASE is a git revision (default HEAD~1)
 #
 # Builds `repro` from this checkout and from BASE, which is exported with
 # `git archive` into a temporary directory and built there with its own
-# target directory. Then runs `repro fig5_10 --scale quick` three times per
-# side, alternating which side goes first. Each run prints one `perf:` line
-# per figure (e.g. `perf: 8.3s simulate · 1603k LLC accesses · 193k/s`),
-# each after its figure's `== Figure N — …, two-core|four-core` header;
-# every perf line is matched, in printed order, to the sweep its header
-# names, and a run counts once per sweep. Counts use the harness's own
-# suffixes: plain integers, `NNNk`, or `N.NM`.
+# target directory. Then runs `repro fig5_10 --scale quick` and `repro
+# eight_core --scale quick` three times per side, alternating which side
+# goes first. Each run prints one `perf:` line per sweep (e.g. `perf: 8.3s
+# simulate · 1603k LLC accesses · 193k/s`), after the first figure of that
+# sweep, whose `== Figure N — …` header names `two-core`, `four-core` or
+# `eight-core`; every perf line is matched, in printed order, to the sweep
+# the header above it names, and a run counts once per sweep. Counts use
+# the harness's own suffixes: plain integers, `NNNk`, or `N.NM`.
 #
 # Gate: fails if a sweep's median accesses/s on this checkout is below 80%
 # of the base's median, or if a sweep printed no perf line on either side.
+# Each sweep is gated on its own, so a slower eight-core sweep cannot hide
+# behind faster two- and four-core ones.
 # Both sides share the host, so the gate holds whatever the host's speed
 # (a fixed snapshot floor recorded on a slower host let a 2x slowdown
 # pass), and the median of three keeps one noisy run from deciding it.
@@ -44,6 +48,7 @@ for round in 1 2 3; do
     if ((round % 2)); then order="base head"; else order="head base"; fi
     for side in ${order}; do
         OUT+="#run ${side}"$'\n'$("${TMP}/repro-${side}" fig5_10 --scale quick)$'\n'
+        OUT+=$("${TMP}/repro-${side}" eight_core --scale quick)$'\n'
     done
 done
 
@@ -53,7 +58,7 @@ import re
 import sys
 
 BASE = sys.argv[1]
-SWEEPS = {"two-core": "sweep_2core", "four-core": "sweep_4core"}
+SWEEPS = {"two-core": "sweep_2core", "four-core": "sweep_4core", "eight-core": "sweep_8core"}
 PCT = 80
 
 
